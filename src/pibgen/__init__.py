@@ -3,9 +3,10 @@ effects when generalizing a randomized experiment to a self-selected
 population."""
 
 from .bounds import (
-    MtrResult,
+    BoundSpec,
     PateInterval,
     StratifiedBounds,
+    bound_specs,
     bsv_bounds,
     bsv_improves,
     compute_bounds,
@@ -55,12 +56,12 @@ __all__ = [
     "BINARY",
     "BalanceReport",
     "BootstrapOptions",
+    "BoundSpec",
     "ColumnMap",
     "DesignProbs",
     "EmpiricalRates",
     "FitOptions",
     "LambdaSpec",
-    "MtrResult",
     "OutcomeSupport",
     "PateInterval",
     "PointEstimate",
@@ -70,6 +71,7 @@ __all__ = [
     "StudyFrame",
     "UnitRecord",
     "asmd",
+    "bound_specs",
     "bsv_bounds",
     "bsv_improves",
     "compute_balance",

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from . import stratify
 from .errors import (
     ConfigError,
     MissingPopulationOutcome,
@@ -82,20 +83,6 @@ class PateInterval:
         if self.improves is not None:
             doc["improves"] = self.improves
         return doc
-
-
-@dataclass(frozen=True)
-class MtrResult:
-    """Monotone-response bounds come in two reporting variants: the min variant
-    substitutes the smallest feasible value for the unobservable non-sampled
-    contribution, the max variant the largest."""
-
-    interval_min_variant: PateInterval
-    interval_max_variant: PateInterval
-    scope: str
-
-    def to_json(self) -> list[dict]:
-        return [self.interval_min_variant.to_json(), self.interval_max_variant.to_json()]
 
 
 def _snapshot(rates: EmpiricalRates, probs: DesignProbs, support: OutcomeSupport) -> dict:
@@ -239,26 +226,28 @@ def bsv_bounds(
     )
 
 
-def _binary_rates(rates_or_frame) -> tuple[EmpiricalRates, bool]:
+def _binary_rates(rates_or_frame) -> EmpiricalRates:
     if isinstance(rates_or_frame, StudyFrame):
         if not rates_or_frame.is_binary:
             raise NonBinaryOutcome()
-        return empirical_rates(rates_or_frame), True
-    return rates_or_frame, False
+        return empirical_rates(rates_or_frame)
+    return rates_or_frame
 
 
-def mtr_bounds(rates_or_frame, probs: DesignProbs, scope: str = "sample") -> MtrResult:
+def mtr_bounds(rates_or_frame, probs: DesignProbs,
+               scope: str = "sample") -> tuple[PateInterval, PateInterval]:
     """Bounds assuming outcomes never decrease under treatment (binary only).
 
     The lower bound is 0 by assumption.  The upper bound counts the mass that
     could still move: sampled control fails and sampled treated passes, plus,
     in population scope, business-as-usual fails among non-sampled control-arm
     mass.  The unobservable non-sampled treated-arm contribution is set to 0
-    in the min variant and to its full mass in the max variant.
+    in the min variant and to its full mass in the max variant; the result is
+    the ``(min, max)`` pair, each interval tagged by its ``variant``.
     """
     if scope not in MTR_SCOPES:
         raise ConfigError(f"scope must be one of {MTR_SCOPES}, got {scope!r}")
-    rates, _ = _binary_rates(rates_or_frame)
+    rates = _binary_rates(rates_or_frame)
     if rates.pass1_w1z1 is None or rates.fail0_w0z1 is None:
         raise NonBinaryOutcome("monotone-response bounds need binary pass/fail rates")
     support = OutcomeSupport(0, 1)  # integer endpoints stay exact under Fraction inputs
@@ -279,11 +268,58 @@ def mtr_bounds(rates_or_frame, probs: DesignProbs, scope: str = "sample") -> Mtr
         scope=scope,
         inputs=_snapshot(rates, probs, support),
     )
-    return MtrResult(
-        interval_min_variant=_clamp(zero, min_hi, support, variant="min", **common),
-        interval_max_variant=_clamp(zero, max_hi, support, variant="max", **common),
-        scope=scope,
+    return (
+        _clamp(zero, min_hi, support, variant="min", **common),
+        _clamp(zero, max_hi, support, variant="max", **common),
     )
+
+
+# --- bound specifications --------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class BoundSpec:
+    """One cell of the report grid: an assumption in a framework, with its
+    lambda for BSV.  MTR runs in sample scope in the full framework and in
+    population scope in the reduced one."""
+
+    assumption: str
+    framework: str = "full"
+    lam: float | None = None
+
+    def __post_init__(self):
+        if self.assumption not in ASSUMPTIONS:
+            raise ConfigError(f"assumption must be one of {ASSUMPTIONS}, got {self.assumption!r}")
+        _check_framework(self.framework)
+        if self.assumption == "bsv" and self.lam is None:
+            raise ConfigError("bsv bounds need a lambda value")
+
+    @property
+    def scope(self) -> str:
+        return "sample" if self.framework == "full" else "population"
+
+
+def bound_specs(assumptions, frameworks, lambdas=()) -> list[BoundSpec]:
+    """Expand assumption x framework x lambda into specs, in report order:
+    assumptions outermost, then frameworks, then lambdas (BSV only)."""
+    return [
+        BoundSpec(assumption, framework, lam)
+        for assumption in assumptions
+        for framework in frameworks
+        # bsv without lambdas yields a lam=None spec, which BoundSpec rejects
+        for lam in (lambdas if assumption == "bsv" else (None,)) or (None,)
+    ]
+
+
+def compute_bounds(spec: BoundSpec, rates: EmpiricalRates, probs: DesignProbs,
+                   support: OutcomeSupport) -> tuple[PateInterval, ...]:
+    """Evaluate one spec: one interval for worst case and BSV, the ``(min,
+    max)`` variant pair for MTR."""
+    if spec.assumption == "worst_case":
+        return (worst_case_bounds(rates, probs, spec.framework, support),)
+    if spec.assumption == "bsv":
+        return (bsv_bounds(rates, probs, spec.framework, spec.lam, support),)
+    return mtr_bounds(rates, probs, spec.scope)
 
 
 # --- per-stratum evaluation ----------------------------------------------------
@@ -296,142 +332,101 @@ class StratumBounds:
     n_sample_treated: int
     n_sample_control: int
     viable: bool
-    result: PateInterval | MtrResult | None
+    results: tuple[PateInterval, ...] = ()
     skip_reason: str | None = None
+
+    def to_json(self) -> dict:
+        return {
+            "stratum": self.index,
+            "n_population": self.n_population,
+            "n_sample_treated": self.n_sample_treated,
+            "n_sample_control": self.n_sample_control,
+            "viable": self.viable,
+            "results": [r.to_json() for r in self.results] if self.viable else None,
+            "skip_reason": self.skip_reason,
+        }
 
 
 @dataclass(frozen=True)
 class StratifiedBounds:
     strata: tuple[StratumBounds, ...]
-    pooled: PateInterval | MtrResult | None = None
-
-    def viable(self):
-        return [s for s in self.strata if s.viable]
-
-
-def compute_bounds(
-    rates: EmpiricalRates,
-    probs: DesignProbs,
-    support: OutcomeSupport,
-    assumption: str,
-    *,
-    framework: str = "full",
-    lam=None,
-    scope: str = "sample",
-    intersect_support: bool = False,
-):
-    """Dispatch a single bound computation by assumption tag."""
-    if assumption == "worst_case":
-        return worst_case_bounds(rates, probs, framework, support)
-    if assumption == "bsv":
-        if lam is None:
-            raise ConfigError("bsv bounds need a lambda value")
-        return bsv_bounds(rates, probs, framework, lam, support,
-                          intersect_support=intersect_support)
-    if assumption == "mtr":
-        return mtr_bounds(rates, probs, scope)
-    raise ConfigError(f"assumption must be one of {ASSUMPTIONS}, got {assumption!r}")
+    pooled: tuple[PateInterval, ...] = ()
 
 
 def stratified_bounds(
     frame: StudyFrame,
     assignment,
-    assumption: str,
+    specs,
     *,
-    framework: str = "full",
-    lam=None,
-    scope: str = "sample",
     p_w0_given_z0: float = 0.5,
     pooled: bool = False,
 ) -> StratifiedBounds:
-    """Evaluate one bound specification inside each propensity stratum.
+    """Evaluate every bound spec inside each propensity stratum.
 
-    Selection and assignment probabilities are recomputed within each stratum;
-    the assumed P(W=0|Z=0) is inherited globally.  Strata without a sampled
-    treated or control unit are skipped and flagged.  The optional pooled
-    interval is the population-share weighted sum of the per-stratum
-    endpoints; it is an extension beyond the per-stratum reporting and stays
-    off by default.
+    The frame is sliced once.  Selection and assignment probabilities are
+    recomputed within each stratum; the assumed P(W=0|Z=0) is inherited
+    globally.  Strata without a sampled treated or control unit are skipped
+    and flagged.  A spec that needs business-as-usual outcomes the stratum
+    lacks is dropped from that stratum; a stratum where every spec is dropped
+    is skipped.  The optional pooled intervals are the population-share
+    weighted sums of the per-stratum endpoints, one set per spec that every
+    stratum evaluated; they are an extension beyond the per-stratum reporting
+    and stay off by default.
     """
-    from .stratify import stratum_frames
-
     per_stratum = []
-    pieces = []
-    for piece in stratum_frames(frame, assignment):
-        if not piece.viable:
-            per_stratum.append(
-                StratumBounds(
-                    index=piece.index,
-                    n_population=piece.frame.n_units,
-                    n_sample_treated=piece.n_sample_treated,
-                    n_sample_control=piece.n_sample_control,
-                    viable=False,
-                    result=None,
-                    skip_reason="no sampled treated unit"
-                    if piece.n_sample_treated == 0
-                    else "no sampled control unit",
-                )
-            )
-            continue
+    per_spec = [[] for _ in specs]  # (population share, intervals) per stratum
+    for piece in stratify.stratum_frames(frame, assignment):
         sub = piece.frame
+        counts = dict(
+            index=piece.index,
+            n_population=sub.n_units,
+            n_sample_treated=piece.n_sample_treated,
+            n_sample_control=piece.n_sample_control,
+        )
+        if not piece.viable:
+            reason = ("no sampled treated unit" if piece.n_sample_treated == 0
+                      else "no sampled control unit")
+            per_stratum.append(StratumBounds(viable=False, skip_reason=reason, **counts))
+            continue
         s_rates = empirical_rates(sub)
         s_probs = design_probs(sub, p_w0_given_z0)
-        try:
-            result = compute_bounds(
-                s_rates, s_probs, sub.support, assumption,
-                framework=framework, lam=lam, scope=scope,
-            )
-        except MissingPopulationOutcome:
-            per_stratum.append(
-                StratumBounds(
-                    index=piece.index,
-                    n_population=sub.n_units,
-                    n_sample_treated=piece.n_sample_treated,
-                    n_sample_control=piece.n_sample_control,
-                    viable=False,
-                    result=None,
-                    skip_reason="no business-as-usual outcomes among its z=0 units",
-                )
-            )
-            continue
-        pieces.append((piece, result))
-        per_stratum.append(
-            StratumBounds(
-                index=piece.index,
-                n_population=sub.n_units,
-                n_sample_treated=piece.n_sample_treated,
-                n_sample_control=piece.n_sample_control,
-                viable=True,
-                result=result,
-            )
-        )
-    pooled_result = None
-    if pooled and pieces and all(s.viable for s in per_stratum):
-        pooled_result = _pool(frame, pieces, assumption)
-    return StratifiedBounds(strata=tuple(per_stratum), pooled=pooled_result)
+        results = []
+        for i, spec in enumerate(specs):
+            try:
+                intervals = compute_bounds(spec, s_rates, s_probs, sub.support)
+            except MissingPopulationOutcome:
+                continue
+            per_spec[i].append((sub.n_units / frame.n_units, intervals))
+            results.extend(intervals)
+        if results:
+            per_stratum.append(StratumBounds(viable=True, results=tuple(results), **counts))
+        else:
+            per_stratum.append(StratumBounds(
+                viable=False,
+                skip_reason="no business-as-usual outcomes among its z=0 units",
+                **counts,
+            ))
+    pooled_results = []
+    if pooled:
+        for pieces in per_spec:
+            if pieces and len(pieces) == len(per_stratum):
+                pooled_results.extend(_pool(pieces, frame.support))
+    return StratifiedBounds(strata=tuple(per_stratum), pooled=tuple(pooled_results))
 
 
-def _pool(frame, pieces, assumption):
-    total = frame.n_units
-
-    def weighted(select):
-        lo = sum(p.frame.n_units / total * select(r).pre_clamp_lo for p, r in pieces)
-        hi = sum(p.frame.n_units / total * select(r).pre_clamp_hi for p, r in pieces)
-        first = select(pieces[0][1])
-        return _clamp(
-            lo, hi, frame.support,
+def _pool(pieces, support) -> list[PateInterval]:
+    """Population-share weighted endpoints, interval by interval across strata."""
+    pooled = []
+    for j, first in enumerate(pieces[0][1]):
+        lo = sum(share * intervals[j].pre_clamp_lo for share, intervals in pieces)
+        hi = sum(share * intervals[j].pre_clamp_hi for share, intervals in pieces)
+        pooled.append(_clamp(
+            lo, hi, support,
             assumption=first.assumption,
             framework=first.framework,
             lam=first.lam,
             variant=first.variant,
             scope=first.scope,
             inputs={"pooled": True, "strata": len(pieces)},
-        )
-
-    if assumption == "mtr":
-        return MtrResult(
-            interval_min_variant=weighted(lambda r: r.interval_min_variant),
-            interval_max_variant=weighted(lambda r: r.interval_max_variant),
-            scope=pieces[0][1].scope,
-        )
-    return weighted(lambda r: r)
+        ))
+    return pooled

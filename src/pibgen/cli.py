@@ -14,7 +14,9 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict, replace
 from fractions import Fraction
+from functools import cached_property
 
 from . import bounds as bounds_mod
 from . import oracle as oracle_mod
@@ -24,7 +26,15 @@ from .errors import (
     NonViableStratum,
     PibgenError,
 )
-from .frame import ColumnMap, OutcomeSupport, design_probs, empirical_rates, load_frame, load_two_frames
+from .frame import (
+    ColumnMap,
+    OutcomeSupport,
+    convert,
+    design_probs,
+    empirical_rates,
+    load_frame,
+    load_two_frames,
+)
 from .lambda_select import lambda_report, parse_lambda_expr, resolve_lambda
 from .points import BootstrapOptions, ipw_estimate, merge_nonviable, naive_sate, subclass_estimate
 from .propensity import (
@@ -77,7 +87,6 @@ def _add_analysis_options(p):
                    choices=sorted(ASSUMPTION_ALIASES), help="repeatable; default worst")
     p.add_argument("--seed", type=int, default=None, help="master seed (env PIBGEN_SEED as fallback)")
     p.add_argument("--reps", type=int, default=None, help="bootstrap replicates (default 1000)")
-    p.add_argument("--threads", type=int, default=None, help="bootstrap worker threads (default 1)")
     p.add_argument("--pooled", action="store_true", default=None,
                    help="add the population-share pooled interval across strata")
     p.add_argument("--merge-strata", action="store_true", default=None,
@@ -123,7 +132,6 @@ _DEFAULTS = {
     "framework": "full",
     "assumption": ["worst"],
     "reps": 1000,
-    "threads": 1,
     "pooled": False,
     "merge_strata": False,
     "format": "md",
@@ -225,160 +233,133 @@ def _assumptions(options) -> list[str]:
     return names
 
 
-def _fit_model(frame, options):
-    if options.get("model"):
-        try:
-            with open(options["model"], encoding="utf-8") as fh:
-                model = model_from_json(fh.read())
-        except (OSError, ValueError, KeyError) as exc:
-            raise ConfigError(f"cannot read model file: {exc}")
-        return model, tuple(model.coefficients)
-    names = frame.covariate_names
-    return fit_propensity(frame, names, FitOptions()), names
-
-
-def _resolve_lambdas(options, frame, balance):
-    resolved = []
-    for expr in options["lambdas"]:
-        spec = parse_lambda_expr(str(expr))
-        resolved.append({"label": spec.label(), "value": float(resolve_lambda(spec, frame, balance))})
-    return resolved
-
-
-def _whole_frame_intervals(rates, probs, support, options, lambdas):
-    out = []
-    for assumption in _assumptions(options):
-        if assumption == "worst_case":
-            for fw in _frameworks(options):
-                out.append(bounds_mod.worst_case_bounds(rates, probs, fw, support).to_json())
-        elif assumption == "bsv":
-            if not lambdas:
-                raise ConfigError("--assumption bsv needs at least one --lambda")
-            for fw in _frameworks(options):
-                for lam in lambdas:
-                    out.append(
-                        bounds_mod.bsv_bounds(rates, probs, fw, lam["value"], support).to_json()
-                    )
-        else:
-            for fw in _frameworks(options):
-                scope = "sample" if fw == "full" else "population"
-                out.extend(bounds_mod.mtr_bounds(rates, probs, scope).to_json())
-    return out
-
-
-def _stratified_intervals(frame, assignment, options, lambdas):
-    specs = []
-    for assumption in _assumptions(options):
-        if assumption == "bsv":
-            for fw in _frameworks(options):
-                for lam in lambdas:
-                    specs.append((assumption, fw, lam["value"]))
-        else:
-            for fw in _frameworks(options):
-                specs.append((assumption, fw, None))
-    per_stratum: dict[int, dict] = {}
-    pooled_entries = []
-    for assumption, fw, lam in specs:
-        scope = "sample" if fw == "full" else "population"
-        result = bounds_mod.stratified_bounds(
-            frame, assignment, assumption,
-            framework=fw, lam=lam, scope=scope,
-            p_w0_given_z0=options["pw0z0"], pooled=options["pooled"],
-        )
-        for stratum in result.strata:
-            slot = per_stratum.setdefault(
-                stratum.index,
-                {
-                    "stratum": stratum.index,
-                    "n_population": stratum.n_population,
-                    "n_sample_treated": stratum.n_sample_treated,
-                    "n_sample_control": stratum.n_sample_control,
-                    "viable": stratum.viable,
-                    "results": [] if stratum.viable else None,
-                    "skip_reason": stratum.skip_reason,
-                },
-            )
-            if stratum.viable:
-                r = stratum.result
-                slot["results"].extend(r.to_json() if hasattr(r, "interval_min_variant") else [r.to_json()])
-        if result.pooled is not None:
-            p = result.pooled
-            entries = p.to_json() if hasattr(p, "interval_min_variant") else [p.to_json()]
-            for entry in entries:
-                entry["note"] = "population-share weighted across strata (extension)"
-            pooled_entries.extend(entries)
-    block = {"k": assignment.k, "strata": [per_stratum[j] for j in sorted(per_stratum)]}
-    if pooled_entries:
-        block["pooled"] = pooled_entries
-    return block
-
-
-def _point_estimates(frame, model, assignment, options, notes):
-    points = [naive_sate(frame).to_json()]
-    points.append(
-        ipw_estimate(
-            frame, model,
-            BootstrapOptions(reps=options["reps"], seed=options["seed"],
-                             threads=options["threads"]),
-        ).to_json()
-    )
-    try:
-        working = assignment
-        if options["merge_strata"]:
-            merged = merge_nonviable(assignment, frame)
-            if merged.k != assignment.k:
-                print(
-                    f"warning: merged non-viable strata, k={assignment.k} -> {merged.k}",
-                    file=sys.stderr,
-                )
-            working = merged
-        points.append(subclass_estimate(frame, working).to_json())
-    except NonViableStratum as exc:
-        notes["subclassification_error"] = str(exc)
-    return points
-
-
 def _validate_request(options):
-    assumptions = _assumptions(options)
-    if "bsv" in assumptions and not options["lambdas"]:
-        raise ConfigError("--assumption bsv needs at least one --lambda")
     if options["strata"] < 1:
         raise ConfigError("--strata must be >= 1")
     if options["reps"] < 0:
         raise ConfigError("--reps must be >= 0")
 
 
-def _analysis_document(options) -> dict:
-    _validate_request(options)
-    frame, source = _load(options)
-    probs = design_probs(frame, options["pw0z0"])
-    rates = empirical_rates(frame)
-    model, cov_names = _fit_model(frame, options)
-    balance = compute_balance(frame, cov_names)
-    logits = logit_scores(model, frame)
-    assignment = strata_for_frame(frame, logits, options["strata"])
-    lambdas = _resolve_lambdas(options, frame, balance)
-    notes = {"subclassification_error": None}
-    intervals = _whole_frame_intervals(rates, probs, frame.support, options, lambdas)
-    strat = _stratified_intervals(frame, assignment, options, lambdas)
-    points = _point_estimates(frame, model, assignment, options, notes)
-    clamped = sum(
-        int(e["clamped"]["lo"]) + int(e["clamped"]["hi"])
-        for e in intervals
-    )
-    notes.update(
-        {
-            "clamped_intervals": clamped,
-            "non_viable_strata": [s["stratum"] for s in strat["strata"] if not s["viable"]],
+# Each subcommand's document is a view: the keys it shows, in build order.
+VIEWS = {
+    "analyze": ("meta", "frame", "design", "rates", "propensity", "balance", "lambda_report",
+                "lambda_values", "intervals", "stratum_intervals", "point_estimates", "notes"),
+    "bounds": ("meta", "frame", "intervals"),
+    "points": ("meta", "point_estimates", "notes"),
+}
+
+
+class _Pipeline:
+    """The analysis stages over one loaded frame.  Each stage runs at most
+    once, when the first document key that needs it is built."""
+
+    def __init__(self, options):
+        self.options = options
+        self.frame, self.source = _load(options)
+
+    @cached_property
+    def probs(self):
+        return design_probs(self.frame, self.options["pw0z0"])
+
+    @cached_property
+    def rates(self):
+        return empirical_rates(self.frame)
+
+    @cached_property
+    def model(self):
+        if self.options["model"]:
+            try:
+                with open(self.options["model"], encoding="utf-8") as fh:
+                    return model_from_json(fh.read())
+            except (OSError, ValueError, KeyError) as exc:
+                raise ConfigError(f"cannot read model file: {exc}")
+        return fit_propensity(self.frame, self.frame.covariate_names, FitOptions())
+
+    @cached_property
+    def balance(self):
+        # a loaded model names its covariates; a fitted one uses the frame's
+        names = tuple(self.model.coefficients) if self.options["model"] else None
+        return compute_balance(self.frame, names)
+
+    @cached_property
+    def lambdas(self):
+        resolved = []
+        for expr in self.options["lambdas"]:
+            spec = parse_lambda_expr(str(expr))
+            value = float(resolve_lambda(spec, self.frame, self.balance))
+            resolved.append({"label": spec.label(), "value": value})
+        return resolved
+
+    @cached_property
+    def specs(self):
+        return bounds_mod.bound_specs(_assumptions(self.options), _frameworks(self.options),
+                                      [lam["value"] for lam in self.lambdas])
+
+    @cached_property
+    def intervals(self):
+        return [interval for spec in self.specs
+                for interval in bounds_mod.compute_bounds(spec, self.rates, self.probs,
+                                                          self.frame.support)]
+
+    @cached_property
+    def assignment(self):
+        logits = logit_scores(self.model, self.frame)
+        return strata_for_frame(self.frame, logits, self.options["strata"])
+
+    @cached_property
+    def stratified(self):
+        return bounds_mod.stratified_bounds(
+            self.frame, self.assignment, self.specs,
+            p_w0_given_z0=self.options["pw0z0"], pooled=self.options["pooled"],
+        )
+
+    @cached_property
+    def points(self):
+        """The three estimators, plus the reason subclassification is unavailable."""
+        frame, options = self.frame, self.options
+        points = [naive_sate(frame).to_json()]
+        bootstrap = BootstrapOptions(reps=options["reps"], seed=options["seed"])
+        points.append(ipw_estimate(frame, self.model, bootstrap).to_json())
+        assignment = self.assignment
+        try:
+            if options["merge_strata"]:
+                merged = merge_nonviable(assignment, frame)
+                if merged.k != assignment.k:
+                    print(f"warning: merged non-viable strata, k={assignment.k} -> {merged.k}",
+                          file=sys.stderr)
+                assignment = merged
+            points.append(subclass_estimate(frame, assignment).to_json())
+        except NonViableStratum as exc:
+            return points, str(exc)
+        return points, None
+
+    def document(self, keys) -> dict:
+        sections = {
+            "meta": self._meta,
+            "frame": self._frame,
+            "design": lambda: asdict(self.probs),
+            "rates": lambda: {
+                "e_y1_w1z1": self.rates.e_y1_w1z1,
+                "e_y0_w0z1": self.rates.e_y0_w0z1,
+                "e_y0_w0z0": self.rates.e_y0_w0z0,
+            },
+            "propensity": lambda: self.model.to_json(),
+            "balance": lambda: [asdict(row) for row in self.balance.rows],
+            "lambda_report": lambda: lambda_report(self.frame, self.balance),
+            "lambda_values": lambda: self.lambdas,
+            "intervals": lambda: [interval.to_json() for interval in self.intervals],
+            "stratum_intervals": self._stratum_intervals,
+            "point_estimates": lambda: self.points[0],
+            "notes": lambda: self._notes(keys),
         }
-    )
-    treated = len(frame.sample_outcomes(1))
-    control = len(frame.sample_outcomes(0))
-    return {
-        "meta": {
+        return {key: sections[key]() for key in keys}
+
+    def _meta(self):
+        options = self.options
+        return {
             "tool": "pibgen",
             "format_version": 1,
-            "input": source,
+            "input": self.source,
             "seed": options["seed"],
             "options": {
                 "strata": options["strata"],
@@ -387,47 +368,39 @@ def _analysis_document(options) -> dict:
                 "assumptions": _assumptions(options),
                 "reps": options["reps"],
             },
-        },
-        "frame": {
+        }
+
+    def _frame(self):
+        frame = self.frame
+        return {
             "n_units": frame.n_units,
             "n_sample": frame.n_sample,
-            "n_sample_treated": treated,
-            "n_sample_control": control,
+            "n_sample_treated": len(frame.sample_outcomes(1)),
+            "n_sample_control": len(frame.sample_outcomes(0)),
             "support": [frame.support.y_lo, frame.support.y_hi],
-        },
-        "design": {
-            "p_z1": probs.p_z1,
-            "p_w1_given_z1": probs.p_w1_given_z1,
-            "p_w0_given_z0": probs.p_w0_given_z0,
-        },
-        "rates": {
-            "e_y1_w1z1": rates.e_y1_w1z1,
-            "e_y0_w0z1": rates.e_y0_w0z1,
-            "e_y0_w0z0": rates.e_y0_w0z0,
-        },
-        "propensity": {
-            "intercept": model.intercept,
-            "coefficients": model.coefficients,
-            "converged": model.converged,
-            "iterations": model.iterations,
-        },
-        "balance": [
-            {
-                "covariate": row.covariate,
-                "sample_mean": row.sample_mean,
-                "population_mean": row.population_mean,
-                "population_sd": row.population_sd,
-                "asmd": row.asmd,
-            }
-            for row in balance.rows
-        ],
-        "lambda_report": lambda_report(frame, balance),
-        "lambda_values": lambdas,
-        "intervals": intervals,
-        "stratum_intervals": strat,
-        "point_estimates": points,
-        "notes": notes,
-    }
+        }
+
+    def _stratum_intervals(self):
+        block = {"k": self.assignment.k,
+                 "strata": [stratum.to_json() for stratum in self.stratified.strata]}
+        if self.stratified.pooled:
+            block["pooled"] = [
+                {**interval.to_json(), "note": "population-share weighted across strata (extension)"}
+                for interval in self.stratified.pooled
+            ]
+        return block
+
+    def _notes(self, keys):
+        notes = {"subclassification_error": self.points[1]}
+        if "intervals" in keys:
+            notes["clamped_intervals"] = sum(
+                int(i.clamped_lo) + int(i.clamped_hi) for i in self.intervals
+            )
+        if "stratum_intervals" in keys:
+            notes["non_viable_strata"] = [
+                s.index for s in self.stratified.strata if not s.viable
+            ]
+        return notes
 
 
 def _emit(document: dict, options) -> str:
@@ -442,7 +415,7 @@ def _emit(document: dict, options) -> str:
 # --- verify ---------------------------------------------------------------------
 
 
-def _verify_checks(frame, tolerance=1e-12):
+def _verify_checks(frame):
     """Yield (name, engine_interval, oracle_lo, oracle_hi) comparisons."""
     rates_f = empirical_rates(frame)
     rates_x = oracle_mod.exact_rates(frame)
@@ -482,60 +455,29 @@ def _verify_checks(frame, tolerance=1e-12):
                    enum.lo, enum.hi)
     enum_max = oracle_mod.enumerate_mtr(frame, "sample")
     enum_min = oracle_mod.enumerate_mtr(frame, "sample", pin_free_to_zero=True)
-    mtr_f = bounds_mod.mtr_bounds(rates_f, probs_f, "sample")
-    mtr_x = bounds_mod.mtr_bounds(rates_x, probs_x, "sample")
-    yield ("mtr sample max-variant",
-           mtr_f.interval_max_variant, mtr_x.interval_max_variant, enum_max.lo, enum_max.hi)
-    yield ("mtr sample min-variant",
-           mtr_f.interval_min_variant, mtr_x.interval_min_variant, enum_min.lo, enum_min.hi)
+    min_f, max_f = bounds_mod.mtr_bounds(rates_f, probs_f, "sample")
+    min_x, max_x = bounds_mod.mtr_bounds(rates_x, probs_x, "sample")
+    yield ("mtr sample max-variant", max_f, max_x, enum_max.lo, enum_max.hi)
+    yield ("mtr sample min-variant", min_f, min_x, enum_min.lo, enum_min.hi)
     labeled = [u for u in z0 if u.w is not None]
     w0_bearing = all(u.y is not None for u in z0 if u.w == 0)
     if z0 and len(labeled) == len(z0) and w0_bearing and any(u.w == 0 for u in z0):
         share_w0 = Fraction(sum(1 for u in z0 if u.w == 0), len(z0))
-        probs_fp = design_probs(frame, float(share_w0))
         probs_xp = oracle_mod.exact_design_probs(frame, share_w0)
         rates_xp = _rates_over_w0_labeled(frame, rates_x)
-        rates_fp = _float_rates(rates_xp)
         enum_max = oracle_mod.enumerate_mtr(frame, "population")
         enum_min = oracle_mod.enumerate_mtr(frame, "population", pin_free_to_zero=True)
-        mtr_f = bounds_mod.mtr_bounds(rates_fp, probs_fp, "population")
-        mtr_x = bounds_mod.mtr_bounds(rates_xp, probs_xp, "population")
-        yield ("mtr population max-variant",
-               mtr_f.interval_max_variant, mtr_x.interval_max_variant, enum_max.lo, enum_max.hi)
-        yield ("mtr population min-variant",
-               mtr_f.interval_min_variant, mtr_x.interval_min_variant, enum_min.lo, enum_min.hi)
+        min_f, max_f = bounds_mod.mtr_bounds(convert(rates_xp), convert(probs_xp), "population")
+        min_x, max_x = bounds_mod.mtr_bounds(rates_xp, probs_xp, "population")
+        yield ("mtr population max-variant", max_f, max_x, enum_max.lo, enum_max.hi)
+        yield ("mtr population min-variant", min_f, min_x, enum_min.lo, enum_min.hi)
 
 
 def _rates_over_w0_labeled(frame, rates_x):
     """Exact rates whose z=0 control mean runs over control-labeled units only."""
-    from .frame import EmpiricalRates
-
-    w0 = [u for u in frame.z0_units() if u.w == 0]
-    q0 = Fraction(int(sum(u.y for u in w0)), len(w0))
-    return EmpiricalRates(
-        e_y1_w1z1=rates_x.e_y1_w1z1,
-        e_y0_w0z1=rates_x.e_y0_w0z1,
-        e_y0_w0z0=q0,
-        pass1_w1z1=rates_x.pass1_w1z1,
-        fail0_w0z1=rates_x.fail0_w0z1,
-        fail0_w0z0=1 - q0,
-    )
-
-
-def _float_rates(rates):
-    from .frame import EmpiricalRates
-
-    def conv(v):
-        return None if v is None else float(v)
-
-    return EmpiricalRates(
-        e_y1_w1z1=float(rates.e_y1_w1z1),
-        e_y0_w0z1=float(rates.e_y0_w0z1),
-        e_y0_w0z0=conv(rates.e_y0_w0z0),
-        pass1_w1z1=conv(rates.pass1_w1z1),
-        fail0_w0z1=conv(rates.fail0_w0z1),
-        fail0_w0z0=conv(rates.fail0_w0z0),
-    )
+    w0 = [u.y for u in frame.z0_units() if u.w == 0]
+    q0 = Fraction(int(sum(w0)), len(w0))
+    return replace(rates_x, e_y0_w0z0=q0, fail0_w0z0=1 - q0)
 
 
 def cmd_verify(options, stream) -> int:
@@ -580,73 +522,34 @@ def _run(args) -> int:
         else:
             sys.stdout.write(text)
 
-    if args.command == "analyze":
-        write(_emit(_analysis_document(options), options))
-        return 0
-    if args.command == "bounds":
-        _validate_request(options)
-        frame, source = _load(options)
-        probs = design_probs(frame, options["pw0z0"])
-        rates = empirical_rates(frame)
-        balance = compute_balance(frame)
-        lambdas = _resolve_lambdas(options, frame, balance)
-        intervals = _whole_frame_intervals(rates, probs, frame.support, options, lambdas)
-        document = {
-            "meta": {"tool": "pibgen", "input": source, "seed": options["seed"]},
-            "frame": {
-                "n_units": frame.n_units,
-                "n_sample": frame.n_sample,
-                "n_sample_treated": len(frame.sample_outcomes(1)),
-                "n_sample_control": len(frame.sample_outcomes(0)),
-                "support": [frame.support.y_lo, frame.support.y_hi],
-            },
-            "intervals": intervals,
-        }
-        write(_emit(document, options))
-        return 0
-    if args.command == "propensity":
-        frame, _ = _load(options)
-        model, _names = _fit_model(frame, options)
-        write(model_to_json(model) + "\n")
-        return 0
-    if args.command == "strata":
-        frame, _ = _load(options)
-        model, _names = _fit_model(frame, options)
-        assignment = strata_for_frame(frame, logit_scores(model, frame), options["strata"])
-        if options["format"] == "json":
-            write(to_json({"strata": stratum_summary_rows(assignment)}))
-        else:
-            write(stratum_summary_csv(assignment))
-        return 0
-    if args.command == "lambda":
-        frame, _ = _load(options)
-        balance = compute_balance(frame)
-        rows = lambda_report(frame, balance)
-        if options["format"] == "json":
-            write(to_json({"lambda_report": rows}))
-        else:
-            lines = ["rule,value"] + [f"{r['rule']},{r['value']!r}" for r in rows]
-            write("\n".join(lines) + "\n")
-        return 0
-    if args.command == "points":
-        frame, source = _load(options)
-        model, _names = _fit_model(frame, options)
-        assignment = strata_for_frame(frame, logit_scores(model, frame), options["strata"])
-        notes = {"subclassification_error": None}
-        points = _point_estimates(frame, model, assignment, options, notes)
-        document = {
-            "meta": {"tool": "pibgen", "input": source, "seed": options["seed"]},
-            "point_estimates": points,
-            "notes": notes,
-        }
-        write(_emit(document, options))
-        return 0
     if args.command == "verify":
         if out_path:
             with open(out_path, "w", encoding="utf-8") as fh:
                 return cmd_verify(options, fh)
         return cmd_verify(options, sys.stdout)
-    raise ConfigError(f"unknown command {args.command!r}")
+    if args.command in VIEWS:
+        _validate_request(options)
+    stages = _Pipeline(options)
+    if args.command == "propensity":
+        write(model_to_json(stages.model) + "\n")
+    elif args.command == "strata":
+        if options["format"] == "json":
+            rows = stratum_summary_rows(stages.assignment)
+            # JSON has no infinity: the open outer ends are written as null
+            rows[0]["logit_lo"] = rows[-1]["logit_hi"] = None
+            write(to_json({"strata": rows}))
+        else:
+            write(stratum_summary_csv(stages.assignment))
+    elif args.command == "lambda":
+        rows = lambda_report(stages.frame, stages.balance)
+        if options["format"] == "json":
+            write(to_json({"lambda_report": rows}))
+        else:
+            lines = ["rule,value"] + [f"{r['rule']},{r['value']!r}" for r in rows]
+            write("\n".join(lines) + "\n")
+    else:
+        write(_emit(stages.document(VIEWS[args.command]), options))
+    return 0
 
 
 def main(argv=None) -> int:

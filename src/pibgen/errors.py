@@ -46,6 +46,13 @@ class MissingCovariate(DataError):
         self.name = name
 
 
+class NonFiniteValue(DataError):
+    def __init__(self, row, name, value):
+        super().__init__(f"row {row}: column {name!r} must be a finite number, got {value!r}")
+        self.row = row
+        self.name = name
+
+
 class DuplicateId(DataError):
     def __init__(self, unit_id):
         super().__init__(f"duplicate unit id {unit_id!r}")

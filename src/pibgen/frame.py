@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 from .errors import (
     BadIndicator,
@@ -23,6 +24,7 @@ from .errors import (
     MissingColumn,
     MissingCovariate,
     MissingOutcome,
+    NonFiniteValue,
     OutcomeOutOfSupport,
     UnknownCovariate,
 )
@@ -36,6 +38,8 @@ class OutcomeSupport:
     y_hi: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.y_lo) and math.isfinite(self.y_hi)):
+            raise ConfigError(f"outcome support must be finite, got [{self.y_lo}, {self.y_hi}]")
         if not self.y_lo < self.y_hi:
             raise ConfigError(f"outcome support needs y_lo < y_hi, got [{self.y_lo}, {self.y_hi}]")
 
@@ -130,14 +134,6 @@ class StudyFrame:
         j = self.covariate_index(name)
         return [u.x[j] for u in self.units]
 
-    def subset(self, ids) -> "StudyFrame":
-        wanted = set(ids)
-        return StudyFrame(
-            units=tuple(u for u in self.units if u.id in wanted),
-            support=self.support,
-            covariate_names=self.covariate_names,
-        )
-
 
 @dataclass(frozen=True)
 class DesignProbs:
@@ -201,21 +197,30 @@ class EmpiricalRates:
         return self.e_y1_w1z1 - self.e_y0_w0z1
 
 
-def design_probs(frame: StudyFrame, assumed_p_w0_given_z0: float) -> DesignProbs:
-    """Exact empirical P(Z=1) and P(W=1|Z=1); the z=0 assignment split is assumed."""
+def convert(record):
+    """Copy of an ``EmpiricalRates`` or ``DesignProbs`` with every present
+    value cast to ``float``."""
+    values = (getattr(record, f.name) for f in fields(record))
+    return type(record)(*(None if v is None else float(v) for v in values))
+
+
+def design_probs(frame: StudyFrame, assumed_p_w0_given_z0, number=float) -> DesignProbs:
+    """Empirical P(Z=1) and P(W=1|Z=1) as ``number`` (``float``, or ``Fraction``
+    for exact values); the z=0 assignment split is assumed."""
     n = frame.n_sample
     if n == 0:
         raise EmptySample()
     n1 = sum(1 for u in frame.units if u.z == 1 and u.w == 1)
     return DesignProbs(
-        p_z1=n / frame.n_units,
-        p_w1_given_z1=n1 / n,
-        p_w0_given_z0=assumed_p_w0_given_z0,
+        p_z1=number(n) / frame.n_units,
+        p_w1_given_z1=number(n1) / n,
+        p_w0_given_z0=number(assumed_p_w0_given_z0),
     )
 
 
-def empirical_rates(frame: StudyFrame) -> EmpiricalRates:
-    """Arm means over sampled units, plus the z=0 business-as-usual mean when present.
+def empirical_rates(frame: StudyFrame, number=float) -> EmpiricalRates:
+    """Arm means over sampled units, plus the z=0 business-as-usual mean when
+    present, as ``number`` (``float``, or ``Fraction`` for exact values).
 
     The z=0 mean averages exactly the non-sampled units that carry outcomes;
     sampled units are never included.
@@ -226,10 +231,10 @@ def empirical_rates(frame: StudyFrame) -> EmpiricalRates:
         raise EmptyArm("treated")
     if not control:
         raise EmptyArm("control")
-    e1 = sum(treated) / len(treated)
-    e0 = sum(control) / len(control)
+    e1 = number(sum(treated)) / len(treated)
+    e0 = number(sum(control)) / len(control)
     z0 = frame.z0_outcomes()
-    q0 = sum(z0) / len(z0) if z0 else None
+    q0 = number(sum(z0)) / len(z0) if z0 else None
     if frame.is_binary:
         return EmpiricalRates(
             e_y1_w1z1=e1,
@@ -322,10 +327,10 @@ def _covariate_layout(header, columns: ColumnMap, all_rows):
 def _read_rows(source):
     """Accept a path (str without newline), CSV text/bytes, or an open stream."""
     if isinstance(source, bytes):
-        source = source.decode("utf-8")
+        source = source.decode("utf-8-sig")
     if isinstance(source, str):
         if "\n" in source:
-            fh = io.StringIO(source)
+            fh = io.StringIO(source.removeprefix("\ufeff"))
         else:
             fh = open(source, newline="", encoding="utf-8-sig")
     else:
@@ -424,9 +429,12 @@ def _build_units(rows, header, support, columns, layout, *, fixed_z, id_prefix):
                 x.append(1.0 if v == level else 0.0)
             elif kind == "num":
                 try:
-                    x.append(float(v))
+                    value = float(v)
                 except ValueError:
                     raise MissingCovariate(i, name)
+                if not math.isfinite(value):
+                    raise NonFiniteValue(i, name, v)
+                x.append(value)
         unit_id = (raw.get(columns.id) or "").strip() or f"{id_prefix}{i}"
         units.append(UnitRecord(id=unit_id, z=z, w=w, y=y, x=tuple(x)))
     return units

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 from .errors import ConfigError, EmptySample, NegativeLambda
 from .frame import StudyFrame
+from .points import plugin_variance
 from .propensity import BalanceReport
 
 ASMD_AGGREGATES = ("max", "mean", "single")
@@ -33,6 +34,8 @@ class LambdaSpec:
         if self.mode == "fixed":
             if self.value is None:
                 raise ConfigError("fixed lambda needs a value")
+            if not math.isfinite(self.value):
+                raise ConfigError(f"lambda must be finite, got {self.value}")
             if self.value < 0:
                 raise NegativeLambda(self.value)
         elif self.mode == "asmd":
@@ -43,6 +46,8 @@ class LambdaSpec:
         elif self.mode == "outcome_sd":
             if self.arm_rule not in ARM_RULES:
                 raise ConfigError(f"arm_rule must be one of {ARM_RULES}")
+            if not math.isfinite(self.multiplier):
+                raise ConfigError(f"lambda multiplier must be finite, got {self.multiplier}")
             if self.multiplier < 0:
                 raise NegativeLambda(self.multiplier)
         else:
@@ -58,23 +63,17 @@ class LambdaSpec:
         return f"sd:{self.arm_rule}"
 
 
-def _plugin_variance(values) -> float:
-    n = len(values)
-    mean = sum(values) / n
-    return sum((v - mean) ** 2 for v in values) / n
-
-
 def _outcome_sd_lambda(frame: StudyFrame, multiplier: float, arm_rule: str) -> float:
     pooled = [u.y for u in frame.units if u.z == 1]
     if not pooled:
         raise EmptySample()
     if arm_rule == "pooled":
-        return multiplier * math.sqrt(_plugin_variance(pooled))
+        return multiplier * math.sqrt(plugin_variance(pooled))
     variances = []
     for w in (0, 1):
         arm = frame.sample_outcomes(w)
         if arm:
-            variances.append(_plugin_variance(arm))
+            variances.append(plugin_variance(arm))
     return multiplier * math.sqrt(max(variances))
 
 

@@ -27,7 +27,14 @@ from .errors import (
     ObservedViolation,
     TooLarge,
 )
-from .frame import DesignProbs, EmpiricalRates, OutcomeSupport, StudyFrame
+from .frame import (
+    DesignProbs,
+    EmpiricalRates,
+    OutcomeSupport,
+    StudyFrame,
+    design_probs,
+    empirical_rates,
+)
 
 MAX_UNITS = 12
 MAX_FREE_SLOTS = 24
@@ -38,30 +45,11 @@ EXACT_BINARY = OutcomeSupport(0, 1)
 
 def exact_rates(frame: StudyFrame) -> EmpiricalRates:
     """Arm means as exact fractions of integer counts."""
-    treated = frame.sample_outcomes(1)
-    control = frame.sample_outcomes(0)
-    e1 = Fraction(int(sum(treated)), len(treated))
-    e0 = Fraction(int(sum(control)), len(control))
-    z0 = frame.z0_outcomes()
-    q0 = Fraction(int(sum(z0)), len(z0)) if z0 else None
-    return EmpiricalRates(
-        e_y1_w1z1=e1,
-        e_y0_w0z1=e0,
-        e_y0_w0z0=q0,
-        pass1_w1z1=e1,
-        fail0_w0z1=1 - e0,
-        fail0_w0z0=None if q0 is None else 1 - q0,
-    )
+    return empirical_rates(frame, Fraction)
 
 
 def exact_design_probs(frame: StudyFrame, p_w0_given_z0: Fraction) -> DesignProbs:
-    n = frame.n_sample
-    n1 = sum(1 for u in frame.units if u.z == 1 and u.w == 1)
-    return DesignProbs(
-        p_z1=Fraction(n, frame.n_units),
-        p_w1_given_z1=Fraction(n1, n),
-        p_w0_given_z0=Fraction(p_w0_given_z0),
-    )
+    return design_probs(frame, p_w0_given_z0, Fraction)
 
 
 def bearing_share(frame: StudyFrame) -> Fraction:

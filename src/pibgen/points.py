@@ -11,7 +11,6 @@ result is identical no matter how replicates are scheduled.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,11 +41,13 @@ class PointEstimate:
 class BootstrapOptions:
     reps: int = 1000
     seed: int = 0
-    threads: int = 1
 
 
-def _plugin_variance(values: np.ndarray) -> float:
-    return float(np.mean((values - values.mean()) ** 2))
+def plugin_variance(values) -> float:
+    """Variance with denominator n, summed in plain Python."""
+    n = len(values)
+    mean = sum(values) / n
+    return sum((v - mean) ** 2 for v in values) / n
 
 
 def naive_sate(frame: StudyFrame) -> PointEstimate:
@@ -58,8 +59,8 @@ def naive_sate(frame: StudyFrame) -> PointEstimate:
     if len(control) == 0:
         raise EmptyArm("control")
     estimate = float(treated.mean() - control.mean())
-    se = math.sqrt(_plugin_variance(treated) / len(treated)
-                   + _plugin_variance(control) / len(control))
+    se = math.sqrt(plugin_variance(treated) / len(treated)
+                   + plugin_variance(control) / len(control))
     return PointEstimate(
         method="naive",
         estimate=estimate,
@@ -117,14 +118,7 @@ def ipw_estimate(
         idx = np.concatenate([t, c])
         return _hajek_contrast(y[idx], w[idx], weights[idx])
 
-    reps = np.empty(options.reps)
-    if options.threads > 1:
-        with ThreadPoolExecutor(max_workers=options.threads) as pool:
-            for rep, value in enumerate(pool.map(one_rep, range(options.reps))):
-                reps[rep] = value
-    else:
-        for rep in range(options.reps):
-            reps[rep] = one_rep(rep)
+    reps = np.array([one_rep(rep) for rep in range(options.reps)])
     se = float(reps.std(ddof=1)) if options.reps > 1 else 0.0
     return PointEstimate(
         method="ipw",

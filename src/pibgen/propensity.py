@@ -9,12 +9,11 @@ deterministic and the fitted model is immutable.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NoConvergence, Separation, SingularDesign, ZeroVariance
+from .errors import ConfigError, NoConvergence, Separation, SingularDesign, ZeroVariance
 from .frame import StudyFrame
 
 
@@ -34,12 +33,13 @@ class PropensityModel:
     final_gradient_norm: float
     loglik_trace: tuple[float, ...] = field(default=(), repr=False)
 
-    def logit(self, x: dict | tuple, names=None) -> float:
-        if isinstance(x, dict):
-            return self.intercept + sum(b * x[name] for name, b in self.coefficients.items())
-        return self.intercept + sum(
-            b * x[names.index(name)] for name, b in self.coefficients.items()
-        )
+    def to_json(self) -> dict:
+        return {
+            "intercept": self.intercept,
+            "coefficients": self.coefficients,
+            "converged": self.converged,
+            "iterations": self.iterations,
+        }
 
 
 def _sigmoid(eta):
@@ -130,10 +130,13 @@ def fit_propensity(
             step = np.linalg.solve(hess, grad)
         except np.linalg.LinAlgError:
             _raise_separation(beta, covariates)
-        # step-halving: never accept a decrease in the objective
+        # step-halving: never accept a decrease in the objective, up to a
+        # slack relative to its size (an absolute one falls below one ulp of a
+        # large-N log-likelihood and stalls the fit)
         alpha = 1.0
+        slack = 1e-12 * max(1.0, abs(ll))
         for _ in range(50):
-            if binomial_loglik(beta + alpha * step, design, z, ridge) >= ll - 1e-12:
+            if binomial_loglik(beta + alpha * step, design, z, ridge) >= ll - slack:
                 break
             alpha *= 0.5
         beta = beta + alpha * step
@@ -195,15 +198,10 @@ def logit_scores(model: PropensityModel, frame: StudyFrame) -> dict:
     return out
 
 
-def _scalar_sigmoid(eta: float) -> float:
-    if eta >= 0:
-        return 1.0 / (1.0 + math.exp(-eta))
-    ex = math.exp(eta)
-    return ex / (1.0 + ex)
-
-
 def propensity_scores(model: PropensityModel, frame: StudyFrame) -> dict:
-    return {uid: _scalar_sigmoid(eta) for uid, eta in logit_scores(model, frame).items()}
+    logits = logit_scores(model, frame)
+    scores = _sigmoid(np.fromiter(logits.values(), dtype=float, count=len(logits)))
+    return dict(zip(logits, scores.tolist()))
 
 
 # --- balance diagnostics -------------------------------------------------------
@@ -272,23 +270,18 @@ def compute_balance(frame: StudyFrame, covariates=None) -> BalanceReport:
 
 
 def model_to_json(model: PropensityModel) -> str:
-    return json.dumps(
-        {
-            "intercept": model.intercept,
-            "coefficients": model.coefficients,
-            "converged": model.converged,
-            "iterations": model.iterations,
-        },
-        indent=2,
-        sort_keys=True,
-    )
+    return json.dumps(model.to_json(), indent=2, sort_keys=True)
 
 
 def model_from_json(text: str) -> PropensityModel:
     doc = json.loads(text)
+    intercept = float(doc["intercept"])
+    coefficients = {k: float(v) for k, v in doc["coefficients"].items()}
+    if not np.all(np.isfinite([intercept, *coefficients.values()])):
+        raise ConfigError("model file has a non-finite intercept or coefficient")
     return PropensityModel(
-        intercept=float(doc["intercept"]),
-        coefficients={k: float(v) for k, v in doc["coefficients"].items()},
+        intercept=intercept,
+        coefficients=coefficients,
         converged=bool(doc["converged"]),
         iterations=int(doc["iterations"]),
         final_gradient_norm=float("nan"),

@@ -15,7 +15,8 @@ import json
 
 
 def to_json(document: dict) -> str:
-    return json.dumps(document, indent=2, sort_keys=True) + "\n"
+    """Strict JSON: a NaN or infinity raises ValueError instead of being written."""
+    return json.dumps(document, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _f2(x) -> str:

@@ -3,6 +3,7 @@
 import pytest
 
 from pibgen.bounds import (
+    BoundSpec,
     bsv_bounds,
     bsv_improves,
     mtr_bounds,
@@ -197,39 +198,37 @@ class TestMtr:
     def test_maximal_monotone_effect(self):
         # census, every treated unit passes and every control unit fails
         probs = DesignProbs(p_z1=1.0, p_w1_given_z1=0.5, p_w0_given_z0=0.5)
-        result = mtr_bounds(rates_from(1.0, 0.0), probs, "sample")
-        assert result.interval_max_variant.lo == 0
-        assert result.interval_max_variant.hi == pytest.approx(1.0)
+        _, mtr_max = mtr_bounds(rates_from(1.0, 0.0), probs, "sample")
+        assert mtr_max.lo == 0
+        assert mtr_max.hi == pytest.approx(1.0)
 
     def test_reconstructed_sample_scope(self):
         rates = rates_from(0.6, 0.6 - 0.257)
-        result = mtr_bounds(rates, STUDY_PROBS, "sample")
-        assert result.interval_min_variant.hi == pytest.approx(0.034, abs=0.01)
-        assert result.interval_max_variant.hi == pytest.approx(0.97, abs=0.01)
-        assert result.interval_min_variant.lo == 0
-        assert result.interval_max_variant.lo == 0
+        mtr_min, mtr_max = mtr_bounds(rates, STUDY_PROBS, "sample")
+        assert mtr_min.hi == pytest.approx(0.034, abs=0.01)
+        assert mtr_max.hi == pytest.approx(0.97, abs=0.01)
+        assert mtr_min.lo == 0
+        assert mtr_max.lo == 0
 
     def test_reconstructed_population_scope(self):
         rates = rates_from(0.6, 0.6 - 0.257, q0=0.91)
-        result = mtr_bounds(rates, STUDY_PROBS, "population")
-        sample_part = mtr_bounds(rates, STUDY_PROBS, "sample").interval_min_variant.hi
-        assert result.interval_min_variant.hi == pytest.approx(
-            sample_part + 0.09 * STUDY_PROBS.p_w0_z0
-        )
-        assert result.interval_min_variant.hi == pytest.approx(0.07, abs=0.02)
+        mtr_min, _ = mtr_bounds(rates, STUDY_PROBS, "population")
+        sample_part = mtr_bounds(rates, STUDY_PROBS, "sample")[0].hi
+        assert mtr_min.hi == pytest.approx(sample_part + 0.09 * STUDY_PROBS.p_w0_z0)
+        assert mtr_min.hi == pytest.approx(0.07, abs=0.02)
 
     def test_variant_ordering(self):
         rates = rates_from(0.7, 0.5, q0=0.8)
         for scope in ("sample", "population"):
-            result = mtr_bounds(rates, STUDY_PROBS, scope)
-            assert result.interval_min_variant.hi <= result.interval_max_variant.hi
-            assert result.interval_max_variant.hi <= 1.0
+            mtr_min, mtr_max = mtr_bounds(rates, STUDY_PROBS, scope)
+            assert mtr_min.hi <= mtr_max.hi
+            assert mtr_max.hi <= 1.0
 
     def test_accepts_a_frame(self):
         frame = make_frame([(1, 1, 1.0), (1, 0, 0.0), (0, None, None)])
         probs = design_probs(frame, 0.5)
-        result = mtr_bounds(frame, probs, "sample")
-        assert result.interval_max_variant.hi > 0
+        _, mtr_max = mtr_bounds(frame, probs, "sample")
+        assert mtr_max.hi > 0
 
     def test_rejects_continuous_outcomes(self):
         frame = make_frame([(1, 1, 2.0), (1, 0, 0.5)], support=CONTINUOUS)
@@ -273,7 +272,7 @@ class TestJsonShape:
 
     def test_mtr_variant_fields(self):
         result = mtr_bounds(rates_from(0.6, 0.4, q0=0.9), STUDY_PROBS, "population")
-        docs = result.to_json()
+        docs = [interval.to_json() for interval in result]
         assert [d["variant"] for d in docs] == ["min", "max"]
         assert all(d["assumption"] == "mtr" for d in docs)
         assert all(d["scope"] == "population" for d in docs)
@@ -300,11 +299,11 @@ class TestStratified:
         frame = _three_strata_frame()
         logits = {u.id: u.x[0] for u in frame.units}
         assignment = strata_for_frame(frame, logits, 1)
-        result = stratified_bounds(frame, assignment, "worst_case",
-                                   framework="full", p_w0_given_z0=0.5)
+        result = stratified_bounds(frame, assignment, [BoundSpec("worst_case", "full")],
+                                   p_w0_given_z0=0.5)
         whole = worst_case_bounds(empirical_rates(frame), design_probs(frame, 0.5),
                                   "full", frame.support)
-        only = result.strata[0].result
+        (only,) = result.strata[0].results
         assert (only.lo, only.hi) == (whole.lo, whole.hi)
 
     def test_sparse_stratum_interval(self):
@@ -320,8 +319,8 @@ class TestStratified:
         frame = _three_strata_frame()
         logits = {u.id: u.x[0] for u in frame.units}
         assignment = strata_for_frame(frame, logits, 3)
-        result = stratified_bounds(frame, assignment, "worst_case",
-                                   framework="reduced", p_w0_given_z0=0.5)
+        result = stratified_bounds(frame, assignment, [BoundSpec("worst_case", "reduced")],
+                                   p_w0_given_z0=0.5)
         from pibgen.stratify import stratum_frames
 
         for piece, stratum in zip(stratum_frames(frame, assignment), result.strata):
@@ -329,7 +328,7 @@ class TestStratified:
                 empirical_rates(piece.frame), design_probs(piece.frame, 0.5),
                 "reduced", frame.support,
             )
-            assert (stratum.result.lo, stratum.result.hi) == (direct.lo, direct.hi)
+            assert [(r.lo, r.hi) for r in stratum.results] == [(direct.lo, direct.hi)]
 
     def test_nonviable_stratum_skipped(self):
         spec = [(1, 1, 1.0, 0.0), (1, 0, 0.0, 0.1), (0, None, None, 0.2),
@@ -338,8 +337,8 @@ class TestStratified:
                            covariates=("x1",), x=[(row[3],) for row in spec])
         logits = {u.id: u.x[0] for u in frame.units}
         assignment = strata_for_frame(frame, logits, 2)
-        result = stratified_bounds(frame, assignment, "worst_case",
-                                   framework="full", p_w0_given_z0=0.5)
+        result = stratified_bounds(frame, assignment, [BoundSpec("worst_case", "full")],
+                                   p_w0_given_z0=0.5)
         assert [s.viable for s in result.strata] == [True, False]
         assert result.strata[1].skip_reason is not None
 
@@ -353,8 +352,8 @@ class TestStratified:
                            covariates=("x1",), x=[(row[3],) for row in layout])
         logits = {u.id: u.x[0] for u in frame.units}
         assignment = strata_for_frame(frame, logits, 2)
-        result = stratified_bounds(frame, assignment, "worst_case",
-                                   framework="reduced", p_w0_given_z0=0.5)
+        result = stratified_bounds(frame, assignment, [BoundSpec("worst_case", "reduced")],
+                                   p_w0_given_z0=0.5)
         assert result.strata[0].viable
         assert not result.strata[1].viable
         assert "business-as-usual" in result.strata[1].skip_reason
@@ -363,12 +362,12 @@ class TestStratified:
         frame = _three_strata_frame()
         logits = {u.id: u.x[0] for u in frame.units}
         assignment = strata_for_frame(frame, logits, 3)
-        off = stratified_bounds(frame, assignment, "worst_case",
-                                framework="full", p_w0_given_z0=0.5)
-        assert off.pooled is None
-        on = stratified_bounds(frame, assignment, "worst_case",
-                               framework="full", p_w0_given_z0=0.5, pooled=True)
+        specs = [BoundSpec("worst_case", "full")]
+        off = stratified_bounds(frame, assignment, specs, p_w0_given_z0=0.5)
+        assert off.pooled == ()
+        on = stratified_bounds(frame, assignment, specs, p_w0_given_z0=0.5, pooled=True)
         expected_lo = sum(
-            (s.n_population / frame.n_units) * s.result.pre_clamp_lo for s in on.strata
+            (s.n_population / frame.n_units) * s.results[0].pre_clamp_lo for s in on.strata
         )
-        assert on.pooled.pre_clamp_lo == pytest.approx(expected_lo)
+        (pooled,) = on.pooled
+        assert pooled.pre_clamp_lo == pytest.approx(expected_lo)

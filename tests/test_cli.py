@@ -5,8 +5,12 @@ import json
 import pytest
 
 import pibgen.bounds
+import pibgen.points
+import pibgen.stratify
 from pibgen.cli import main
 from pibgen.data import synthetic_path
+
+from test_acceptance import GOLDEN_ARGS
 
 SMALL_BINARY = """id,in_sample,treatment,outcome
 a,1,1,1
@@ -179,6 +183,89 @@ class TestAnalyze:
         assert json.loads(out)["meta"]["seed"] == 123
 
 
+class TestPipeline:
+    def test_analyze_slices_the_frame_twice_whatever_the_spec_count(self, capsys, monkeypatch):
+        calls = []
+        original = pibgen.stratify.stratum_frames
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(pibgen.stratify, "stratum_frames", counting)
+        monkeypatch.setattr(pibgen.points, "stratum_frames", counting)
+        for extra in ((), ("--lambda", "0.1")):
+            calls.clear()
+            code, _, _ = run(capsys, "analyze", *GOLDEN_ARGS, *extra, "--format", "json")
+            assert code == 0
+            assert len(calls) <= 2
+
+    @pytest.mark.parametrize("command", ["bounds", "points"])
+    def test_views_equal_the_matching_analyze_keys(self, capsys, command):
+        _, full, _ = run(capsys, "analyze", *GOLDEN_ARGS, "--format", "json")
+        code, view, _ = run(capsys, command, *GOLDEN_ARGS, "--format", "json")
+        assert code == 0
+        full, view = json.loads(full), json.loads(view)
+        for key, value in view.items():
+            if key == "notes":  # a view carries the notes of the stages it ran
+                assert value == {note: full["notes"][note] for note in value}
+            else:
+                assert value == full[key]
+
+    def test_stratum_without_population_outcomes_keeps_full_framework_results(
+        self, capsys, tmp_path
+    ):
+        data = tmp_path / "mixed.csv"
+        data.write_text(
+            "id,in_sample,treatment,outcome,x1\n"
+            "a,1,1,1,0.0\nb,1,0,0,0.1\nc,0,,1,0.2\n"
+            "d,1,1,1,1.0\ne,1,0,0,1.1\nf,0,,,1.2\n"
+        )
+        model = tmp_path / "model.json"  # logit = x1 puts a-c in stratum 1, d-f in 2
+        model.write_text(json.dumps({"intercept": 0.0, "coefficients": {"x1": 1.0},
+                                     "converged": True, "iterations": 0}))
+        code, out, _ = run(
+            capsys, "analyze", "--data", str(data), "--model", str(model), "--strata", "2",
+            "--framework", "both", "--assumption", "worst", "--assumption", "mtr",
+            "--reps", "10", "--format", "json",
+        )
+        assert code == 0
+        block = json.loads(out)["stratum_intervals"]
+        first, second = block["strata"]
+        assert {r["framework"] for r in first["results"]} == {"full", "reduced"}
+        assert second["viable"] is True
+        assert second["skip_reason"] is None
+        assert [(r["assumption"], r["framework"]) for r in second["results"]] == [
+            ("worst_case", "full"), ("mtr", "full"), ("mtr", "full"),
+        ]
+
+
+NON_FINITE_CSV = "id,in_sample,treatment,outcome,x1\na,1,1,1,0.2\nb,1,0,0,0.9\nc,0,,,{x}\nd,0,,,0.1\n"
+
+
+@pytest.mark.parametrize("argv, x, code, message", [
+    (("bounds", "--assumption", "bsv", "--lambda", "nan"), "0.5", 3, "lambda"),
+    (("bounds", "--assumption", "bsv", "--lambda", "inf"), "0.5", 3, "lambda"),
+    (("bounds", "--assumption", "bsv", "--lambda", "sd:pooled:inf"), "0.5", 3, "lambda"),
+    (("bounds", "--support=0,inf"), "0.5", 3, "support"),
+    (("analyze", "--strata", "1"), "nan", 2, "row 3: column 'x1'"),
+    (("analyze", "--strata", "1"), "inf", 2, "row 3: column 'x1'"),
+    (("propensity", "--model", "nan_model.json"), "0.5", 3, "non-finite"),
+], ids=["lambda-nan", "lambda-inf", "sd-multiplier-inf", "support-inf", "covariate-nan",
+        "covariate-inf", "model-nan"])
+def test_non_finite_input_is_a_typed_error(capsys, tmp_path, argv, x, code, message):
+    path = tmp_path / "data.csv"
+    path.write_text(NON_FINITE_CSV.format(x=x))
+    model = tmp_path / "nan_model.json"
+    model.write_text('{"intercept": NaN, "coefficients": {"x1": 1.0}, '
+                     '"converged": true, "iterations": 1}')
+    argv = [str(model) if a == model.name else a for a in argv]
+    rc, out, err = run(capsys, argv[0], "--data", str(path), *argv[1:], "--format", "json")
+    assert rc == code
+    assert message in err
+    assert "NaN" not in out and "Infinity" not in out
+
+
 class TestSubcommands:
     def test_propensity_model_json(self, capsys, small_csv, tmp_path):
         path = tmp_path / "with_x.csv"
@@ -191,6 +278,20 @@ class TestSubcommands:
         doc = json.loads(out)
         assert set(doc) == {"intercept", "coefficients", "converged", "iterations"}
         assert "x1" in doc["coefficients"]
+
+    def test_shared_config_is_checked_only_by_commands_that_use_it(self, capsys, tmp_path):
+        path = tmp_path / "with_x.csv"
+        path.write_text(
+            "id,in_sample,treatment,outcome,x1\n"
+            "a,1,1,1,0.2\nb,1,0,0,0.9\nc,0,,,0.5\nd,0,,,0.1\n"
+        )
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"assumption": ["bsv"], "reps": -1}))
+        code, _, _ = run(capsys, "--config", str(config), "propensity", "--data", str(path))
+        assert code == 0
+        code, _, err = run(capsys, "--config", str(config), "analyze", "--data", str(path))
+        assert code == 3
+        assert "--reps" in err
 
     def test_strata_csv(self, capsys, small_csv):
         code, out, _ = run(capsys, "strata", "--data", small_csv, "--strata", "1")

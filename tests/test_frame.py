@@ -103,6 +103,13 @@ class TestLoadFrame:
         frame = load_frame(io.StringIO(CSV3), BINARY)
         assert frame.n_units == 3
 
+    @pytest.mark.parametrize("as_bytes", [True, False])
+    def test_leading_bom_is_stripped(self, as_bytes):
+        text = "\ufeffid,in_sample,treatment,outcome\na,1,1,1\nb,1,0,0\nc,0,,\n"
+        frame = load_frame(text.encode("utf-8") if as_bytes else text, BINARY)
+        assert [u.id for u in frame.units] == ["a", "b", "c"]
+        assert frame.covariate_names == ()
+
     def test_statewide_shaped_file(self, statewide_path):
         frame = load_frame(statewide_path, BINARY)
         assert frame.n_units == 1029

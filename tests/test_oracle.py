@@ -92,8 +92,8 @@ class TestMtrEnumeration:
         )
         rates, probs = exact_inputs(frame, Fraction(2, 3))
         enum = oracle.enumerate_mtr(frame, "population")
-        closed = bounds.mtr_bounds(_pop_rates(frame, rates), probs, "population")
-        assert enum.hi == closed.interval_max_variant.pre_clamp_hi
+        _, closed_max = bounds.mtr_bounds(_pop_rates(frame, rates), probs, "population")
+        assert enum.hi == closed_max.pre_clamp_hi
         assert enum.lo == 0
 
     def test_pin_free_to_zero_matches_min_variant(self, rng):
@@ -101,8 +101,8 @@ class TestMtrEnumeration:
             frame = random_binary_frame(rng, labeled=True)
             rates, probs = exact_inputs(frame, Fraction(1, 2))
             enum = oracle.enumerate_mtr(frame, "sample", pin_free_to_zero=True)
-            closed = bounds.mtr_bounds(rates, probs, "sample")
-            assert enum.hi == closed.interval_min_variant.pre_clamp_hi
+            closed_min, _ = bounds.mtr_bounds(rates, probs, "sample")
+            assert enum.hi == closed_min.pre_clamp_hi
 
     def test_max_variant_on_random_labeled_frames(self, rng):
         for _ in range(60):
@@ -111,12 +111,12 @@ class TestMtrEnumeration:
             share = Fraction(sum(1 for u in z0 if u.w == 0), len(z0)) if z0 else Fraction(1, 2)
             rates, probs = exact_inputs(frame, share)
             enum = oracle.enumerate_mtr(frame, "sample")
-            closed = bounds.mtr_bounds(rates, probs, "sample")
-            assert enum.hi == closed.interval_max_variant.pre_clamp_hi
+            _, closed_max = bounds.mtr_bounds(rates, probs, "sample")
+            assert enum.hi == closed_max.pre_clamp_hi
             if z0 and any(u.w == 0 for u in z0):
                 enum = oracle.enumerate_mtr(frame, "population")
-                closed = bounds.mtr_bounds(_pop_rates(frame, rates), probs, "population")
-                assert enum.hi == closed.interval_max_variant.pre_clamp_hi
+                _, closed_max = bounds.mtr_bounds(_pop_rates(frame, rates), probs, "population")
+                assert enum.hi == closed_max.pre_clamp_hi
 
     def test_observed_violation_via_known_pairs(self):
         frame = binary_frame(1, 1, 1, 0, n_z0_free=1)

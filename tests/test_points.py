@@ -83,15 +83,6 @@ class TestIpw:
         c = ipw_estimate(frame, constant_model(), BootstrapOptions(reps=500, seed=43))
         assert a.se != c.se
 
-    def test_thread_count_does_not_change_result(self):
-        frame = make_frame(
-            [(1, 1, 1.0), (1, 1, 0.0), (1, 1, 1.0), (1, 0, 0.0), (1, 0, 1.0), (0, None, None)]
-        )
-        serial = ipw_estimate(frame, constant_model(), BootstrapOptions(reps=400, seed=9, threads=1))
-        threaded = ipw_estimate(frame, constant_model(), BootstrapOptions(reps=400, seed=9, threads=4))
-        assert serial.se == threaded.se
-        assert serial.estimate == threaded.estimate
-
     def test_unfitted_model_rejected(self):
         frame = make_frame([(1, 1, 1.0), (1, 0, 0.0)])
         bad = PropensityModel(intercept=0.0, coefficients={}, converged=False,

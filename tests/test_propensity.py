@@ -1,6 +1,8 @@
 """Logistic selection model fitting and balance diagnostics."""
 
+import importlib.util
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -99,6 +101,20 @@ class TestFit:
         frame = frame_with_x(z, x, ["a"])
         with pytest.raises(NoConvergence):
             fit_propensity(frame, ["a"], FitOptions(max_iter=1, tolerance=1e-12))
+
+    def test_converges_on_population_scale_frame(self):
+        # at N=100,000 one ulp of the log-likelihood exceeds 1e-12, so an
+        # absolute step-acceptance slack stalled this fit short of tolerance
+        path = pathlib.Path(__file__).parents[1] / "perfbench" / "synth.py"
+        spec = importlib.util.spec_from_file_location("synth", path)
+        synth = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(synth)
+        cols = synth.generate(n=100_000, n_sample=5_000, n_treated=3_036, seed=12)
+        names = ("pretest", "enroll", "frl", "title1")
+        x = np.column_stack([getattr(cols, name) for name in names]).tolist()
+        model = fit_propensity(frame_with_x(cols.sampled.tolist(), x, names), names)
+        assert model.converged
+        assert model.iterations <= 10
 
     def test_loglik_trace_is_monotone(self, statewide_path):
         frame = load_frame(statewide_path, BINARY)
