@@ -5,7 +5,8 @@ estimates, emitted as JSON (full precision), CSV, or Markdown.  Subcommands
 expose the individual stages; ``verify`` runs the enumeration oracles against
 the closed-form engine on a small binary frame.
 
-Exit codes: 0 success, 1 verification mismatch, 2 data error, 3 config error.
+Exit codes: 0 success, 1 verification mismatch, 2 data error, 3 config error,
+4 internal error (a fault in pibgen; the traceback goes to stderr).
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import argparse
 import json
 import os
 import sys
+import traceback
 from dataclasses import asdict, replace
 from fractions import Fraction
 from functools import cached_property
@@ -419,8 +421,7 @@ def _verify_checks(frame):
     """Yield (name, engine_interval, oracle_lo, oracle_hi) comparisons."""
     rates_f = empirical_rates(frame)
     rates_x = oracle_mod.exact_rates(frame)
-    z0 = frame.z0_units()
-    share = oracle_mod.bearing_share(frame) if z0 and frame.z0_outcomes() else Fraction(1, 2)
+    share = oracle_mod.bearing_share(frame) if frame.z0_bearing.any() else Fraction(1, 2)
     probs_f = design_probs(frame, float(share))
     probs_x = oracle_mod.exact_design_probs(frame, share)
     support = frame.support
@@ -431,7 +432,7 @@ def _verify_checks(frame):
            bounds_mod.worst_case_bounds(rates_f, probs_f, "full", support),
            bounds_mod.worst_case_bounds(rates_x, probs_x, "full", exact),
            enum.lo, enum.hi)
-    if frame.z0_outcomes():
+    if frame.z0_bearing.any():
         enum = oracle_mod.enumerate_worst_case(frame, "reduced")
         yield ("worst_case reduced",
                bounds_mod.worst_case_bounds(rates_f, probs_f, "reduced", support),
@@ -459,6 +460,7 @@ def _verify_checks(frame):
     min_x, max_x = bounds_mod.mtr_bounds(rates_x, probs_x, "sample")
     yield ("mtr sample max-variant", max_f, max_x, enum_max.lo, enum_max.hi)
     yield ("mtr sample min-variant", min_f, min_x, enum_min.lo, enum_min.hi)
+    z0 = frame.z0_units()
     labeled = [u for u in z0 if u.w is not None]
     w0_bearing = all(u.y is not None for u in z0 if u.w == 0)
     if z0 and len(labeled) == len(z0) and w0_bearing and any(u.w == 0 for u in z0):
@@ -569,6 +571,9 @@ def main(argv=None) -> int:
     except PibgenError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception:  # a fault in pibgen itself, not in the input or the options
+        print(f"internal error: {traceback.format_exc()}", file=sys.stderr, end="")
+        return 4
 
 
 if __name__ == "__main__":

@@ -21,6 +21,12 @@ class MissingColumn(DataError):
         self.name = name
 
 
+class DuplicateColumn(DataError):
+    def __init__(self, name):
+        super().__init__(f"column {name!r} appears more than once in the header")
+        self.name = name
+
+
 class BadIndicator(DataError):
     def __init__(self, row, column, value):
         super().__init__(f"row {row}: column {column!r} must be 0 or 1, got {value!r}")

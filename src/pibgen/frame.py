@@ -4,8 +4,9 @@ empirical quantities (design probabilities, arm means) every estimator consumes.
 A frame holds every unit in the inference population.  Sampled units (z=1)
 carry a treatment indicator and a realized outcome; non-sampled units (z=0)
 may carry a business-as-usual outcome and, for oracle use only, a hypothetical
-arm label.  Frames are immutable after construction and all operations here
-are pure reads.
+arm label.  The frame is a set of numpy columns, parsed and checked once;
+frames are immutable after construction and all operations here are pure
+reads.
 """
 
 from __future__ import annotations
@@ -14,10 +15,15 @@ import csv
 import io
 import math
 from dataclasses import dataclass, fields
+from functools import cached_property
+
+import numpy as np
 
 from .errors import (
     BadIndicator,
     ConfigError,
+    DataError,
+    DuplicateColumn,
     DuplicateId,
     EmptyArm,
     EmptySample,
@@ -51,9 +57,6 @@ class OutcomeSupport:
     def is_binary(self) -> bool:
         return self.y_lo == 0 and self.y_hi == 1
 
-    def contains(self, y) -> bool:
-        return self.y_lo <= y <= self.y_hi
-
 
 BINARY = OutcomeSupport(0.0, 1.0)
 
@@ -74,55 +77,111 @@ class UnitRecord:
     x: tuple[float, ...] = ()
 
 
-@dataclass(frozen=True)
 class StudyFrame:
-    units: tuple[UnitRecord, ...]
-    support: OutcomeSupport
-    covariate_names: tuple[str, ...] = ()
+    """A validated frame held as columns, one row per unit.
 
-    def __post_init__(self):
-        seen = set()
-        for u in self.units:
-            if u.id in seen:
-                raise DuplicateId(u.id)
-            seen.add(u.id)
-            if u.z not in (0, 1):
-                raise BadIndicator(u.id, "z", u.z)
-            if u.w is not None and u.w not in (0, 1):
-                raise BadIndicator(u.id, "w", u.w)
-            if u.z == 1 and u.w is None:
-                raise BadIndicator(u.id, "w", None)
-            if u.z == 1 and u.y is None:
-                raise MissingOutcome(u.id)
-            if u.y is not None and not self.support.contains(u.y):
-                raise OutcomeOutOfSupport(u.id, u.y, self.support.y_lo, self.support.y_hi)
-            if len(u.x) != len(self.covariate_names):
-                raise MissingCovariate(u.id, "<covariate vector length mismatch>")
+    * ``ids``: object array of unit ids (str), unique;
+    * ``z``: int8 selection indicator, 0 or 1;
+    * ``w``: int8 arm, 0 or 1, and -1 where missing (required when z=1);
+    * ``y``: float outcome inside ``support``, NaN where missing (required when
+      z=1);
+    * ``X``: float covariates, one column per name in ``covariate_names``,
+      stored column-major so each covariate column is contiguous.
 
-    # -- sizes ---------------------------------------------------------------
+    The checks run once, when the frame is built; the first bad row raises the
+    typed error its first failing check gives, naming the unit id.  Frames are
+    never modified after construction.
+    """
+
+    def __init__(self, ids, z, w, y, X, support: OutcomeSupport, covariate_names=()):
+        ids = np.asarray(ids, dtype=object)
+        z, w, y = np.asarray(z), np.asarray(w), np.asarray(y, dtype=float)
+        names = tuple(covariate_names)
+        X = np.asarray(X, dtype=float)
+        if X.size == 0:
+            X = X.reshape(len(ids), len(names))
+        if not len(ids) == len(z) == len(w) == len(y) or X.shape != (len(ids), len(names)):
+            raise DataError("frame columns differ in length")
+        _raise_first(_invalid_units(ids, z, w, y, support))
+        self._fill(ids, z.astype(np.int8, copy=False), w.astype(np.int8, copy=False), y,
+                   np.asfortranarray(X), support, names)
+
+    def _fill(self, ids, z, w, y, X, support, covariate_names):
+        self.ids, self.z, self.w, self.y, self.X = ids, z, w, y, X
+        self.support = support
+        self.covariate_names = covariate_names
+
+    @classmethod
+    def from_units(cls, units, support: OutcomeSupport, covariate_names=()) -> StudyFrame:
+        """Frame of ``UnitRecord``s, in their order (``None`` marks a missing
+        arm or outcome)."""
+        units = tuple(units)
+        names = tuple(covariate_names)
+        ids = np.array([u.id for u in units], dtype=object)
+        z = np.array([u.z for u in units], dtype=np.int64)
+        w = np.array([-1 if u.w is None else u.w for u in units], dtype=np.int64)
+        y = np.array([math.nan if u.y is None else u.y for u in units], dtype=float)
+        short = np.array([len(u.x) != len(names) for u in units], dtype=bool)
+        if short.any():  # no X can hold these rows; name the first bad unit
+            _raise_first([*_invalid_units(ids, z, w, y, support), (short, lambda i: (
+                MissingCovariate(ids[i], "<covariate vector length mismatch>")))])
+        return cls(ids, z, w, y, [u.x for u in units], support, names)
+
+    def take(self, rows) -> StudyFrame:
+        """The frame of the given rows, in the given order.  Its rows passed the
+        checks as part of this frame, so they are not checked again."""
+        sub = object.__new__(StudyFrame)
+        sub._fill(self.ids[rows], self.z[rows], self.w[rows], self.y[rows],
+                  np.asfortranarray(self.X[rows]), self.support, self.covariate_names)
+        return sub
+
+    @cached_property
+    def units(self) -> tuple[UnitRecord, ...]:
+        """One ``UnitRecord`` per row, for small frames: the enumeration
+        oracles and the ``verify`` printout read it."""
+        return tuple(
+            UnitRecord(id=uid, z=z, w=None if w < 0 else w, y=None if y != y else y,
+                       x=tuple(x))
+            for uid, z, w, y, x in zip(self.ids.tolist(), self.z.tolist(), self.w.tolist(),
+                                       self.y.tolist(), self.X.tolist())
+        )
+
+    # -- row masks and sizes ----------------------------------------------------
+
+    @cached_property
+    def treated(self) -> np.ndarray:
+        """Mask of the sampled treated rows."""
+        return (self.z == 1) & (self.w == 1)
+
+    @cached_property
+    def control(self) -> np.ndarray:
+        """Mask of the sampled control rows."""
+        return (self.z == 1) & (self.w == 0)
+
+    @cached_property
+    def z0_bearing(self) -> np.ndarray:
+        """Mask of the non-sampled rows that carry a business-as-usual outcome."""
+        return (self.z == 0) & ~np.isnan(self.y)
 
     @property
     def n_units(self) -> int:
-        return len(self.units)
+        return len(self.ids)
 
     @property
     def n_sample(self) -> int:
-        return sum(1 for u in self.units if u.z == 1)
+        return int(np.count_nonzero(self.z))
 
     def sample_outcomes(self, w: int) -> list[float]:
-        return [u.y for u in self.units if u.z == 1 and u.w == w]
+        return self.y[self.treated if w == 1 else self.control].tolist()
 
     def z0_units(self) -> list[UnitRecord]:
         return [u for u in self.units if u.z == 0]
 
-    def z0_outcomes(self) -> list[float]:
-        return [u.y for u in self.units if u.z == 0 and u.y is not None]
-
-    @property
+    @cached_property
     def is_binary(self) -> bool:
         if not self.support.is_binary:
             return False
-        return all(u.y in (0.0, 1.0) for u in self.units if u.y is not None)
+        return bool(np.all((self.y == 0) | (self.y == 1) | np.isnan(self.y)))
 
     def covariate_index(self, name: str) -> int:
         try:
@@ -130,9 +189,47 @@ class StudyFrame:
         except ValueError:
             raise UnknownCovariate(name, self.covariate_names)
 
-    def covariate_column(self, name: str) -> list[float]:
-        j = self.covariate_index(name)
-        return [u.x[j] for u in self.units]
+    def covariate_column(self, name: str) -> np.ndarray:
+        return self.X[:, self.covariate_index(name)]
+
+
+def _raise_first(checks):
+    """Raise the error of the first bad row.  ``checks`` pairs a mask of the
+    rows that fail a check with the error for such a row, in the order one row
+    is checked, so the first bad row gets the error of its first failing check."""
+    first = None
+    for mask, error in checks:
+        rows = np.flatnonzero(mask)
+        if rows.size and (first is None or rows[0] < first[0]):
+            first = (int(rows[0]), error)
+    if first is not None:
+        raise first[1](first[0])
+
+
+def _repeats(ids) -> np.ndarray:
+    """Mask of the rows whose id an earlier row already has."""
+    mask = np.zeros(len(ids), dtype=bool)
+    if len(set(ids)) < len(ids):
+        seen = set()
+        for i, uid in enumerate(ids):
+            mask[i] = uid in seen
+            seen.add(uid)
+    return mask
+
+
+def _invalid_units(ids, z, w, y, support):
+    sampled = z == 1
+    missing = np.isnan(y)
+    lo, hi = support.y_lo, support.y_hi
+    return [
+        (_repeats(ids), lambda i: DuplicateId(ids[i])),
+        ((z != 0) & ~sampled, lambda i: BadIndicator(ids[i], "z", z[i].item())),
+        ((w != -1) & (w != 0) & (w != 1), lambda i: BadIndicator(ids[i], "w", w[i].item())),
+        (sampled & (w == -1), lambda i: BadIndicator(ids[i], "w", None)),
+        (sampled & missing, lambda i: MissingOutcome(ids[i])),
+        (~missing & ~((y >= lo) & (y <= hi)),
+         lambda i: OutcomeOutOfSupport(ids[i], y[i].item(), lo, hi)),
+    ]
 
 
 @dataclass(frozen=True)
@@ -210,12 +307,18 @@ def design_probs(frame: StudyFrame, assumed_p_w0_given_z0, number=float) -> Desi
     n = frame.n_sample
     if n == 0:
         raise EmptySample()
-    n1 = sum(1 for u in frame.units if u.z == 1 and u.w == 1)
+    n1 = int(np.count_nonzero(frame.treated))
     return DesignProbs(
         p_z1=number(n) / frame.n_units,
         p_w1_given_z1=number(n1) / n,
         p_w0_given_z0=number(assumed_p_w0_given_z0),
     )
+
+
+def _mean(values: np.ndarray, number):
+    # Python's sum adds left to right in row order; ndarray.sum() is pairwise
+    # and would move the last bits of a continuous mean
+    return number(sum(values.tolist())) / len(values)
 
 
 def empirical_rates(frame: StudyFrame, number=float) -> EmpiricalRates:
@@ -225,16 +328,16 @@ def empirical_rates(frame: StudyFrame, number=float) -> EmpiricalRates:
     The z=0 mean averages exactly the non-sampled units that carry outcomes;
     sampled units are never included.
     """
-    treated = frame.sample_outcomes(1)
-    control = frame.sample_outcomes(0)
-    if not treated:
+    treated = frame.y[frame.treated]
+    control = frame.y[frame.control]
+    if not len(treated):
         raise EmptyArm("treated")
-    if not control:
+    if not len(control):
         raise EmptyArm("control")
-    e1 = number(sum(treated)) / len(treated)
-    e0 = number(sum(control)) / len(control)
-    z0 = frame.z0_outcomes()
-    q0 = number(sum(z0)) / len(z0) if z0 else None
+    e1 = _mean(treated, number)
+    e0 = _mean(control, number)
+    z0 = frame.y[frame.z0_bearing]
+    q0 = _mean(z0, number) if len(z0) else None
     if frame.is_binary:
         return EmpiricalRates(
             e_y1_w1z1=e1,
@@ -272,15 +375,49 @@ class ColumnMap:
         return dict(self.categorical)
 
 
-def _parse_indicator(raw: str, row: int, column: str, *, allow_missing: bool) -> int | None:
-    raw = raw.strip()
-    if raw == "":
-        if allow_missing:
-            return None
-        raise BadIndicator(row, column, raw)
-    if raw in ("0", "1"):
-        return int(raw)
-    raise BadIndicator(row, column, raw)
+@dataclass(frozen=True)
+class _Table:
+    """A parsed CSV file: its header and its data rows, each at least as long
+    as the header (blank lines dropped)."""
+
+    header: list
+    rows: list
+
+    def cells(self, name) -> list[str]:
+        """The column's cells in row order; a column the header lacks is all blank."""
+        if name not in self.header:
+            return [""] * len(self.rows)
+        j = self.header.index(name)
+        return [row[j] for row in self.rows]
+
+
+def _read_table(source) -> _Table:
+    """Accept a path (str without newline), CSV text/bytes, or an open stream."""
+    if isinstance(source, bytes):
+        source = source.decode("utf-8-sig")
+    if isinstance(source, str):
+        if "\n" in source:
+            fh = io.StringIO(source.removeprefix("\ufeff"))
+        else:
+            fh = open(source, newline="", encoding="utf-8-sig")
+    else:
+        fh = source
+    try:
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        rows = list(reader)
+    finally:
+        if fh is not source and isinstance(fh, io.TextIOWrapper):
+            fh.close()
+    for j, name in enumerate(header):
+        if name in header[:j]:
+            raise DuplicateColumn(name)
+    if not all(rows):  # a blank line holds no row
+        rows = [row for row in rows if row]
+    width = len(header)
+    if rows and min(map(len, rows)) < width:  # a short row reads as blank cells
+        rows = [row + [""] * (width - len(row)) for row in rows]
+    return _Table(header, rows)
 
 
 def _resolve_covariates(header, columns: ColumnMap):
@@ -294,12 +431,12 @@ def _resolve_covariates(header, columns: ColumnMap):
     return tuple(name for name in header if name not in reserved)
 
 
-def _covariate_layout(header, columns: ColumnMap, all_rows):
+def _covariate_layout(header, columns: ColumnMap, tables):
     """Expand raw covariate columns into the encoded layout.
 
     Numeric columns pass through; a declared categorical column becomes one
     indicator per observed non-reference level (levels discovered over every
-    row supplied, so merged files share one encoding).
+    table supplied, so merged files share one encoding).
     """
     raw = _resolve_covariates(header, columns)
     categorical = columns.categorical_map()
@@ -308,7 +445,7 @@ def _covariate_layout(header, columns: ColumnMap, all_rows):
         if col in categorical:
             reference = str(categorical[col])
             levels = sorted(
-                {(row.get(col) or "").strip() for row in all_rows}
+                {cell.strip() for table in tables for cell in table.cells(col)}
                 - {"", reference}
             )
             if not levels:
@@ -324,26 +461,6 @@ def _covariate_layout(header, columns: ColumnMap, all_rows):
     return tuple(names), tuple(layout)
 
 
-def _read_rows(source):
-    """Accept a path (str without newline), CSV text/bytes, or an open stream."""
-    if isinstance(source, bytes):
-        source = source.decode("utf-8-sig")
-    if isinstance(source, str):
-        if "\n" in source:
-            fh = io.StringIO(source.removeprefix("\ufeff"))
-        else:
-            fh = open(source, newline="", encoding="utf-8-sig")
-    else:
-        fh = source
-    try:
-        reader = csv.DictReader(fh)
-        rows = list(reader)
-        return rows, list(reader.fieldnames or [])
-    finally:
-        if fh is not source and isinstance(fh, io.TextIOWrapper):
-            fh.close()
-
-
 def load_frame(
     source,
     support: OutcomeSupport,
@@ -355,13 +472,12 @@ def load_frame(
     order is preserved; sampled rows missing a treatment or outcome are
     rejected, as is any missing covariate value.
     """
-    rows, header = _read_rows(source)
-    if columns.in_sample not in header:
+    table = _read_table(source)
+    if columns.in_sample not in table.header:
         raise MissingColumn(columns.in_sample)
-    names, layout = _covariate_layout(header, columns, rows)
-    units = _build_units(rows, header, support, columns, layout,
-                         fixed_z=None, id_prefix="row")
-    return StudyFrame(units=tuple(units), support=support, covariate_names=names)
+    names, layout = _covariate_layout(table.header, columns, [table])
+    parsed = _parse_columns(table, support, columns, layout, fixed_z=None, id_prefix="row")
+    return StudyFrame(*parsed, support=support, covariate_names=names)
 
 
 def load_two_frames(
@@ -372,69 +488,119 @@ def load_two_frames(
 ) -> StudyFrame:
     """Merge a sample file (rows become z=1) with a population file holding the
     non-sampled remainder (rows become z=0), tagging z automatically."""
-    s_rows, s_header = _read_rows(sample_source)
-    p_rows, p_header = _read_rows(population_source)
-    raw = _resolve_covariates(s_header, columns)
+    sample = _read_table(sample_source)
+    population = _read_table(population_source)
+    raw = _resolve_covariates(sample.header, columns)
     for name in raw:
-        if name not in p_header:
+        if name not in population.header:
             raise MissingColumn(name)
-    names, layout = _covariate_layout(s_header, columns, s_rows + p_rows)
-    s_units = _build_units(s_rows, s_header, support, columns, layout,
-                           fixed_z=1, id_prefix="s")
-    p_units = _build_units(p_rows, p_header, support, columns, layout,
-                           fixed_z=0, id_prefix="p")
-    return StudyFrame(units=tuple(s_units + p_units), support=support,
-                      covariate_names=names)
+    names, layout = _covariate_layout(sample.header, columns, [sample, population])
+    s_cols = _parse_columns(sample, support, columns, layout, fixed_z=1, id_prefix="s")
+    p_cols = _parse_columns(population, support, columns, layout, fixed_z=0, id_prefix="p")
+    merged = [np.concatenate([s, p]) for s, p in zip(s_cols, p_cols)]
+    return StudyFrame(*merged, support=support, covariate_names=names)
 
 
-def _build_units(rows, header, support, columns, layout, *, fixed_z, id_prefix):
+_INDICATOR_CODES = {"0": 0, "1": 1, "": -1}  # -1 blank; -2 (below) not an indicator
+
+
+def _indicator_codes(cells) -> np.ndarray:
+    codes = np.array([_INDICATOR_CODES.get(c, -2) for c in cells], dtype=np.int8)
+    for i in np.flatnonzero(codes == -2):  # padded with whitespace, or bad
+        codes[i] = _INDICATOR_CODES.get(cells[i].strip(), -2)
+    return codes
+
+
+def _float_cells(cells):
+    """Each cell as a float (NaN where blank or unparseable) and the blank mask."""
+    n = len(cells)
+    try:
+        return np.fromiter(map(float, cells), float, n), np.zeros(n, dtype=bool)
+    except ValueError:  # a blank or unparseable cell
+        pass
+    blank = np.fromiter((not c.strip() for c in cells), bool, n)
+    return np.fromiter(map(_float_or_nan, cells), float, n), blank
+
+
+def _float_or_nan(cell: str) -> float:
+    try:
+        return float(cell)
+    except ValueError:
+        return math.nan
+
+
+def _parse_columns(table, support, columns, layout, *, fixed_z, id_prefix):
+    """The ``(ids, z, w, y, X)`` columns of one file.  Rows are checked in the
+    order of their cells; the first bad row raises, numbered from 1."""
+    header, n = table.header, len(table.rows)
     if fixed_z == 1:  # a pure sample file needs treatment and outcome columns
         for required in (columns.treatment, columns.outcome):
             if required not in header:
                 raise MissingColumn(required)
-    units = []
-    for i, raw in enumerate(rows, start=1):
-        if fixed_z is None:
-            z = _parse_indicator(raw.get(columns.in_sample, ""), i, columns.in_sample,
-                                 allow_missing=False)
+    checks = []
+
+    def indicator(name, allow_missing):
+        cells = table.cells(name)
+        codes = _indicator_codes(cells)
+        bad = codes < (-1 if allow_missing else 0)
+        checks.append((bad, lambda i: BadIndicator(i + 1, name, cells[i].strip())))
+        return codes
+
+    if fixed_z is None:
+        z = indicator(columns.in_sample, allow_missing=False)
+    else:
+        z = np.full(n, fixed_z, dtype=np.int8)
+    sampled = z == 1
+    has_w = columns.treatment in header
+    w = indicator(columns.treatment, allow_missing=True) if has_w else np.full(n, -1, np.int8)
+    checks.append((sampled & (w == -1), lambda i: (
+        BadIndicator(i + 1, columns.treatment, "") if has_w
+        else MissingColumn(columns.treatment))))
+
+    y_cells = table.cells(columns.outcome)
+    y, y_blank = _float_cells(y_cells)
+    checks.append((~y_blank & ~((y >= support.y_lo) & (y <= support.y_hi)),
+                   lambda i: _outcome_error(i, y_cells[i].strip(), support)))
+    has_y = columns.outcome in header
+    checks.append((sampled & y_blank, lambda i: (
+        MissingOutcome(i + 1) if has_y else MissingColumn(columns.outcome))))
+
+    x_columns = []
+    for kind, name, level in layout:
+        cells = table.cells(name)
+        if kind == "num":
+            values, blank = _float_cells(cells)
+            bad = blank | ~np.isfinite(values)
+            checks.append((bad, lambda i, name=name, cells=cells:
+                           _covariate_error(i, name, cells[i].strip())))
         else:
-            z = fixed_z
-        w = None
-        if columns.treatment in header:
-            w = _parse_indicator(raw.get(columns.treatment) or "", i, columns.treatment,
-                                 allow_missing=True)
-        if z == 1 and w is None:
-            if columns.treatment not in header:
-                raise MissingColumn(columns.treatment)
-            raise BadIndicator(i, columns.treatment, "")
-        y = None
-        y_raw = (raw.get(columns.outcome) or "").strip()
-        if y_raw != "":
-            try:
-                y = float(y_raw)
-            except ValueError:
-                raise OutcomeOutOfSupport(i, y_raw, support.y_lo, support.y_hi)
-            if not support.contains(y):
-                raise OutcomeOutOfSupport(i, y, support.y_lo, support.y_hi)
-        if z == 1 and y is None:
-            if columns.outcome not in header:
-                raise MissingColumn(columns.outcome)
-            raise MissingOutcome(i)
-        x = []
-        for kind, name, level in layout:
-            v = (raw.get(name) or "").strip()
-            if v == "":
-                raise MissingCovariate(i, name)
-            if kind == "cat":
-                x.append(1.0 if v == level else 0.0)
-            elif kind == "num":
-                try:
-                    value = float(v)
-                except ValueError:
-                    raise MissingCovariate(i, name)
-                if not math.isfinite(value):
-                    raise NonFiniteValue(i, name, v)
-                x.append(value)
-        unit_id = (raw.get(columns.id) or "").strip() or f"{id_prefix}{i}"
-        units.append(UnitRecord(id=unit_id, z=z, w=w, y=y, x=tuple(x)))
-    return units
+            stripped = np.array([c.strip() for c in cells], dtype=object)
+            checks.append((stripped == "", lambda i, name=name: MissingCovariate(i + 1, name)))
+            if kind == "require":
+                continue
+            values = (stripped == level).astype(float)
+        x_columns.append(values)
+    _raise_first(checks)
+
+    ids = list(map(str.strip, table.cells(columns.id)))
+    if "" in ids:  # a row without an id (or a file without the column) is numbered
+        ids = [uid or f"{id_prefix}{i}" for i, uid in enumerate(ids, 1)]
+    X = np.array(x_columns).T.reshape(n, len(x_columns))  # column-major
+    return np.array(ids, dtype=object), z, w, y, X
+
+
+def _outcome_error(i, raw, support) -> OutcomeOutOfSupport:
+    try:
+        value = float(raw)
+    except ValueError:
+        value = raw
+    return OutcomeOutOfSupport(i + 1, value, support.y_lo, support.y_hi)
+
+
+def _covariate_error(i, name, raw) -> DataError:
+    """A blank or unparseable covariate cell is missing; a parsed one is not finite."""
+    try:
+        float(raw)
+    except ValueError:
+        return MissingCovariate(i + 1, name)
+    return NonFiniteValue(i + 1, name, raw)

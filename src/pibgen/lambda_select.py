@@ -64,7 +64,7 @@ class LambdaSpec:
 
 
 def _outcome_sd_lambda(frame: StudyFrame, multiplier: float, arm_rule: str) -> float:
-    pooled = [u.y for u in frame.units if u.z == 1]
+    pooled = frame.y[frame.z == 1].tolist()
     if not pooled:
         raise EmptySample()
     if arm_rule == "pooled":

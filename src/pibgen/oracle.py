@@ -57,10 +57,10 @@ def bearing_share(frame: StudyFrame) -> Fraction:
     non-sampled mass whose control outcome the data identify.  Feeding this as
     P(W=0|Z=0) makes the reduced closed form and the enumeration describe the
     same information set."""
-    z0 = frame.z0_units()
-    if not z0:
+    n_z0 = frame.n_units - frame.n_sample
+    if not n_z0:
         raise MissingPopulationOutcome()
-    return Fraction(sum(1 for u in z0 if u.y is not None), len(z0))
+    return Fraction(int(np.count_nonzero(frame.z0_bearing)), n_z0)
 
 
 def _require_small_binary(frame: StudyFrame):

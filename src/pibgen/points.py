@@ -18,14 +18,14 @@ import numpy as np
 from .errors import EmptyArm, NonViableStratum, UnfittedModel, ZeroPropensity
 from .frame import StudyFrame
 from .propensity import PropensityModel, propensity_scores
-from .stratify import StratumAssignment, stratum_frames
+from .stratify import StratumAssignment, stratum_counts, stratum_frames, with_frame_counts
 
 
 @dataclass(frozen=True)
 class PointEstimate:
     method: str  # "naive" | "ipw" | "subclassification"
     estimate: float
-    se: float
+    se: float | None  # None when the bootstrap has fewer than two replicates
     details: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
@@ -52,8 +52,8 @@ def plugin_variance(values) -> float:
 
 def naive_sate(frame: StudyFrame) -> PointEstimate:
     """Difference in sampled arm means with a plug-in two-sample SE."""
-    treated = np.asarray(frame.sample_outcomes(1), dtype=float)
-    control = np.asarray(frame.sample_outcomes(0), dtype=float)
+    treated = frame.y[frame.treated]
+    control = frame.y[frame.control]
     if len(treated) == 0:
         raise EmptyArm("treated")
     if len(control) == 0:
@@ -94,18 +94,18 @@ def ipw_estimate(
     """
     if not model.converged:
         raise UnfittedModel()
-    scores = propensity_scores(model, frame)
-    sampled = [u for u in frame.units if u.z == 1]
-    if not any(u.w == 1 for u in sampled):
+    sampled = frame.z == 1
+    scores = propensity_scores(model, frame)[sampled]
+    w = frame.w[sampled]
+    if not np.any(w == 1):
         raise EmptyArm("treated")
-    if not any(u.w == 0 for u in sampled):
+    if not np.any(w == 0):
         raise EmptyArm("control")
-    for u in sampled:
-        if scores[u.id] <= 0:
-            raise ZeroPropensity(u.id)
-    y = np.array([u.y for u in sampled], dtype=float)
-    w = np.array([u.w for u in sampled], dtype=int)
-    weights = np.array([1.0 / scores[u.id] for u in sampled], dtype=float)
+    nonpositive = np.flatnonzero(scores <= 0)
+    if nonpositive.size:
+        raise ZeroPropensity(frame.ids[sampled][nonpositive[0]])
+    y = frame.y[sampled]
+    weights = 1.0 / scores
     estimate = _hajek_contrast(y, w, weights)
 
     treated_idx = np.flatnonzero(w == 1)
@@ -119,7 +119,7 @@ def ipw_estimate(
         return _hajek_contrast(y[idx], w[idx], weights[idx])
 
     reps = np.array([one_rep(rep) for rep in range(options.reps)])
-    se = float(reps.std(ddof=1)) if options.reps > 1 else 0.0
+    se = float(reps.std(ddof=1)) if options.reps > 1 else None
     return PointEstimate(
         method="ipw",
         estimate=estimate,
@@ -162,8 +162,6 @@ def subclass_estimate(frame: StudyFrame, assignment: StratumAssignment) -> Point
 def merge_nonviable(assignment: StratumAssignment, frame: StudyFrame) -> StratumAssignment:
     """Collapse each non-viable stratum into its lower neighbor (the first
     stratum merges upward) until every stratum has both sampled arms."""
-    from .stratify import with_frame_counts
-
     current = assignment
     while current.k > 1:
         bad = [j for j in range(1, current.k + 1) if not current.viable(j)]
@@ -171,22 +169,18 @@ def merge_nonviable(assignment: StratumAssignment, frame: StudyFrame) -> Stratum
             return current
         j = bad[0]
         target = j - 1 if j > 1 else 2
-        remap = {uid: (target if s == j else s) for uid, s in current.stratum_of.items()}
-        # compact indices after removing stratum j
-        order = sorted(set(remap.values()))
-        compact = {old: new for new, old in enumerate(order, start=1)}
-        stratum_of = {uid: compact[s] for uid, s in remap.items()}
-        k = len(order)
+        merged = np.where(current.labels == j, target, current.labels)
+        # compact the strata that still hold rows to 1..k
+        present = np.unique(merged)
+        labels = np.searchsorted(present, merged) + 1
+        k = len(present)
         kept = [b for i, b in enumerate(current.breakpoints, start=1) if i != min(j, target)]
-        pop = [0] * k
-        for s in stratum_of.values():
-            pop[s - 1] += 1
         current = with_frame_counts(
             StratumAssignment(
                 k=k,
                 breakpoints=tuple(kept),
-                stratum_of=stratum_of,
-                counts_population=tuple(pop),
+                labels=labels,
+                counts_population=stratum_counts(labels, k),
                 counts_sample_treated=(0,) * k,
                 counts_sample_control=(0,) * k,
             ),

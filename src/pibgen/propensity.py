@@ -13,7 +13,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, NoConvergence, Separation, SingularDesign, ZeroVariance
+from .errors import (
+    ConfigError,
+    EmptySample,
+    NoConvergence,
+    Separation,
+    SingularDesign,
+    UnknownCovariate,
+    ZeroVariance,
+)
 from .frame import StudyFrame
 
 
@@ -75,7 +83,7 @@ def _standardized_design(frame: StudyFrame, covariates):
     n = frame.n_units
     cols, means, sds = [], [], []
     for name in covariates:
-        col = np.asarray(frame.covariate_column(name), dtype=float)
+        col = frame.covariate_column(name)
         mean = col.mean()
         sd = col.std()  # population (denominator N) scale
         if sd == 0:
@@ -101,7 +109,7 @@ def fit_propensity(
     on the standardized scale falls below ``options.tolerance``.
     """
     covariates = tuple(covariates)
-    z = np.array([u.z for u in frame.units], dtype=float)
+    z = frame.z.astype(float)
     if z.min() == z.max():
         raise SingularDesign("selection indicator takes a single value")
     design, means, sds = _standardized_design(frame, covariates)
@@ -186,22 +194,19 @@ def _raise_separation(beta, covariates):
     raise Separation({name: round(float(v), 4) for name, v in zip(names, direction)})
 
 
-def logit_scores(model: PropensityModel, frame: StudyFrame) -> dict:
-    """Per-unit propensity logit: intercept plus the covariate dot product."""
-    slots = [(frame.covariate_index(name), b) for name, b in model.coefficients.items()]
-    out = {}
-    for u in frame.units:
-        eta = model.intercept
-        for j, b in slots:
-            eta += b * u.x[j]
-        out[u.id] = float(eta)
-    return out
+def logit_scores(model: PropensityModel, frame: StudyFrame) -> np.ndarray:
+    """Propensity logit of each row: the intercept plus the covariate terms,
+    added one coefficient at a time in the model's order."""
+    columns = [(b, frame.covariate_column(name)) for name, b in model.coefficients.items()]
+    eta = np.full(frame.n_units, float(model.intercept))
+    for b, column in columns:
+        eta += b * column
+    return eta
 
 
-def propensity_scores(model: PropensityModel, frame: StudyFrame) -> dict:
-    logits = logit_scores(model, frame)
-    scores = _sigmoid(np.fromiter(logits.values(), dtype=float, count=len(logits)))
-    return dict(zip(logits, scores.tolist()))
+def propensity_scores(model: PropensityModel, frame: StudyFrame) -> np.ndarray:
+    """Fitted selection probability of each row."""
+    return _sigmoid(logit_scores(model, frame))
 
 
 # --- balance diagnostics -------------------------------------------------------
@@ -224,9 +229,26 @@ class BalanceReport:
         for row in self.rows:
             if row.covariate == name:
                 return row.asmd
-        from .errors import UnknownCovariate
-
         raise UnknownCovariate(name, [r.covariate for r in self.rows])
+
+
+def _balance_row(frame: StudyFrame, covariate: str) -> BalanceRow:
+    col = frame.covariate_column(covariate)
+    sample = col[frame.z == 1]
+    sigma = col.std()
+    if sigma == 0:
+        raise ZeroVariance(f"covariate {covariate!r}")
+    if len(sample) == 0:
+        raise EmptySample()
+    population_mean = col.mean()
+    sample_mean = sample.mean()
+    return BalanceRow(
+        covariate=covariate,
+        sample_mean=float(sample_mean),
+        population_mean=float(population_mean),
+        population_sd=float(sigma),
+        asmd=float(abs(population_mean - sample_mean) / sigma),
+    )
 
 
 def asmd(frame: StudyFrame, covariate: str) -> float:
@@ -235,35 +257,12 @@ def asmd(frame: StudyFrame, covariate: str) -> float:
     The population moments run over all N units with the uncorrected
     (denominator-N) standard deviation; the sample mean runs over z=1 units.
     """
-    col = np.asarray(frame.covariate_column(covariate), dtype=float)
-    z = np.array([u.z for u in frame.units])
-    sigma = col.std()
-    if sigma == 0:
-        raise ZeroVariance(f"covariate {covariate!r}")
-    sample = col[z == 1]
-    if len(sample) == 0:
-        from .errors import EmptySample
-
-        raise EmptySample()
-    return float(abs(col.mean() - sample.mean()) / sigma)
+    return _balance_row(frame, covariate).asmd
 
 
 def compute_balance(frame: StudyFrame, covariates=None) -> BalanceReport:
     names = tuple(covariates) if covariates is not None else frame.covariate_names
-    rows = []
-    for name in names:
-        col = np.asarray(frame.covariate_column(name), dtype=float)
-        z = np.array([u.z for u in frame.units])
-        rows.append(
-            BalanceRow(
-                covariate=name,
-                sample_mean=float(col[z == 1].mean()),
-                population_mean=float(col.mean()),
-                population_sd=float(col.std()),
-                asmd=asmd(frame, name),
-            )
-        )
-    return BalanceReport(rows=tuple(rows))
+    return BalanceReport(rows=tuple(_balance_row(frame, name) for name in names))
 
 
 # --- JSON round trip -----------------------------------------------------------

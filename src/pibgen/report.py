@@ -24,7 +24,7 @@ def _f2(x) -> str:
 
 
 def _f3(x) -> str:
-    return f"{x:.3f}"
+    return "n/a" if x is None else f"{x:.3f}"
 
 
 def _interval_cell(entry: dict) -> str:
@@ -199,6 +199,6 @@ def render_csv(document: dict) -> str:
     for p in document.get("point_estimates", []):
         writer.writerow(
             ["point", "", "", "", "", "", "", "", "", "", p["method"],
-             repr(p["estimate"]), repr(p["se"])]
+             repr(p["estimate"]), "" if p["se"] is None else repr(p["se"])]
         )
     return buf.getvalue()

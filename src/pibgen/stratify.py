@@ -10,17 +10,19 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+
+import numpy as np
 
 from .errors import ConfigError, TooManyStrata
 from .frame import StudyFrame
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StratumAssignment:
     k: int
     breakpoints: tuple[float, ...]
-    stratum_of: dict  # unit id -> 1-based stratum index
+    labels: np.ndarray  # 1-based stratum index of each row, in row order
     counts_population: tuple[int, ...]
     counts_sample_treated: tuple[int, ...]
     counts_sample_control: tuple[int, ...]
@@ -29,35 +31,33 @@ class StratumAssignment:
         return self.counts_sample_treated[j - 1] >= 1 and self.counts_sample_control[j - 1] >= 1
 
 
-def _assign(logit: float, breakpoints) -> int:
-    for j, b in enumerate(breakpoints, start=1):
-        if logit <= b:
-            return j
-    return len(breakpoints) + 1
+def stratum_counts(labels, k: int) -> tuple[int, ...]:
+    """Rows per stratum 1..k, from 1-based stratum labels."""
+    return tuple(np.bincount(labels, minlength=k + 1)[1:].tolist())
 
 
-def make_strata(logits: dict, k: int) -> StratumAssignment:
-    """Assign every unit to one of k logit strata.
+def make_strata(logits, k: int) -> StratumAssignment:
+    """Assign every row to one of k logit strata.
 
-    ``logits`` maps unit id to its propensity logit.  Population stratum sizes
+    ``logits`` holds one propensity logit per row.  Population stratum sizes
     differ by at most one plus any ties sitting exactly on a breakpoint.
     """
     if k < 1:
         raise ConfigError(f"stratum count must be >= 1, got {k}")
-    values = sorted(logits.values())
+    logits = np.asarray(logits, dtype=float)
+    values = np.sort(logits)
     n = len(values)
-    if k > len(set(values)):
-        raise TooManyStrata(k, len(set(values)))
-    breakpoints = tuple(values[math.ceil(j * n / k) - 1] for j in range(1, k))
-    stratum_of = {uid: _assign(v, breakpoints) for uid, v in logits.items()}
-    pop = [0] * k
-    for j in stratum_of.values():
-        pop[j - 1] += 1
+    distinct = int(np.count_nonzero(values[1:] != values[:-1])) + 1 if n else 0
+    if k > distinct:
+        raise TooManyStrata(k, distinct)
+    breakpoints = tuple(values[math.ceil(j * n / k) - 1].item() for j in range(1, k))
+    # the first breakpoint at or above a logit names its stratum
+    labels = np.searchsorted(np.array(breakpoints), logits, side="left") + 1
     return StratumAssignment(
         k=k,
         breakpoints=breakpoints,
-        stratum_of=stratum_of,
-        counts_population=tuple(pop),
+        labels=labels,
+        counts_population=stratum_counts(labels, k),
         counts_sample_treated=(0,) * k,  # filled by with_frame_counts
         counts_sample_control=(0,) * k,
     )
@@ -65,34 +65,25 @@ def make_strata(logits: dict, k: int) -> StratumAssignment:
 
 def with_frame_counts(assignment: StratumAssignment, frame: StudyFrame) -> StratumAssignment:
     """Recompute the per-stratum sample-arm counts from a frame."""
-    treated = [0] * assignment.k
-    control = [0] * assignment.k
-    for u in frame.units:
-        if u.z != 1:
-            continue
-        j = assignment.stratum_of[u.id] - 1
-        if u.w == 1:
-            treated[j] += 1
-        else:
-            control[j] += 1
-    return StratumAssignment(
-        k=assignment.k,
-        breakpoints=assignment.breakpoints,
-        stratum_of=assignment.stratum_of,
-        counts_population=assignment.counts_population,
-        counts_sample_treated=tuple(treated),
-        counts_sample_control=tuple(control),
+    return replace(
+        assignment,
+        counts_sample_treated=stratum_counts(assignment.labels[frame.treated], assignment.k),
+        counts_sample_control=stratum_counts(assignment.labels[frame.control], assignment.k),
     )
 
 
-def strata_for_frame(frame: StudyFrame, logits: dict, k: int) -> StratumAssignment:
-    missing = [u.id for u in frame.units if u.id not in logits]
-    if missing:
-        raise ConfigError(f"no logit for unit(s) {missing[:3]}")
+def _check_covers(frame: StudyFrame, rows: int):
+    if rows != frame.n_units:
+        raise ConfigError(f"expected one value per row of the frame ({frame.n_units}), "
+                          f"got {rows}")
+
+
+def strata_for_frame(frame: StudyFrame, logits, k: int) -> StratumAssignment:
+    _check_covers(frame, len(logits))
     return with_frame_counts(make_strata(logits, k), frame)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StratumPiece:
     index: int
     frame: StudyFrame
@@ -106,23 +97,17 @@ class StratumPiece:
 
 def stratum_frames(frame: StudyFrame, assignment: StratumAssignment) -> list[StratumPiece]:
     """Slice the frame into per-stratum sub-frames (support and covariate names
-    inherited), flagging strata that lack a sampled arm as non-viable."""
-    buckets: dict[int, list] = {j: [] for j in range(1, assignment.k + 1)}
-    for u in frame.units:
-        j = assignment.stratum_of.get(u.id)
-        if j is None:
-            raise ConfigError(f"unit {u.id!r} is not covered by the stratum assignment")
-        buckets[j].append(u)
-    pieces = []
-    for j in range(1, assignment.k + 1):
-        units = tuple(buckets[j])
-        sub = StudyFrame(units=units, support=frame.support,
-                         covariate_names=frame.covariate_names)
-        treated = sum(1 for u in units if u.z == 1 and u.w == 1)
-        control = sum(1 for u in units if u.z == 1 and u.w == 0)
-        pieces.append(StratumPiece(index=j, frame=sub,
-                                   n_sample_treated=treated, n_sample_control=control))
-    return pieces
+    inherited, rows in frame order), flagging strata that lack a sampled arm as
+    non-viable."""
+    _check_covers(frame, len(assignment.labels))
+    labels = assignment.labels
+    treated = stratum_counts(labels[frame.treated], assignment.k)
+    control = stratum_counts(labels[frame.control], assignment.k)
+    return [
+        StratumPiece(index=j, frame=frame.take(np.flatnonzero(labels == j)),
+                     n_sample_treated=treated[j - 1], n_sample_control=control[j - 1])
+        for j in range(1, assignment.k + 1)
+    ]
 
 
 def stratum_summary_rows(assignment: StratumAssignment) -> list[dict]:

@@ -10,8 +10,7 @@ def make_frame(spec, support=BINARY, covariates=(), x=None):
     for i, (z, w, y) in enumerate(spec):
         xi = tuple(x[i]) if x is not None else ()
         units.append(UnitRecord(id=f"u{i}", z=z, w=w, y=y, x=xi))
-    return StudyFrame(units=tuple(units), support=support,
-                      covariate_names=tuple(covariates))
+    return StudyFrame.from_units(units, support, covariates)
 
 
 def binary_frame(n_treated, treated_passes, n_control, control_passes,

@@ -56,7 +56,7 @@ def test_criterion_1_oracle_equivalence(rng):
         frame = random_binary_frame(rng, max_units=10, labeled=True)
         n_frames += 1
         z0 = frame.z0_units()
-        share = oracle.bearing_share(frame) if frame.z0_outcomes() else Fraction(1, 2)
+        share = oracle.bearing_share(frame) if frame.z0_bearing.any() else Fraction(1, 2)
         rates_x = oracle.exact_rates(frame)
         probs_x = oracle.exact_design_probs(frame, share)
         rates_f, probs_f = convert(rates_x), convert(probs_x)
@@ -71,7 +71,7 @@ def test_criterion_1_oracle_equivalence(rng):
         agree(bounds.worst_case_bounds(rates_f, probs_f, "full", BINARY),
               bounds.worst_case_bounds(rates_x, probs_x, "full", EXACT_BINARY), enum)
         n_checks += 1
-        if frame.z0_outcomes():
+        if frame.z0_bearing.any():
             enum = oracle.enumerate_worst_case(frame, "reduced")
             agree(bounds.worst_case_bounds(rates_f, probs_f, "reduced", BINARY),
                   bounds.worst_case_bounds(rates_x, probs_x, "reduced", EXACT_BINARY), enum)
@@ -245,7 +245,7 @@ def test_criterion_6_propensity_numerics():
     cols = [np.asarray(frame.covariate_column(c)) for c in frame.covariate_names]
     design = np.column_stack([np.ones(frame.n_units)]
                              + [(c - c.mean()) / c.std() for c in cols])
-    z = np.array([u.z for u in frame.units], dtype=float)
+    z = frame.z.astype(float)
     check_rng = np.random.default_rng(17)
     h = 1e-6
     worst_rel = 0.0
@@ -263,7 +263,7 @@ def test_criterion_6_propensity_numerics():
 
     intercept_only = fit_propensity(frame, [])
     scores = propensity_scores(intercept_only, frame)
-    mean_gap = abs(np.mean(list(scores.values())) - 56 / 1029)
+    mean_gap = abs(np.mean(scores) - 56 / 1029)
     assert mean_gap <= 1e-10
 
     rng = np.random.default_rng(7)
@@ -278,7 +278,7 @@ def test_criterion_6_propensity_numerics():
                    y=1.0 if zz[i] else None, x=(float(x1[i]),))
         for i in range(n)
     )
-    synth = StudyFrame(units=units, support=BINARY, covariate_names=("x1",))
+    synth = StudyFrame.from_units(units, BINARY, ("x1",))
     model = fit_propensity(synth, ["x1"])
     assert model.intercept == pytest.approx(-3.0, abs=0.05)
     assert model.coefficients["x1"] == pytest.approx(1.2, abs=0.05)
@@ -294,7 +294,7 @@ def test_criterion_7_point_estimator_coherence():
     frame = make_frame(spec, covariates=("a",), x=x)
 
     naive = naive_sate(frame)
-    assignment = strata_for_frame(frame, {u.id: u.x[0] for u in frame.units}, 1)
+    assignment = strata_for_frame(frame, frame.covariate_column("a"), 1)
     sub = subclass_estimate(frame, assignment)
     assert sub.estimate == naive.estimate
 

@@ -297,7 +297,7 @@ def _three_strata_frame():
 class TestStratified:
     def test_single_stratum_equals_whole_frame(self):
         frame = _three_strata_frame()
-        logits = {u.id: u.x[0] for u in frame.units}
+        logits = frame.covariate_column("x1")
         assignment = strata_for_frame(frame, logits, 1)
         result = stratified_bounds(frame, assignment, [BoundSpec("worst_case", "full")],
                                    p_w0_given_z0=0.5)
@@ -317,7 +317,7 @@ class TestStratified:
 
     def test_per_stratum_matches_direct_evaluation(self):
         frame = _three_strata_frame()
-        logits = {u.id: u.x[0] for u in frame.units}
+        logits = frame.covariate_column("x1")
         assignment = strata_for_frame(frame, logits, 3)
         result = stratified_bounds(frame, assignment, [BoundSpec("worst_case", "reduced")],
                                    p_w0_given_z0=0.5)
@@ -335,7 +335,7 @@ class TestStratified:
                 (0, None, None, 1.0), (0, None, None, 1.1), (0, None, None, 1.2)]
         frame = make_frame([(z, w, y) for z, w, y, _ in spec],
                            covariates=("x1",), x=[(row[3],) for row in spec])
-        logits = {u.id: u.x[0] for u in frame.units}
+        logits = frame.covariate_column("x1")
         assignment = strata_for_frame(frame, logits, 2)
         result = stratified_bounds(frame, assignment, [BoundSpec("worst_case", "full")],
                                    p_w0_given_z0=0.5)
@@ -350,7 +350,7 @@ class TestStratified:
         ]
         frame = make_frame([(z, w, y) for z, w, y, _ in layout],
                            covariates=("x1",), x=[(row[3],) for row in layout])
-        logits = {u.id: u.x[0] for u in frame.units}
+        logits = frame.covariate_column("x1")
         assignment = strata_for_frame(frame, logits, 2)
         result = stratified_bounds(frame, assignment, [BoundSpec("worst_case", "reduced")],
                                    p_w0_given_z0=0.5)
@@ -360,7 +360,7 @@ class TestStratified:
 
     def test_pooled_off_by_default_and_weighted_when_on(self):
         frame = _three_strata_frame()
-        logits = {u.id: u.x[0] for u in frame.units}
+        logits = frame.covariate_column("x1")
         assignment = strata_for_frame(frame, logits, 3)
         specs = [BoundSpec("worst_case", "full")]
         off = stratified_bounds(frame, assignment, specs, p_w0_given_z0=0.5)

@@ -411,3 +411,71 @@ class TestVerify:
         assert code == 1
         assert "MISMATCH" in out
         assert "enumeration" in out
+
+
+class TestExitContract:
+    @pytest.mark.parametrize("mode", ["data", "sample", "population"])
+    def test_duplicate_header_name_is_a_data_error(self, capsys, tmp_path, mode):
+        combined = "id,in_sample,treatment,outcome,x1,x1\na,1,1,1,0.2,0.3\nb,1,0,0,0.5,0.1\n"
+        sample = "id,treatment,outcome,x1\ns1,1,1,0.2\ns2,0,0,0.5\n"
+        population = "id,outcome,x1\np1,1,0.3\np2,,0.9\n"
+        if mode == "sample":
+            sample = sample.replace("outcome,x1", "outcome,x1,x1").replace(",0.2\n", ",0.2,0.3\n")
+        elif mode == "population":
+            population = "id,x1,outcome,x1\np1,0.3,1,0.4\np2,0.9,,0.8\n"
+        for name, text in (("data", combined), ("sample", sample), ("population", population)):
+            (tmp_path / f"{name}.csv").write_text(text)
+        files = (["--data", str(tmp_path / "data.csv")] if mode == "data" else
+                 ["--sample", str(tmp_path / "sample.csv"),
+                  "--population", str(tmp_path / "population.csv")])
+        code, _, err = run(capsys, "propensity", *files)
+        assert code == 2
+        assert "column 'x1' appears more than once" in err
+
+    @pytest.mark.parametrize("reps", ["0", "1"])
+    def test_ipw_reports_no_se_below_two_replicates(self, capsys, small_csv, reps):
+        outputs = {}
+        for fmt in ("json", "md", "csv"):
+            code, outputs[fmt], _ = run(capsys, "points", "--data", small_csv, "--strata", "1",
+                                        "--reps", reps, "--format", fmt)
+            assert code == 0
+        (ipw,) = [p for p in json.loads(outputs["json"])["point_estimates"]
+                  if p["method"] == "ipw"]
+        assert ipw["se"] is None
+        assert ipw["details"]["bootstrap_reps"] == int(reps)
+        (md_row,) = [line for line in outputs["md"].splitlines() if line.startswith("| ipw")]
+        assert md_row.endswith("(n/a) |")
+        (csv_row,) = [line for line in outputs["csv"].splitlines() if ",ipw," in line]
+        assert csv_row.endswith(",")
+        naive_row = [line for line in outputs["csv"].splitlines() if ",naive," in line][0]
+        assert not naive_row.endswith(",")
+
+    def test_unexpected_exception_is_an_internal_error(self, capsys, small_csv, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("stage failed")
+
+        monkeypatch.setattr(pibgen.cli, "fit_propensity", broken)
+        code, out, err = run(capsys, "analyze", "--data", small_csv, "--strata", "1")
+        assert code == 4
+        assert out == ""
+        assert err.startswith("internal error: Traceback (most recent call last)")
+        assert "RuntimeError: stage failed" in err
+
+    def test_analyze_builds_no_unit_records(self, capsys, monkeypatch):
+        from pibgen.frame import UnitRecord
+
+        built = []
+        original = UnitRecord.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(args or kwargs)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(UnitRecord, "__init__", counting)
+        code, _, _ = run(capsys, "analyze", *GOLDEN_ARGS, "--format", "json")
+        assert code == 0
+        assert built == []
+        from conftest import make_frame  # the counter sees records that are built
+
+        assert len(make_frame([(1, 1, 1.0), (1, 0, 0.0)]).units) == 2
+        assert len(built) == 4  # two records in, two in the per-unit view

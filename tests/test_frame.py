@@ -2,10 +2,12 @@
 
 import io
 
+import numpy as np
 import pytest
 
 from pibgen.errors import (
     BadIndicator,
+    DuplicateColumn,
     DuplicateId,
     EmptyArm,
     EmptySample,
@@ -18,6 +20,8 @@ from pibgen.frame import (
     BINARY,
     ColumnMap,
     OutcomeSupport,
+    StudyFrame,
+    UnitRecord,
     design_probs,
     empirical_rates,
     load_frame,
@@ -277,3 +281,94 @@ class TestSupport:
         assert make_frame([(1, 1, 1.0), (1, 0, 0.0)]).is_binary
         fractional = make_frame([(1, 1, 0.5), (1, 0, 0.0)])
         assert not fractional.is_binary
+
+
+class TestColumns:
+    def test_columns_and_missing_markers(self):
+        frame = load_frame(CSV3, BINARY)
+        assert frame.ids.tolist() == ["a", "b", "c"]
+        assert frame.z.dtype == np.int8 and frame.z.tolist() == [1, 1, 0]
+        assert frame.w.dtype == np.int8 and frame.w.tolist() == [1, 0, -1]
+        assert frame.y[:2].tolist() == [1.0, 0.0] and np.isnan(frame.y[2])
+        assert frame.X.shape == (3, 0)
+
+    def test_covariate_columns_are_contiguous(self):
+        text = "id,in_sample,treatment,outcome,x1,x2\na,1,1,1,0.5,2\nb,1,0,0,1.5,3\n"
+        frame = load_frame(text, BINARY)
+        assert frame.covariate_column("x2").tolist() == [2.0, 3.0]
+        assert frame.covariate_column("x2").flags["C_CONTIGUOUS"]
+
+    def test_from_units_round_trips_the_unit_view(self):
+        frame = load_frame(CSV3, BINARY)
+        again = StudyFrame.from_units(frame.units, BINARY)
+        assert again.units == frame.units
+        assert again.ids.tolist() == frame.ids.tolist()
+
+    def test_take_keeps_the_given_row_order(self):
+        frame = make_frame([(1, 1, 1.0), (1, 0, 0.0), (0, None, None), (0, None, 1.0)])
+        sub = frame.take(np.array([3, 0]))
+        assert [u.id for u in sub.units] == ["u3", "u0"]
+        assert sub.support == frame.support
+
+    @pytest.mark.parametrize("bad, error, row", [
+        ((2, 1, 1.0), BadIndicator, "u1"),
+        ((1, None, 1.0), BadIndicator, "u1"),
+        ((1, 1, None), MissingOutcome, "u1"),
+        ((0, None, 1.5), OutcomeOutOfSupport, "u1"),
+    ])
+    def test_from_units_errors_name_the_unit(self, bad, error, row):
+        with pytest.raises(error) as err:
+            make_frame([(1, 1, 1.0), bad, (3, 1, 1.0)])
+        assert err.value.row == row
+
+    def test_duplicate_id_comes_after_the_checks_of_earlier_units(self):
+        units = [UnitRecord("a", 1, 1, 1.0), UnitRecord("a", 1, 0, 0.0),
+                 UnitRecord("b", 2, 0, 0.0)]
+        with pytest.raises(DuplicateId):
+            StudyFrame.from_units(units, BINARY)
+        with pytest.raises(BadIndicator):
+            StudyFrame.from_units(units[::-1], BINARY)
+
+    def test_first_bad_row_wins_across_kinds_of_check(self):
+        header = "id,in_sample,treatment,outcome,x1\n"
+        with pytest.raises(MissingOutcome) as err:
+            load_frame(header + "a,1,1,,0.5\nb,1,0,0,oops\n", BINARY)
+        assert err.value.row == 1
+        with pytest.raises(MissingCovariate) as err:
+            load_frame(header + "a,1,1,1,oops\nb,1,0,,0.5\n", BINARY)
+        assert err.value.row == 1
+
+    def test_blank_lines_hold_no_row(self):
+        frame = load_frame("id,in_sample,treatment,outcome\na,1,1,1\n\nb,1,0,0\n", BINARY)
+        assert frame.ids.tolist() == ["a", "b"]
+        with pytest.raises(MissingOutcome) as err:
+            load_frame("id,in_sample,treatment,outcome\na,1,1,1\n\nb,1,0,\n", BINARY)
+        assert err.value.row == 2
+
+    def test_short_row_reads_as_blank_cells(self):
+        with pytest.raises(MissingCovariate) as err:
+            load_frame("id,in_sample,treatment,outcome,x1\na,1,1,1,0.5\nb,0\n", BINARY)
+        assert err.value.row == 2 and err.value.name == "x1"
+
+    def test_duplicate_header_name(self):
+        with pytest.raises(DuplicateColumn) as err:
+            load_frame("id,in_sample,treatment,outcome,x1,x1\na,1,1,1,0.2,0.3\n", BINARY)
+        assert err.value.name == "x1"
+        with pytest.raises(DuplicateColumn):
+            load_two_frames("id,treatment,outcome\ns1,1,1\n", "id,id\np1,p1\n", BINARY)
+
+    def test_continuous_rates_sum_left_to_right(self):
+        # the means keep the order of a plain Python sum, bit for bit
+        rng = np.random.default_rng(2016)
+        rows = ["id,in_sample,treatment,outcome"]
+        for i in range(1000):
+            z = int(rng.random() < 0.3)
+            w = int(rng.random() < 0.5) if z else ""
+            rows.append(f"u{i},{z},{w},{rng.uniform(0, 100):.6f}")
+        frame = load_frame("\n".join(rows) + "\n", OutcomeSupport(0.0, 100.0))
+        rates = empirical_rates(frame)
+        for w, mean in ((1, rates.e_y1_w1z1), (0, rates.e_y0_w0z1)):
+            values = [u.y for u in frame.units if u.z == 1 and u.w == w]
+            assert mean == sum(values) / len(values)
+        values = [u.y for u in frame.units if u.z == 0]
+        assert rates.e_y0_w0z0 == sum(values) / len(values)

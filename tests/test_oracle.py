@@ -39,7 +39,7 @@ class TestWorstCaseEnumeration:
     def test_reduced_enumeration_nested_inside_full(self, rng):
         for _ in range(50):
             frame = random_binary_frame(rng, labeled=False, min_z0=1)
-            if not frame.z0_outcomes():
+            if not frame.z0_bearing.any():
                 continue
             full = oracle.enumerate_worst_case(frame, "full")
             reduced = oracle.enumerate_worst_case(frame, "reduced")
@@ -53,7 +53,7 @@ class TestWorstCaseEnumeration:
             enum = oracle.enumerate_worst_case(frame, "full")
             closed = bounds.worst_case_bounds(rates, probs, "full", EXACT_BINARY)
             assert (enum.lo, enum.hi) == (closed.pre_clamp_lo, closed.pre_clamp_hi)
-            if frame.z0_outcomes():
+            if frame.z0_bearing.any():
                 enum = oracle.enumerate_worst_case(frame, "reduced")
                 closed = bounds.worst_case_bounds(rates, probs, "reduced", EXACT_BINARY)
                 assert (enum.lo, enum.hi) == (closed.pre_clamp_lo, closed.pre_clamp_hi)
@@ -232,6 +232,6 @@ class TestSlotCap:
         units = list(frame.units) + [
             UnitRecord(id=f"extra{i}", z=0, w=None, y=None) for i in range(3)
         ]
-        big = StudyFrame(units=tuple(units), support=BINARY)
+        big = StudyFrame.from_units(units, BINARY)
         with pytest.raises(TooLarge):
             oracle.enumerate_worst_case(big, "full")

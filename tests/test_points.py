@@ -65,7 +65,7 @@ class TestIpw:
             UnitRecord("c1", 1, 0, 1.0, (0.0,)),
             UnitRecord("c2", 1, 0, 0.0, (1.0,)),
         )
-        frame = StudyFrame(units=units, support=BINARY, covariate_names=("x",))
+        frame = StudyFrame.from_units(units, BINARY, ("x",))
         model = PropensityModel(intercept=0.0, coefficients={"x": -math.log(3.0)},
                                 converged=True, iterations=1, final_gradient_norm=0.0)
         # s(0) = 0.5 -> weight 2; s(1) = 0.25 -> weight 4
@@ -106,7 +106,7 @@ class TestSubclassification:
 
     def test_single_stratum_equals_naive(self):
         frame = self._frame()
-        assignment = strata_for_frame(frame, {u.id: u.x[0] for u in frame.units}, 1)
+        assignment = strata_for_frame(frame, frame.covariate_column("a"), 1)
         sub = subclass_estimate(frame, assignment)
         naive = naive_sate(frame)
         assert sub.estimate == naive.estimate
@@ -114,7 +114,7 @@ class TestSubclassification:
 
     def test_hand_weighted_two_strata(self):
         frame = self._frame()
-        assignment = strata_for_frame(frame, {u.id: u.x[0] for u in frame.units}, 2)
+        assignment = strata_for_frame(frame, frame.covariate_column("a"), 2)
         sub = subclass_estimate(frame, assignment)
         # strata contrasts are 1.0 and 0.0 with equal population shares
         assert sub.estimate == pytest.approx(0.5 * 1.0 + 0.5 * 0.0)
@@ -125,7 +125,7 @@ class TestSubclassification:
         spec = [(1, 1, 1.0), (1, 0, 0.0), (0, None, None), (0, None, None)]
         x = [(0.0,), (0.1,), (1.0,), (1.1,)]
         frame = make_frame(spec, covariates=("a",), x=x)
-        assignment = strata_for_frame(frame, {u.id: u.x[0] for u in frame.units}, 2)
+        assignment = strata_for_frame(frame, frame.covariate_column("a"), 2)
         with pytest.raises(NonViableStratum) as err:
             subclass_estimate(frame, assignment)
         assert err.value.indices == [2]
@@ -134,7 +134,7 @@ class TestSubclassification:
         spec = [(1, 1, 1.0), (1, 0, 0.0), (0, None, None), (0, None, None)]
         x = [(0.0,), (0.1,), (1.0,), (1.1,)]
         frame = make_frame(spec, covariates=("a",), x=x)
-        assignment = strata_for_frame(frame, {u.id: u.x[0] for u in frame.units}, 2)
+        assignment = strata_for_frame(frame, frame.covariate_column("a"), 2)
         merged = merge_nonviable(assignment, frame)
         assert merged.k == 1
         est = subclass_estimate(frame, merged)
@@ -148,7 +148,7 @@ class TestSubclassification:
         x = [(0.0,), (0.1,), (0.2,), (1.0,), (1.1,), (1.2,),
              (2.0,), (2.1,), (2.2,)]
         frame = make_frame(spec, covariates=("a",), x=x)
-        assignment = strata_for_frame(frame, {u.id: u.x[0] for u in frame.units}, 3)
+        assignment = strata_for_frame(frame, frame.covariate_column("a"), 3)
         assert [assignment.viable(j) for j in (1, 2, 3)] == [True, False, True]
         merged = merge_nonviable(assignment, frame)
         assert merged.k == 2

@@ -28,7 +28,7 @@ def frame_with_x(z_values, x_matrix, names):
     for i, (z, x) in enumerate(zip(z_values, x_matrix)):
         w, y = (1 if i % 2 == 0 else 0, 1.0) if z == 1 else (None, None)
         units.append(UnitRecord(id=f"u{i}", z=z, w=w, y=y, x=tuple(x)))
-    return StudyFrame(units=tuple(units), support=BINARY, covariate_names=tuple(names))
+    return StudyFrame.from_units(units, BINARY, names)
 
 
 class TestFit:
@@ -38,13 +38,13 @@ class TestFit:
         expected = math.log((56 / 1029) / (1 - 56 / 1029))
         assert model.intercept == pytest.approx(expected, abs=1e-8)
         scores = propensity_scores(model, frame)
-        assert all(s == pytest.approx(56 / 1029, abs=1e-10) for s in scores.values())
+        assert all(s == pytest.approx(56 / 1029, abs=1e-10) for s in scores)
 
     def test_mean_score_equals_sampling_rate(self, statewide_path):
         frame = load_frame(statewide_path, BINARY)
         model = fit_propensity(frame, frame.covariate_names)
         scores = propensity_scores(model, frame)
-        assert np.mean(list(scores.values())) == pytest.approx(56 / 1029, abs=1e-10)
+        assert np.mean(scores) == pytest.approx(56 / 1029, abs=1e-10)
 
     def test_coefficient_recovery_monte_carlo(self):
         rng = np.random.default_rng(7)
@@ -57,7 +57,7 @@ class TestFit:
                        y=1.0 if z[i] else None, x=(float(x1[i]),))
             for i in range(n)
         )
-        frame = StudyFrame(units=units, support=BINARY, covariate_names=("x1",))
+        frame = StudyFrame.from_units(units, BINARY, ("x1",))
         model = fit_propensity(frame, ["x1"])
         assert model.converged
         assert model.intercept == pytest.approx(-3.0, abs=0.05)
@@ -128,7 +128,7 @@ class TestFit:
         cols = [np.asarray(frame.covariate_column(c)) for c in frame.covariate_names]
         design = np.column_stack([np.ones(frame.n_units)]
                                  + [(c - c.mean()) / c.std() for c in cols])
-        z = np.array([u.z for u in frame.units], dtype=float)
+        z = frame.z.astype(float)
         rng = np.random.default_rng(99)
         h = 1e-6
         for _ in range(10):
@@ -149,7 +149,7 @@ class TestScores:
         model = fit_propensity(frame, [])
         # intercept-only on a 50/50 split: logit 0, score 0.5
         assert model.intercept == pytest.approx(0.0, abs=1e-9)
-        assert all(v == pytest.approx(0.5) for v in propensity_scores(model, frame).values())
+        assert all(v == pytest.approx(0.5) for v in propensity_scores(model, frame))
 
     def test_hand_dot_product(self):
         from pibgen.propensity import PropensityModel
@@ -158,8 +158,22 @@ class TestScores:
                                 converged=True, iterations=0, final_gradient_norm=0.0)
         frame = frame_with_x([1, 0], [(1.0, 3.0), (2.0, 0.5)], ["a", "b"])
         logits = logit_scores(model, frame)
-        assert logits["u0"] == pytest.approx(0.5 + 2.0 * 1.0 - 1.0 * 3.0)
-        assert logits["u1"] == pytest.approx(0.5 + 2.0 * 2.0 - 1.0 * 0.5)
+        assert logits[0] == pytest.approx(0.5 + 2.0 * 1.0 - 1.0 * 3.0)
+        assert logits[1] == pytest.approx(0.5 + 2.0 * 2.0 - 1.0 * 0.5)
+
+    def test_logits_match_the_per_unit_scalar_loop_bit_for_bit(self, statewide_path):
+        frame = load_frame(statewide_path, BINARY)
+        model = fit_propensity(frame, frame.covariate_names)
+        slots = [(frame.covariate_index(name), b) for name, b in model.coefficients.items()]
+        expected = []
+        for u in frame.units:
+            eta = model.intercept
+            for j, b in slots:
+                eta += b * u.x[j]
+            expected.append(eta)
+        logits = logit_scores(model, frame)
+        assert logits.tolist() == expected
+        assert propensity_scores(model, frame).shape == (frame.n_units,)
 
     def test_missing_covariate(self):
         from pibgen.propensity import PropensityModel

@@ -1,5 +1,6 @@
 """Quantile stratification of the population by propensity logit."""
 
+import numpy as np
 import pytest
 
 from pibgen.errors import TooManyStrata
@@ -16,20 +17,20 @@ from pibgen.stratify import (
 from conftest import make_frame
 
 
-def logit_map(values):
-    return {f"u{i}": float(v) for i, v in enumerate(values)}
+def logit_array(values):
+    return np.asarray(values, dtype=float)
 
 
 class TestMakeStrata:
     def test_single_stratum(self):
-        assignment = make_strata(logit_map([0.3, -0.5, 2.0]), 1)
-        assert set(assignment.stratum_of.values()) == {1}
+        assignment = make_strata(logit_array([0.3, -0.5, 2.0]), 1)
+        assert set(assignment.labels.tolist()) == {1}
         assert assignment.breakpoints == ()
 
     def test_hand_quantiles_one_to_nine(self):
-        assignment = make_strata(logit_map(range(1, 10)), 3)
-        groups = {j: sorted(int(uid[1:]) + 1 for uid, s in assignment.stratum_of.items()
-                            if s == j) for j in (1, 2, 3)}
+        assignment = make_strata(logit_array(range(1, 10)), 3)
+        groups = {j: [i + 1 for i, s in enumerate(assignment.labels) if s == j]
+                  for j in (1, 2, 3)}
         assert groups[1] == [1, 2, 3]
         assert groups[2] == [4, 5, 6]
         assert groups[3] == [7, 8, 9]
@@ -37,20 +38,20 @@ class TestMakeStrata:
 
     def test_tie_at_breakpoint_goes_low(self):
         # breakpoint at 2.0; the duplicate 2.0 stays in the lower stratum
-        assignment = make_strata(logit_map([1.0, 2.0, 2.0, 5.0]), 2)
-        strata = [assignment.stratum_of[f"u{i}"] for i in range(4)]
+        assignment = make_strata(logit_array([1.0, 2.0, 2.0, 5.0]), 2)
+        strata = assignment.labels.tolist()
         assert strata == [1, 1, 1, 2]
 
     def test_monotone_in_logit(self, rng):
         values = rng.normal(size=40)
-        assignment = make_strata(logit_map(values), 5)
-        pairs = sorted((v, assignment.stratum_of[f"u{i}"]) for i, v in enumerate(values))
+        assignment = make_strata(logit_array(values), 5)
+        pairs = sorted(zip(values, assignment.labels.tolist()))
         strata = [s for _, s in pairs]
         assert strata == sorted(strata)
 
     def test_balanced_sizes(self, rng):
         values = rng.normal(size=53)  # distinct with probability 1
-        assignment = make_strata(logit_map(values), 4)
+        assignment = make_strata(logit_array(values), 4)
         sizes = assignment.counts_population
         assert sum(sizes) == 53
         assert max(sizes) - min(sizes) <= 1
@@ -58,7 +59,7 @@ class TestMakeStrata:
     def test_tied_values_skew_sizes_by_at_most_the_tie_count(self):
         # four copies of the breakpoint value pull them all into stratum 1
         values = [1.0, 2.0, 2.0, 2.0, 2.0, 3.0, 4.0, 5.0]
-        assignment = make_strata(logit_map(values), 2)
+        assignment = make_strata(logit_array(values), 2)
         sizes = assignment.counts_population
         assert sum(sizes) == 8
         ties_at_breakpoint = values.count(assignment.breakpoints[0])
@@ -66,7 +67,7 @@ class TestMakeStrata:
 
     def test_too_many_strata(self):
         with pytest.raises(TooManyStrata):
-            make_strata(logit_map([1.0, 1.0, 1.0]), 2)
+            make_strata(logit_array([1.0, 1.0, 1.0]), 2)
 
 
 class TestStatewideShaped:
@@ -88,7 +89,7 @@ class TestStratumFrames:
 
     def test_partition_is_exact(self):
         frame = self._frame()
-        assignment = strata_for_frame(frame, {u.id: u.x[0] for u in frame.units}, 2)
+        assignment = strata_for_frame(frame, frame.covariate_column("a"), 2)
         pieces = stratum_frames(frame, assignment)
         ids = sorted(u.id for piece in pieces for u in piece.frame.units)
         assert ids == sorted(u.id for u in frame.units)
@@ -96,7 +97,7 @@ class TestStratumFrames:
 
     def test_viability_flags(self):
         frame = self._frame()
-        assignment = strata_for_frame(frame, {u.id: u.x[0] for u in frame.units}, 2)
+        assignment = strata_for_frame(frame, frame.covariate_column("a"), 2)
         pieces = stratum_frames(frame, assignment)
         # stratum 1 has one treated + one control; stratum 2 only a treated unit
         assert pieces[0].viable
@@ -104,7 +105,7 @@ class TestStratumFrames:
 
     def test_subframes_inherit_support_and_covariates(self):
         frame = self._frame()
-        assignment = strata_for_frame(frame, {u.id: u.x[0] for u in frame.units}, 2)
+        assignment = strata_for_frame(frame, frame.covariate_column("a"), 2)
         for piece in stratum_frames(frame, assignment):
             assert piece.frame.support == frame.support
             assert piece.frame.covariate_names == frame.covariate_names
@@ -115,7 +116,7 @@ class TestSummaryExport:
         frame_spec = [(1, 1, 1.0), (1, 0, 0.0), (0, None, None), (0, None, None)]
         x = [(0.0,), (1.0,), (2.0,), (3.0,)]
         frame = make_frame(frame_spec, covariates=("a",), x=x)
-        assignment = strata_for_frame(frame, {u.id: u.x[0] for u in frame.units}, 2)
+        assignment = strata_for_frame(frame, frame.covariate_column("a"), 2)
         rows = stratum_summary_rows(assignment)
         assert rows[0]["logit_lo"] == float("-inf")
         assert rows[-1]["logit_hi"] == float("inf")
