@@ -166,7 +166,10 @@ def _merge_config(args) -> dict:
             options[key] = value
     if options["seed"] is None:
         env = os.environ.get("PIBGEN_SEED")
-        options["seed"] = int(env) if env else 0
+        try:
+            options["seed"] = int(env) if env else 0
+        except ValueError:
+            options["seed"] = env  # rejected by the commands that use a seed
     if isinstance(options["lambdas"], (str, float, int)):
         options["lambdas"] = [options["lambdas"]]
     return options
@@ -229,17 +232,37 @@ def _frameworks(options) -> list[str]:
 
 
 def _assumptions(options) -> list[str]:
-    names = [ASSUMPTION_ALIASES[a] for a in options["assumption"]]
+    names = options["assumption"]
+    if not isinstance(names, list):
+        raise ConfigError(f"--assumption expects a list of names, got {names!r}")
+    for name in names:
+        if not isinstance(name, str) or name not in ASSUMPTION_ALIASES:
+            raise ConfigError(f"--assumption must be one of {sorted(ASSUMPTION_ALIASES)}, "
+                              f"got {name!r}")
     if not names:
         raise ConfigError("at least one --assumption is required")
-    return names
+    return [ASSUMPTION_ALIASES[name] for name in names]
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _validate_request(options):
+    for key in ("strata", "reps"):
+        if not _is_int(options[key]):
+            raise ConfigError(f"--{key} must be an integer, got {options[key]!r}")
     if options["strata"] < 1:
         raise ConfigError("--strata must be >= 1")
     if options["reps"] < 0:
         raise ConfigError("--reps must be >= 0")
+    seed = options["seed"]
+    if not _is_int(seed) or seed < 0:
+        raise ConfigError(f"--seed (or PIBGEN_SEED) must be a non-negative integer, got {seed!r}")
+    pw0z0 = options["pw0z0"]
+    if isinstance(pw0z0, bool) or not isinstance(pw0z0, (int, float)):
+        raise ConfigError(f"--pw0z0 must be a real number, got {pw0z0!r}")
+    _assumptions(options)
 
 
 # Each subcommand's document is a view: the keys it shows, in build order.

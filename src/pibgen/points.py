@@ -3,9 +3,10 @@ sample contrast, normalized inverse-propensity weighting, and propensity-score
 subclassification.
 
 The IPW estimator is the ratio (Hajek) form, invariant to rescaling of the
-weights, with a nonparametric bootstrap standard error.  Bootstrap replicates
-draw their generators from per-replicate children of the master seed, so the
-result is identical no matter how replicates are scheduled.
+weights, with a nonparametric bootstrap standard error.  Each bootstrap
+replicate draws from its own generator, a child of the master seed; the
+replicates are then evaluated in memory-bounded batches, so the standard
+error does not depend on the batch size.
 """
 
 from __future__ import annotations
@@ -77,8 +78,39 @@ def _hajek_contrast(y, w, weights) -> float:
     )
 
 
-def _replicate_seed(master: int, rep: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(entropy=master, spawn_key=(rep,)))
+# drawn rows per batch of bootstrap replicates: bounds the position and gather
+# matrices, which for all replicates at once would raise peak memory at large N
+_BATCH_ROWS = 1 << 16
+
+
+def _bootstrap_contrasts(y, weights, treated, control, reps: int, seed: int,
+                         *, batch_rows: int) -> np.ndarray:
+    """Hajek contrast of each arm-stratified bootstrap replicate.
+
+    Replicate ``r`` draws from the ``r``-th child of ``seed``: the treated
+    positions first, then the control ones.  A batch of replicates is then
+    evaluated at once, each row summing the same products in the same order as
+    a one-replicate sum, so the contrasts do not depend on ``batch_rows``.
+    """
+    wy = y * weights
+    wy_t, w_t = wy[treated], weights[treated]
+    wy_c, w_c = wy[control], weights[control]
+    n_t, n_c = len(treated), len(control)
+    batch = max(1, batch_rows // (n_t + n_c))
+    master = np.random.SeedSequence(entropy=seed)
+    contrasts = np.empty(reps)
+    for start in range(0, reps, batch):
+        children = master.spawn(min(batch, reps - start))
+        t = np.empty((len(children), n_t), dtype=np.int64)
+        c = np.empty((len(children), n_c), dtype=np.int64)
+        for i, child in enumerate(children):
+            rng = np.random.Generator(np.random.PCG64(child))
+            t[i] = rng.integers(0, n_t, size=n_t)
+            c[i] = rng.integers(0, n_c, size=n_c)
+        contrasts[start:start + len(children)] = (
+            wy_t[t].sum(axis=1) / w_t[t].sum(axis=1) - wy_c[c].sum(axis=1) / w_c[c].sum(axis=1)
+        )
+    return contrasts
 
 
 def ipw_estimate(
@@ -108,17 +140,8 @@ def ipw_estimate(
     weights = 1.0 / scores
     estimate = _hajek_contrast(y, w, weights)
 
-    treated_idx = np.flatnonzero(w == 1)
-    control_idx = np.flatnonzero(w == 0)
-
-    def one_rep(rep: int) -> float:
-        rng = _replicate_seed(options.seed, rep)
-        t = treated_idx[rng.integers(0, len(treated_idx), size=len(treated_idx))]
-        c = control_idx[rng.integers(0, len(control_idx), size=len(control_idx))]
-        idx = np.concatenate([t, c])
-        return _hajek_contrast(y[idx], w[idx], weights[idx])
-
-    reps = np.array([one_rep(rep) for rep in range(options.reps)])
+    reps = _bootstrap_contrasts(y, weights, np.flatnonzero(w == 1), np.flatnonzero(w == 0),
+                                options.reps, options.seed, batch_rows=_BATCH_ROWS)
     se = float(reps.std(ddof=1)) if options.reps > 1 else None
     return PointEstimate(
         method="ipw",

@@ -71,7 +71,11 @@ def binomial_loglik(beta, design, z, ridge: float = 0.0) -> float:
 
 def binomial_score(beta, design, z, ridge: float = 0.0) -> np.ndarray:
     """Gradient of ``binomial_loglik`` with respect to beta."""
-    mu = _sigmoid(design @ beta)
+    return _score(beta, design, z, ridge, _sigmoid(design @ beta))
+
+
+def _score(beta, design, z, ridge, mu) -> np.ndarray:
+    """``binomial_score`` from the fitted probabilities ``mu`` at beta."""
     grad = design.T @ (z - mu)
     if ridge:
         grad = grad.copy()
@@ -120,16 +124,15 @@ def fit_propensity(
     trace = [ll]
     converged = False
     iterations = 0
-    grad_norm = float(np.max(np.abs(binomial_score(beta, design, z, ridge))))
     for _ in range(options.max_iter):
-        grad = binomial_score(beta, design, z, ridge)
+        mu = _sigmoid(design @ beta)
+        grad = _score(beta, design, z, ridge, mu)
         grad_norm = float(np.max(np.abs(grad)))
         if grad_norm <= options.tolerance:
             if ridge == 0:
                 _check_saturation(beta, design, z, covariates)
             converged = True
             break
-        mu = _sigmoid(design @ beta)
         weights = mu * (1.0 - mu)
         hess = design.T @ (design * weights[:, None])
         if ridge:
@@ -144,11 +147,16 @@ def fit_propensity(
         alpha = 1.0
         slack = 1e-12 * max(1.0, abs(ll))
         for _ in range(50):
-            if binomial_loglik(beta + alpha * step, design, z, ridge) >= ll - slack:
+            trial = beta + alpha * step
+            trial_ll = binomial_loglik(trial, design, z, ridge)
+            if trial_ll >= ll - slack:
                 break
             alpha *= 0.5
-        beta = beta + alpha * step
-        ll = binomial_loglik(beta, design, z, ridge)
+        else:
+            # no halving passed the test: take the next, smaller step untested
+            trial = beta + alpha * step
+            trial_ll = binomial_loglik(trial, design, z, ridge)
+        beta, ll = trial, trial_ll
         trace.append(ll)
         iterations += 1
         if ridge == 0 and float(np.max(np.abs(beta))) > 30.0:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -42,8 +43,8 @@ def make_strata(logits, k: int) -> StratumAssignment:
     ``logits`` holds one propensity logit per row.  Population stratum sizes
     differ by at most one plus any ties sitting exactly on a breakpoint.
     """
-    if k < 1:
-        raise ConfigError(f"stratum count must be >= 1, got {k}")
+    if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 1:
+        raise ConfigError(f"stratum count must be an integer >= 1, got {k!r}")
     logits = np.asarray(logits, dtype=float)
     values = np.sort(logits)
     n = len(values)

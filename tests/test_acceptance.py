@@ -9,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from pibgen import bounds, oracle
+from pibgen import bounds, oracle, points
 from pibgen.cli import main
 from pibgen.data import synthetic_path
 from pibgen.frame import (
@@ -287,7 +287,7 @@ def test_criterion_6_propensity_numerics():
           f"({model.intercept:.3f}, {model.coefficients['x1']:.3f}) within +/-0.05")
 
 
-def test_criterion_7_point_estimator_coherence():
+def test_criterion_7_point_estimator_coherence(monkeypatch):
     spec = [(1, 1, 1.0), (1, 1, 0.0), (1, 1, 1.0), (1, 0, 0.0), (1, 0, 1.0),
             (0, None, None), (0, None, None)]
     x = [(0.1,), (0.2,), (0.3,), (0.4,), (0.5,), (0.6,), (0.7,)]
@@ -303,11 +303,16 @@ def test_criterion_7_point_estimator_coherence():
     ipw = ipw_estimate(frame, constant, BootstrapOptions(reps=100, seed=4))
     assert ipw.estimate == naive.estimate
 
-    runs = [ipw_estimate(frame, constant, BootstrapOptions(reps=500, seed=99)) for _ in range(3)]
+    # one replicate per batch, seven per batch, all in one batch, and a rerun
+    runs = []
+    for batch_rows in (1, 35, 1 << 16, 1 << 16):
+        monkeypatch.setattr(points, "_BATCH_ROWS", batch_rows)
+        runs.append(ipw_estimate(frame, constant, BootstrapOptions(reps=500, seed=99)))
     ses = {r.se for r in runs}
     assert len(ses) == 1
     print(f"PASS criterion 7: k=1 subclass == naive == constant-weight IPW "
-          f"({naive.estimate:.6f}); bootstrap SE identical over reruns ({runs[0].se:.10f})")
+          f"({naive.estimate:.6f}); bootstrap SE identical over batch sizes and reruns "
+          f"({runs[0].se:.10f})")
 
 
 GOLDEN_ARGS = [

@@ -5,6 +5,7 @@ import json
 import pytest
 
 import pibgen.bounds
+import pibgen.cli
 import pibgen.points
 import pibgen.stratify
 from pibgen.cli import main
@@ -460,6 +461,51 @@ class TestExitContract:
         assert out == ""
         assert err.startswith("internal error: Traceback (most recent call last)")
         assert "RuntimeError: stage failed" in err
+
+    @pytest.mark.parametrize("argv, env, config, message", [
+        (["--seed", "-1"], None, None, "--seed (or PIBGEN_SEED) must be a non-negative integer"),
+        ([], "abc", None, "--seed (or PIBGEN_SEED) must be a non-negative integer, got 'abc'"),
+        ([], None, {"seed": "7"}, "--seed (or PIBGEN_SEED) must be a non-negative integer"),
+        ([], None, {"seed": 1.5}, "--seed (or PIBGEN_SEED) must be a non-negative integer"),
+        ([], None, {"seed": True}, "--seed (or PIBGEN_SEED) must be a non-negative integer"),
+        ([], None, {"reps": "10"}, "--reps must be an integer, got '10'"),
+        ([], None, {"reps": 2.5}, "--reps must be an integer, got 2.5"),
+        ([], None, {"strata": "3"}, "--strata must be an integer, got '3'"),
+        ([], None, {"pw0z0": "x"}, "--pw0z0 must be a real number, got 'x'"),
+        ([], None, {"assumption": ["nope"]}, "--assumption must be one of"),
+    ])
+    def test_option_of_the_wrong_type_is_a_config_error_before_loading(
+            self, capsys, small_csv, tmp_path, monkeypatch, argv, env, config, message):
+        def not_reached(*args, **kwargs):
+            raise RuntimeError("the frame was loaded")
+
+        if env is not None:
+            monkeypatch.setenv("PIBGEN_SEED", env)
+        options = []
+        if config is not None:
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps(config))
+            options = ["--config", str(path)]
+        with monkeypatch.context() as patched:
+            patched.setattr(pibgen.cli, "load_frame", not_reached)
+            for command in ("analyze", "bounds", "points"):
+                code, out, err = run(capsys, *options, command, "--data", small_csv, *argv)
+                assert code == 3
+                assert message in err
+                assert out == ""
+        # a command that does not use the option still ignores it
+        code, _, _ = run(capsys, *options, "propensity", "--data", small_csv, *argv)
+        assert code == 0
+
+    @pytest.mark.parametrize("count", ["3", True, 0])
+    def test_strata_command_rejects_a_stratum_count_that_is_not_a_positive_integer(
+            self, capsys, small_csv, tmp_path, count):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"strata": count}))
+        code, out, err = run(capsys, "--config", str(path), "strata", "--data", small_csv)
+        assert code == 3
+        assert f"stratum count must be an integer >= 1, got {count!r}" in err
+        assert out == ""
 
     def test_analyze_builds_no_unit_records(self, capsys, monkeypatch):
         from pibgen.frame import UnitRecord

@@ -9,6 +9,8 @@ from pibgen.errors import NonViableStratum, UnfittedModel, ZeroPropensity
 from pibgen.frame import BINARY, StudyFrame, UnitRecord
 from pibgen.points import (
     BootstrapOptions,
+    _bootstrap_contrasts,
+    _hajek_contrast,
     ipw_estimate,
     merge_nonviable,
     naive_sate,
@@ -95,6 +97,39 @@ class TestIpw:
         with pytest.raises(ZeroPropensity):
             # intercept so negative the score underflows to 0.0
             ipw_estimate(frame, constant_model(-800.0))
+
+
+def per_replicate_contrasts(y, w, weights, reps, seed):
+    """The bootstrap as a plain loop: one generator, two draws, one contrast per replicate."""
+    treated = np.flatnonzero(w == 1)
+    control = np.flatnonzero(w == 0)
+    out = []
+    for rep in range(reps):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(rep,)))
+        t = treated[rng.integers(0, len(treated), size=len(treated))]
+        c = control[rng.integers(0, len(control), size=len(control))]
+        idx = np.concatenate([t, c])
+        out.append(_hajek_contrast(y[idx], w[idx], weights[idx]))
+    return np.array(out)
+
+
+class TestBatchedBootstrap:
+    # arm sizes on both sides of numpy's 8-element unrolled and 128-element pairwise sums
+    @pytest.mark.parametrize("n_treated, n_control", [(1, 3), (3, 9), (9, 1), (200, 9), (1, 200)])
+    @pytest.mark.parametrize("replicates_per_batch", [1, 4, 23])
+    def test_equals_the_per_replicate_loop_bit_for_bit(self, n_treated, n_control,
+                                                       replicates_per_batch):
+        reps, seed = 23, 20240311
+        rng = np.random.default_rng(n_treated * 1000 + n_control)
+        w = rng.permutation(np.repeat([1, 0], [n_treated, n_control]))
+        y = rng.uniform(0.0, 100.0, size=w.size)
+        weights = 1.0 / rng.uniform(0.01, 0.9, size=w.size)
+        batched = _bootstrap_contrasts(
+            y, weights, np.flatnonzero(w == 1), np.flatnonzero(w == 0), reps, seed,
+            batch_rows=replicates_per_batch * w.size,
+        )
+        reference = per_replicate_contrasts(y, w, weights, reps, seed)
+        assert batched.tolist() == reference.tolist()
 
 
 class TestSubclassification:
