@@ -23,14 +23,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from . import stratify
 from .errors import (
     ConfigError,
     MissingPopulationOutcome,
     NegativeLambda,
     NonBinaryOutcome,
 )
-from .frame import DesignProbs, EmpiricalRates, OutcomeSupport, StudyFrame, design_probs, empirical_rates
+from .frame import DesignProbs, EmpiricalRates, OutcomeSupport, StudyFrame
+from .frame import design_probs, empirical_rates  # noqa: F401 (perfbench/tracing.py wraps them)
 
 FRAMEWORKS = ("full", "reduced")
 ASSUMPTIONS = ("worst_case", "bsv", "mtr")
@@ -226,15 +226,7 @@ def bsv_bounds(
     )
 
 
-def _binary_rates(rates_or_frame) -> EmpiricalRates:
-    if isinstance(rates_or_frame, StudyFrame):
-        if not rates_or_frame.is_binary:
-            raise NonBinaryOutcome()
-        return empirical_rates(rates_or_frame)
-    return rates_or_frame
-
-
-def mtr_bounds(rates_or_frame, probs: DesignProbs,
+def mtr_bounds(rates: EmpiricalRates, probs: DesignProbs,
                scope: str = "sample") -> tuple[PateInterval, PateInterval]:
     """Bounds assuming outcomes never decrease under treatment (binary only).
 
@@ -247,7 +239,6 @@ def mtr_bounds(rates_or_frame, probs: DesignProbs,
     """
     if scope not in MTR_SCOPES:
         raise ConfigError(f"scope must be one of {MTR_SCOPES}, got {scope!r}")
-    rates = _binary_rates(rates_or_frame)
     if rates.pass1_w1z1 is None or rates.fail0_w0z1 is None:
         raise NonBinaryOutcome("monotone-response bounds need binary pass/fail rates")
     support = OutcomeSupport(0, 1)  # integer endpoints stay exact under Fraction inputs
@@ -363,40 +354,39 @@ def stratified_bounds(
 ) -> StratifiedBounds:
     """Evaluate every bound spec inside each propensity stratum.
 
-    The frame is sliced once.  Selection and assignment probabilities are
-    recomputed within each stratum; the assumed P(W=0|Z=0) is inherited
-    globally.  Strata without a sampled treated or control unit are skipped
-    and flagged.  A spec that needs business-as-usual outcomes the stratum
-    lacks is dropped from that stratum; a stratum where every spec is dropped
-    is skipped.  The optional pooled intervals are the population-share
-    weighted sums of the per-stratum endpoints, one set per spec that every
-    stratum evaluated; they are an extension beyond the per-stratum reporting
-    and stay off by default.
+    Each stratum's rates and probabilities come from its tallies
+    (``assignment.tallies``); the assumed P(W=0|Z=0) is inherited globally.
+    Strata without a sampled treated or control unit are skipped and flagged.
+    A spec that needs business-as-usual outcomes the stratum lacks is dropped
+    from that stratum; a stratum where every spec is dropped is skipped.  The
+    optional pooled intervals are the population-share weighted sums of the
+    per-stratum endpoints, one set per spec that every stratum evaluated; they
+    are an extension beyond the per-stratum reporting and stay off by default.
     """
+    t = assignment.tallies
     per_stratum = []
     per_spec = [[] for _ in specs]  # (population share, intervals) per stratum
-    for piece in stratify.stratum_frames(frame, assignment):
-        sub = piece.frame
+    for g in range(assignment.k):
         counts = dict(
-            index=piece.index,
-            n_population=sub.n_units,
-            n_sample_treated=piece.n_sample_treated,
-            n_sample_control=piece.n_sample_control,
+            index=g + 1,
+            n_population=t.units[g],
+            n_sample_treated=t.treated[g],
+            n_sample_control=t.control[g],
         )
-        if not piece.viable:
-            reason = ("no sampled treated unit" if piece.n_sample_treated == 0
+        if not t.viable(g):
+            reason = ("no sampled treated unit" if t.treated[g] == 0
                       else "no sampled control unit")
             per_stratum.append(StratumBounds(viable=False, skip_reason=reason, **counts))
             continue
-        s_rates = empirical_rates(sub)
-        s_probs = design_probs(sub, p_w0_given_z0)
+        s_rates = t.empirical_rates(g)
+        s_probs = t.design_probs(g, p_w0_given_z0)
         results = []
         for i, spec in enumerate(specs):
             try:
-                intervals = compute_bounds(spec, s_rates, s_probs, sub.support)
+                intervals = compute_bounds(spec, s_rates, s_probs, frame.support)
             except MissingPopulationOutcome:
                 continue
-            per_spec[i].append((sub.n_units / frame.n_units, intervals))
+            per_spec[i].append((t.units[g] / frame.n_units, intervals))
             results.extend(intervals)
         if results:
             per_stratum.append(StratumBounds(viable=True, results=tuple(results), **counts))

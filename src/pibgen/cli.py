@@ -36,6 +36,7 @@ from .frame import (
     empirical_rates,
     load_frame,
     load_two_frames,
+    tallies,
 )
 from .lambda_select import lambda_report, parse_lambda_expr, resolve_lambda
 from .points import BootstrapOptions, ipw_estimate, merge_nonviable, naive_sate, subclass_estimate
@@ -175,46 +176,54 @@ def _merge_config(args) -> dict:
     return options
 
 
-def _parse_support(text) -> OutcomeSupport:
-    if isinstance(text, (list, tuple)):
-        lo, hi = text
-        return OutcomeSupport(float(lo), float(hi))
+def _parse_support(value) -> OutcomeSupport:
+    parts = value if isinstance(value, (list, tuple)) else str(value).split(",")
     try:
-        lo, hi = (float(part) for part in str(text).split(","))
-    except ValueError:
-        raise ConfigError(f"--support expects 'lo,hi', got {text!r}")
+        lo, hi = (float(part) for part in parts)
+    except (TypeError, ValueError):
+        raise ConfigError(f"--support expects 'lo,hi', got {value!r}")
     return OutcomeSupport(lo, hi)
+
+
+def _column_names(options, key) -> tuple[str, ...] | None:
+    value = options[key]
+    if value is None:
+        return None
+    if isinstance(value, str):
+        return tuple(c for c in value.split(",") if c)
+    if isinstance(value, (list, tuple)) and all(isinstance(c, str) for c in value):
+        return tuple(value)
+    raise ConfigError(f"--{key} expects comma-separated column names, got {value!r}")
+
+
+def _categorical(items) -> tuple:
+    if not isinstance(items, (list, tuple)):
+        raise ConfigError(f"--categorical expects a list of COL=REF items, got {items!r}")
+    pairs = []
+    for item in items:
+        if isinstance(item, (list, tuple)) and len(item) == 2:
+            pairs.append(tuple(item))
+        elif isinstance(item, str) and "=" in item:
+            pairs.append(tuple(item.split("=", 1)))
+        else:
+            raise ConfigError(f"--categorical expects COL=REF, got {item!r}")
+    return tuple(pairs)
 
 
 def _load(options) -> tuple:
     support = _parse_support(options["support"])
-    covs = options["covariates"]
-    if isinstance(covs, str):
-        covs = tuple(c for c in covs.split(",") if c)
-    elif covs is not None:
-        covs = tuple(covs)
-    exclude = options["exclude"]
-    if isinstance(exclude, str):
-        exclude = tuple(c for c in exclude.split(",") if c)
-    elif exclude is not None:
-        exclude = tuple(exclude)
-    categorical = []
-    for item in options["categorical"]:
-        if isinstance(item, (list, tuple)):
-            col, ref = item
-        elif "=" in str(item):
-            col, ref = str(item).split("=", 1)
-        else:
-            raise ConfigError(f"--categorical expects COL=REF, got {item!r}")
-        categorical.append((col, ref))
+    for key in ("id_col", "sample_col", "treatment_col", "outcome_col"):
+        if not isinstance(options[key], str):
+            raise ConfigError(f"--{key.replace('_', '-')} expects a column name, "
+                              f"got {options[key]!r}")
     columns = ColumnMap(
         id=options["id_col"],
         in_sample=options["sample_col"],
         treatment=options["treatment_col"],
         outcome=options["outcome_col"],
-        covariates=covs,
-        exclude=exclude or (),
-        categorical=tuple(categorical),
+        covariates=_column_names(options, "covariates"),
+        exclude=_column_names(options, "exclude") or (),
+        categorical=_categorical(options["categorical"]),
     )
     if options["data"]:
         frame = load_frame(options["data"], support, columns)
@@ -396,13 +405,13 @@ class _Pipeline:
         }
 
     def _frame(self):
-        frame = self.frame
+        t, support = tallies(self.frame), self.frame.support
         return {
-            "n_units": frame.n_units,
-            "n_sample": frame.n_sample,
-            "n_sample_treated": len(frame.sample_outcomes(1)),
-            "n_sample_control": len(frame.sample_outcomes(0)),
-            "support": [frame.support.y_lo, frame.support.y_hi],
+            "n_units": t.units[0],
+            "n_sample": t.treated[0] + t.control[0],
+            "n_sample_treated": t.treated[0],
+            "n_sample_control": t.control[0],
+            "support": [support.y_lo, support.y_hi],
         }
 
     def _stratum_intervals(self):
@@ -539,6 +548,8 @@ def cmd_verify(options, stream) -> int:
 def _run(args) -> int:
     options = _merge_config(args)
     out_path = options["out"]
+    if out_path is not None and not isinstance(out_path, str):
+        raise ConfigError(f"--out expects a file path, got {out_path!r}")
 
     def write(text: str) -> None:
         if out_path:

@@ -162,11 +162,3 @@ class TooLarge(DataError):
     def __init__(self, detail):
         super().__init__(f"frame too large for exhaustive enumeration: {detail}")
 
-
-class ObservedViolation(DataError):
-    def __init__(self, unit_id, y0, y1):
-        super().__init__(
-            f"unit {unit_id!r} has observed pair y1={y1} < y0={y0}, contradicting "
-            "monotone response"
-        )
-        self.unit_id = unit_id

@@ -1,5 +1,6 @@
 """Data model for combined sample + population frames, CSV ingestion, and the
-empirical quantities (design probabilities, arm means) every estimator consumes.
+per-group tallies (counts and sums) that every design probability, arm mean
+and plug-in variance an estimator consumes is computed from.
 
 A frame holds every unit in the inference population.  Sampled units (z=1)
 carry a treatment indicator and a realized outcome; non-sampled units (z=0)
@@ -177,11 +178,13 @@ class StudyFrame:
     def z0_units(self) -> list[UnitRecord]:
         return [u for u in self.units if u.z == 0]
 
-    @cached_property
+    @property
     def is_binary(self) -> bool:
-        if not self.support.is_binary:
-            return False
-        return bool(np.all((self.y == 0) | (self.y == 1) | np.isnan(self.y)))
+        return tallies(self).is_binary(0)
+
+    @cached_property
+    def _totals(self) -> Tallies:
+        return _tally(self, np.ones(self.n_units, dtype=np.intp), 1)
 
     def covariate_index(self, name: str) -> int:
         try:
@@ -301,44 +304,59 @@ def convert(record):
     return type(record)(*(None if v is None else float(v) for v in values))
 
 
-def design_probs(frame: StudyFrame, assumed_p_w0_given_z0, number=float) -> DesignProbs:
-    """Empirical P(Z=1) and P(W=1|Z=1) as ``number`` (``float``, or ``Fraction``
-    for exact values); the z=0 assignment split is assumed."""
-    n = frame.n_sample
-    if n == 0:
-        raise EmptySample()
-    n1 = int(np.count_nonzero(frame.treated))
-    return DesignProbs(
-        p_z1=number(n) / frame.n_units,
-        p_w1_given_z1=number(n1) / n,
-        p_w0_given_z0=number(assumed_p_w0_given_z0),
-    )
+@dataclass(frozen=True, eq=False)
+class Tallies:
+    """Sufficient statistics of groups of rows, one entry per group.
 
-
-def _mean(values: np.ndarray, number):
-    # Python's sum adds left to right in row order; ndarray.sum() is pairwise
-    # and would move the last bits of a continuous mean
-    return number(sum(values.tolist())) / len(values)
-
-
-def empirical_rates(frame: StudyFrame, number=float) -> EmpiricalRates:
-    """Arm means over sampled units, plus the z=0 business-as-usual mean when
-    present, as ``number`` (``float``, or ``Fraction`` for exact values).
-
-    The z=0 mean averages exactly the non-sampled units that carry outcomes;
-    sampled units are never included.
+    Every design probability, arm mean and plug-in variance an estimator
+    reads is a closed form in these counts and sums.  Sums add in row order
+    within a group, so a group's tallies equal those of a frame holding only
+    its rows.
     """
-    treated = frame.y[frame.treated]
-    control = frame.y[frame.control]
-    if not len(treated):
-        raise EmptyArm("treated")
-    if not len(control):
-        raise EmptyArm("control")
-    e1 = _mean(treated, number)
-    e0 = _mean(control, number)
-    z0 = frame.y[frame.z0_bearing]
-    q0 = _mean(z0, number) if len(z0) else None
-    if frame.is_binary:
+
+    units: tuple[int, ...]
+    treated: tuple[int, ...]  # sampled treated rows
+    control: tuple[int, ...]  # sampled control rows
+    y_treated: tuple[float, ...]  # outcome sum of the sampled treated rows
+    y_control: tuple[float, ...]
+    z0_bearing: tuple[int, ...]  # non-sampled rows that carry an outcome
+    y_z0: tuple[float, ...]
+    nonbinary: tuple[int, ...]  # outcomes other than 0 and 1
+    ss_treated: tuple[float, ...]  # centred sum of squares of the treated outcomes
+    ss_control: tuple[float, ...]
+    binary_support: bool
+
+    def viable(self, g: int) -> bool:
+        """Whether group ``g`` has a sampled unit in each arm."""
+        return self.treated[g] >= 1 and self.control[g] >= 1
+
+    def is_binary(self, g: int) -> bool:
+        return self.binary_support and not self.nonbinary[g]
+
+    def design_probs(self, g: int, assumed_p_w0_given_z0, number=float) -> DesignProbs:
+        """Empirical P(Z=1) and P(W=1|Z=1) of group ``g`` as ``number``; the z=0
+        assignment split is assumed."""
+        n = self.treated[g] + self.control[g]
+        if n == 0:
+            raise EmptySample()
+        return DesignProbs(
+            p_z1=number(n) / self.units[g],
+            p_w1_given_z1=number(self.treated[g]) / n,
+            p_w0_given_z0=number(assumed_p_w0_given_z0),
+        )
+
+    def empirical_rates(self, g: int, number=float) -> EmpiricalRates:
+        """Arm means of group ``g``, plus its z=0 business-as-usual mean when
+        present, as ``number``."""
+        if not self.treated[g]:
+            raise EmptyArm("treated")
+        if not self.control[g]:
+            raise EmptyArm("control")
+        e1 = number(self.y_treated[g]) / self.treated[g]
+        e0 = number(self.y_control[g]) / self.control[g]
+        q0 = number(self.y_z0[g]) / self.z0_bearing[g] if self.z0_bearing[g] else None
+        if not self.is_binary(g):
+            return EmpiricalRates(e_y1_w1z1=e1, e_y0_w0z1=e0, e_y0_w0z0=q0)
         return EmpiricalRates(
             e_y1_w1z1=e1,
             e_y0_w0z1=e0,
@@ -347,7 +365,66 @@ def empirical_rates(frame: StudyFrame, number=float) -> EmpiricalRates:
             fail0_w0z1=1 - e0,
             fail0_w0z0=None if q0 is None else 1 - q0,
         )
-    return EmpiricalRates(e_y1_w1z1=e1, e_y0_w0z1=e0, e_y0_w0z0=q0)
+
+
+def tallies(frame: StudyFrame, labels=None, k: int = 1) -> Tallies:
+    """Tallies of each group 1..k, given the 1-based group label of every row;
+    without labels, of the whole frame as one group (cached on the frame)."""
+    if labels is None:
+        return frame._totals
+    return _tally(frame, np.asarray(labels), k)
+
+
+def _tally(frame: StudyFrame, labels, k: int) -> Tallies:
+    y, bins = frame.y, k + 1  # bin 0 holds no label
+
+    def count(mask):
+        return np.bincount(labels[mask], minlength=bins)[1:]
+
+    def total(mask):
+        return np.bincount(labels[mask], weights=y[mask], minlength=bins)[1:]
+
+    def centred_squares(mask, sums, counts):
+        groups = labels[mask]
+        deviations = y[mask] - (sums / np.maximum(counts, 1))[groups - 1]
+        # C pow, as Python's ** squares a float in points.plugin_variance;
+        # deviations * deviations rounds differently for about 1 value in 1,000
+        squares = np.float_power(deviations, 2)
+        return np.bincount(groups, weights=squares, minlength=bins)[1:]
+
+    treated, control, z0 = frame.treated, frame.control, frame.z0_bearing
+    n_treated, n_control = count(treated), count(control)
+    y_treated, y_control = total(treated), total(control)
+    return Tallies(
+        units=tuple(np.bincount(labels, minlength=bins)[1:].tolist()),
+        treated=tuple(n_treated.tolist()),
+        control=tuple(n_control.tolist()),
+        y_treated=tuple(y_treated.tolist()),
+        y_control=tuple(y_control.tolist()),
+        z0_bearing=tuple(count(z0).tolist()),
+        y_z0=tuple(total(z0).tolist()),
+        nonbinary=tuple(count(~np.isnan(y) & (y != 0) & (y != 1)).tolist()),
+        ss_treated=tuple(centred_squares(treated, y_treated, n_treated).tolist()),
+        ss_control=tuple(centred_squares(control, y_control, n_control).tolist()),
+        binary_support=frame.support.is_binary,
+    )
+
+
+def design_probs(frame: StudyFrame, assumed_p_w0_given_z0, number=float) -> DesignProbs:
+    """Empirical P(Z=1) and P(W=1|Z=1) as ``number`` (``float``, or ``Fraction``
+    for exact values); the z=0 assignment split is assumed."""
+    return tallies(frame).design_probs(0, assumed_p_w0_given_z0, number)
+
+
+def empirical_rates(frame: StudyFrame, number=float) -> EmpiricalRates:
+    """Arm means over sampled units, plus the z=0 business-as-usual mean when
+    present, as ``number`` (``float``, or ``Fraction`` for exact values).
+
+    The z=0 mean averages exactly the non-sampled units that carry outcomes;
+    sampled units are never included.  The binary pass/fail rates are set only
+    when every outcome is 0 or 1 on a binary support.
+    """
+    return tallies(frame).empirical_rates(0, number)
 
 
 # --- CSV ingestion ------------------------------------------------------------

@@ -24,7 +24,6 @@ from .errors import (
     MissingPopulationOutcome,
     NegativeLambda,
     NonBinaryOutcome,
-    ObservedViolation,
     TooLarge,
 )
 from .frame import (
@@ -91,54 +90,6 @@ class Enumeration:
     n_completions: int
 
 
-@dataclass(frozen=True)
-class CompletionTable:
-    """One fully resolved assignment of both potential outcomes to every unit."""
-
-    pairs: dict  # unit id -> (y0, y1)
-    taus: dict  # unit id -> y1 - y0
-    implied_pate: Fraction
-
-
-def resolve_completion(
-    frame: StudyFrame,
-    pairs: dict,
-    *,
-    require_monotone: bool = False,
-    use_z0_outcomes: bool = True,
-) -> CompletionTable:
-    """Validate a hypothesized completion against the observations and score it.
-
-    Every unit needs a (y0, y1) pair; sampled units' realized arms must match,
-    and (unless ``use_z0_outcomes`` is off) a z=0 unit's business-as-usual
-    outcome pins its y0.  With ``require_monotone`` a pair with y1 < y0 raises
-    ObservedViolation.
-    """
-    taus = {}
-    total = Fraction(0)
-    for u in frame.units:
-        if u.id not in pairs:
-            raise DataError(f"completion is missing unit {u.id!r}")
-        y0, y1 = pairs[u.id]
-        if require_monotone and y1 < y0:
-            raise ObservedViolation(u.id, y0, y1)
-        if u.z == 1 and u.w == 1 and y1 != u.y:
-            raise DataError(f"completion contradicts unit {u.id!r}: observed y(1)={u.y}")
-        if u.z == 1 and u.w == 0 and y0 != u.y:
-            raise DataError(f"completion contradicts unit {u.id!r}: observed y(0)={u.y}")
-        if use_z0_outcomes and u.z == 0 and u.y is not None and y0 != u.y:
-            raise DataError(
-                f"completion contradicts unit {u.id!r}: business-as-usual y(0)={u.y}"
-            )
-        taus[u.id] = y1 - y0
-        total += Fraction(y1 - y0)
-    return CompletionTable(
-        pairs=dict(pairs),
-        taus=taus,
-        implied_pate=total / frame.n_units,
-    )
-
-
 def _fixed_sample_part(frame: StudyFrame) -> Fraction:
     rates = exact_rates(frame)
     return frame.n_sample * (rates.e_y1_w1z1 - rates.e_y0_w0z1)
@@ -178,7 +129,6 @@ def _mtr_pair_choices(y0_options, y1_options):
 def enumerate_mtr(
     frame: StudyFrame,
     scope: str = "sample",
-    known_pairs: dict | None = None,
     pin_free_to_zero: bool = False,
 ) -> Enumeration:
     """Exact PATE range over monotone completions (treated outcome never below
@@ -189,29 +139,13 @@ def enumerate_mtr(
     its control potential outcome; a treated-labeled unit is fully free.  With
     ``pin_free_to_zero`` the fully free units are held at zero effect, which
     realizes the reporting convention behind the min variant of the closed
-    form.  ``known_pairs`` pins complete (y0, y1) pairs by unit id; a pinned
-    pair with y1 < y0 is an observable contradiction of monotonicity.
+    form.
     """
     _require_small_binary(frame)
     if scope not in ("sample", "population"):
         raise ConfigError(f"scope must be 'sample' or 'population', got {scope!r}")
-    known_pairs = known_pairs or {}
     choice_lists = []
     for u in frame.units:
-        if u.id in known_pairs:
-            y0, y1 = known_pairs[u.id]
-            if y1 < y0:
-                raise ObservedViolation(u.id, y0, y1)
-            observed_y0 = u.y if (u.z == 1 and u.w == 0) else None
-            observed_y1 = u.y if (u.z == 1 and u.w == 1) else None
-            if u.z == 0 and scope == "population" and u.w == 0:
-                observed_y0 = u.y
-            if observed_y1 is not None and y1 != observed_y1:
-                raise ConfigError(f"pinned pair for {u.id!r} contradicts its observed outcome")
-            if observed_y0 is not None and y0 != observed_y0:
-                raise ConfigError(f"pinned pair for {u.id!r} contradicts its observed outcome")
-            choice_lists.append([y1 - y0])
-            continue
         if u.z == 1:
             if u.w == 1:
                 pairs = _mtr_pair_choices((0, 1), (int(u.y),))

@@ -17,9 +17,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EmptyArm, NonViableStratum, UnfittedModel, ZeroPropensity
-from .frame import StudyFrame
+from .frame import StudyFrame, Tallies, tallies
 from .propensity import PropensityModel, propensity_scores
-from .stratify import StratumAssignment, stratum_counts, stratum_frames, with_frame_counts
+from .stratify import StratumAssignment
+from .stratify import stratum_frames  # noqa: F401 (perfbench/tracing.py wraps it)
 
 
 @dataclass(frozen=True)
@@ -51,22 +52,23 @@ def plugin_variance(values) -> float:
     return sum((v - mean) ** 2 for v in values) / n
 
 
+def _arm_contrast(t: Tallies, g: int) -> tuple[float, float]:
+    """Group ``g``'s difference in sampled arm means and its plug-in
+    two-sample SE."""
+    rates = t.empirical_rates(g)
+    n1, n0 = t.treated[g], t.control[g]
+    return rates.sate, math.sqrt(t.ss_treated[g] / n1 / n1 + t.ss_control[g] / n0 / n0)
+
+
 def naive_sate(frame: StudyFrame) -> PointEstimate:
     """Difference in sampled arm means with a plug-in two-sample SE."""
-    treated = frame.y[frame.treated]
-    control = frame.y[frame.control]
-    if len(treated) == 0:
-        raise EmptyArm("treated")
-    if len(control) == 0:
-        raise EmptyArm("control")
-    estimate = float(treated.mean() - control.mean())
-    se = math.sqrt(plugin_variance(treated) / len(treated)
-                   + plugin_variance(control) / len(control))
+    t = tallies(frame)
+    estimate, se = _arm_contrast(t, 0)
     return PointEstimate(
         method="naive",
         estimate=estimate,
         se=se,
-        details={"n_treated": len(treated), "n_control": len(control)},
+        details={"n_treated": t.treated[0], "n_control": t.control[0]},
     )
 
 
@@ -158,22 +160,19 @@ def ipw_estimate(
 
 def subclass_estimate(frame: StudyFrame, assignment: StratumAssignment) -> PointEstimate:
     """Population-share weighted average of within-stratum naive contrasts."""
-    pieces = stratum_frames(frame, assignment)
-    bad = [p.index for p in pieces if not p.viable]
+    bad = [j for j in range(1, assignment.k + 1) if not assignment.viable(j)]
     if bad:
         raise NonViableStratum(bad)
-    total = frame.n_units
+    t = assignment.tallies
     estimate = 0.0
     var = 0.0
     per_stratum = []
-    for piece in pieces:
-        est = naive_sate(piece.frame)
-        share = piece.frame.n_units / total
-        estimate += share * est.estimate
-        var += share**2 * est.se**2
-        per_stratum.append(
-            {"stratum": piece.index, "share": share, "estimate": est.estimate, "se": est.se}
-        )
+    for g in range(assignment.k):
+        est, se = _arm_contrast(t, g)
+        share = t.units[g] / frame.n_units
+        estimate += share * est
+        var += share**2 * se**2
+        per_stratum.append({"stratum": g + 1, "share": share, "estimate": est, "se": se})
     return PointEstimate(
         method="subclassification",
         estimate=estimate,
@@ -198,15 +197,5 @@ def merge_nonviable(assignment: StratumAssignment, frame: StudyFrame) -> Stratum
         labels = np.searchsorted(present, merged) + 1
         k = len(present)
         kept = [b for i, b in enumerate(current.breakpoints, start=1) if i != min(j, target)]
-        current = with_frame_counts(
-            StratumAssignment(
-                k=k,
-                breakpoints=tuple(kept),
-                labels=labels,
-                counts_population=stratum_counts(labels, k),
-                counts_sample_treated=(0,) * k,
-                counts_sample_control=(0,) * k,
-            ),
-            frame,
-        )
+        current = StratumAssignment(k, tuple(kept), labels, tallies(frame, labels, k))
     return current

@@ -11,12 +11,12 @@ import csv
 import io
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, TooManyStrata
-from .frame import StudyFrame
+from .frame import StudyFrame, Tallies, tallies
 
 
 @dataclass(frozen=True, eq=False)
@@ -24,24 +24,30 @@ class StratumAssignment:
     k: int
     breakpoints: tuple[float, ...]
     labels: np.ndarray  # 1-based stratum index of each row, in row order
-    counts_population: tuple[int, ...]
-    counts_sample_treated: tuple[int, ...]
-    counts_sample_control: tuple[int, ...]
+    tallies: Tallies  # the frame's statistics per stratum, stratum j at j - 1
+
+    @property
+    def counts_population(self) -> tuple[int, ...]:
+        return self.tallies.units
+
+    @property
+    def counts_sample_treated(self) -> tuple[int, ...]:
+        return self.tallies.treated
+
+    @property
+    def counts_sample_control(self) -> tuple[int, ...]:
+        return self.tallies.control
 
     def viable(self, j: int) -> bool:
-        return self.counts_sample_treated[j - 1] >= 1 and self.counts_sample_control[j - 1] >= 1
+        return self.tallies.viable(j - 1)
 
 
-def stratum_counts(labels, k: int) -> tuple[int, ...]:
-    """Rows per stratum 1..k, from 1-based stratum labels."""
-    return tuple(np.bincount(labels, minlength=k + 1)[1:].tolist())
+def make_strata(logits, k: int) -> tuple[tuple[float, ...], np.ndarray]:
+    """Split rows into k logit strata: the breakpoints and the 1-based stratum
+    label of every row.
 
-
-def make_strata(logits, k: int) -> StratumAssignment:
-    """Assign every row to one of k logit strata.
-
-    ``logits`` holds one propensity logit per row.  Population stratum sizes
-    differ by at most one plus any ties sitting exactly on a breakpoint.
+    ``logits`` holds one propensity logit per row.  Stratum sizes differ by at
+    most one plus any ties sitting exactly on a breakpoint.
     """
     if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 1:
         raise ConfigError(f"stratum count must be an integer >= 1, got {k!r}")
@@ -54,23 +60,7 @@ def make_strata(logits, k: int) -> StratumAssignment:
     breakpoints = tuple(values[math.ceil(j * n / k) - 1].item() for j in range(1, k))
     # the first breakpoint at or above a logit names its stratum
     labels = np.searchsorted(np.array(breakpoints), logits, side="left") + 1
-    return StratumAssignment(
-        k=k,
-        breakpoints=breakpoints,
-        labels=labels,
-        counts_population=stratum_counts(labels, k),
-        counts_sample_treated=(0,) * k,  # filled by with_frame_counts
-        counts_sample_control=(0,) * k,
-    )
-
-
-def with_frame_counts(assignment: StratumAssignment, frame: StudyFrame) -> StratumAssignment:
-    """Recompute the per-stratum sample-arm counts from a frame."""
-    return replace(
-        assignment,
-        counts_sample_treated=stratum_counts(assignment.labels[frame.treated], assignment.k),
-        counts_sample_control=stratum_counts(assignment.labels[frame.control], assignment.k),
-    )
+    return breakpoints, labels
 
 
 def _check_covers(frame: StudyFrame, rows: int):
@@ -80,35 +70,30 @@ def _check_covers(frame: StudyFrame, rows: int):
 
 
 def strata_for_frame(frame: StudyFrame, logits, k: int) -> StratumAssignment:
+    """Assign every row of the frame to one of k logit strata and tally each."""
     _check_covers(frame, len(logits))
-    return with_frame_counts(make_strata(logits, k), frame)
+    breakpoints, labels = make_strata(logits, k)
+    return StratumAssignment(k, breakpoints, labels, tallies(frame, labels, k))
 
 
 @dataclass(frozen=True, eq=False)
 class StratumPiece:
     index: int
     frame: StudyFrame
-    n_sample_treated: int
-    n_sample_control: int
-
-    @property
-    def viable(self) -> bool:
-        return self.n_sample_treated >= 1 and self.n_sample_control >= 1
 
 
 def stratum_frames(frame: StudyFrame, assignment: StratumAssignment) -> list[StratumPiece]:
     """Slice the frame into per-stratum sub-frames (support and covariate names
-    inherited, rows in frame order), flagging strata that lack a sampled arm as
-    non-viable."""
+    inherited, rows in frame order).
+
+    No estimator calls this: they read ``assignment.tallies``.  The sub-frames
+    are the reference API: the tallies are tested against them, and the
+    enumeration oracles take a stratum's rows as one.
+    """
     _check_covers(frame, len(assignment.labels))
     labels = assignment.labels
-    treated = stratum_counts(labels[frame.treated], assignment.k)
-    control = stratum_counts(labels[frame.control], assignment.k)
-    return [
-        StratumPiece(index=j, frame=frame.take(np.flatnonzero(labels == j)),
-                     n_sample_treated=treated[j - 1], n_sample_control=control[j - 1])
-        for j in range(1, assignment.k + 1)
-    ]
+    return [StratumPiece(index=j, frame=frame.take(np.flatnonzero(labels == j)))
+            for j in range(1, assignment.k + 1)]
 
 
 def stratum_summary_rows(assignment: StratumAssignment) -> list[dict]:

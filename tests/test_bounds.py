@@ -224,17 +224,17 @@ class TestMtr:
             assert mtr_min.hi <= mtr_max.hi
             assert mtr_max.hi <= 1.0
 
-    def test_accepts_a_frame(self):
+    def test_rates_of_a_binary_frame(self):
         frame = make_frame([(1, 1, 1.0), (1, 0, 0.0), (0, None, None)])
         probs = design_probs(frame, 0.5)
-        _, mtr_max = mtr_bounds(frame, probs, "sample")
+        _, mtr_max = mtr_bounds(empirical_rates(frame), probs, "sample")
         assert mtr_max.hi > 0
 
     def test_rejects_continuous_outcomes(self):
         frame = make_frame([(1, 1, 2.0), (1, 0, 0.5)], support=CONTINUOUS)
         probs = design_probs(frame, 0.5)
         with pytest.raises(NonBinaryOutcome):
-            mtr_bounds(frame, probs, "sample")
+            mtr_bounds(empirical_rates(frame), probs, "sample")
 
     def test_population_scope_needs_fail_rate(self):
         with pytest.raises(MissingPopulationOutcome):

@@ -1,11 +1,16 @@
 """CLI subcommands, exit codes, and output determinism."""
 
+import importlib
+import importlib.util
 import json
+import pathlib
+import sys
 
 import pytest
 
 import pibgen.bounds
 import pibgen.cli
+import pibgen.frame
 import pibgen.points
 import pibgen.stratify
 from pibgen.cli import main
@@ -185,21 +190,27 @@ class TestAnalyze:
 
 
 class TestPipeline:
-    def test_analyze_slices_the_frame_twice_whatever_the_spec_count(self, capsys, monkeypatch):
-        calls = []
-        original = pibgen.stratify.stratum_frames
+    def test_analyze_builds_no_stratum_sub_frame(self, capsys, monkeypatch):
+        def not_called(*args, **kwargs):
+            raise AssertionError("a stratum sub-frame was built")
 
-        def counting(*args):
-            calls.append(args)
-            return original(*args)
+        monkeypatch.setattr(pibgen.stratify, "stratum_frames", not_called)
+        monkeypatch.setattr(pibgen.points, "stratum_frames", not_called)
+        monkeypatch.setattr(pibgen.frame.StudyFrame, "take", not_called)
+        for extra in ((), ("--merge-strata", "--pooled")):
+            code, out, err = run(capsys, "analyze", *GOLDEN_ARGS, *extra, "--format", "json")
+            assert (code, err) == (0, "")
+            assert json.loads(out)["stratum_intervals"]["k"] == 3
 
-        monkeypatch.setattr(pibgen.stratify, "stratum_frames", counting)
-        monkeypatch.setattr(pibgen.points, "stratum_frames", counting)
-        for extra in ((), ("--lambda", "0.1")):
-            calls.clear()
-            code, _, _ = run(capsys, "analyze", *GOLDEN_ARGS, *extra, "--format", "json")
-            assert code == 0
-            assert len(calls) <= 2
+    def test_benchmark_tracer_targets_resolve(self, monkeypatch):
+        # the tracer wraps these names from outside; a rename would break it silently
+        path = pathlib.Path(__file__).parents[1] / "perfbench" / "tracing.py"
+        spec = importlib.util.spec_from_file_location("tracing", path)
+        tracing = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, "tracing", tracing)  # its dataclasses look it up
+        spec.loader.exec_module(tracing)
+        for module, attr, _, _ in tracing.TARGETS:
+            assert callable(getattr(importlib.import_module(module), attr)), (module, attr)
 
     @pytest.mark.parametrize("command", ["bounds", "points"])
     def test_views_equal_the_matching_analyze_keys(self, capsys, command):
@@ -496,6 +507,28 @@ class TestExitContract:
         # a command that does not use the option still ignores it
         code, _, _ = run(capsys, *options, "propensity", "--data", small_csv, *argv)
         assert code == 0
+
+    @pytest.mark.parametrize("config, message", [
+        ({"support": [1]}, "--support expects 'lo,hi', got [1]"),
+        ({"support": ["a", "b"]}, "--support expects 'lo,hi', got ['a', 'b']"),
+        ({"covariates": 5}, "--covariates expects comma-separated column names, got 5"),
+        ({"exclude": 5}, "--exclude expects comma-separated column names, got 5"),
+        ({"out": 5}, "--out expects a file path, got 5"),
+        ({"out": 1}, "--out expects a file path, got 1"),
+        ({"categorical": "x1=0"}, "--categorical expects a list of COL=REF items, got 'x1=0'"),
+        ({"id_col": 5}, "--id-col expects a column name, got 5"),
+        ({"outcome_col": ["outcome"]}, "--outcome-col expects a column name, got ['outcome']"),
+    ], ids=["support-short", "support-text", "covariates", "exclude", "out-5", "out-1",
+            "categorical", "id-col", "outcome-col"])
+    def test_config_value_of_the_wrong_type_is_a_config_error(
+            self, capsys, small_csv, tmp_path, config, message):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        code, out, err = run(capsys, "--config", str(path), "analyze", "--data", small_csv,
+                             "--strata", "1")
+        assert code == 3
+        assert f"error: {message}" in err
+        assert out == ""
 
     @pytest.mark.parametrize("count", ["3", True, 0])
     def test_strata_command_rejects_a_stratum_count_that_is_not_a_positive_integer(

@@ -358,7 +358,14 @@ class TestColumns:
             load_two_frames("id,treatment,outcome\ns1,1,1\n", "id,id\np1,p1\n", BINARY)
 
     def test_continuous_rates_sum_left_to_right(self):
-        # the means keep the order of a plain Python sum, bit for bit
+        # the means add the outcomes in row order, one at a time, bit for bit
+        # (a plain loop: Python 3.12's sum is compensated and rounds otherwise)
+        def sum(values):
+            total = 0.0
+            for value in values:
+                total += value
+            return total
+
         rng = np.random.default_rng(2016)
         rows = ["id,in_sample,treatment,outcome"]
         for i in range(1000):

@@ -5,9 +5,10 @@ from fractions import Fraction
 import pytest
 
 from pibgen import bounds, oracle
-from pibgen.errors import ConfigError, DataError, ObservedViolation, TooLarge
+from pibgen.errors import DataError, TooLarge
 from pibgen.frame import BINARY, StudyFrame, UnitRecord
 from pibgen.oracle import EXACT_BINARY
+from pibgen.stratify import strata_for_frame, stratum_frames
 
 from conftest import binary_frame, make_frame, random_binary_frame
 
@@ -118,17 +119,6 @@ class TestMtrEnumeration:
                 _, closed_max = bounds.mtr_bounds(_pop_rates(frame, rates), probs, "population")
                 assert enum.hi == closed_max.pre_clamp_hi
 
-    def test_observed_violation_via_known_pairs(self):
-        frame = binary_frame(1, 1, 1, 0, n_z0_free=1)
-        with pytest.raises(ObservedViolation):
-            oracle.enumerate_mtr(frame, "sample", known_pairs={"u2": (1, 0)})
-
-    def test_known_pair_contradicting_observation(self):
-        frame = binary_frame(1, 1, 1, 0)
-        # u0 is the treated unit with observed y=1; pinning y1=0 contradicts it
-        with pytest.raises(ConfigError):
-            oracle.enumerate_mtr(frame, "sample", known_pairs={"u0": (0, 0)})
-
     def test_population_scope_needs_labels(self):
         frame = binary_frame(1, 1, 1, 0, n_z0_free=1)
         with pytest.raises(DataError):
@@ -186,42 +176,29 @@ class TestBsvEnumeration:
             assert closed.pre_clamp_lo <= enum.lo <= enum.hi <= closed.pre_clamp_hi
 
 
-class TestCompletionTable:
-    def test_valid_completion_scored_inside_bounds(self):
-        frame = binary_frame(1, 1, 1, 0, n_z0_free=2)
-        pairs = {"u0": (0, 1.0), "u1": (0.0, 1), "u2": (0, 0), "u3": (1, 1)}
-        table = oracle.resolve_completion(frame, pairs)
-        assert table.taus["u0"] == 1
-        assert table.implied_pate == Fraction(1, 2)
-        enum = oracle.enumerate_worst_case(frame, "full")
-        assert enum.lo <= table.implied_pate <= enum.hi
-
-    def test_contradiction_with_observed_arm(self):
-        frame = binary_frame(1, 1, 1, 0)
-        with pytest.raises(DataError):
-            oracle.resolve_completion(frame, {"u0": (0, 0), "u1": (0.0, 1)})
-
-    def test_business_as_usual_pins_y0(self):
-        frame = binary_frame(1, 1, 1, 0, z0_outcomes=(1,))
-        with pytest.raises(DataError):
-            oracle.resolve_completion(frame, {"u0": (0, 1.0), "u1": (0.0, 0), "u2": (0, 1)})
-        table = oracle.resolve_completion(frame, {"u0": (0, 1.0), "u1": (0.0, 0),
-                                                  "u2": (1.0, 1)})
-        assert table.taus["u2"] == 0
-
-    def test_monotone_check(self):
-        frame = binary_frame(1, 1, 1, 0, n_z0_free=1)
-        with pytest.raises(ObservedViolation):
-            oracle.resolve_completion(frame, {"u0": (0, 1.0), "u1": (0.0, 0), "u2": (1, 0)},
-                                      require_monotone=True)
-
-    def test_sharpness_witness_attains_enumerated_max(self):
-        # the all-gain monotone completion is a witness for the upper bound
-        frame = binary_frame(1, 1, 1, 0, n_z0_free=2)
-        witness = {"u0": (0, 1.0), "u1": (0.0, 1), "u2": (0, 1), "u3": (0, 1)}
-        table = oracle.resolve_completion(frame, witness, require_monotone=True)
-        enum = oracle.enumerate_mtr(frame, "sample")
-        assert table.implied_pate == enum.hi
+class TestPerStratum:
+    def test_stratified_intervals_equal_enumeration_on_each_stratum(self, rng):
+        specs = [bounds.BoundSpec("worst_case", "full"), bounds.BoundSpec("mtr", "full")]
+        checked = 0
+        for _ in range(150):
+            frame = random_binary_frame(rng, max_units=12, labeled=False)
+            logits = rng.normal(size=frame.n_units)
+            k = min(int(rng.integers(2, 4)), frame.n_units)
+            assignment = strata_for_frame(frame, logits, k)
+            result = bounds.stratified_bounds(frame, assignment, specs)
+            for piece, stratum in zip(stratum_frames(frame, assignment), result.strata):
+                if not stratum.viable:
+                    continue
+                worst, mtr_min, mtr_max = stratum.results
+                for interval, enum in (
+                    (worst, oracle.enumerate_worst_case(piece.frame, "full")),
+                    (mtr_min, oracle.enumerate_mtr(piece.frame, "sample", pin_free_to_zero=True)),
+                    (mtr_max, oracle.enumerate_mtr(piece.frame, "sample")),
+                ):
+                    assert abs(interval.pre_clamp_lo - float(enum.lo)) <= 1e-12
+                    assert abs(interval.pre_clamp_hi - float(enum.hi)) <= 1e-12
+                checked += 1
+        assert checked >= 100
 
 
 class TestSlotCap:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from pibgen.errors import NonViableStratum, UnfittedModel, ZeroPropensity
-from pibgen.frame import BINARY, StudyFrame, UnitRecord
+from pibgen.frame import BINARY, OutcomeSupport, StudyFrame, UnitRecord
 from pibgen.points import (
     BootstrapOptions,
     _bootstrap_contrasts,
@@ -14,6 +14,7 @@ from pibgen.points import (
     ipw_estimate,
     merge_nonviable,
     naive_sate,
+    plugin_variance,
     subclass_estimate,
 )
 from pibgen.propensity import PropensityModel
@@ -39,6 +40,14 @@ class TestNaive:
         est = naive_sate(frame)
         assert est.estimate == pytest.approx(0.75 - 0.5)
         assert est.se == pytest.approx(math.sqrt(0.1875 / 4 + 0.25 / 2))
+
+    def test_se_is_the_two_pass_plugin_variance_bit_for_bit(self):
+        # deviations whose squares under x ** 2 and x * x give SEs a bit apart
+        frame = make_frame([(1, 1, 61.7), (1, 1, 23.2), (1, 0, 99.4), (1, 0, 3.4)],
+                           support=OutcomeSupport(0.0, 100.0))
+        treated, control = frame.y[frame.treated], frame.y[frame.control]
+        assert naive_sate(frame).se == math.sqrt(plugin_variance(treated) / len(treated)
+                                                 + plugin_variance(control) / len(control))
 
     def test_report_formatting_three_decimals(self):
         from pibgen.report import render_markdown

@@ -1,6 +1,8 @@
 """Generated-input properties of the columnar frame: float statistics agree
-with their exact ``Fraction`` versions, and stratum slicing partitions the rows."""
+with their exact ``Fraction`` versions, stratum slicing partitions the rows,
+and per-stratum tallies give the statistics of each stratum's sub-frame."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pibgen.frame import BINARY, OutcomeSupport, StudyFrame, UnitRecord, design_probs, empirical_rates
+from pibgen.points import merge_nonviable, naive_sate, plugin_variance, subclass_estimate
 from pibgen.stratify import strata_for_frame, stratum_frames
 
 TOL = 1e-12
@@ -50,12 +53,15 @@ def test_float_statistics_agree_with_exact_fractions(frame, p_w0_given_z0):
         assert _close(getattr(probs_f, name), getattr(probs_x, name)), name
 
 
+def _strata(frame, k):
+    logits = frame.covariate_column("x1")
+    return strata_for_frame(frame, logits, min(k, len(np.unique(logits))))
+
+
 @settings(max_examples=150, deadline=None)
 @given(frames(), st.integers(1, 5))
 def test_stratum_frames_partition_the_rows_in_row_order(frame, k):
-    logits = frame.covariate_column("x1")
-    k = min(k, len(np.unique(logits)))
-    assignment = strata_for_frame(frame, logits, k)
+    assignment = _strata(frame, k)
     pieces = stratum_frames(frame, assignment)
     row_of = {uid: i for i, uid in enumerate(frame.ids.tolist())}
     rows = [[row_of[uid] for uid in piece.frame.ids.tolist()] for piece in pieces]
@@ -64,6 +70,53 @@ def test_stratum_frames_partition_the_rows_in_row_order(frame, k):
         assert piece_rows == sorted(piece_rows)
         assert (assignment.labels[piece_rows] == piece.index).all()
         assert piece.frame.units == tuple(frame.units[r] for r in piece_rows)
-        assert piece.n_sample_treated == int(np.count_nonzero(piece.frame.treated))
-        assert piece.n_sample_control == int(np.count_nonzero(piece.frame.control))
+        assert assignment.counts_sample_treated[piece.index - 1] == int(
+            np.count_nonzero(piece.frame.treated))
+        assert assignment.counts_sample_control[piece.index - 1] == int(
+            np.count_nonzero(piece.frame.control))
         assert piece.frame.n_units == assignment.counts_population[piece.index - 1]
+
+
+@settings(max_examples=150, deadline=None)
+@given(frames(), st.integers(1, 5), st.fractions(0, 1, max_denominator=20))
+def test_stratum_tallies_give_the_statistics_of_each_sub_frame(frame, k, p_w0_given_z0):
+    assignment = _strata(frame, k)
+    t = assignment.tallies
+    for piece in stratum_frames(frame, assignment):
+        g, sub = piece.index - 1, piece.frame
+        assert t.viable(g) == assignment.viable(piece.index)
+        for number, p in ((float, float(p_w0_given_z0)), (Fraction, p_w0_given_z0)):
+            if sub.n_sample:
+                assert t.design_probs(g, p, number) == design_probs(sub, p, number)
+            if t.viable(g):
+                assert t.empirical_rates(g, number) == empirical_rates(sub, number)
+        if t.viable(g):  # the means add each stratum's outcomes in row order
+            rates = t.empirical_rates(g)
+            assert rates.e_y1_w1z1 == _row_order_mean(sub.y[sub.treated])
+            assert rates.e_y0_w0z1 == _row_order_mean(sub.y[sub.control])
+            if sub.z0_bearing.any():
+                assert rates.e_y0_w0z0 == _row_order_mean(sub.y[sub.z0_bearing])
+
+
+def _row_order_mean(values) -> float:
+    total = 0.0
+    for value in values.tolist():
+        total += value
+    return total / len(values)
+
+
+@settings(max_examples=150, deadline=None)
+@given(frames(), st.integers(1, 5))
+def test_subclassification_strata_equal_naive_on_each_sub_frame(frame, k):
+    assignment = merge_nonviable(_strata(frame, k), frame)
+    per_stratum = subclass_estimate(frame, assignment).details["per_stratum"]
+    for piece, stratum in zip(stratum_frames(frame, assignment), per_stratum):
+        naive = naive_sate(piece.frame)
+        assert (stratum["estimate"], stratum["se"]) == (naive.estimate, naive.se)
+        # the plug-in SE is the per-unit two-pass variance, bit for bit
+        treated = piece.frame.y[piece.frame.treated]
+        control = piece.frame.y[piece.frame.control]
+        assert naive.se == math.sqrt(plugin_variance(treated) / len(treated)
+                                     + plugin_variance(control) / len(control))
+        if frame.is_binary:  # exact sums: the pairwise numpy means agree too
+            assert naive.estimate == float(treated.mean() - control.mean())

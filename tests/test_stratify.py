@@ -23,46 +23,46 @@ def logit_array(values):
 
 class TestMakeStrata:
     def test_single_stratum(self):
-        assignment = make_strata(logit_array([0.3, -0.5, 2.0]), 1)
-        assert set(assignment.labels.tolist()) == {1}
-        assert assignment.breakpoints == ()
+        breakpoints, labels = make_strata(logit_array([0.3, -0.5, 2.0]), 1)
+        assert set(labels.tolist()) == {1}
+        assert breakpoints == ()
 
     def test_hand_quantiles_one_to_nine(self):
-        assignment = make_strata(logit_array(range(1, 10)), 3)
-        groups = {j: [i + 1 for i, s in enumerate(assignment.labels) if s == j]
+        breakpoints, labels = make_strata(logit_array(range(1, 10)), 3)
+        groups = {j: [i + 1 for i, s in enumerate(labels) if s == j]
                   for j in (1, 2, 3)}
         assert groups[1] == [1, 2, 3]
         assert groups[2] == [4, 5, 6]
         assert groups[3] == [7, 8, 9]
-        assert assignment.breakpoints == (3.0, 6.0)
+        assert breakpoints == (3.0, 6.0)
 
     def test_tie_at_breakpoint_goes_low(self):
         # breakpoint at 2.0; the duplicate 2.0 stays in the lower stratum
-        assignment = make_strata(logit_array([1.0, 2.0, 2.0, 5.0]), 2)
-        strata = assignment.labels.tolist()
+        _, labels = make_strata(logit_array([1.0, 2.0, 2.0, 5.0]), 2)
+        strata = labels.tolist()
         assert strata == [1, 1, 1, 2]
 
     def test_monotone_in_logit(self, rng):
         values = rng.normal(size=40)
-        assignment = make_strata(logit_array(values), 5)
-        pairs = sorted(zip(values, assignment.labels.tolist()))
+        _, labels = make_strata(logit_array(values), 5)
+        pairs = sorted(zip(values, labels.tolist()))
         strata = [s for _, s in pairs]
         assert strata == sorted(strata)
 
     def test_balanced_sizes(self, rng):
         values = rng.normal(size=53)  # distinct with probability 1
-        assignment = make_strata(logit_array(values), 4)
-        sizes = assignment.counts_population
+        _, labels = make_strata(logit_array(values), 4)
+        sizes = np.bincount(labels)[1:]
         assert sum(sizes) == 53
         assert max(sizes) - min(sizes) <= 1
 
     def test_tied_values_skew_sizes_by_at_most_the_tie_count(self):
         # four copies of the breakpoint value pull them all into stratum 1
         values = [1.0, 2.0, 2.0, 2.0, 2.0, 3.0, 4.0, 5.0]
-        assignment = make_strata(logit_array(values), 2)
-        sizes = assignment.counts_population
+        breakpoints, labels = make_strata(logit_array(values), 2)
+        sizes = np.bincount(labels)[1:]
         assert sum(sizes) == 8
-        ties_at_breakpoint = values.count(assignment.breakpoints[0])
+        ties_at_breakpoint = values.count(breakpoints[0])
         assert max(sizes) - min(sizes) <= 1 + ties_at_breakpoint
 
     def test_too_many_strata(self):
@@ -98,10 +98,11 @@ class TestStratumFrames:
     def test_viability_flags(self):
         frame = self._frame()
         assignment = strata_for_frame(frame, frame.covariate_column("a"), 2)
-        pieces = stratum_frames(frame, assignment)
         # stratum 1 has one treated + one control; stratum 2 only a treated unit
-        assert pieces[0].viable
-        assert not pieces[1].viable
+        assert assignment.viable(1)
+        assert not assignment.viable(2)
+        assert assignment.counts_sample_treated == (1, 1)
+        assert assignment.counts_sample_control == (1, 0)
 
     def test_subframes_inherit_support_and_covariates(self):
         frame = self._frame()
