@@ -21,7 +21,6 @@ from .frame import (
     EmpiricalRates,
     OutcomeSupport,
     StudyFrame,
-    UnitRecord,
     design_probs,
     empirical_rates,
     load_frame,
@@ -69,7 +68,6 @@ __all__ = [
     "StratifiedBounds",
     "StratumAssignment",
     "StudyFrame",
-    "UnitRecord",
     "asmd",
     "bound_specs",
     "bsv_bounds",

@@ -174,7 +174,6 @@ def bsv_bounds(
     support: OutcomeSupport,
     *,
     intersect_support: bool = False,
-    rcode_reduced_mass: bool = False,
 ) -> PateInterval:
     """Bounds under bounded sample variation with tolerance ``lam``.
 
@@ -184,11 +183,6 @@ def bsv_bounds(
     interval the corner-enumeration oracle reproduces; the default leaves the
     raw arithmetic intact (so the 4*lam*P(Z=0) width identity holds pre-clamp)
     and only the final interval is clamped.
-
-    ``rcode_reduced_mass`` switches the reduced framework's residual-mass
-    factor from 1 - P(Z=1) - P(W=0,Z=0) to P(W=0|Z=0) * P(Z=0), a published
-    code variant kept for comparison; the default follows the formula as
-    stated.
     """
     _check_framework(framework)
     if lam < 0:
@@ -211,9 +205,8 @@ def bsv_bounds(
         if rates.e_y0_w0z0 is None:
             raise MissingPopulationOutcome()
         pinned = rates.e_y0_w0z0 * probs.p_w0_z0
-        mass = probs.p_w0_z0 if rcode_reduced_mass else probs.p_w1_z0
-        e0_lo = e0 * probs.p_z1 + pinned + shift(e0, -1) * mass
-        e0_hi = e0 * probs.p_z1 + pinned + shift(e0, +1) * mass
+        e0_lo = e0 * probs.p_z1 + pinned + shift(e0, -1) * probs.p_w1_z0
+        e0_hi = e0 * probs.p_z1 + pinned + shift(e0, +1) * probs.p_w1_z0
     return _clamp(
         e1_lo - e0_hi,
         e1_hi - e0_lo,

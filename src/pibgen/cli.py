@@ -3,7 +3,7 @@
 Pipeline: ingest -> propensity -> strata -> lambda -> bounds -> point
 estimates, emitted as JSON (full precision), CSV, or Markdown.  Subcommands
 expose the individual stages; ``verify`` runs the enumeration oracles against
-the closed-form engine on a small binary frame.
+the closed-form engine on a binary frame.
 
 Exit codes: 0 success, 1 verification mismatch, 2 data error, 3 config error,
 4 internal error (a fault in pibgen; the traceback goes to stderr).
@@ -20,14 +20,11 @@ from dataclasses import asdict, replace
 from fractions import Fraction
 from functools import cached_property
 
+import numpy as np
+
 from . import bounds as bounds_mod
 from . import oracle as oracle_mod
-from .errors import (
-    ConfigError,
-    DataError,
-    NonViableStratum,
-    PibgenError,
-)
+from .errors import ConfigError, NonViableStratum, PibgenError
 from .frame import (
     ColumnMap,
     OutcomeSupport,
@@ -51,6 +48,7 @@ from .propensity import (
 from .report import render_csv, render_markdown, to_json
 from .stratify import strata_for_frame, stratum_summary_csv, stratum_summary_rows
 
+FORMATS = ("json", "csv", "md")
 ASSUMPTION_ALIASES = {"worst": "worst_case", "worst_case": "worst_case", "bsv": "bsv", "mtr": "mtr"}
 
 
@@ -114,7 +112,7 @@ def build_parser() -> _Parser:
         p = sub.add_parser(name, help=help_text)
         _add_data_options(p)
         _add_analysis_options(p)
-        p.add_argument("--format", choices=["json", "csv", "md"], default=None)
+        p.add_argument("--format", choices=FORMATS, default=None)
         p.add_argument("--out", default=None, help="write output here instead of stdout")
     return parser
 
@@ -225,14 +223,20 @@ def _load(options) -> tuple:
         exclude=_column_names(options, "exclude") or (),
         categorical=_categorical(options["categorical"]),
     )
-    if options["data"]:
-        frame = load_frame(options["data"], support, columns)
-        source = os.path.basename(options["data"])
-    elif options["sample"] and options["population"]:
-        frame = load_two_frames(options["sample"], options["population"], support, columns)
-        source = f"{os.path.basename(options['sample'])}+{os.path.basename(options['population'])}"
-    else:
-        raise ConfigError("provide --data, or both --sample and --population")
+    for key in ("data", "sample", "population"):
+        if options[key] is not None and not isinstance(options[key], str):
+            raise ConfigError(f"--{key} expects a file path, got {options[key]!r}")
+    try:
+        if options["data"]:
+            frame = load_frame(options["data"], support, columns)
+            source = os.path.basename(options["data"])
+        elif options["sample"] and options["population"]:
+            frame = load_two_frames(options["sample"], options["population"], support, columns)
+            source = f"{os.path.basename(options['sample'])}+{os.path.basename(options['population'])}"
+        else:
+            raise ConfigError("provide --data, or both --sample and --population")
+    except OSError as exc:
+        raise ConfigError(f"cannot read data file {exc.filename!r}: {exc.strerror}")
     return frame, source
 
 
@@ -268,6 +272,10 @@ def _validate_request(options):
     seed = options["seed"]
     if not _is_int(seed) or seed < 0:
         raise ConfigError(f"--seed (or PIBGEN_SEED) must be a non-negative integer, got {seed!r}")
+    for key in ("pooled", "merge_strata"):
+        if not isinstance(options[key], bool):
+            raise ConfigError(f"--{key.replace('_', '-')} expects true or false, "
+                              f"got {options[key]!r}")
     pw0z0 = options["pw0z0"]
     if isinstance(pw0z0, bool) or not isinstance(pw0z0, (int, float)):
         raise ConfigError(f"--pw0z0 must be a real number, got {pw0z0!r}")
@@ -492,11 +500,12 @@ def _verify_checks(frame):
     min_x, max_x = bounds_mod.mtr_bounds(rates_x, probs_x, "sample")
     yield ("mtr sample max-variant", max_f, max_x, enum_max.lo, enum_max.hi)
     yield ("mtr sample min-variant", min_f, min_x, enum_min.lo, enum_min.hi)
-    z0 = frame.z0_units()
-    labeled = [u for u in z0 if u.w is not None]
-    w0_bearing = all(u.y is not None for u in z0 if u.w == 0)
-    if z0 and len(labeled) == len(z0) and w0_bearing and any(u.w == 0 for u in z0):
-        share_w0 = Fraction(sum(1 for u in z0 if u.w == 0), len(z0))
+    z0 = frame.z == 0
+    w0 = z0 & (frame.w == 0)
+    labeled = (frame.w[z0] >= 0).all()
+    w0_bearing = not np.isnan(frame.y[w0]).any()
+    if z0.any() and labeled and w0_bearing and w0.any():
+        share_w0 = Fraction(int(np.count_nonzero(w0)), int(np.count_nonzero(z0)))
         probs_xp = oracle_mod.exact_design_probs(frame, share_w0)
         rates_xp = _rates_over_w0_labeled(frame, rates_x)
         enum_max = oracle_mod.enumerate_mtr(frame, "population")
@@ -509,8 +518,8 @@ def _verify_checks(frame):
 
 def _rates_over_w0_labeled(frame, rates_x):
     """Exact rates whose z=0 control mean runs over control-labeled units only."""
-    w0 = [u.y for u in frame.z0_units() if u.w == 0]
-    q0 = Fraction(int(sum(w0)), len(w0))
+    w0 = frame.y[(frame.z == 0) & (frame.w == 0)]
+    q0 = Fraction(int(w0.sum()), len(w0))
     return replace(rates_x, e_y0_w0z0=q0, fail0_w0z0=1 - q0)
 
 
@@ -533,8 +542,10 @@ def cmd_verify(options, stream) -> int:
                   file=stream)
             print(f"  enumeration:       [{oracle_lo}, {oracle_hi}]", file=stream)
             print("  frame:", file=stream)
-            for u in frame.units:
-                print(f"    id={u.id} z={u.z} w={u.w} y={u.y}", file=stream)
+            for uid, z, w, y in zip(frame.ids.tolist(), frame.z.tolist(), frame.w.tolist(),
+                                    frame.y.tolist()):
+                print(f"    id={uid} z={z} w={None if w < 0 else w} y={None if y != y else y}",
+                      file=stream)
     if failures:
         print(f"{failures} mismatch(es)", file=stream)
         return 1
@@ -545,6 +556,13 @@ def cmd_verify(options, stream) -> int:
 # --- entry point ------------------------------------------------------------------
 
 
+def _open_out(path):
+    try:
+        return open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot write output file {path!r}: {exc.strerror}")
+
+
 def _run(args) -> int:
     options = _merge_config(args)
     out_path = options["out"]
@@ -553,18 +571,22 @@ def _run(args) -> int:
 
     def write(text: str) -> None:
         if out_path:
-            with open(out_path, "w", encoding="utf-8") as fh:
+            with _open_out(out_path) as fh:
                 fh.write(text)
         else:
             sys.stdout.write(text)
 
     if args.command == "verify":
         if out_path:
-            with open(out_path, "w", encoding="utf-8") as fh:
+            with _open_out(out_path) as fh:
                 return cmd_verify(options, fh)
         return cmd_verify(options, sys.stdout)
     if args.command in VIEWS:
         _validate_request(options)
+    if args.command != "propensity":
+        fmt = options["format"]
+        if not isinstance(fmt, str) or fmt not in FORMATS:
+            raise ConfigError(f"--format must be one of {', '.join(FORMATS)}, got {fmt!r}")
     stages = _Pipeline(options)
     if args.command == "propensity":
         write(model_to_json(stages.model) + "\n")
@@ -599,9 +621,6 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except PibgenError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -62,22 +62,6 @@ class OutcomeSupport:
 BINARY = OutcomeSupport(0.0, 1.0)
 
 
-@dataclass(frozen=True)
-class UnitRecord:
-    """One unit (school): selection indicator z, arm w, outcome y, covariates x.
-
-    ``x`` is aligned with the owning frame's ``covariate_names``.  For z=0
-    units, ``w`` is an optional hypothetical arm label consumed only by the
-    enumeration oracle, and ``y`` is an optional business-as-usual outcome.
-    """
-
-    id: str
-    z: int
-    w: int | None
-    y: float | None
-    x: tuple[float, ...] = ()
-
-
 class StudyFrame:
     """A validated frame held as columns, one row per unit.
 
@@ -112,22 +96,6 @@ class StudyFrame:
         self.support = support
         self.covariate_names = covariate_names
 
-    @classmethod
-    def from_units(cls, units, support: OutcomeSupport, covariate_names=()) -> StudyFrame:
-        """Frame of ``UnitRecord``s, in their order (``None`` marks a missing
-        arm or outcome)."""
-        units = tuple(units)
-        names = tuple(covariate_names)
-        ids = np.array([u.id for u in units], dtype=object)
-        z = np.array([u.z for u in units], dtype=np.int64)
-        w = np.array([-1 if u.w is None else u.w for u in units], dtype=np.int64)
-        y = np.array([math.nan if u.y is None else u.y for u in units], dtype=float)
-        short = np.array([len(u.x) != len(names) for u in units], dtype=bool)
-        if short.any():  # no X can hold these rows; name the first bad unit
-            _raise_first([*_invalid_units(ids, z, w, y, support), (short, lambda i: (
-                MissingCovariate(ids[i], "<covariate vector length mismatch>")))])
-        return cls(ids, z, w, y, [u.x for u in units], support, names)
-
     def take(self, rows) -> StudyFrame:
         """The frame of the given rows, in the given order.  Its rows passed the
         checks as part of this frame, so they are not checked again."""
@@ -135,17 +103,6 @@ class StudyFrame:
         sub._fill(self.ids[rows], self.z[rows], self.w[rows], self.y[rows],
                   np.asfortranarray(self.X[rows]), self.support, self.covariate_names)
         return sub
-
-    @cached_property
-    def units(self) -> tuple[UnitRecord, ...]:
-        """One ``UnitRecord`` per row, for small frames: the enumeration
-        oracles and the ``verify`` printout read it."""
-        return tuple(
-            UnitRecord(id=uid, z=z, w=None if w < 0 else w, y=None if y != y else y,
-                       x=tuple(x))
-            for uid, z, w, y, x in zip(self.ids.tolist(), self.z.tolist(), self.w.tolist(),
-                                       self.y.tolist(), self.X.tolist())
-        )
 
     # -- row masks and sizes ----------------------------------------------------
 
@@ -171,12 +128,6 @@ class StudyFrame:
     @property
     def n_sample(self) -> int:
         return int(np.count_nonzero(self.z))
-
-    def sample_outcomes(self, w: int) -> list[float]:
-        return self.y[self.treated if w == 1 else self.control].tolist()
-
-    def z0_units(self) -> list[UnitRecord]:
-        return [u for u in self.units if u.z == 0]
 
     @property
     def is_binary(self) -> bool:

@@ -70,8 +70,8 @@ def _outcome_sd_lambda(frame: StudyFrame, multiplier: float, arm_rule: str) -> f
     if arm_rule == "pooled":
         return multiplier * math.sqrt(plugin_variance(pooled))
     variances = []
-    for w in (0, 1):
-        arm = frame.sample_outcomes(w)
+    for mask in (frame.control, frame.treated):
+        arm = frame.y[mask].tolist()
         if arm:
             variances.append(plugin_variance(arm))
     return multiplier * math.sqrt(max(variances))

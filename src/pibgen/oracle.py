@@ -1,11 +1,18 @@
-"""Brute-force verifiers for the closed-form bounds on small binary frames.
+"""Exhaustive verifiers for the closed-form bounds on binary frames.
 
-Every unobserved potential outcome of a non-sampled unit is a free slot; a
-completion assigns each slot a value consistent with everything observed.  The
-verifiers materialize every completion, score the implied PATE of each, and
-return the exact min/max as rationals.  Randomization identifies both sampled
-arm means, so sampled units enter through those means and the free slots all
-belong to z=0 units.
+Every unobserved potential outcome is a free slot; a completion assigns each
+slot a value consistent with everything observed.  Randomization identifies
+both sampled arm means, so in the worst-case oracles sampled units enter
+through those means and the free slots all belong to z=0 units.
+
+A completion's PATE is a sum of one term per unit, y1 - y0, in {-1, 0, 1}.
+The verifiers build the exact set of reachable sums one unit at a time (a
+boolean shift-or over the 2n+1 possible sums of n units), so every
+completion's sum is in the set and every value in the set is reached by some
+completion, without listing the completions themselves.  The min and max of
+that set are returned as rationals.  The set's length bounds the frame size:
+a frame with more units than ``_MAX_SUMS`` allows raises ``TooLarge`` before
+any enumeration.
 
 All arithmetic is ``fractions.Fraction`` over integer counts, so equality
 against a closed form evaluated on rational inputs is exact.
@@ -13,6 +20,7 @@ against a closed form evaluated on rational inputs is exact.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -35,8 +43,8 @@ from .frame import (
     empirical_rates,
 )
 
-MAX_UNITS = 12
-MAX_FREE_SLOTS = 24
+# length of the reachable-sum array: 2n+1 sums for a frame of up to 10,000 units
+_MAX_SUMS = 20_001
 
 # integer endpoints keep Fraction arithmetic exact (float endpoints would not)
 EXACT_BINARY = OutcomeSupport(0, 1)
@@ -62,25 +70,14 @@ def bearing_share(frame: StudyFrame) -> Fraction:
     return Fraction(int(np.count_nonzero(frame.z0_bearing)), n_z0)
 
 
-def _require_small_binary(frame: StudyFrame):
+def _require_binary(frame: StudyFrame):
     if not frame.is_binary:
         raise NonBinaryOutcome("enumeration oracles require a binary frame")
-    if frame.n_units > MAX_UNITS:
-        raise TooLarge(f"{frame.n_units} units > {MAX_UNITS}")
-    if frame.n_sample == 0 or not frame.sample_outcomes(1) or not frame.sample_outcomes(0):
+    if 2 * frame.n_units + 1 > _MAX_SUMS:
+        raise TooLarge(f"{frame.n_units} units span {2 * frame.n_units + 1} "
+                       f"reachable sums > {_MAX_SUMS}")
+    if not (frame.treated.any() and frame.control.any()):
         raise DataError("enumeration needs at least one sampled unit in each arm")
-
-
-def _product_sums(choice_lists) -> np.ndarray:
-    """All completion sums: the outer sum over per-unit contribution choices."""
-    slots = sum(np.log2(len(c)) for c in choice_lists)
-    if slots > MAX_FREE_SLOTS:
-        raise TooLarge(f"{slots:.0f} free potential-outcome slots > {MAX_FREE_SLOTS}")
-    total = np.zeros(1, dtype=np.int16)
-    for choices in choice_lists:
-        arr = np.asarray(choices, dtype=np.int16)
-        total = (total[:, None] + arr[None, :]).ravel()
-    return total
 
 
 @dataclass(frozen=True)
@@ -88,6 +85,39 @@ class Enumeration:
     lo: Fraction
     hi: Fraction
     n_completions: int
+
+
+def _reachable_sums(y0, y1, monotone: bool = False) -> tuple[np.ndarray, int]:
+    """Every reachable sum of the per-unit effects y1 - y0, and the number of
+    completions.
+
+    ``y0`` and ``y1`` hold each unit's pinned potential outcome, NaN where it
+    is free in {0, 1}; ``monotone`` drops the pairs with y1 < y0.  The sums are
+    built one unit at a time over the offsets -n..n, merging equal partial
+    sums, so the work is O(n^2) however many completions there are.
+    """
+    def may_be(y, v):
+        return np.isnan(y) | (y == v)
+
+    pair = {(a, b): may_be(y0, a) & may_be(y1, b) for a in (0, 1) for b in (0, 1)}
+    if monotone:
+        pair[1, 0] = np.zeros_like(pair[1, 0])
+    counts = sum(mask.astype(np.int64) for mask in pair.values())
+    values, repeats = np.unique(counts, return_counts=True)
+    n_completions = math.prod(int(v) ** int(r) for v, r in zip(values, repeats))
+
+    n = len(y0)
+    reach = np.zeros(2 * n + 1, dtype=bool)
+    reach[n] = True  # offset n holds the sum 0
+    terms = zip(pair[1, 0].tolist(), (pair[0, 0] | pair[1, 1]).tolist(), pair[0, 1].tolist())
+    for minus, zero, plus in terms:
+        step = reach.copy() if zero else np.zeros_like(reach)
+        if minus:
+            step[:-1] |= reach[1:]
+        if plus:
+            step[1:] |= reach[:-1]
+        reach = step
+    return np.flatnonzero(reach) - n, n_completions
 
 
 def _fixed_sample_part(frame: StudyFrame) -> Fraction:
@@ -102,28 +132,20 @@ def enumerate_worst_case(frame: StudyFrame, framework: str = "full") -> Enumerat
     {0,1}.  Reduced framework: a z=0 unit carrying a business-as-usual outcome
     has its control potential outcome pinned to it.
     """
-    _require_small_binary(frame)
+    _require_binary(frame)
     if framework not in ("full", "reduced"):
         raise ConfigError(f"framework must be 'full' or 'reduced', got {framework!r}")
-    choice_lists = []
-    for u in frame.z0_units():
-        if framework == "reduced" and u.y is not None:
-            y0 = int(u.y)
-            choice_lists.append([y1 - y0 for y1 in (0, 1)])
-        else:
-            choice_lists.append([y1 - y0 for y0 in (0, 1) for y1 in (0, 1)])
-    sums = _product_sums(choice_lists)
+    z0 = frame.z == 0
+    free = np.full(int(np.count_nonzero(z0)), np.nan)
+    y0 = frame.y[z0] if framework == "reduced" else free
+    sums, n_completions = _reachable_sums(y0, free)
     fixed = _fixed_sample_part(frame)
     n_total = frame.n_units
     return Enumeration(
         lo=(fixed + int(sums.min())) / n_total,
         hi=(fixed + int(sums.max())) / n_total,
-        n_completions=int(sums.size),
+        n_completions=n_completions,
     )
-
-
-def _mtr_pair_choices(y0_options, y1_options):
-    return [(y0, y1) for y0 in y0_options for y1 in y1_options if y1 >= y0]
 
 
 def enumerate_mtr(
@@ -141,39 +163,32 @@ def enumerate_mtr(
     realizes the reporting convention behind the min variant of the closed
     form.
     """
-    _require_small_binary(frame)
+    _require_binary(frame)
     if scope not in ("sample", "population"):
         raise ConfigError(f"scope must be 'sample' or 'population', got {scope!r}")
-    choice_lists = []
-    for u in frame.units:
-        if u.z == 1:
-            if u.w == 1:
-                pairs = _mtr_pair_choices((0, 1), (int(u.y),))
-            else:
-                pairs = _mtr_pair_choices((int(u.y),), (0, 1))
-        elif scope == "sample":
-            pairs = [(0, 0)] if pin_free_to_zero else _mtr_pair_choices((0, 1), (0, 1))
-        else:
-            if u.w is None:
-                raise DataError(
-                    f"population-scope enumeration needs an arm label for z=0 unit {u.id!r}"
-                )
-            if u.w == 0:
-                if u.y is None:
-                    raise MissingPopulationOutcome(
-                        f"z=0 unit {u.id!r} labeled control"
-                    )
-                pairs = _mtr_pair_choices((int(u.y),), (0, 1))
-            else:
-                # treated-labeled, nothing observed about its counterfactuals
-                pairs = [(0, 0)] if pin_free_to_zero else _mtr_pair_choices((0, 1), (0, 1))
-        choice_lists.append([y1 - y0 for y0, y1 in pairs])
-    sums = _product_sums(choice_lists)
+    y, z, w = frame.y, frame.z, frame.w
+    y0 = np.where(frame.control, y, np.nan)
+    y1 = np.where(frame.treated, y, np.nan)
+    free = z == 0
+    if scope == "population":
+        unlabeled = np.flatnonzero(free & (w == -1))
+        if unlabeled.size:
+            raise DataError("population-scope enumeration needs an arm label for z=0 unit "
+                            f"{frame.ids[unlabeled[0]]!r}")
+        w0 = free & (w == 0)
+        missing = np.flatnonzero(w0 & np.isnan(y))
+        if missing.size:
+            raise MissingPopulationOutcome(f"z=0 unit {frame.ids[missing[0]]!r} labeled control")
+        y0 = np.where(w0, y, y0)
+        free &= w == 1  # treated-labeled, nothing observed about its counterfactuals
+    if pin_free_to_zero:
+        y0, y1 = np.where(free, 0.0, y0), np.where(free, 0.0, y1)
+    sums, n_completions = _reachable_sums(y0, y1, monotone=True)
     n_total = frame.n_units
     return Enumeration(
         lo=Fraction(int(sums.min()), n_total),
         hi=Fraction(int(sums.max()), n_total),
-        n_completions=int(sums.size),
+        n_completions=n_completions,
     )
 
 

@@ -1,16 +1,17 @@
 import numpy as np
 import pytest
 
-from pibgen.frame import BINARY, OutcomeSupport, StudyFrame, UnitRecord
+from pibgen.frame import BINARY, OutcomeSupport, StudyFrame
 
 
 def make_frame(spec, support=BINARY, covariates=(), x=None):
-    """Build a frame from (z, w, y) triples; ids are assigned positionally."""
-    units = []
-    for i, (z, w, y) in enumerate(spec):
-        xi = tuple(x[i]) if x is not None else ()
-        units.append(UnitRecord(id=f"u{i}", z=z, w=w, y=y, x=xi))
-    return StudyFrame.from_units(units, support, covariates)
+    """Build a frame from (z, w, y) triples, ``None`` marking a missing arm or
+    outcome; ids are assigned positionally."""
+    z = [z for z, _, _ in spec]
+    w = [-1 if w is None else w for _, w, _ in spec]
+    y = [np.nan if y is None else y for _, _, y in spec]
+    X = x if x is not None else ()
+    return StudyFrame([f"u{i}" for i in range(len(spec))], z, w, y, X, support, covariates)
 
 
 def binary_frame(n_treated, treated_passes, n_control, control_passes,

@@ -55,7 +55,6 @@ def test_criterion_1_oracle_equivalence(rng):
     while n_frames < 200:
         frame = random_binary_frame(rng, max_units=10, labeled=True)
         n_frames += 1
-        z0 = frame.z0_units()
         share = oracle.bearing_share(frame) if frame.z0_bearing.any() else Fraction(1, 2)
         rates_x = oracle.exact_rates(frame)
         probs_x = oracle.exact_design_probs(frame, share)
@@ -102,7 +101,7 @@ def test_criterion_1_oracle_equivalence(rng):
         n_checks += 1
         # the generator labels every z=0 unit and gives outcomes exactly to the
         # control-labeled ones, so the population scope is exact here too
-        if z0 and any(u.w == 0 for u in z0):
+        if ((frame.z == 0) & (frame.w == 0)).any():
             enum = oracle.enumerate_mtr(frame, "population")
             agree(bounds.mtr_bounds(rates_f, probs_f, "population")[1],
                   bounds.mtr_bounds(rates_x, probs_x, "population")[1],
@@ -271,14 +270,10 @@ def test_criterion_6_propensity_numerics():
     x1 = rng.normal(0.0, 1.0, n)
     p = 1 / (1 + np.exp(-(-3.0 + 1.2 * x1)))
     zz = (rng.random(n) < p).astype(int)
-    from pibgen.frame import StudyFrame, UnitRecord
+    from pibgen.frame import StudyFrame
 
-    units = tuple(
-        UnitRecord(id=str(i), z=int(zz[i]), w=int(i % 2) if zz[i] else None,
-                   y=1.0 if zz[i] else None, x=(float(x1[i]),))
-        for i in range(n)
-    )
-    synth = StudyFrame.from_units(units, BINARY, ("x1",))
+    synth = StudyFrame([str(i) for i in range(n)], zz, np.where(zz == 1, np.arange(n) % 2, -1),
+                       np.where(zz == 1, 1.0, np.nan), x1[:, None], BINARY, ("x1",))
     model = fit_propensity(synth, ["x1"])
     assert model.intercept == pytest.approx(-3.0, abs=0.05)
     assert model.coefficients["x1"] == pytest.approx(1.2, abs=0.05)

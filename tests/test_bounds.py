@@ -151,19 +151,6 @@ class TestBsv:
         assert sharp.pre_clamp_hi < raw.pre_clamp_hi
         assert sharp.hi <= 1.0 and not sharp.clamped_hi
 
-    def test_rcode_reduced_mass_variant(self):
-        rates = rates_from(0.6, 0.4, q0=0.5)
-        probs = DesignProbs(p_z1=0.2, p_w1_given_z1=0.5, p_w0_given_z0=0.25)
-        text = bsv_bounds(rates, probs, "reduced", 0.1, BINARY)
-        alt = bsv_bounds(rates, probs, "reduced", 0.1, BINARY, rcode_reduced_mass=True)
-        # residual masses differ: 1 - p_z1 - p  vs  p_w0|z0 * p_z0
-        assert text.pre_clamp_lo != alt.pre_clamp_lo
-        d, lam = rates.sate, 0.1
-        mass = probs.p_w0_given_z0 * probs.p_z0
-        expected_lo = (d * probs.p_z1 + (0.6 - lam) * probs.p_z0
-                       - 0.5 * probs.p_w0_z0 - (0.4 + lam) * mass)
-        assert alt.pre_clamp_lo == pytest.approx(expected_lo, abs=1e-12)
-
     def test_improvement_flag(self):
         rates = rates_from(0.6, 0.6 - 0.257)
         assert bsv_improves(rates, 0.3, BINARY) is True

@@ -8,9 +8,11 @@ import sys
 
 import pytest
 
+import pibgen
 import pibgen.bounds
 import pibgen.cli
 import pibgen.frame
+import pibgen.oracle
 import pibgen.points
 import pibgen.stratify
 from pibgen.cli import main
@@ -212,6 +214,10 @@ class TestPipeline:
         for module, attr, _, _ in tracing.TARGETS:
             assert callable(getattr(importlib.import_module(module), attr)), (module, attr)
 
+    def test_public_names_resolve(self):
+        for name in pibgen.__all__:
+            assert hasattr(pibgen, name), name
+
     @pytest.mark.parametrize("command", ["bounds", "points"])
     def test_views_equal_the_matching_analyze_keys(self, capsys, command):
         _, full, _ = run(capsys, "analyze", *GOLDEN_ARGS, "--format", "json")
@@ -386,10 +392,25 @@ class TestVerify:
         assert code == 0
         assert "all oracle checks passed" in out
 
-    def test_bundled_dataset_too_large(self, capsys):
-        code, _, err = run(capsys, "verify", "--data", synthetic_path())
+    def test_bundled_dataset_passes(self, capsys):
+        code, out, _ = run(capsys, "verify", "--data", synthetic_path())
+        assert code == 0
+        assert out.endswith("all oracle checks passed\n")
+        # the golden report's unclamped worst-case interval, checked exhaustively
+        assert "ok worst_case full: [-0.938012, 0.953145]\n" in out
+
+    def test_frame_past_the_reachable_sum_bound_exits_2(self, capsys, tmp_path, monkeypatch):
+        def not_reached(*args, **kwargs):
+            raise AssertionError("enumeration started")
+
+        monkeypatch.setattr(pibgen.oracle, "_reachable_sums", not_reached)
+        n = pibgen.oracle._MAX_SUMS // 2 + 1  # 2n+1 sums, one past the bound
+        path = tmp_path / "large.csv"
+        rows = ["a,1,1,1", "b,1,0,0"] + [f"u{i},0,," for i in range(n - 2)]
+        path.write_text("id,in_sample,treatment,outcome\n" + "\n".join(rows) + "\n")
+        code, out, err = run(capsys, "verify", "--data", str(path))
         assert code == 2
-        assert "enumeration" in err
+        assert f"frame too large for exhaustive enumeration: {n} units" in err
 
     def test_empty_frame_exits_2(self, capsys, tmp_path):
         path = tmp_path / "empty.csv"
@@ -518,8 +539,15 @@ class TestExitContract:
         ({"categorical": "x1=0"}, "--categorical expects a list of COL=REF items, got 'x1=0'"),
         ({"id_col": 5}, "--id-col expects a column name, got 5"),
         ({"outcome_col": ["outcome"]}, "--outcome-col expects a column name, got ['outcome']"),
+        ({"sample": 5}, "--sample expects a file path, got 5"),
+        ({"pooled": "false"}, "--pooled expects true or false, got 'false'"),
+        ({"merge_strata": "no"}, "--merge-strata expects true or false, got 'no'"),
+        ({"merge_strata": 1}, "--merge-strata expects true or false, got 1"),
+        ({"format": "xml"}, "--format must be one of json, csv, md, got 'xml'"),
+        ({"format": ["json"]}, "--format must be one of json, csv, md, got ['json']"),
     ], ids=["support-short", "support-text", "covariates", "exclude", "out-5", "out-1",
-            "categorical", "id-col", "outcome-col"])
+            "categorical", "id-col", "outcome-col", "sample", "pooled", "merge-strata", "merge-strata-1",
+            "format", "format-list"])
     def test_config_value_of_the_wrong_type_is_a_config_error(
             self, capsys, small_csv, tmp_path, config, message):
         path = tmp_path / "cfg.json"
@@ -540,21 +568,25 @@ class TestExitContract:
         assert f"stratum count must be an integer >= 1, got {count!r}" in err
         assert out == ""
 
-    def test_analyze_builds_no_unit_records(self, capsys, monkeypatch):
-        from pibgen.frame import UnitRecord
+    @pytest.mark.parametrize("command", ["analyze", "verify"])
+    @pytest.mark.parametrize("flag", ["--data", "--sample", "--population"])
+    def test_missing_input_file_is_a_config_error(self, capsys, small_csv, tmp_path,
+                                                  command, flag):
+        missing = str(tmp_path / "nonexistent.csv")
+        files = {"--data": ["--data", missing],
+                 "--sample": ["--sample", missing, "--population", small_csv],
+                 "--population": ["--sample", small_csv, "--population", missing]}
+        code, out, err = run(capsys, command, *files[flag], "--strata", "1")
+        assert code == 3
+        assert err == f"error: cannot read data file {missing!r}: No such file or directory\n"
+        assert out == ""
 
-        built = []
-        original = UnitRecord.__init__
-
-        def counting(self, *args, **kwargs):
-            built.append(args or kwargs)
-            original(self, *args, **kwargs)
-
-        monkeypatch.setattr(UnitRecord, "__init__", counting)
-        code, _, _ = run(capsys, "analyze", *GOLDEN_ARGS, "--format", "json")
-        assert code == 0
-        assert built == []
-        from conftest import make_frame  # the counter sees records that are built
-
-        assert len(make_frame([(1, 1, 1.0), (1, 0, 0.0)]).units) == 2
-        assert len(built) == 4  # two records in, two in the per-unit view
+    @pytest.mark.parametrize("command", ["analyze", "verify"])
+    def test_unwritable_output_file_is_a_config_error(self, capsys, small_csv, tmp_path,
+                                                      command):
+        target = str(tmp_path / "no_such_dir" / "report.md")
+        code, out, err = run(capsys, command, "--data", small_csv, "--strata", "1",
+                             "--out", target)
+        assert code == 3
+        assert err == f"error: cannot write output file {target!r}: No such file or directory\n"
+        assert out == ""

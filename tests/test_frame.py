@@ -21,7 +21,6 @@ from pibgen.frame import (
     ColumnMap,
     OutcomeSupport,
     StudyFrame,
-    UnitRecord,
     design_probs,
     empirical_rates,
     load_frame,
@@ -42,12 +41,12 @@ class TestLoadFrame:
         frame = load_frame(CSV3, BINARY)
         assert frame.n_units == 3
         assert frame.n_sample == 2
-        assert frame.units[0].w == 1 and frame.units[0].y == 1.0
-        assert frame.units[2].z == 0 and frame.units[2].y is None
+        assert frame.w[0] == 1 and frame.y[0] == 1.0
+        assert frame.z[2] == 0 and np.isnan(frame.y[2])
 
     def test_row_order_preserved(self):
         frame = load_frame(CSV3, BINARY)
-        assert [u.id for u in frame.units] == ["a", "b", "c"]
+        assert frame.ids.tolist() == ["a", "b", "c"]
 
     def test_outcome_out_of_support(self):
         bad = CSV3.replace("a,1,1,1", "a,1,1,1.5")
@@ -84,7 +83,7 @@ class TestLoadFrame:
         text = "id,in_sample,treatment,outcome,x1,x2\na,1,1,1,0.5,2\nb,1,0,0,1.5,3\n"
         frame = load_frame(text, BINARY)
         assert frame.covariate_names == ("x1", "x2")
-        assert frame.units[0].x == (0.5, 2.0)
+        assert frame.X[0].tolist() == [0.5, 2.0]
 
     def test_column_remapping(self):
         text = "school,selected,arm,passed\na,1,1,1\nb,1,0,0\n"
@@ -96,7 +95,7 @@ class TestLoadFrame:
     def test_auto_ids_without_id_column(self):
         text = "in_sample,treatment,outcome\n1,1,1\n1,0,0\n"
         frame = load_frame(text, BINARY)
-        assert [u.id for u in frame.units] == ["row1", "row2"]
+        assert frame.ids.tolist() == ["row1", "row2"]
 
     def test_duplicate_ids_rejected(self):
         text = "id,in_sample,treatment,outcome\na,1,1,1\na,1,0,0\n"
@@ -111,7 +110,7 @@ class TestLoadFrame:
     def test_leading_bom_is_stripped(self, as_bytes):
         text = "\ufeffid,in_sample,treatment,outcome\na,1,1,1\nb,1,0,0\nc,0,,\n"
         frame = load_frame(text.encode("utf-8") if as_bytes else text, BINARY)
-        assert [u.id for u in frame.units] == ["a", "b", "c"]
+        assert frame.ids.tolist() == ["a", "b", "c"]
         assert frame.covariate_names == ()
 
     def test_statewide_shaped_file(self, statewide_path):
@@ -127,8 +126,8 @@ class TestLoadFrame:
         frame = load_two_frames(sample, population, BINARY)
         assert frame.n_units == 4
         assert frame.n_sample == 2
-        assert [u.z for u in frame.units] == [1, 1, 0, 0]
-        assert frame.units[2].y == 1.0 and frame.units[3].y is None
+        assert frame.z.tolist() == [1, 1, 0, 0]
+        assert frame.y[2] == 1.0 and np.isnan(frame.y[3])
 
     def test_two_file_mode_covariates_must_match(self):
         sample = "id,treatment,outcome,x1\ns1,1,1,0.2\ns2,0,0,0.4\n"
@@ -147,9 +146,9 @@ class TestLoadFrame:
         columns = ColumnMap(categorical=(("region", "north"),))
         frame = load_frame(text, BINARY, columns)
         assert frame.covariate_names == ("region=south", "region=west", "size")
-        assert frame.units[0].x == (0.0, 0.0, 10.0)
-        assert frame.units[1].x == (1.0, 0.0, 20.0)
-        assert frame.units[2].x == (0.0, 1.0, 30.0)
+        assert frame.X[0].tolist() == [0.0, 0.0, 10.0]
+        assert frame.X[1].tolist() == [1.0, 0.0, 20.0]
+        assert frame.X[2].tolist() == [0.0, 1.0, 30.0]
 
     def test_categorical_levels_shared_across_two_files(self):
         sample = "id,treatment,outcome,region\ns1,1,1,north\ns2,0,0,south\n"
@@ -157,7 +156,7 @@ class TestLoadFrame:
         columns = ColumnMap(categorical=(("region", "north"),))
         frame = load_two_frames(sample, population, BINARY, columns)
         assert frame.covariate_names == ("region=south", "region=west")
-        assert frame.units[3].x == (0.0, 0.0)
+        assert frame.X[3].tolist() == [0.0, 0.0]
 
     def test_missing_categorical_value_is_error(self):
         text = "id,in_sample,treatment,outcome,region\na,1,1,1,north\nb,1,0,0,\n"
@@ -259,7 +258,7 @@ class TestEmpiricalRates:
         for _ in range(20):
             frame = random_binary_frame(rng, labeled=False)
             rates = empirical_rates(frame)
-            treated = frame.sample_outcomes(1)
+            treated = frame.y[frame.treated].tolist()
             assert rates.e_y1_w1z1 == pytest.approx(
                 float(Fraction(int(sum(treated)), len(treated)))
             )
@@ -298,16 +297,10 @@ class TestColumns:
         assert frame.covariate_column("x2").tolist() == [2.0, 3.0]
         assert frame.covariate_column("x2").flags["C_CONTIGUOUS"]
 
-    def test_from_units_round_trips_the_unit_view(self):
-        frame = load_frame(CSV3, BINARY)
-        again = StudyFrame.from_units(frame.units, BINARY)
-        assert again.units == frame.units
-        assert again.ids.tolist() == frame.ids.tolist()
-
     def test_take_keeps_the_given_row_order(self):
         frame = make_frame([(1, 1, 1.0), (1, 0, 0.0), (0, None, None), (0, None, 1.0)])
         sub = frame.take(np.array([3, 0]))
-        assert [u.id for u in sub.units] == ["u3", "u0"]
+        assert sub.ids.tolist() == ["u3", "u0"]
         assert sub.support == frame.support
 
     @pytest.mark.parametrize("bad, error, row", [
@@ -316,18 +309,17 @@ class TestColumns:
         ((1, 1, None), MissingOutcome, "u1"),
         ((0, None, 1.5), OutcomeOutOfSupport, "u1"),
     ])
-    def test_from_units_errors_name_the_unit(self, bad, error, row):
+    def test_constructor_errors_name_the_unit(self, bad, error, row):
         with pytest.raises(error) as err:
             make_frame([(1, 1, 1.0), bad, (3, 1, 1.0)])
         assert err.value.row == row
 
     def test_duplicate_id_comes_after_the_checks_of_earlier_units(self):
-        units = [UnitRecord("a", 1, 1, 1.0), UnitRecord("a", 1, 0, 0.0),
-                 UnitRecord("b", 2, 0, 0.0)]
+        columns = [["a", "a", "b"], [1, 1, 2], [1, 0, 0], [1.0, 0.0, 0.0]]
         with pytest.raises(DuplicateId):
-            StudyFrame.from_units(units, BINARY)
+            StudyFrame(*columns, (), BINARY)
         with pytest.raises(BadIndicator):
-            StudyFrame.from_units(units[::-1], BINARY)
+            StudyFrame(*(column[::-1] for column in columns), (), BINARY)
 
     def test_first_bad_row_wins_across_kinds_of_check(self):
         header = "id,in_sample,treatment,outcome,x1\n"
@@ -375,7 +367,7 @@ class TestColumns:
         frame = load_frame("\n".join(rows) + "\n", OutcomeSupport(0.0, 100.0))
         rates = empirical_rates(frame)
         for w, mean in ((1, rates.e_y1_w1z1), (0, rates.e_y0_w0z1)):
-            values = [u.y for u in frame.units if u.z == 1 and u.w == w]
+            values = frame.y[(frame.z == 1) & (frame.w == w)].tolist()
             assert mean == sum(values) / len(values)
-        values = [u.y for u in frame.units if u.z == 0]
+        values = frame.y[frame.z == 0].tolist()
         assert rates.e_y0_w0z0 == sum(values) / len(values)

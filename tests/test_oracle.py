@@ -2,11 +2,13 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pibgen import bounds, oracle
-from pibgen.errors import DataError, TooLarge
-from pibgen.frame import BINARY, StudyFrame, UnitRecord
+from pibgen.errors import DataError
 from pibgen.oracle import EXACT_BINARY
 from pibgen.stratify import strata_for_frame, stratum_frames
 
@@ -16,8 +18,7 @@ from conftest import binary_frame, make_frame, random_binary_frame
 def exact_inputs(frame, p_w0_given_z0=None):
     share = p_w0_given_z0
     if share is None:
-        z0 = frame.z0_units()
-        share = oracle.bearing_share(frame) if z0 else Fraction(1, 2)
+        share = oracle.bearing_share(frame) if (frame.z == 0).any() else Fraction(1, 2)
     return oracle.exact_rates(frame), oracle.exact_design_probs(frame, share)
 
 
@@ -58,11 +59,6 @@ class TestWorstCaseEnumeration:
                 enum = oracle.enumerate_worst_case(frame, "reduced")
                 closed = bounds.worst_case_bounds(rates, probs, "reduced", EXACT_BINARY)
                 assert (enum.lo, enum.hi) == (closed.pre_clamp_lo, closed.pre_clamp_hi)
-
-    def test_too_many_units(self):
-        frame = binary_frame(7, 3, 6, 2)
-        with pytest.raises(TooLarge):
-            oracle.enumerate_worst_case(frame, "full")
 
     def test_rejects_continuous_frames(self):
         from conftest import CONTINUOUS
@@ -108,13 +104,13 @@ class TestMtrEnumeration:
     def test_max_variant_on_random_labeled_frames(self, rng):
         for _ in range(60):
             frame = random_binary_frame(rng, labeled=True)
-            z0 = frame.z0_units()
-            share = Fraction(sum(1 for u in z0 if u.w == 0), len(z0)) if z0 else Fraction(1, 2)
+            z0, w0 = frame.z == 0, (frame.z == 0) & (frame.w == 0)
+            share = Fraction(int(w0.sum()), int(z0.sum())) if z0.any() else Fraction(1, 2)
             rates, probs = exact_inputs(frame, share)
             enum = oracle.enumerate_mtr(frame, "sample")
             _, closed_max = bounds.mtr_bounds(rates, probs, "sample")
             assert enum.hi == closed_max.pre_clamp_hi
-            if z0 and any(u.w == 0 for u in z0):
+            if w0.any():
                 enum = oracle.enumerate_mtr(frame, "population")
                 _, closed_max = bounds.mtr_bounds(_pop_rates(frame, rates), probs, "population")
                 assert enum.hi == closed_max.pre_clamp_hi
@@ -129,8 +125,8 @@ def _pop_rates(frame, rates):
     """Exact rates whose z=0 mean runs over control-labeled units only."""
     from pibgen.frame import EmpiricalRates
 
-    w0 = [u for u in frame.z0_units() if u.w == 0]
-    q0 = Fraction(int(sum(u.y for u in w0)), len(w0))
+    w0 = frame.y[(frame.z == 0) & (frame.w == 0)]
+    q0 = Fraction(int(w0.sum()), len(w0))
     return EmpiricalRates(
         e_y1_w1z1=rates.e_y1_w1z1,
         e_y0_w0z1=rates.e_y0_w0z1,
@@ -201,14 +197,85 @@ class TestPerStratum:
         assert checked >= 100
 
 
-class TestSlotCap:
-    def test_slot_cap_triggers(self):
-        # 12 units: 1 treated + 1 control + 10 free z0 units = 20 slots: fine
-        frame = binary_frame(1, 1, 1, 0, n_z0_free=10)
-        oracle.enumerate_worst_case(frame, "full")
-        units = list(frame.units) + [
-            UnitRecord(id=f"extra{i}", z=0, w=None, y=None) for i in range(3)
-        ]
-        big = StudyFrame.from_units(units, BINARY)
-        with pytest.raises(TooLarge):
-            oracle.enumerate_worst_case(big, "full")
+def _product_sums(choice_lists) -> np.ndarray:
+    """All completion sums: the outer sum over per-unit contribution choices."""
+    total = np.zeros(1, dtype=np.int32)
+    for choices in choice_lists:
+        total = (total[:, None] + np.asarray(choices, dtype=np.int32)[None, :]).ravel()
+    return total
+
+
+def _units(frame):
+    """(z, w, y) per row, ``None`` marking a missing arm or outcome."""
+    return [(z, None if w < 0 else w, None if y != y else int(y))
+            for z, w, y in zip(frame.z.tolist(), frame.w.tolist(), frame.y.tolist())]
+
+
+def _brute_worst_case(frame, framework):
+    """Every completion of the z=0 units listed, sampled units fixed at their
+    arm means."""
+    choice_lists = []
+    for z, _, y in _units(frame):
+        if z == 1:
+            continue
+        if framework == "reduced" and y is not None:
+            choice_lists.append([y1 - y for y1 in (0, 1)])
+        else:
+            choice_lists.append([y1 - y0 for y0 in (0, 1) for y1 in (0, 1)])
+    sums = _product_sums(choice_lists)
+    y, treated, control = frame.y, frame.treated, frame.control
+    fixed = frame.n_sample * (Fraction(int(y[treated].sum()), int(treated.sum()))
+                              - Fraction(int(y[control].sum()), int(control.sum())))
+    return ((fixed + int(sums.min())) / frame.n_units,
+            (fixed + int(sums.max())) / frame.n_units, sums.size)
+
+
+def _brute_mtr(frame, scope, pin_free_to_zero):
+    """Every monotone completion of every unit listed."""
+    def pairs(y0_options, y1_options):
+        return [(y0, y1) for y0 in y0_options for y1 in y1_options if y1 >= y0]
+
+    free = [(0, 0)] if pin_free_to_zero else pairs((0, 1), (0, 1))
+    choice_lists = []
+    for z, w, y in _units(frame):
+        if z == 1:
+            options = pairs((0, 1), (y,)) if w == 1 else pairs((y,), (0, 1))
+        elif scope == "population" and w == 0:
+            options = pairs((y,), (0, 1))
+        else:
+            options = free
+        choice_lists.append([y1 - y0 for y0, y1 in options])
+    sums = _product_sums(choice_lists)
+    return (Fraction(int(sums.min()), frame.n_units), Fraction(int(sums.max()), frame.n_units),
+            sums.size)
+
+
+@st.composite
+def small_binary_frames(draw):
+    """Binary frames of 2-12 units with a sampled unit in each arm.  In a
+    labeled frame every z=0 unit has an arm label and the control-labeled ones
+    carry an outcome; otherwise z=0 units carry no label and maybe an outcome."""
+    outcome = st.sampled_from([0.0, 1.0])
+    sampled = [(1, 1, draw(outcome)), (1, 0, draw(outcome))]
+    sampled += draw(st.lists(st.tuples(st.just(1), st.sampled_from([0, 1]), outcome),
+                             max_size=4))
+    labeled = draw(st.booleans())
+    z0_rows = st.one_of(st.tuples(st.just(0), st.just(0), outcome),
+                         st.tuples(st.just(0), st.just(1), st.none() | outcome))
+    if not labeled:
+        z0_rows = st.tuples(st.just(0), st.none(), st.none() | outcome)
+    rest = draw(st.lists(z0_rows, max_size=12 - len(sampled)))
+    return make_frame(draw(st.permutations(sampled + rest))), labeled
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_binary_frames())
+def test_reachable_sums_equal_brute_force_enumeration(drawn):
+    frame, labeled = drawn
+    for framework in ("full", "reduced"):
+        enum = oracle.enumerate_worst_case(frame, framework)
+        assert (enum.lo, enum.hi, enum.n_completions) == _brute_worst_case(frame, framework)
+    for scope in ("sample", "population") if labeled else ("sample",):
+        for pin in (False, True):
+            enum = oracle.enumerate_mtr(frame, scope, pin_free_to_zero=pin)
+            assert (enum.lo, enum.hi, enum.n_completions) == _brute_mtr(frame, scope, pin)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from pibgen.errors import NonViableStratum, UnfittedModel, ZeroPropensity
-from pibgen.frame import BINARY, OutcomeSupport, StudyFrame, UnitRecord
+from pibgen.frame import BINARY, OutcomeSupport, StudyFrame
 from pibgen.points import (
     BootstrapOptions,
     _bootstrap_contrasts,
@@ -70,13 +70,8 @@ class TestIpw:
 
     def test_hand_weighted_means(self):
         # two units per arm with scores 0.5 and 0.25 -> weights 2 and 4
-        units = (
-            UnitRecord("t1", 1, 1, 1.0, (0.0,)),
-            UnitRecord("t2", 1, 1, 0.0, (1.0,)),
-            UnitRecord("c1", 1, 0, 1.0, (0.0,)),
-            UnitRecord("c2", 1, 0, 0.0, (1.0,)),
-        )
-        frame = StudyFrame.from_units(units, BINARY, ("x",))
+        frame = StudyFrame(["t1", "t2", "c1", "c2"], [1, 1, 1, 1], [1, 1, 0, 0],
+                           [1.0, 0.0, 1.0, 0.0], [(0.0,), (1.0,), (0.0,), (1.0,)], BINARY, ("x",))
         model = PropensityModel(intercept=0.0, coefficients={"x": -math.log(3.0)},
                                 converged=True, iterations=1, final_gradient_norm=0.0)
         # s(0) = 0.5 -> weight 2; s(1) = 0.25 -> weight 4

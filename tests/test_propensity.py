@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from pibgen.errors import NoConvergence, Separation, SingularDesign, UnknownCovariate, ZeroVariance
-from pibgen.frame import BINARY, StudyFrame, UnitRecord, load_frame
+from pibgen.frame import BINARY, StudyFrame, load_frame
 from pibgen.propensity import (
     FitOptions,
     asmd,
@@ -24,11 +24,13 @@ from pibgen.propensity import (
 
 
 def frame_with_x(z_values, x_matrix, names):
-    units = []
-    for i, (z, x) in enumerate(zip(z_values, x_matrix)):
-        w, y = (1 if i % 2 == 0 else 0, 1.0) if z == 1 else (None, None)
-        units.append(UnitRecord(id=f"u{i}", z=z, w=w, y=y, x=tuple(x)))
-    return StudyFrame.from_units(units, BINARY, names)
+    """Sampled units alternate treated/control with outcome 1; the rest carry
+    neither an arm nor an outcome."""
+    z = np.asarray(z_values)
+    w = np.where(z == 1, (np.arange(len(z)) + 1) % 2, -1)
+    y = np.where(z == 1, 1.0, np.nan)
+    ids = [f"u{i}" for i in range(len(z))]
+    return StudyFrame(ids, z, w, y, x_matrix, BINARY, names)
 
 
 class TestFit:
@@ -52,12 +54,8 @@ class TestFit:
         x1 = rng.normal(0.0, 1.0, n)
         p = 1 / (1 + np.exp(-(-3.0 + 1.2 * x1)))
         z = (rng.random(n) < p).astype(int)
-        units = tuple(
-            UnitRecord(id=str(i), z=int(z[i]), w=int(i % 2) if z[i] else None,
-                       y=1.0 if z[i] else None, x=(float(x1[i]),))
-            for i in range(n)
-        )
-        frame = StudyFrame.from_units(units, BINARY, ("x1",))
+        frame = StudyFrame([str(i) for i in range(n)], z, np.where(z == 1, np.arange(n) % 2, -1),
+                           np.where(z == 1, 1.0, np.nan), x1[:, None], BINARY, ("x1",))
         model = fit_propensity(frame, ["x1"])
         assert model.converged
         assert model.intercept == pytest.approx(-3.0, abs=0.05)
@@ -166,10 +164,10 @@ class TestScores:
         model = fit_propensity(frame, frame.covariate_names)
         slots = [(frame.covariate_index(name), b) for name, b in model.coefficients.items()]
         expected = []
-        for u in frame.units:
+        for x in frame.X.tolist():
             eta = model.intercept
             for j, b in slots:
-                eta += b * u.x[j]
+                eta += b * x[j]
             expected.append(eta)
         logits = logit_scores(model, frame)
         assert logits.tolist() == expected

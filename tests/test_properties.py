@@ -9,7 +9,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pibgen.frame import BINARY, OutcomeSupport, StudyFrame, UnitRecord, design_probs, empirical_rates
+from pibgen.frame import BINARY, OutcomeSupport, StudyFrame, design_probs, empirical_rates
 from pibgen.points import merge_nonviable, naive_sate, plugin_variance, subclass_estimate
 from pibgen.stratify import strata_for_frame, stratum_frames
 
@@ -32,9 +32,11 @@ def frames(draw, binary=None):
     rest = draw(st.lists(st.tuples(st.just(0), st.none(), st.none() | outcome), max_size=25))
     rows = draw(st.permutations(sampled + rest))
     x = draw(st.lists(st.integers(-3, 3), min_size=len(rows), max_size=len(rows)))
-    units = [UnitRecord(f"u{i}", z, w, y, (float(xi),))
-             for i, ((z, w, y), xi) in enumerate(zip(rows, x))]
-    return StudyFrame.from_units(units, support, ("x1",))
+    z = [z for z, _, _ in rows]
+    w = [-1 if w is None else w for _, w, _ in rows]
+    y = [np.nan if y is None else y for _, _, y in rows]
+    return StudyFrame([f"u{i}" for i in range(len(rows))], z, w, y,
+                      np.array(x, dtype=float)[:, None], support, ("x1",))
 
 
 def _close(a, b) -> bool:
@@ -69,7 +71,9 @@ def test_stratum_frames_partition_the_rows_in_row_order(frame, k):
     for piece, piece_rows in zip(pieces, rows):
         assert piece_rows == sorted(piece_rows)
         assert (assignment.labels[piece_rows] == piece.index).all()
-        assert piece.frame.units == tuple(frame.units[r] for r in piece_rows)
+        for name in ("ids", "z", "w", "y", "X"):
+            np.testing.assert_array_equal(getattr(piece.frame, name),
+                                          getattr(frame, name)[piece_rows])
         assert assignment.counts_sample_treated[piece.index - 1] == int(
             np.count_nonzero(piece.frame.treated))
         assert assignment.counts_sample_control[piece.index - 1] == int(

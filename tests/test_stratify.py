@@ -91,8 +91,8 @@ class TestStratumFrames:
         frame = self._frame()
         assignment = strata_for_frame(frame, frame.covariate_column("a"), 2)
         pieces = stratum_frames(frame, assignment)
-        ids = sorted(u.id for piece in pieces for u in piece.frame.units)
-        assert ids == sorted(u.id for u in frame.units)
+        ids = sorted(uid for piece in pieces for uid in piece.frame.ids.tolist())
+        assert ids == sorted(frame.ids.tolist())
         assert sum(p.frame.n_units for p in pieces) == frame.n_units
 
     def test_viability_flags(self):
