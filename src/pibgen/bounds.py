@@ -12,6 +12,11 @@ non-sampled units):
 * monotone treatment response (MTR): every unit's treated outcome is at least
   its control outcome, so the lower bound is 0 (binary outcomes only).
 
+Worst case and BSV share one split-mass formula (``_split_mass``):
+randomization fixes the sampled part of each potential-outcome mean, and the
+non-sampled means range over a box, the support for the worst case and the
+``lam`` band around the arm means for BSV.
+
 All arithmetic is plain Python (+, -, *, min, max) so the functions evaluate
 exactly on ``fractions.Fraction`` inputs; the enumeration oracles rely on that.
 Final intervals are clamped to the logically feasible range
@@ -118,41 +123,47 @@ def _check_framework(framework):
         raise ConfigError(f"framework must be one of {FRAMEWORKS}, got {framework!r}")
 
 
+def _split_mass(rates: EmpiricalRates, probs: DesignProbs, framework: str,
+                box1, box0, support: OutcomeSupport, **tags) -> PateInterval:
+    """The interval when each non-sampled potential-outcome mean ranges over a
+    box: ``box1`` for E(Y(1)|Z=0) and ``box0`` for E(Y(0)|Z=0), each a
+    ``(lo, hi)`` pair.
+
+    Randomization identifies the sampled part of each mean by its arm mean, so
+    each mean is that part on the mass P(Z=1) plus the box on the non-sampled
+    mass.  The reduced framework pins the control mean on the mass
+    P(W=0, Z=0) at the observed business-as-usual rate and bounds only the
+    remainder, P(W=1, Z=0).
+    """
+    _check_framework(framework)
+    e1, e0 = rates.e_y1_w1z1, rates.e_y0_w0z1
+    e1_lo = e1 * probs.p_z1 + box1[0] * probs.p_z0
+    e1_hi = e1 * probs.p_z1 + box1[1] * probs.p_z0
+    if framework == "full":
+        e0_lo = e0 * probs.p_z1 + box0[0] * probs.p_z0
+        e0_hi = e0 * probs.p_z1 + box0[1] * probs.p_z0
+    else:
+        if rates.e_y0_w0z0 is None:
+            raise MissingPopulationOutcome()
+        pinned = rates.e_y0_w0z0 * probs.p_w0_z0
+        e0_lo = e0 * probs.p_z1 + pinned + box0[0] * probs.p_w1_z0
+        e0_hi = e0 * probs.p_z1 + pinned + box0[1] * probs.p_w1_z0
+    return _clamp(e1_lo - e0_hi, e1_hi - e0_lo, support, framework=framework,
+                  inputs=_snapshot(rates, probs, support), **tags)
+
+
 def worst_case_bounds(
     rates: EmpiricalRates,
     probs: DesignProbs,
     framework: str,
     support: OutcomeSupport,
 ) -> PateInterval:
-    """Bounds with no assumption beyond treatment randomization.
-
-    Each potential-outcome mean splits into the sampled part, identified by the
-    arm mean, and the non-sampled part, bounded by the support endpoints.  The
-    reduced framework pins the control mean on the mass P(W=0, Z=0) at the
-    observed business-as-usual rate and bounds only the remainder.
-    """
-    _check_framework(framework)
-    e1, e0 = rates.e_y1_w1z1, rates.e_y0_w0z1
-    lo_y, hi_y = support.y_lo, support.y_hi
-    e1_lo = e1 * probs.p_z1 + lo_y * probs.p_z0
-    e1_hi = e1 * probs.p_z1 + hi_y * probs.p_z0
-    if framework == "full":
-        e0_lo = e0 * probs.p_z1 + lo_y * probs.p_z0
-        e0_hi = e0 * probs.p_z1 + hi_y * probs.p_z0
-    else:
-        if rates.e_y0_w0z0 is None:
-            raise MissingPopulationOutcome()
-        pinned = rates.e_y0_w0z0 * probs.p_w0_z0
-        e0_lo = e0 * probs.p_z1 + pinned + lo_y * probs.p_w1_z0
-        e0_hi = e0 * probs.p_z1 + pinned + hi_y * probs.p_w1_z0
-    return _clamp(
-        e1_lo - e0_hi,
-        e1_hi - e0_lo,
-        support,
-        assumption="worst_case",
-        framework=framework,
-        inputs=_snapshot(rates, probs, support),
-    )
+    """Bounds with no assumption beyond treatment randomization: both
+    non-sampled means range over the whole outcome support.  (BSV at
+    lam = y_hi - y_lo gives the same box exactly on fractions, but in float
+    the clipped ``e - lam`` can miss a support end by an ulp.)"""
+    ends = (support.y_lo, support.y_hi)
+    return _split_mass(rates, probs, framework, ends, ends, support, assumption="worst_case")
 
 
 def bsv_improves(rates: EmpiricalRates, lam, support: OutcomeSupport) -> bool:
@@ -177,46 +188,23 @@ def bsv_bounds(
 ) -> PateInterval:
     """Bounds under bounded sample variation with tolerance ``lam``.
 
-    Non-sampled potential-outcome means are replaced by the sample arm mean
-    shifted down/up by ``lam``.  With ``intersect_support=True`` each shifted
-    mean is first clipped to the outcome support, which yields the sharp
+    Each non-sampled potential-outcome mean ranges over the band of width
+    ``lam`` around its sample arm mean.  With ``intersect_support=True`` each
+    band is first clipped to the outcome support, which yields the sharp
     interval the corner-enumeration oracle reproduces; the default leaves the
     raw arithmetic intact (so the 4*lam*P(Z=0) width identity holds pre-clamp)
     and only the final interval is clamped.
     """
-    _check_framework(framework)
-    if lam < 0:
-        raise NegativeLambda(lam)
-    e1, e0 = rates.e_y1_w1z1, rates.e_y0_w0z1
-    lo_y, hi_y = support.y_lo, support.y_hi
+    improves = bsv_improves(rates, lam, support)
 
-    def shift(e, sign):
-        v = e + sign * lam
+    def band(e):
+        ends = (e - lam, e + lam)
         if intersect_support:
-            v = min(hi_y, max(lo_y, v))
-        return v
+            ends = tuple(min(support.y_hi, max(support.y_lo, v)) for v in ends)
+        return ends
 
-    e1_lo = e1 * probs.p_z1 + shift(e1, -1) * probs.p_z0
-    e1_hi = e1 * probs.p_z1 + shift(e1, +1) * probs.p_z0
-    if framework == "full":
-        e0_lo = e0 * probs.p_z1 + shift(e0, -1) * probs.p_z0
-        e0_hi = e0 * probs.p_z1 + shift(e0, +1) * probs.p_z0
-    else:
-        if rates.e_y0_w0z0 is None:
-            raise MissingPopulationOutcome()
-        pinned = rates.e_y0_w0z0 * probs.p_w0_z0
-        e0_lo = e0 * probs.p_z1 + pinned + shift(e0, -1) * probs.p_w1_z0
-        e0_hi = e0 * probs.p_z1 + pinned + shift(e0, +1) * probs.p_w1_z0
-    return _clamp(
-        e1_lo - e0_hi,
-        e1_hi - e0_lo,
-        support,
-        assumption="bsv",
-        framework=framework,
-        lam=lam,
-        improves=bsv_improves(rates, lam, support),
-        inputs=_snapshot(rates, probs, support),
-    )
+    return _split_mass(rates, probs, framework, band(rates.e_y1_w1z1), band(rates.e_y0_w0z1),
+                       support, assumption="bsv", lam=lam, improves=improves)
 
 
 def mtr_bounds(rates: EmpiricalRates, probs: DesignProbs,

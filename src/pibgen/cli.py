@@ -223,7 +223,7 @@ def _load(options) -> tuple:
         exclude=_column_names(options, "exclude") or (),
         categorical=_categorical(options["categorical"]),
     )
-    for key in ("data", "sample", "population"):
+    for key in ("data", "sample", "population", "model"):
         if options[key] is not None and not isinstance(options[key], str):
             raise ConfigError(f"--{key} expects a file path, got {options[key]!r}")
     try:
@@ -458,7 +458,8 @@ def _emit(document: dict, options) -> str:
 
 
 def _verify_checks(frame):
-    """Yield (name, engine_interval, oracle_lo, oracle_hi) comparisons."""
+    """Yield (name, float engine interval, rational engine interval, oracle lo,
+    oracle hi) comparisons."""
     rates_f = empirical_rates(frame)
     rates_x = oracle_mod.exact_rates(frame)
     share = oracle_mod.bearing_share(frame) if frame.z0_bearing.any() else Fraction(1, 2)
@@ -466,40 +467,25 @@ def _verify_checks(frame):
     probs_x = oracle_mod.exact_design_probs(frame, share)
     support = frame.support
     exact = oracle_mod.EXACT_BINARY
+    # the reduced framework needs business-as-usual outcomes among z=0 units
+    frameworks = ("full", "reduced") if frame.z0_bearing.any() else ("full",)
 
-    enum = oracle_mod.enumerate_worst_case(frame, "full")
-    yield ("worst_case full",
-           bounds_mod.worst_case_bounds(rates_f, probs_f, "full", support),
-           bounds_mod.worst_case_bounds(rates_x, probs_x, "full", exact),
-           enum.lo, enum.hi)
-    if frame.z0_bearing.any():
-        enum = oracle_mod.enumerate_worst_case(frame, "reduced")
-        yield ("worst_case reduced",
-               bounds_mod.worst_case_bounds(rates_f, probs_f, "reduced", support),
-               bounds_mod.worst_case_bounds(rates_x, probs_x, "reduced", exact),
+    for framework in frameworks:
+        enum = oracle_mod.enumerate_worst_case(frame, framework)
+        yield (f"worst_case {framework}",
+               bounds_mod.worst_case_bounds(rates_f, probs_f, framework, support),
+               bounds_mod.worst_case_bounds(rates_x, probs_x, framework, exact),
                enum.lo, enum.hi)
     for lam in (Fraction(0), Fraction(1, 10), Fraction(1, 4), Fraction(1, 2), Fraction(1)):
-        enum = oracle_mod.enumerate_bsv(rates_x, probs_x, lam, "full", exact)
-        yield (f"bsv full lambda={lam}",
-               bounds_mod.bsv_bounds(rates_f, probs_f, "full", float(lam), support,
-                                     intersect_support=True),
-               bounds_mod.bsv_bounds(rates_x, probs_x, "full", lam, exact,
-                                     intersect_support=True),
-               enum.lo, enum.hi)
-        if rates_x.e_y0_w0z0 is not None:
-            enum = oracle_mod.enumerate_bsv(rates_x, probs_x, lam, "reduced", exact)
-            yield (f"bsv reduced lambda={lam}",
-                   bounds_mod.bsv_bounds(rates_f, probs_f, "reduced", float(lam), support,
+        for framework in frameworks:
+            enum = oracle_mod.enumerate_bsv(rates_x, probs_x, lam, framework, exact)
+            yield (f"bsv {framework} lambda={lam}",
+                   bounds_mod.bsv_bounds(rates_f, probs_f, framework, float(lam), support,
                                          intersect_support=True),
-                   bounds_mod.bsv_bounds(rates_x, probs_x, "reduced", lam, exact,
+                   bounds_mod.bsv_bounds(rates_x, probs_x, framework, lam, exact,
                                          intersect_support=True),
                    enum.lo, enum.hi)
-    enum_max = oracle_mod.enumerate_mtr(frame, "sample")
-    enum_min = oracle_mod.enumerate_mtr(frame, "sample", pin_free_to_zero=True)
-    min_f, max_f = bounds_mod.mtr_bounds(rates_f, probs_f, "sample")
-    min_x, max_x = bounds_mod.mtr_bounds(rates_x, probs_x, "sample")
-    yield ("mtr sample max-variant", max_f, max_x, enum_max.lo, enum_max.hi)
-    yield ("mtr sample min-variant", min_f, min_x, enum_min.lo, enum_min.hi)
+    scopes = [("sample", rates_f, probs_f, rates_x, probs_x)]
     z0 = frame.z == 0
     w0 = z0 & (frame.w == 0)
     labeled = (frame.w[z0] >= 0).all()
@@ -508,12 +494,14 @@ def _verify_checks(frame):
         share_w0 = Fraction(int(np.count_nonzero(w0)), int(np.count_nonzero(z0)))
         probs_xp = oracle_mod.exact_design_probs(frame, share_w0)
         rates_xp = _rates_over_w0_labeled(frame, rates_x)
-        enum_max = oracle_mod.enumerate_mtr(frame, "population")
-        enum_min = oracle_mod.enumerate_mtr(frame, "population", pin_free_to_zero=True)
-        min_f, max_f = bounds_mod.mtr_bounds(convert(rates_xp), convert(probs_xp), "population")
-        min_x, max_x = bounds_mod.mtr_bounds(rates_xp, probs_xp, "population")
-        yield ("mtr population max-variant", max_f, max_x, enum_max.lo, enum_max.hi)
-        yield ("mtr population min-variant", min_f, min_x, enum_min.lo, enum_min.hi)
+        scopes.append(("population", convert(rates_xp), convert(probs_xp), rates_xp, probs_xp))
+    for scope, rates_sf, probs_sf, rates_sx, probs_sx in scopes:
+        enum_max = oracle_mod.enumerate_mtr(frame, scope)
+        enum_min = oracle_mod.enumerate_mtr(frame, scope, pin_free_to_zero=True)
+        min_f, max_f = bounds_mod.mtr_bounds(rates_sf, probs_sf, scope)
+        min_x, max_x = bounds_mod.mtr_bounds(rates_sx, probs_sx, scope)
+        yield (f"mtr {scope} max-variant", max_f, max_x, enum_max.lo, enum_max.hi)
+        yield (f"mtr {scope} min-variant", min_f, min_x, enum_min.lo, enum_min.hi)
 
 
 def _rates_over_w0_labeled(frame, rates_x):
@@ -523,44 +511,35 @@ def _rates_over_w0_labeled(frame, rates_x):
     return replace(rates_x, e_y0_w0z0=q0, fail0_w0z0=1 - q0)
 
 
-def cmd_verify(options, stream) -> int:
+def cmd_verify(options) -> tuple[str, int]:
+    """The verify log and its exit code: 0 when every check passes, 1 on any
+    mismatch, each mismatch followed by the frame as a counterexample."""
     frame, _ = _load(options)
-    failures = 0
+    lines, failures = [], 0
     for name, engine, exact_engine, oracle_lo, oracle_hi in _verify_checks(frame):
         exact_ok = (exact_engine.pre_clamp_lo == oracle_lo
                     and exact_engine.pre_clamp_hi == oracle_hi)
         float_ok = (abs(engine.pre_clamp_lo - float(oracle_lo)) <= 1e-12
                     and abs(engine.pre_clamp_hi - float(oracle_hi)) <= 1e-12)
         if exact_ok and float_ok:
-            print(f"ok {name}: [{float(oracle_lo):.6f}, {float(oracle_hi):.6f}]", file=stream)
-        else:
-            failures += 1
-            print(f"MISMATCH {name}", file=stream)
-            print(f"  engine (float):    [{engine.pre_clamp_lo!r}, {engine.pre_clamp_hi!r}]",
-                  file=stream)
-            print(f"  engine (rational): [{exact_engine.pre_clamp_lo}, {exact_engine.pre_clamp_hi}]",
-                  file=stream)
-            print(f"  enumeration:       [{oracle_lo}, {oracle_hi}]", file=stream)
-            print("  frame:", file=stream)
-            for uid, z, w, y in zip(frame.ids.tolist(), frame.z.tolist(), frame.w.tolist(),
-                                    frame.y.tolist()):
-                print(f"    id={uid} z={z} w={None if w < 0 else w} y={None if y != y else y}",
-                      file=stream)
-    if failures:
-        print(f"{failures} mismatch(es)", file=stream)
-        return 1
-    print("all oracle checks passed", file=stream)
-    return 0
+            lines.append(f"ok {name}: [{float(oracle_lo):.6f}, {float(oracle_hi):.6f}]")
+            continue
+        failures += 1
+        lines += [
+            f"MISMATCH {name}",
+            f"  engine (float):    [{engine.pre_clamp_lo!r}, {engine.pre_clamp_hi!r}]",
+            f"  engine (rational): [{exact_engine.pre_clamp_lo}, {exact_engine.pre_clamp_hi}]",
+            f"  enumeration:       [{oracle_lo}, {oracle_hi}]",
+            "  frame:",
+        ]
+        lines += [f"    id={uid} z={z} w={None if w < 0 else w} y={None if y != y else y}"
+                  for uid, z, w, y in zip(frame.ids.tolist(), frame.z.tolist(),
+                                          frame.w.tolist(), frame.y.tolist())]
+    lines.append(f"{failures} mismatch(es)" if failures else "all oracle checks passed")
+    return "\n".join(lines) + "\n", 1 if failures else 0
 
 
 # --- entry point ------------------------------------------------------------------
-
-
-def _open_out(path):
-    try:
-        return open(path, "w", encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"cannot write output file {path!r}: {exc.strerror}")
 
 
 def _run(args) -> int:
@@ -570,17 +549,19 @@ def _run(args) -> int:
         raise ConfigError(f"--out expects a file path, got {out_path!r}")
 
     def write(text: str) -> None:
-        if out_path:
-            with _open_out(out_path) as fh:
-                fh.write(text)
-        else:
+        if not out_path:
             sys.stdout.write(text)
+            return
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write output file {out_path!r}: {exc.strerror}")
 
     if args.command == "verify":
-        if out_path:
-            with _open_out(out_path) as fh:
-                return cmd_verify(options, fh)
-        return cmd_verify(options, sys.stdout)
+        text, code = cmd_verify(options)
+        write(text)
+        return code
     if args.command in VIEWS:
         _validate_request(options)
     if args.command != "propensity":

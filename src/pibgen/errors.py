@@ -27,6 +27,11 @@ class DuplicateColumn(DataError):
         self.name = name
 
 
+class NotUtf8(DataError):
+    def __init__(self, source, reason):
+        super().__init__(f"{source} is not UTF-8 text: {reason}")
+
+
 class BadIndicator(DataError):
     def __init__(self, row, column, value):
         super().__init__(f"row {row}: column {column!r} must be 0 or 1, got {value!r}")
@@ -154,11 +159,3 @@ class ZeroPropensity(DataError):
 class UnfittedModel(ConfigError):
     def __init__(self):
         super().__init__("propensity model did not converge; refusing to weight with it")
-
-
-# --- oracle ------------------------------------------------------------------
-
-class TooLarge(DataError):
-    def __init__(self, detail):
-        super().__init__(f"frame too large for exhaustive enumeration: {detail}")
-

@@ -32,6 +32,7 @@ from .errors import (
     MissingCovariate,
     MissingOutcome,
     NonFiniteValue,
+    NotUtf8,
     OutcomeOutOfSupport,
     UnknownCovariate,
 )
@@ -421,22 +422,25 @@ class _Table:
 
 def _read_table(source) -> _Table:
     """Accept a path (str without newline), CSV text/bytes, or an open stream."""
-    if isinstance(source, bytes):
-        source = source.decode("utf-8-sig")
-    if isinstance(source, str):
-        if "\n" in source:
-            fh = io.StringIO(source.removeprefix("\ufeff"))
-        else:
-            fh = open(source, newline="", encoding="utf-8-sig")
-    else:
-        fh = source
     try:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        rows = list(reader)
-    finally:
-        if fh is not source and isinstance(fh, io.TextIOWrapper):
-            fh.close()
+        text = source.decode("utf-8-sig") if isinstance(source, bytes) else source
+        if isinstance(text, str):
+            if "\n" in text:
+                fh = io.StringIO(text.removeprefix("\ufeff"))
+            else:
+                fh = open(text, newline="", encoding="utf-8-sig")
+        else:
+            fh = text
+        try:
+            reader = csv.reader(fh)
+            header = next(reader, [])
+            rows = list(reader)
+        finally:
+            if fh is not text and isinstance(fh, io.TextIOWrapper):
+                fh.close()
+    except UnicodeDecodeError as exc:
+        name = getattr(source, "name", source)  # a path, or an open file's name
+        raise NotUtf8(f"data file {name!r}" if isinstance(name, str) else "CSV data", exc.reason)
     for j, name in enumerate(header):
         if name in header[:j]:
             raise DuplicateColumn(name)

@@ -6,13 +6,10 @@ both sampled arm means, so in the worst-case oracles sampled units enter
 through those means and the free slots all belong to z=0 units.
 
 A completion's PATE is a sum of one term per unit, y1 - y0, in {-1, 0, 1}.
-The verifiers build the exact set of reachable sums one unit at a time (a
-boolean shift-or over the 2n+1 possible sums of n units), so every
-completion's sum is in the set and every value in the set is reached by some
-completion, without listing the completions themselves.  The min and max of
-that set are returned as rationals.  The set's length bounds the frame size:
-a frame with more units than ``_MAX_SUMS`` allows raises ``TooLarge`` before
-any enumeration.
+Units complete independently, so the extreme completion sums are the sums of
+the per-unit extreme terms, and the verifiers read those from the frame's
+columns without listing the completions (4^k of them for k free units); the
+work is linear in the frame size, and no frame is too large to check.
 
 All arithmetic is ``fractions.Fraction`` over integer counts, so equality
 against a closed form evaluated on rational inputs is exact.
@@ -32,7 +29,6 @@ from .errors import (
     MissingPopulationOutcome,
     NegativeLambda,
     NonBinaryOutcome,
-    TooLarge,
 )
 from .frame import (
     DesignProbs,
@@ -42,9 +38,6 @@ from .frame import (
     design_probs,
     empirical_rates,
 )
-
-# length of the reachable-sum array: 2n+1 sums for a frame of up to 10,000 units
-_MAX_SUMS = 20_001
 
 # integer endpoints keep Fraction arithmetic exact (float endpoints would not)
 EXACT_BINARY = OutcomeSupport(0, 1)
@@ -73,9 +66,6 @@ def bearing_share(frame: StudyFrame) -> Fraction:
 def _require_binary(frame: StudyFrame):
     if not frame.is_binary:
         raise NonBinaryOutcome("enumeration oracles require a binary frame")
-    if 2 * frame.n_units + 1 > _MAX_SUMS:
-        raise TooLarge(f"{frame.n_units} units span {2 * frame.n_units + 1} "
-                       f"reachable sums > {_MAX_SUMS}")
     if not (frame.treated.any() and frame.control.any()):
         raise DataError("enumeration needs at least one sampled unit in each arm")
 
@@ -87,14 +77,14 @@ class Enumeration:
     n_completions: int
 
 
-def _reachable_sums(y0, y1, monotone: bool = False) -> tuple[np.ndarray, int]:
-    """Every reachable sum of the per-unit effects y1 - y0, and the number of
-    completions.
+def _extreme_sums(y0, y1, monotone: bool = False) -> tuple[int, int, int]:
+    """The least and greatest sum of the per-unit effects y1 - y0 over every
+    completion, and the number of completions.
 
     ``y0`` and ``y1`` hold each unit's pinned potential outcome, NaN where it
-    is free in {0, 1}; ``monotone`` drops the pairs with y1 < y0.  The sums are
-    built one unit at a time over the offsets -n..n, merging equal partial
-    sums, so the work is O(n^2) however many completions there are.
+    is free in {0, 1}; ``monotone`` drops the pairs with y1 < y0.  Each unit
+    chooses its pair independently of the others, so each extreme sum adds up
+    the units' own extreme effects.
     """
     def may_be(y, v):
         return np.isnan(y) | (y == v)
@@ -106,18 +96,10 @@ def _reachable_sums(y0, y1, monotone: bool = False) -> tuple[np.ndarray, int]:
     values, repeats = np.unique(counts, return_counts=True)
     n_completions = math.prod(int(v) ** int(r) for v, r in zip(values, repeats))
 
-    n = len(y0)
-    reach = np.zeros(2 * n + 1, dtype=bool)
-    reach[n] = True  # offset n holds the sum 0
-    terms = zip(pair[1, 0].tolist(), (pair[0, 0] | pair[1, 1]).tolist(), pair[0, 1].tolist())
-    for minus, zero, plus in terms:
-        step = reach.copy() if zero else np.zeros_like(reach)
-        if minus:
-            step[:-1] |= reach[1:]
-        if plus:
-            step[1:] |= reach[:-1]
-        reach = step
-    return np.flatnonzero(reach) - n, n_completions
+    minus, zero, plus = pair[1, 0], pair[0, 0] | pair[1, 1], pair[0, 1]
+    lo = np.where(minus, -1, np.where(zero, 0, 1)).sum()
+    hi = np.where(plus, 1, np.where(zero, 0, -1)).sum()
+    return int(lo), int(hi), n_completions
 
 
 def _fixed_sample_part(frame: StudyFrame) -> Fraction:
@@ -138,14 +120,11 @@ def enumerate_worst_case(frame: StudyFrame, framework: str = "full") -> Enumerat
     z0 = frame.z == 0
     free = np.full(int(np.count_nonzero(z0)), np.nan)
     y0 = frame.y[z0] if framework == "reduced" else free
-    sums, n_completions = _reachable_sums(y0, free)
+    lo, hi, n_completions = _extreme_sums(y0, free)
     fixed = _fixed_sample_part(frame)
     n_total = frame.n_units
-    return Enumeration(
-        lo=(fixed + int(sums.min())) / n_total,
-        hi=(fixed + int(sums.max())) / n_total,
-        n_completions=n_completions,
-    )
+    return Enumeration(lo=(fixed + lo) / n_total, hi=(fixed + hi) / n_total,
+                       n_completions=n_completions)
 
 
 def enumerate_mtr(
@@ -183,13 +162,9 @@ def enumerate_mtr(
         free &= w == 1  # treated-labeled, nothing observed about its counterfactuals
     if pin_free_to_zero:
         y0, y1 = np.where(free, 0.0, y0), np.where(free, 0.0, y1)
-    sums, n_completions = _reachable_sums(y0, y1, monotone=True)
-    n_total = frame.n_units
-    return Enumeration(
-        lo=Fraction(int(sums.min()), n_total),
-        hi=Fraction(int(sums.max()), n_total),
-        n_completions=n_completions,
-    )
+    lo, hi, n_completions = _extreme_sums(y0, y1, monotone=True)
+    return Enumeration(lo=Fraction(lo, frame.n_units), hi=Fraction(hi, frame.n_units),
+                       n_completions=n_completions)
 
 
 def enumerate_bsv(

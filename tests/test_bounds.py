@@ -1,5 +1,7 @@
 """Closed-form interval estimates under the three assumption regimes."""
 
+from fractions import Fraction
+
 import pytest
 
 from pibgen.bounds import (
@@ -244,6 +246,56 @@ class TestClampRange:
             ]
             for interval in candidates:
                 assert floor <= interval.lo <= interval.hi <= ceil
+
+
+def _exact_mean(values):
+    return sum(map(Fraction, values.tolist())) / len(values)
+
+
+class TestSplitMass:
+    def test_worst_case_is_sharp_bsv_at_the_support_range(self, rng):
+        """Worst case and BSV share one split-mass formula: with lambda the
+        support range, the clipped BSV bands are the whole support."""
+        checked = 0
+        for _ in range(200):
+            y_lo = round(float(rng.uniform(-5, 5)), 1)
+            y_hi = y_lo + round(float(rng.uniform(0.5, 100)), 1)
+
+            def outcome():  # a support end half the time, so an arm mean can sit on it
+                if rng.random() < 0.5:
+                    return [y_lo, y_hi][int(rng.integers(2))]
+                return float(rng.uniform(y_lo, y_hi))
+
+            spec = [(1, 1, outcome()), (1, 0, outcome())]
+            spec += [(1, int(rng.integers(2)), outcome()) for _ in range(rng.integers(0, 6))]
+            spec += [(0, None, outcome() if rng.random() < 0.5 else None)
+                     for _ in range(rng.integers(0, 8))]
+            frame = make_frame(spec, OutcomeSupport(y_lo, y_hi))
+            share = float(rng.uniform(0, 1))
+            # exact means of the outcomes themselves: a float sum can round a
+            # mean past a support end
+            e1, e0 = _exact_mean(frame.y[frame.treated]), _exact_mean(frame.y[frame.control])
+            q0 = _exact_mean(frame.y[frame.z0_bearing]) if frame.z0_bearing.any() else None
+            exact = rates_from(e1, e0, q0)
+            for number in (Fraction, float):
+                rates = exact if number is Fraction else empirical_rates(frame)
+                probs = design_probs(frame, share, number)
+                support = OutcomeSupport(number(y_lo), number(y_hi))
+                lam = support.y_hi - support.y_lo
+                frameworks = ("full", "reduced") if rates.e_y0_w0z0 is not None else ("full",)
+                for framework in frameworks:
+                    worst = worst_case_bounds(rates, probs, framework, support)
+                    sharp = bsv_bounds(rates, probs, framework, lam, support,
+                                       intersect_support=True)
+                    pairs = ((worst.pre_clamp_lo, sharp.pre_clamp_lo),
+                             (worst.pre_clamp_hi, sharp.pre_clamp_hi))
+                    for w, b in pairs:
+                        if number is Fraction:
+                            assert w == b
+                        else:
+                            assert abs(w - b) <= 1e-12
+                    checked += 1
+        assert checked >= 400
 
 
 class TestJsonShape:

@@ -399,18 +399,16 @@ class TestVerify:
         # the golden report's unclamped worst-case interval, checked exhaustively
         assert "ok worst_case full: [-0.938012, 0.953145]\n" in out
 
-    def test_frame_past_the_reachable_sum_bound_exits_2(self, capsys, tmp_path, monkeypatch):
-        def not_reached(*args, **kwargs):
-            raise AssertionError("enumeration started")
-
-        monkeypatch.setattr(pibgen.oracle, "_reachable_sums", not_reached)
-        n = pibgen.oracle._MAX_SUMS // 2 + 1  # 2n+1 sums, one past the bound
+    def test_frame_past_ten_thousand_units_passes(self, capsys, tmp_path):
+        n = 10_001
         path = tmp_path / "large.csv"
         rows = ["a,1,1,1", "b,1,0,0"] + [f"u{i},0,," for i in range(n - 2)]
         path.write_text("id,in_sample,treatment,outcome\n" + "\n".join(rows) + "\n")
         code, out, err = run(capsys, "verify", "--data", str(path))
-        assert code == 2
-        assert f"frame too large for exhaustive enumeration: {n} units" in err
+        assert (code, err) == (0, "")
+        assert out.endswith("all oracle checks passed\n")
+        # every free unit's effect spans [-1, 1] around the sampled contrast of 2
+        assert f"ok worst_case full: [{(2 - (n - 2)) / n:.6f}, 1.000000]\n" in out
 
     def test_empty_frame_exits_2(self, capsys, tmp_path):
         path = tmp_path / "empty.csv"
@@ -545,9 +543,12 @@ class TestExitContract:
         ({"merge_strata": 1}, "--merge-strata expects true or false, got 1"),
         ({"format": "xml"}, "--format must be one of json, csv, md, got 'xml'"),
         ({"format": ["json"]}, "--format must be one of json, csv, md, got ['json']"),
+        ({"model": 0}, "--model expects a file path, got 0"),
+        ({"model": 7}, "--model expects a file path, got 7"),
+        ({"model": ["a"]}, "--model expects a file path, got ['a']"),
     ], ids=["support-short", "support-text", "covariates", "exclude", "out-5", "out-1",
             "categorical", "id-col", "outcome-col", "sample", "pooled", "merge-strata", "merge-strata-1",
-            "format", "format-list"])
+            "format", "format-list", "model-0", "model-7", "model-list"])
     def test_config_value_of_the_wrong_type_is_a_config_error(
             self, capsys, small_csv, tmp_path, config, message):
         path = tmp_path / "cfg.json"
@@ -589,4 +590,28 @@ class TestExitContract:
                              "--out", target)
         assert code == 3
         assert err == f"error: cannot write output file {target!r}: No such file or directory\n"
+        assert out == ""
+
+    def test_failed_verify_writes_no_output_file(self, capsys, tmp_path):
+        data = tmp_path / "header_only.csv"
+        data.write_text("id,in_sample,treatment,outcome\n")
+        target = tmp_path / "verify.txt"
+        code, out, err = run(capsys, "verify", "--data", str(data), "--out", str(target))
+        assert code == 2
+        assert err.startswith("error: ")
+        assert out == ""
+        assert not target.exists()
+
+    @pytest.mark.parametrize("flag", ["--data", "--sample", "--population"])
+    def test_data_file_that_is_not_utf8_is_a_data_error(self, capsys, small_csv, tmp_path,
+                                                        flag):
+        latin1 = tmp_path / "latin1.csv"
+        latin1.write_bytes(SMALL_BINARY.replace("a,1,1,1", "caf\xe9,1,1,1").encode("latin-1"))
+        files = {"--data": ["--data", str(latin1)],
+                 "--sample": ["--sample", str(latin1), "--population", small_csv],
+                 "--population": ["--sample", small_csv, "--population", str(latin1)]}
+        code, out, err = run(capsys, "analyze", *files[flag], "--strata", "1")
+        assert code == 2
+        assert err == (f"error: data file {str(latin1)!r} is not UTF-8 text: "
+                       "invalid continuation byte\n")
         assert out == ""

@@ -14,6 +14,7 @@ from pibgen.errors import (
     MissingColumn,
     MissingCovariate,
     MissingOutcome,
+    NotUtf8,
     OutcomeOutOfSupport,
 )
 from pibgen.frame import (
@@ -112,6 +113,11 @@ class TestLoadFrame:
         frame = load_frame(text.encode("utf-8") if as_bytes else text, BINARY)
         assert frame.ids.tolist() == ["a", "b", "c"]
         assert frame.covariate_names == ()
+
+    def test_bytes_that_are_not_utf8_are_a_data_error(self):
+        text = "id,in_sample,treatment,outcome\ncaf\xe9,1,1,1\nb,1,0,0\n"
+        with pytest.raises(NotUtf8, match="^CSV data is not UTF-8 text: invalid continuation"):
+            load_frame(text.encode("latin-1"), BINARY)
 
     def test_statewide_shaped_file(self, statewide_path):
         frame = load_frame(statewide_path, BINARY)

@@ -270,7 +270,7 @@ def small_binary_frames(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(small_binary_frames())
-def test_reachable_sums_equal_brute_force_enumeration(drawn):
+def test_extreme_sums_equal_brute_force_enumeration(drawn):
     frame, labeled = drawn
     for framework in ("full", "reduced"):
         enum = oracle.enumerate_worst_case(frame, framework)
