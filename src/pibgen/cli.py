@@ -36,7 +36,7 @@ from .frame import (
     tallies,
 )
 from .lambda_select import lambda_report, parse_lambda_expr, resolve_lambda
-from .points import BootstrapOptions, ipw_estimate, merge_nonviable, naive_sate, subclass_estimate
+from .points import BootstrapOptions, ipw_estimate, naive_sate, subclass_estimate
 from .propensity import (
     FitOptions,
     compute_balance,
@@ -45,8 +45,8 @@ from .propensity import (
     model_from_json,
     model_to_json,
 )
-from .report import render_csv, render_markdown, to_json
-from .stratify import strata_for_frame, stratum_summary_csv, stratum_summary_rows
+from .report import render_csv, render_markdown, rows_csv, to_json
+from .stratify import merge_nonviable, strata_for_frame, stratum_summary_rows
 
 FORMATS = ("json", "csv", "md")
 ASSUMPTION_ALIASES = {"worst": "worst_case", "worst_case": "worst_case", "bsv": "bsv", "mtr": "mtr"}
@@ -240,10 +240,6 @@ def _load(options) -> tuple:
     return frame, source
 
 
-def _frameworks(options) -> list[str]:
-    return ["full", "reduced"] if options["framework"] == "both" else [options["framework"]]
-
-
 def _assumptions(options) -> list[str]:
     names = options["assumption"]
     if not isinstance(names, list):
@@ -261,6 +257,12 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _switch(options, key) -> bool:
+    if not isinstance(options[key], bool):
+        raise ConfigError(f"--{key.replace('_', '-')} expects true or false, got {options[key]!r}")
+    return options[key]
+
+
 def _validate_request(options):
     for key in ("strata", "reps"):
         if not _is_int(options[key]):
@@ -273,9 +275,7 @@ def _validate_request(options):
     if not _is_int(seed) or seed < 0:
         raise ConfigError(f"--seed (or PIBGEN_SEED) must be a non-negative integer, got {seed!r}")
     for key in ("pooled", "merge_strata"):
-        if not isinstance(options[key], bool):
-            raise ConfigError(f"--{key.replace('_', '-')} expects true or false, "
-                              f"got {options[key]!r}")
+        _switch(options, key)
     pw0z0 = options["pw0z0"]
     if isinstance(pw0z0, bool) or not isinstance(pw0z0, (int, float)):
         raise ConfigError(f"--pw0z0 must be a real number, got {pw0z0!r}")
@@ -334,7 +334,9 @@ class _Pipeline:
 
     @cached_property
     def specs(self):
-        return bounds_mod.bound_specs(_assumptions(self.options), _frameworks(self.options),
+        framework = self.options["framework"]
+        frameworks = ["full", "reduced"] if framework == "both" else [framework]
+        return bounds_mod.bound_specs(_assumptions(self.options), frameworks,
                                       [lam["value"] for lam in self.lambdas])
 
     @cached_property
@@ -345,8 +347,16 @@ class _Pipeline:
 
     @cached_property
     def assignment(self):
+        """The run's one stratum layout: every per-stratum result reads it."""
         logits = logit_scores(self.model, self.frame)
-        return strata_for_frame(self.frame, logits, self.options["strata"])
+        assignment = strata_for_frame(self.frame, logits, self.options["strata"])
+        if not _switch(self.options, "merge_strata"):
+            return assignment
+        merged = merge_nonviable(assignment, self.frame)
+        if merged.k != assignment.k:
+            print(f"warning: merged non-viable strata, k={assignment.k} -> {merged.k}",
+                  file=sys.stderr)
+        return merged
 
     @cached_property
     def stratified(self):
@@ -362,15 +372,8 @@ class _Pipeline:
         points = [naive_sate(frame).to_json()]
         bootstrap = BootstrapOptions(reps=options["reps"], seed=options["seed"])
         points.append(ipw_estimate(frame, self.model, bootstrap).to_json())
-        assignment = self.assignment
         try:
-            if options["merge_strata"]:
-                merged = merge_nonviable(assignment, frame)
-                if merged.k != assignment.k:
-                    print(f"warning: merged non-viable strata, k={assignment.k} -> {merged.k}",
-                          file=sys.stderr)
-                assignment = merged
-            points.append(subclass_estimate(frame, assignment).to_json())
+            points.append(subclass_estimate(frame, self.assignment).to_json())
         except NonViableStratum as exc:
             return points, str(exc)
         return points, None
@@ -572,20 +575,16 @@ def _run(args) -> int:
     if args.command == "propensity":
         write(model_to_json(stages.model) + "\n")
     elif args.command == "strata":
+        rows = stratum_summary_rows(stages.assignment)
         if options["format"] == "json":
-            rows = stratum_summary_rows(stages.assignment)
             # JSON has no infinity: the open outer ends are written as null
             rows[0]["logit_lo"] = rows[-1]["logit_hi"] = None
             write(to_json({"strata": rows}))
         else:
-            write(stratum_summary_csv(stages.assignment))
+            write(rows_csv(rows))
     elif args.command == "lambda":
         rows = lambda_report(stages.frame, stages.balance)
-        if options["format"] == "json":
-            write(to_json({"lambda_report": rows}))
-        else:
-            lines = ["rule,value"] + [f"{r['rule']},{r['value']!r}" for r in rows]
-            write("\n".join(lines) + "\n")
+        write(to_json({"lambda_report": rows}) if options["format"] == "json" else rows_csv(rows))
     else:
         write(_emit(stages.document(VIEWS[args.command]), options))
     return 0

@@ -31,6 +31,7 @@ from .errors import (
     MissingColumn,
     MissingCovariate,
     MissingOutcome,
+    NonBinaryOutcome,
     NonFiniteValue,
     NotUtf8,
     OutcomeOutOfSupport,
@@ -299,7 +300,9 @@ class Tallies:
 
     def empirical_rates(self, g: int, number=float) -> EmpiricalRates:
         """Arm means of group ``g``, plus its z=0 business-as-usual mean when
-        present, as ``number``."""
+        present, as ``number``; exact (non-float) rates only for 0/1 outcomes."""
+        if number is not float and not self.is_binary(g):
+            raise NonBinaryOutcome("exact rates need 0/1 outcomes")
         if not self.treated[g]:
             raise EmptyArm("treated")
         if not self.control[g]:
@@ -400,9 +403,6 @@ class ColumnMap:
     exclude: tuple[str, ...] = ()
     categorical: tuple[tuple[str, str], ...] = ()
 
-    def categorical_map(self) -> dict:
-        return dict(self.categorical)
-
 
 @dataclass(frozen=True)
 class _Table:
@@ -471,7 +471,7 @@ def _covariate_layout(header, columns: ColumnMap, tables):
     table supplied, so merged files share one encoding).
     """
     raw = _resolve_covariates(header, columns)
-    categorical = columns.categorical_map()
+    categorical = dict(columns.categorical)
     names, layout = [], []
     for col in raw:
         if col in categorical:

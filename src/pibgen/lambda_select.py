@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ConfigError, EmptySample, NegativeLambda
-from .frame import StudyFrame
+from .frame import StudyFrame, tallies
 from .points import plugin_variance
 from .propensity import BalanceReport
 
@@ -69,12 +69,9 @@ def _outcome_sd_lambda(frame: StudyFrame, multiplier: float, arm_rule: str) -> f
         raise EmptySample()
     if arm_rule == "pooled":
         return multiplier * math.sqrt(plugin_variance(pooled))
-    variances = []
-    for mask in (frame.control, frame.treated):
-        arm = frame.y[mask].tolist()
-        if arm:
-            variances.append(plugin_variance(arm))
-    return multiplier * math.sqrt(max(variances))
+    t = tallies(frame)
+    arms = ((t.ss_control[0], t.control[0]), (t.ss_treated[0], t.treated[0]))
+    return multiplier * math.sqrt(max(ss / n for ss, n in arms if n))
 
 
 def resolve_lambda(spec: LambdaSpec, frame: StudyFrame, balance: BalanceReport) -> float:

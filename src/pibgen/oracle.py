@@ -45,6 +45,7 @@ EXACT_BINARY = OutcomeSupport(0, 1)
 
 def exact_rates(frame: StudyFrame) -> EmpiricalRates:
     """Arm means as exact fractions of integer counts."""
+    _require_binary(frame)
     return empirical_rates(frame, Fraction)
 
 

@@ -2,7 +2,9 @@
 sample contrast, normalized inverse-propensity weighting, and propensity-score
 subclassification.
 
-The IPW estimator is the ratio (Hajek) form, invariant to rescaling of the
+Subclassification reads the tallies of a ``StratumAssignment`` built by
+``stratify`` (merged there when asked) and refuses one with a non-viable
+stratum.  The IPW estimator is the ratio (Hajek) form, invariant to rescaling of the
 weights, with a nonparametric bootstrap standard error.  Each bootstrap
 replicate draws from its own generator, a child of the master seed; the
 replicates are then evaluated in memory-bounded batches, so the standard
@@ -160,10 +162,10 @@ def ipw_estimate(
 
 def subclass_estimate(frame: StudyFrame, assignment: StratumAssignment) -> PointEstimate:
     """Population-share weighted average of within-stratum naive contrasts."""
-    bad = [j for j in range(1, assignment.k + 1) if not assignment.viable(j)]
+    t = assignment.tallies
+    bad = [g + 1 for g in range(assignment.k) if not t.viable(g)]
     if bad:
         raise NonViableStratum(bad)
-    t = assignment.tallies
     estimate = 0.0
     var = 0.0
     per_stratum = []
@@ -180,22 +182,3 @@ def subclass_estimate(frame: StudyFrame, assignment: StratumAssignment) -> Point
         details={"k": assignment.k, "per_stratum": per_stratum},
     )
 
-
-def merge_nonviable(assignment: StratumAssignment, frame: StudyFrame) -> StratumAssignment:
-    """Collapse each non-viable stratum into its lower neighbor (the first
-    stratum merges upward) until every stratum has both sampled arms."""
-    current = assignment
-    while current.k > 1:
-        bad = [j for j in range(1, current.k + 1) if not current.viable(j)]
-        if not bad:
-            return current
-        j = bad[0]
-        target = j - 1 if j > 1 else 2
-        merged = np.where(current.labels == j, target, current.labels)
-        # compact the strata that still hold rows to 1..k
-        present = np.unique(merged)
-        labels = np.searchsorted(present, merged) + 1
-        k = len(present)
-        kept = [b for i, b in enumerate(current.breakpoints, start=1) if i != min(j, target)]
-        current = StratumAssignment(k, tuple(kept), labels, tallies(frame, labels, k))
-    return current

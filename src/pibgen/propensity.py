@@ -29,7 +29,6 @@ from .frame import StudyFrame
 class FitOptions:
     tolerance: float = 1e-8
     max_iter: int = 100
-    ridge: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -59,28 +58,15 @@ def _sigmoid(eta):
     return out
 
 
-def binomial_loglik(beta, design, z, ridge: float = 0.0) -> float:
-    """Bernoulli log-likelihood of z given the design matrix, optionally with a
-    ridge penalty on the non-intercept coefficients."""
+def binomial_loglik(beta, design, z) -> float:
+    """Bernoulli log-likelihood of z given the design matrix."""
     eta = design @ beta
-    ll = float(np.sum(z * eta - np.logaddexp(0.0, eta)))
-    if ridge:
-        ll -= 0.5 * ridge * float(np.sum(beta[1:] ** 2))
-    return ll
+    return float(np.sum(z * eta - np.logaddexp(0.0, eta)))
 
 
-def binomial_score(beta, design, z, ridge: float = 0.0) -> np.ndarray:
+def binomial_score(beta, design, z) -> np.ndarray:
     """Gradient of ``binomial_loglik`` with respect to beta."""
-    return _score(beta, design, z, ridge, _sigmoid(design @ beta))
-
-
-def _score(beta, design, z, ridge, mu) -> np.ndarray:
-    """``binomial_score`` from the fitted probabilities ``mu`` at beta."""
-    grad = design.T @ (z - mu)
-    if ridge:
-        grad = grad.copy()
-        grad[1:] -= ridge * beta[1:]
-    return grad
+    return design.T @ (z - _sigmoid(design @ beta))
 
 
 def _standardized_design(frame: StudyFrame, covariates):
@@ -108,35 +94,32 @@ def fit_propensity(
 ) -> PropensityModel:
     """Maximum-likelihood logistic fit of sample membership on covariates.
 
-    Newton steps with step-halving keep the (penalized) log-likelihood
+    Newton steps with step-halving keep the log-likelihood
     non-decreasing; convergence is declared when the max-norm of the gradient
     on the standardized scale falls below ``options.tolerance``.
     """
     covariates = tuple(covariates)
     z = frame.z.astype(float)
+    if not z.size:
+        raise EmptySample()
     if z.min() == z.max():
         raise SingularDesign("selection indicator takes a single value")
     design, means, sds = _standardized_design(frame, covariates)
-    p = design.shape[1]
-    ridge = options.ridge
-    beta = np.zeros(p)
-    ll = binomial_loglik(beta, design, z, ridge)
+    beta = np.zeros(design.shape[1])
+    ll = binomial_loglik(beta, design, z)
     trace = [ll]
     converged = False
     iterations = 0
     for _ in range(options.max_iter):
         mu = _sigmoid(design @ beta)
-        grad = _score(beta, design, z, ridge, mu)
+        grad = design.T @ (z - mu)
         grad_norm = float(np.max(np.abs(grad)))
         if grad_norm <= options.tolerance:
-            if ridge == 0:
-                _check_saturation(beta, design, z, covariates)
+            _check_saturation(beta, design, z, covariates)
             converged = True
             break
         weights = mu * (1.0 - mu)
         hess = design.T @ (design * weights[:, None])
-        if ridge:
-            hess[1:, 1:] += ridge * np.eye(p - 1)
         try:
             step = np.linalg.solve(hess, grad)
         except np.linalg.LinAlgError:
@@ -148,27 +131,26 @@ def fit_propensity(
         slack = 1e-12 * max(1.0, abs(ll))
         for _ in range(50):
             trial = beta + alpha * step
-            trial_ll = binomial_loglik(trial, design, z, ridge)
+            trial_ll = binomial_loglik(trial, design, z)
             if trial_ll >= ll - slack:
                 break
             alpha *= 0.5
         else:
             # no halving passed the test: take the next, smaller step untested
             trial = beta + alpha * step
-            trial_ll = binomial_loglik(trial, design, z, ridge)
+            trial_ll = binomial_loglik(trial, design, z)
         beta, ll = trial, trial_ll
         trace.append(ll)
         iterations += 1
-        if ridge == 0 and float(np.max(np.abs(beta))) > 30.0:
+        if float(np.max(np.abs(beta))) > 30.0:
             # standardized coefficients this large mean the likelihood is
             # drifting to a perfect-separation boundary
             _raise_separation(beta, covariates)
     if not converged:
-        grad_norm = float(np.max(np.abs(binomial_score(beta, design, z, ridge))))
+        grad_norm = float(np.max(np.abs(binomial_score(beta, design, z))))
         if grad_norm > options.tolerance:
             raise NoConvergence(options.max_iter, grad_norm)
-        if ridge == 0:
-            _check_saturation(beta, design, z, covariates)
+        _check_saturation(beta, design, z, covariates)
         converged = True
 
     # back-transform to the original covariate scale

@@ -169,6 +169,15 @@ def render_markdown(document: dict) -> str:
     return "\n".join(lines).rstrip() + "\n"
 
 
+def rows_csv(rows: list[dict]) -> str:
+    """Same-keyed rows as CSV, header first; a cell with a comma is quoted."""
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=list(rows[0]), lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
 def render_csv(document: dict) -> str:
     """Flat delimited view: one row per interval or point estimate."""
     buf = io.StringIO()

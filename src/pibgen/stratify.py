@@ -3,12 +3,15 @@
 Breakpoints are the j/k empirical quantiles of the logit distribution over all
 N units (the ceil(j*N/k)-th order statistic), units with a logit exactly at a
 breakpoint go to the lower stratum, and the lowest stratum is closed below.
+
+Only this module builds a ``StratumAssignment``: ``strata_for_frame`` cuts the
+strata and ``merge_nonviable`` collapses those that lack a sampled arm.  A run
+builds its assignment once and every per-stratum result reads it, by 0-based
+group through ``assignment.tallies``.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 import numbers
 from dataclasses import dataclass
@@ -25,21 +28,6 @@ class StratumAssignment:
     breakpoints: tuple[float, ...]
     labels: np.ndarray  # 1-based stratum index of each row, in row order
     tallies: Tallies  # the frame's statistics per stratum, stratum j at j - 1
-
-    @property
-    def counts_population(self) -> tuple[int, ...]:
-        return self.tallies.units
-
-    @property
-    def counts_sample_treated(self) -> tuple[int, ...]:
-        return self.tallies.treated
-
-    @property
-    def counts_sample_control(self) -> tuple[int, ...]:
-        return self.tallies.control
-
-    def viable(self, j: int) -> bool:
-        return self.tallies.viable(j - 1)
 
 
 def make_strata(logits, k: int) -> tuple[tuple[float, ...], np.ndarray]:
@@ -76,6 +64,25 @@ def strata_for_frame(frame: StudyFrame, logits, k: int) -> StratumAssignment:
     return StratumAssignment(k, breakpoints, labels, tallies(frame, labels, k))
 
 
+def merge_nonviable(assignment: StratumAssignment, frame: StudyFrame) -> StratumAssignment:
+    """Collapse each non-viable stratum into its lower neighbor (the first
+    stratum merges upward) until every stratum has both sampled arms.
+
+    A stratum stays apart when it and the merged stratum below it have both
+    arms; that merged stratum has them exactly when all strata below do.
+    """
+    t = assignment.tallies
+    arms_below = np.minimum(np.cumsum(t.treated), np.cumsum(t.control))
+    opens = [g == 0 or (t.viable(g) and arms_below[g - 1] > 0) for g in range(assignment.k)]
+    if all(opens):
+        return assignment
+    relabel = np.cumsum([0] + opens)  # merged stratum of each 1-based stratum
+    labels, k = relabel[assignment.labels], int(relabel[-1])
+    # the breakpoint below stratum g + 1 survives only where that stratum opens
+    kept = tuple(b for b, keep in zip(assignment.breakpoints, opens[1:]) if keep)
+    return StratumAssignment(k, kept, labels, tallies(frame, labels, k))
+
+
 @dataclass(frozen=True, eq=False)
 class StratumPiece:
     index: int
@@ -97,30 +104,11 @@ def stratum_frames(frame: StudyFrame, assignment: StratumAssignment) -> list[Str
 
 
 def stratum_summary_rows(assignment: StratumAssignment) -> list[dict]:
-    rows = []
-    for j in range(1, assignment.k + 1):
-        lo = assignment.breakpoints[j - 2] if j > 1 else float("-inf")
-        hi = assignment.breakpoints[j - 1] if j <= len(assignment.breakpoints) else float("inf")
-        rows.append(
-            {
-                "stratum": j,
-                "logit_lo": lo,
-                "logit_hi": hi,
-                "n_population": assignment.counts_population[j - 1],
-                "n_sample_treated": assignment.counts_sample_treated[j - 1],
-                "n_sample_control": assignment.counts_sample_control[j - 1],
-                "viable": assignment.viable(j),
-            }
-        )
-    return rows
-
-
-def stratum_summary_csv(assignment: StratumAssignment) -> str:
-    """CSV export of the per-stratum layout (the data behind a logit-distribution
-    plot; plotting itself is out of scope)."""
-    rows = stratum_summary_rows(assignment)
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()), lineterminator="\n")
-    writer.writeheader()
-    writer.writerows(rows)
-    return buf.getvalue()
+    """The per-stratum layout, one row per stratum (the data behind a
+    logit-distribution plot; plotting itself is out of scope)."""
+    t = assignment.tallies
+    ends = (-math.inf, *assignment.breakpoints, math.inf)
+    return [{"stratum": g + 1, "logit_lo": ends[g], "logit_hi": ends[g + 1],
+             "n_population": t.units[g], "n_sample_treated": t.treated[g],
+             "n_sample_control": t.control[g], "viable": t.viable(g)}
+            for g in range(assignment.k)]

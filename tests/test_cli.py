@@ -1,12 +1,17 @@
 """CLI subcommands, exit codes, and output determinism."""
 
+import contextlib
+import csv
 import importlib
 import importlib.util
+import io
 import json
 import pathlib
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pibgen
 import pibgen.bounds
@@ -327,6 +332,39 @@ class TestSubcommands:
         rows = json.loads(out)["lambda_report"]
         assert any(r["rule"] == "sd:pooled" for r in rows)
 
+    @pytest.mark.parametrize("fmt", ["csv", "md"])
+    def test_lambda_table_quotes_a_rule_holding_a_comma(self, capsys, tmp_path, fmt):
+        path = tmp_path / "comma.csv"
+        path.write_text(
+            'id,in_sample,treatment,outcome,"size,log",x2\n'
+            "a,1,1,1,0.2,3\nb,1,0,0,0.9,1\nc,0,,,0.5,2\nd,0,,,0.1,5\n"
+        )
+        code, out, _ = run(capsys, "lambda", "--data", str(path), "--format", fmt)
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(out)))
+        assert rows[0] == ["rule", "value"]
+        assert {len(row) for row in rows} == {2}
+        _, doc, _ = run(capsys, "lambda", "--data", str(path), "--format", "json")
+        assert [[r["rule"], repr(r["value"])] for r in json.loads(doc)["lambda_report"]] == rows[1:]
+        assert rows[1][0] == "asmd:single:size,log"
+
+    def test_merged_strata_are_the_one_layout_of_the_report(self, capsys):
+        data = synthetic_path()
+        code, out, err = run(capsys, "analyze", "--data", data, "--strata", "8",
+                             "--merge-strata", "--pooled", "--format", "json")
+        assert code == 0
+        assert err == "warning: merged non-viable strata, k=8 -> 7\n"
+        doc = json.loads(out)
+        block = doc["stratum_intervals"]
+        subclass = doc["point_estimates"][2]
+        assert subclass["method"] == "subclassification"
+        code, rows, _ = run(capsys, "strata", "--data", data, "--strata", "8", "--merge-strata")
+        assert code == 0
+        assert block["k"] == subclass["details"]["k"] == len(rows.splitlines()) - 1 == 7
+        assert [s["stratum"] for s in block["strata"]] == list(range(1, 8))
+        assert doc["notes"]["non_viable_strata"] == []
+        assert block["pooled"]
+
     def test_bounds_subcommand(self, capsys, small_csv):
         code, out, _ = run(capsys, "bounds", "--data", small_csv, "--framework", "both",
                            "--format", "json")
@@ -409,6 +447,12 @@ class TestVerify:
         assert out.endswith("all oracle checks passed\n")
         # every free unit's effect spans [-1, 1] around the sampled contrast of 2
         assert f"ok worst_case full: [{(2 - (n - 2)) / n:.6f}, 1.000000]\n" in out
+
+    def test_continuous_frame_is_a_data_error(self, capsys, continuous_csv):
+        code, out, err = run(capsys, "verify", "--data", continuous_csv, "--support", "0,3")
+        assert code == 2
+        assert err == "error: enumeration oracles require a binary frame\n"
+        assert out == ""
 
     def test_empty_frame_exits_2(self, capsys, tmp_path):
         path = tmp_path / "empty.csv"
@@ -569,6 +613,26 @@ class TestExitContract:
         assert f"stratum count must be an integer >= 1, got {count!r}" in err
         assert out == ""
 
+    @pytest.mark.parametrize("command", ["propensity", "strata", "analyze"])
+    def test_header_only_file_is_a_data_error(self, capsys, tmp_path, command):
+        path = tmp_path / "empty.csv"
+        path.write_text("id,in_sample,treatment,outcome,x1\n")
+        code, out, err = run(capsys, command, "--data", str(path))
+        assert code == 2
+        assert err == "error: frame contains no sampled (z=1) units\n"
+        assert out == ""
+
+    @pytest.mark.parametrize("value", ["no", 1])
+    def test_strata_command_rejects_a_merge_switch_that_is_not_a_bool(
+            self, capsys, small_csv, tmp_path, value):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"merge_strata": value}))
+        code, out, err = run(capsys, "--config", str(path), "strata", "--data", small_csv,
+                             "--strata", "1")
+        assert code == 3
+        assert f"error: --merge-strata expects true or false, got {value!r}" in err
+        assert out == ""
+
     @pytest.mark.parametrize("command", ["analyze", "verify"])
     @pytest.mark.parametrize("flag", ["--data", "--sample", "--population"])
     def test_missing_input_file_is_a_config_error(self, capsys, small_csv, tmp_path,
@@ -615,3 +679,47 @@ class TestExitContract:
         assert err == (f"error: data file {str(latin1)!r} is not UTF-8 text: "
                        "invalid continuation byte\n")
         assert out == ""
+
+
+# one alphabet per column: valid cells, blanks, non-finite and unparsable text,
+# outcomes outside the default [0, 1] support and indicators that are not 0/1
+_CELLS = {
+    "id": ["a", "b", "c", ""],
+    "in_sample": ["0", "1", "1", "", "2", "x"],
+    "treatment": ["0", "1", "", "nan", "2"],
+    "outcome": ["0", "1", "1", "0.5", "", "nan", "inf", "-1", "2", "x"],
+    "x1": ["0", "1", "2.5", "-3", "", "nan", "-inf", "x"],
+}
+_COMMANDS = ("analyze", "bounds", "points", "strata", "lambda", "propensity", "verify")
+
+
+@st.composite
+def _csv_texts(draw):
+    rows = draw(st.lists(st.fixed_dictionaries(
+        {column: st.sampled_from(cells) for column, cells in _CELLS.items()}), max_size=8))
+    lines = [",".join(_CELLS)] + [",".join(row.values()) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=100, deadline=None)
+@given(text=_csv_texts(), strata=st.sampled_from(["1", "2", "3"]), merge=st.booleans(),
+       fmt=st.sampled_from(["json", "csv", "md"]))
+def test_every_input_ends_in_a_report_or_a_typed_error(tmp_path_factory, text, strata, merge,
+                                                       fmt):
+    path = tmp_path_factory.mktemp("fuzz") / "data.csv"
+    path.write_text(text)
+    options = ["--data", str(path), "--strata", strata, "--reps", "5", "--format", fmt,
+               "--framework", "both", "--pooled",
+               "--assumption", "worst", "--assumption", "bsv", "--assumption", "mtr",
+               "--lambda", "0.3", "--lambda", "sd:max_arm", "--lambda", "asmd:max"]
+    if merge:
+        options.append("--merge-strata")
+    for command in _COMMANDS:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command, *options])
+        assert code in (0, 1, 2, 3), (command, err.getvalue())
+        assert code != 1 or command == "verify"
+        assert "Traceback" not in err.getvalue()
+        if code == 0:
+            assert "NaN" not in out.getvalue() and "Infinity" not in out.getvalue(), command

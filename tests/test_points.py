@@ -12,12 +12,12 @@ from pibgen.points import (
     _bootstrap_contrasts,
     _hajek_contrast,
     ipw_estimate,
-    merge_nonviable,
     naive_sate,
     plugin_variance,
     subclass_estimate,
 )
 from pibgen.propensity import PropensityModel
+from pibgen.stratify import merge_nonviable
 from pibgen.stratify import strata_for_frame
 
 from conftest import make_frame
@@ -188,11 +188,11 @@ class TestSubclassification:
              (2.0,), (2.1,), (2.2,)]
         frame = make_frame(spec, covariates=("a",), x=x)
         assignment = strata_for_frame(frame, frame.covariate_column("a"), 3)
-        assert [assignment.viable(j) for j in (1, 2, 3)] == [True, False, True]
+        assert [assignment.tallies.viable(g) for g in range(3)] == [True, False, True]
         merged = merge_nonviable(assignment, frame)
         assert merged.k == 2
-        assert all(merged.viable(j) for j in (1, 2))
-        assert sum(merged.counts_population) == frame.n_units
+        assert all(merged.tallies.viable(g) for g in range(2))
+        assert sum(merged.tallies.units) == frame.n_units
 
 
 class TestSanity:

@@ -84,13 +84,6 @@ class TestFit:
             fit_propensity(frame, ["a"])
         assert "a" in err.value.direction
 
-    def test_ridge_rescues_separated_fit(self):
-        x = [(2.0,), (3.0,), (-2.0,), (-3.0,)]
-        frame = frame_with_x([1, 1, 0, 0], x, ["a"])
-        model = fit_propensity(frame, ["a"], FitOptions(ridge=0.5))
-        assert model.converged
-        assert model.coefficients["a"] > 0
-
     def test_no_convergence_when_budget_too_small(self):
         rng = np.random.default_rng(5)
         x = [(float(v),) for v in rng.normal(size=40)]

@@ -6,11 +6,11 @@ import pytest
 from pibgen.errors import TooManyStrata
 from pibgen.frame import BINARY, load_frame
 from pibgen.propensity import fit_propensity, logit_scores
+from pibgen.report import rows_csv
 from pibgen.stratify import (
     make_strata,
     strata_for_frame,
     stratum_frames,
-    stratum_summary_csv,
     stratum_summary_rows,
 )
 
@@ -75,9 +75,9 @@ class TestStatewideShaped:
         frame = load_frame(statewide_path, BINARY)
         model = fit_propensity(frame, frame.covariate_names)
         assignment = strata_for_frame(frame, logit_scores(model, frame), 3)
-        for size in assignment.counts_population:
+        for size in assignment.tallies.units:
             assert abs(size - 343) <= 1
-        assert sum(assignment.counts_population) == 1029
+        assert sum(assignment.tallies.units) == 1029
 
 
 class TestStratumFrames:
@@ -99,10 +99,10 @@ class TestStratumFrames:
         frame = self._frame()
         assignment = strata_for_frame(frame, frame.covariate_column("a"), 2)
         # stratum 1 has one treated + one control; stratum 2 only a treated unit
-        assert assignment.viable(1)
-        assert not assignment.viable(2)
-        assert assignment.counts_sample_treated == (1, 1)
-        assert assignment.counts_sample_control == (1, 0)
+        assert assignment.tallies.viable(0)
+        assert not assignment.tallies.viable(1)
+        assert assignment.tallies.treated == (1, 1)
+        assert assignment.tallies.control == (1, 0)
 
     def test_subframes_inherit_support_and_covariates(self):
         frame = self._frame()
@@ -122,7 +122,7 @@ class TestSummaryExport:
         assert rows[0]["logit_lo"] == float("-inf")
         assert rows[-1]["logit_hi"] == float("inf")
         assert [r["stratum"] for r in rows] == [1, 2]
-        text = stratum_summary_csv(assignment)
+        text = rows_csv(rows)
         header = text.splitlines()[0]
         assert header == ("stratum,logit_lo,logit_hi,n_population,"
                           "n_sample_treated,n_sample_control,viable")
