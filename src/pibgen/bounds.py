@@ -214,23 +214,24 @@ def mtr_bounds(rates: EmpiricalRates, probs: DesignProbs,
     The lower bound is 0 by assumption.  The upper bound counts the mass that
     could still move: sampled control fails and sampled treated passes, plus,
     in population scope, business-as-usual fails among non-sampled control-arm
-    mass.  The unobservable non-sampled treated-arm contribution is set to 0
+    mass.  On 0/1 outcomes a pass rate is the arm mean and a fail rate is one
+    minus it.  The unobservable non-sampled treated-arm contribution is set to 0
     in the min variant and to its full mass in the max variant; the result is
     the ``(min, max)`` pair, each interval tagged by its ``variant``.
     """
     if scope not in MTR_SCOPES:
         raise ConfigError(f"scope must be one of {MTR_SCOPES}, got {scope!r}")
-    if rates.pass1_w1z1 is None or rates.fail0_w0z1 is None:
+    if not rates.binary:
         raise NonBinaryOutcome("monotone-response bounds need binary pass/fail rates")
     support = OutcomeSupport(0, 1)  # integer endpoints stay exact under Fraction inputs
-    sample_part = rates.fail0_w0z1 * probs.p_w0_z1 + rates.pass1_w1z1 * probs.p_w1_z1
+    sample_part = (1 - rates.e_y0_w0z1) * probs.p_w0_z1 + rates.e_y1_w1z1 * probs.p_w1_z1
     if scope == "sample":
         min_hi = sample_part
         max_hi = sample_part + probs.p_z0
     else:
-        if rates.fail0_w0z0 is None:
+        if rates.e_y0_w0z0 is None:
             raise MissingPopulationOutcome("the population-scope monotone bound")
-        min_hi = sample_part + rates.fail0_w0z0 * probs.p_w0_z0
+        min_hi = sample_part + (1 - rates.e_y0_w0z0) * probs.p_w0_z0
         max_hi = min_hi + probs.p_w1_z0
     framework = "full" if scope == "sample" else "reduced"
     zero = 0 * min_hi  # exact zero of whatever numeric type flows through

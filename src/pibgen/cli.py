@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 verification mismatch, 2 data error, 3 config error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -152,6 +153,8 @@ def _merge_config(args) -> dict:
                 config = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config file: {exc}")
+        if not isinstance(config, dict):
+            raise ConfigError(f"config file {args.config!r} does not hold a JSON object")
         unknown = set(config) - set(_DEFAULTS) - {"lambda"}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
@@ -226,18 +229,18 @@ def _load(options) -> tuple:
     for key in ("data", "sample", "population", "model"):
         if options[key] is not None and not isinstance(options[key], str):
             raise ConfigError(f"--{key} expects a file path, got {options[key]!r}")
+    keys = ("data",) if options["data"] else ("sample", "population")
+    if not all(options[key] for key in keys):
+        raise ConfigError("provide --data, or both --sample and --population")
     try:
-        if options["data"]:
-            frame = load_frame(options["data"], support, columns)
-            source = os.path.basename(options["data"])
-        elif options["sample"] and options["population"]:
-            frame = load_two_frames(options["sample"], options["population"], support, columns)
-            source = f"{os.path.basename(options['sample'])}+{os.path.basename(options['population'])}"
-        else:
-            raise ConfigError("provide --data, or both --sample and --population")
+        with contextlib.ExitStack() as files:
+            # opened here, so that no path is ever taken for CSV text
+            streams = [files.enter_context(open(options[key], newline="", encoding="utf-8-sig"))
+                       for key in keys]
+            frame = (load_frame if len(keys) == 1 else load_two_frames)(*streams, support, columns)
     except OSError as exc:
         raise ConfigError(f"cannot read data file {exc.filename!r}: {exc.strerror}")
-    return frame, source
+    return frame, "+".join(os.path.basename(options[key]) for key in keys)
 
 
 def _assumptions(options) -> list[str]:
@@ -325,12 +328,9 @@ class _Pipeline:
 
     @cached_property
     def lambdas(self):
-        resolved = []
-        for expr in self.options["lambdas"]:
-            spec = parse_lambda_expr(str(expr))
-            value = float(resolve_lambda(spec, self.frame, self.balance))
-            resolved.append({"label": spec.label(), "value": value})
-        return resolved
+        specs = (parse_lambda_expr(str(expr)) for expr in self.options["lambdas"])
+        return [{"label": spec.label(), "value": resolve_lambda(spec, self.frame, self.balance)}
+                for spec in specs]
 
     @cached_property
     def specs(self):
@@ -462,12 +462,12 @@ def _emit(document: dict, options) -> str:
 
 def _verify_checks(frame):
     """Yield (name, float engine interval, rational engine interval, oracle lo,
-    oracle hi) comparisons."""
-    rates_f = empirical_rates(frame)
+    oracle hi) comparisons.  The float inputs are the exact ones rounded once,
+    as a float tally of 0/1 outcomes gives them."""
     rates_x = oracle_mod.exact_rates(frame)
     share = oracle_mod.bearing_share(frame) if frame.z0_bearing.any() else Fraction(1, 2)
-    probs_f = design_probs(frame, float(share))
     probs_x = oracle_mod.exact_design_probs(frame, share)
+    rates_f, probs_f = convert(rates_x), convert(probs_x)
     support = frame.support
     exact = oracle_mod.EXACT_BINARY
     # the reduced framework needs business-as-usual outcomes among z=0 units
@@ -488,30 +488,24 @@ def _verify_checks(frame):
                    bounds_mod.bsv_bounds(rates_x, probs_x, framework, lam, exact,
                                          intersect_support=True),
                    enum.lo, enum.hi)
-    scopes = [("sample", rates_f, probs_f, rates_x, probs_x)]
+    scopes = [("sample", rates_x, probs_x)]
     z0 = frame.z == 0
     w0 = z0 & (frame.w == 0)
     labeled = (frame.w[z0] >= 0).all()
     w0_bearing = not np.isnan(frame.y[w0]).any()
     if z0.any() and labeled and w0_bearing and w0.any():
-        share_w0 = Fraction(int(np.count_nonzero(w0)), int(np.count_nonzero(z0)))
-        probs_xp = oracle_mod.exact_design_probs(frame, share_w0)
-        rates_xp = _rates_over_w0_labeled(frame, rates_x)
-        scopes.append(("population", convert(rates_xp), convert(probs_xp), rates_xp, probs_xp))
-    for scope, rates_sf, probs_sf, rates_sx, probs_sx in scopes:
+        # the z=0 control mean runs over the control-labeled units only
+        n_w0 = int(np.count_nonzero(w0))
+        rates_w0 = replace(rates_x, e_y0_w0z0=Fraction(int(frame.y[w0].sum()), n_w0))
+        probs_w0 = oracle_mod.exact_design_probs(frame, Fraction(n_w0, int(np.count_nonzero(z0))))
+        scopes.append(("population", rates_w0, probs_w0))
+    for scope, rates_s, probs_s in scopes:
         enum_max = oracle_mod.enumerate_mtr(frame, scope)
         enum_min = oracle_mod.enumerate_mtr(frame, scope, pin_free_to_zero=True)
-        min_f, max_f = bounds_mod.mtr_bounds(rates_sf, probs_sf, scope)
-        min_x, max_x = bounds_mod.mtr_bounds(rates_sx, probs_sx, scope)
+        min_f, max_f = bounds_mod.mtr_bounds(convert(rates_s), convert(probs_s), scope)
+        min_x, max_x = bounds_mod.mtr_bounds(rates_s, probs_s, scope)
         yield (f"mtr {scope} max-variant", max_f, max_x, enum_max.lo, enum_max.hi)
         yield (f"mtr {scope} min-variant", min_f, min_x, enum_min.lo, enum_min.hi)
-
-
-def _rates_over_w0_labeled(frame, rates_x):
-    """Exact rates whose z=0 control mean runs over control-labeled units only."""
-    w0 = frame.y[(frame.z == 0) & (frame.w == 0)]
-    q0 = Fraction(int(w0.sum()), len(w0))
-    return replace(rates_x, e_y0_w0z0=q0, fail0_w0z0=1 - q0)
 
 
 def cmd_verify(options) -> tuple[str, int]:

@@ -1,6 +1,7 @@
 """Data model for combined sample + population frames, CSV ingestion, and the
-per-group tallies (counts and sums) that every design probability, arm mean
-and plug-in variance an estimator consumes is computed from.
+per-group tallies (counts, sums and centred sums of squares) that every design
+probability, arm mean and plug-in variance an estimator or lambda rule
+consumes is computed from.
 
 A frame holds every unit in the inference population.  Sampled units (z=1)
 carry a treatment indicator and a realized outcome; non-sampled units (z=0)
@@ -235,15 +236,14 @@ class DesignProbs:
 @dataclass(frozen=True)
 class EmpiricalRates:
     """Plug-in arm means. ``e_y0_w0z0`` is the business-as-usual mean over
-    outcome-bearing z=0 units and is absent when no such unit exists.  The
-    binary pass/fail rates are populated only for binary frames."""
+    outcome-bearing z=0 units and is absent when no such unit exists.
+    ``binary`` tells whether every outcome is 0 or 1 on a binary support; then
+    each mean is also a pass rate, and one minus it the fail rate."""
 
     e_y1_w1z1: float
     e_y0_w0z1: float
     e_y0_w0z0: float | None = None
-    pass1_w1z1: float | None = None
-    fail0_w0z1: float | None = None
-    fail0_w0z0: float | None = None
+    binary: bool = False
 
     @property
     def sate(self):
@@ -252,19 +252,19 @@ class EmpiricalRates:
 
 def convert(record):
     """Copy of an ``EmpiricalRates`` or ``DesignProbs`` with every present
-    value cast to ``float``."""
+    number cast to ``float``; a flag stays a bool."""
     values = (getattr(record, f.name) for f in fields(record))
-    return type(record)(*(None if v is None else float(v) for v in values))
+    return type(record)(*(v if v is None or isinstance(v, bool) else float(v) for v in values))
 
 
 @dataclass(frozen=True, eq=False)
 class Tallies:
     """Sufficient statistics of groups of rows, one entry per group.
 
-    Every design probability, arm mean and plug-in variance an estimator
-    reads is a closed form in these counts and sums.  Sums add in row order
-    within a group, so a group's tallies equal those of a frame holding only
-    its rows.
+    Every design probability, arm mean and plug-in variance an estimator or
+    lambda rule reads is a closed form in these counts and sums.  Sums add in
+    row order within a group, so a group's tallies equal those of a frame
+    holding only its rows.
     """
 
     units: tuple[int, ...]
@@ -277,6 +277,7 @@ class Tallies:
     nonbinary: tuple[int, ...]  # outcomes other than 0 and 1
     ss_treated: tuple[float, ...]  # centred sum of squares of the treated outcomes
     ss_control: tuple[float, ...]
+    ss_sampled: tuple[float, ...]  # of all sampled outcomes, both arms together
     binary_support: bool
 
     def viable(self, g: int) -> bool:
@@ -301,7 +302,8 @@ class Tallies:
     def empirical_rates(self, g: int, number=float) -> EmpiricalRates:
         """Arm means of group ``g``, plus its z=0 business-as-usual mean when
         present, as ``number``; exact (non-float) rates only for 0/1 outcomes."""
-        if number is not float and not self.is_binary(g):
+        binary = self.is_binary(g)
+        if number is not float and not binary:
             raise NonBinaryOutcome("exact rates need 0/1 outcomes")
         if not self.treated[g]:
             raise EmptyArm("treated")
@@ -310,16 +312,7 @@ class Tallies:
         e1 = number(self.y_treated[g]) / self.treated[g]
         e0 = number(self.y_control[g]) / self.control[g]
         q0 = number(self.y_z0[g]) / self.z0_bearing[g] if self.z0_bearing[g] else None
-        if not self.is_binary(g):
-            return EmpiricalRates(e_y1_w1z1=e1, e_y0_w0z1=e0, e_y0_w0z0=q0)
-        return EmpiricalRates(
-            e_y1_w1z1=e1,
-            e_y0_w0z1=e0,
-            e_y0_w0z0=q0,
-            pass1_w1z1=e1,
-            fail0_w0z1=1 - e0,
-            fail0_w0z0=None if q0 is None else 1 - q0,
-        )
+        return EmpiricalRates(e1, e0, q0, binary)
 
 
 def tallies(frame: StudyFrame, labels=None, k: int = 1) -> Tallies:
@@ -342,12 +335,13 @@ def _tally(frame: StudyFrame, labels, k: int) -> Tallies:
     def centred_squares(mask, sums, counts):
         groups = labels[mask]
         deviations = y[mask] - (sums / np.maximum(counts, 1))[groups - 1]
-        # C pow, as Python's ** squares a float in points.plugin_variance;
+        # C pow, as Python's ** squares a float in a two-pass plug-in variance;
         # deviations * deviations rounds differently for about 1 value in 1,000
         squares = np.float_power(deviations, 2)
         return np.bincount(groups, weights=squares, minlength=bins)[1:]
 
     treated, control, z0 = frame.treated, frame.control, frame.z0_bearing
+    sampled = frame.z == 1
     n_treated, n_control = count(treated), count(control)
     y_treated, y_control = total(treated), total(control)
     return Tallies(
@@ -361,6 +355,7 @@ def _tally(frame: StudyFrame, labels, k: int) -> Tallies:
         nonbinary=tuple(count(~np.isnan(y) & (y != 0) & (y != 1)).tolist()),
         ss_treated=tuple(centred_squares(treated, y_treated, n_treated).tolist()),
         ss_control=tuple(centred_squares(control, y_control, n_control).tolist()),
+        ss_sampled=tuple(centred_squares(sampled, total(sampled), n_treated + n_control).tolist()),
         binary_support=frame.support.is_binary,
     )
 
@@ -376,8 +371,8 @@ def empirical_rates(frame: StudyFrame, number=float) -> EmpiricalRates:
     present, as ``number`` (``float``, or ``Fraction`` for exact values).
 
     The z=0 mean averages exactly the non-sampled units that carry outcomes;
-    sampled units are never included.  The binary pass/fail rates are set only
-    when every outcome is 0 or 1 on a binary support.
+    sampled units are never included.  ``binary`` is set only when every
+    outcome is 0 or 1 on a binary support.
     """
     return tallies(frame).empirical_rates(0, number)
 
@@ -425,19 +420,13 @@ def _read_table(source) -> _Table:
     try:
         text = source.decode("utf-8-sig") if isinstance(source, bytes) else source
         if isinstance(text, str):
-            if "\n" in text:
-                fh = io.StringIO(text.removeprefix("\ufeff"))
-            else:
-                fh = open(text, newline="", encoding="utf-8-sig")
-        else:
-            fh = text
-        try:
-            reader = csv.reader(fh)
-            header = next(reader, [])
-            rows = list(reader)
-        finally:
-            if fh is not text and isinstance(fh, io.TextIOWrapper):
-                fh.close()
+            if "\n" not in text:  # a path: read the open file
+                with open(text, newline="", encoding="utf-8-sig") as fh:
+                    return _read_table(fh)
+            text = io.StringIO(text.removeprefix("\ufeff"))
+        reader = csv.reader(text)
+        header = next(reader, [])
+        rows = list(reader)
     except UnicodeDecodeError as exc:
         name = getattr(source, "name", source)  # a path, or an open file's name
         raise NotUtf8(f"data file {name!r}" if isinstance(name, str) else "CSV data", exc.reason)

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 from .errors import ConfigError, EmptySample, NegativeLambda
 from .frame import StudyFrame, tallies
-from .points import plugin_variance
 from .propensity import BalanceReport
 
 ASMD_AGGREGATES = ("max", "mean", "single")
@@ -63,17 +62,6 @@ class LambdaSpec:
         return f"sd:{self.arm_rule}"
 
 
-def _outcome_sd_lambda(frame: StudyFrame, multiplier: float, arm_rule: str) -> float:
-    pooled = frame.y[frame.z == 1].tolist()
-    if not pooled:
-        raise EmptySample()
-    if arm_rule == "pooled":
-        return multiplier * math.sqrt(plugin_variance(pooled))
-    t = tallies(frame)
-    arms = ((t.ss_control[0], t.control[0]), (t.ss_treated[0], t.treated[0]))
-    return multiplier * math.sqrt(max(ss / n for ss, n in arms if n))
-
-
 def resolve_lambda(spec: LambdaSpec, frame: StudyFrame, balance: BalanceReport) -> float:
     """Turn a lambda rule into a number for the BSV bounds."""
     if spec.mode == "fixed":
@@ -88,24 +76,27 @@ def resolve_lambda(spec: LambdaSpec, frame: StudyFrame, balance: BalanceReport) 
         if spec.aggregate == "single":
             return values[0]
         return max(values)
-    return _outcome_sd_lambda(frame, spec.multiplier, spec.arm_rule)
+    t = tallies(frame)  # the outcome-SD rules: plug-in variances of the sample
+    n_sample = t.treated[0] + t.control[0]
+    if not n_sample:
+        raise EmptySample()
+    if spec.arm_rule == "pooled":
+        return spec.multiplier * math.sqrt(t.ss_sampled[0] / n_sample)
+    arms = ((t.ss_control[0], t.control[0]), (t.ss_treated[0], t.treated[0]))
+    return spec.multiplier * math.sqrt(max(ss / n for ss, n in arms if n))
 
 
 def lambda_report(frame: StudyFrame, balance: BalanceReport) -> list[dict]:
-    """All rule outputs side by side: one row per covariate ASMD, the mean and
-    max aggregates, and the pooled / max-arm outcome-SD rules."""
-    rows = [
-        {"rule": f"asmd:single:{r.covariate}", "value": r.asmd} for r in balance.rows
-    ]
+    """All rule outputs side by side, each resolved as ``--lambda`` resolves
+    it: one row per covariate ASMD, the mean and max aggregates (when there
+    are covariates), and the pooled / max-arm outcome-SD rules."""
+    specs = [LambdaSpec(mode="asmd", aggregate="single", covariates=(r.covariate,))
+             for r in balance.rows]
     if balance.rows:
-        asmds = [r.asmd for r in balance.rows]
-        rows.append({"rule": "asmd:mean", "value": sum(asmds) / len(asmds)})
-        rows.append({"rule": "asmd:max", "value": max(asmds)})
-    for arm_rule in ARM_RULES:
-        rows.append(
-            {"rule": f"sd:{arm_rule}", "value": _outcome_sd_lambda(frame, 2.0, arm_rule)}
-        )
-    return rows
+        specs += [LambdaSpec(mode="asmd", aggregate=aggregate) for aggregate in ("mean", "max")]
+    specs += [LambdaSpec(mode="outcome_sd", arm_rule=arm_rule) for arm_rule in ARM_RULES]
+    return [{"rule": spec.label(), "value": resolve_lambda(spec, frame, balance)}
+            for spec in specs]
 
 
 def parse_lambda_expr(expr: str) -> LambdaSpec:

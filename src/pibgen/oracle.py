@@ -26,6 +26,7 @@ import numpy as np
 from .errors import (
     ConfigError,
     DataError,
+    EmptyArm,
     MissingPopulationOutcome,
     NegativeLambda,
     NonBinaryOutcome,
@@ -65,10 +66,12 @@ def bearing_share(frame: StudyFrame) -> Fraction:
 
 
 def _require_binary(frame: StudyFrame):
+    if not frame.treated.any():
+        raise EmptyArm("treated")
+    if not frame.control.any():
+        raise EmptyArm("control")
     if not frame.is_binary:
         raise NonBinaryOutcome("enumeration oracles require a binary frame")
-    if not (frame.treated.any() and frame.control.any()):
-        raise DataError("enumeration needs at least one sampled unit in each arm")
 
 
 @dataclass(frozen=True)

@@ -47,13 +47,6 @@ class BootstrapOptions:
     seed: int = 0
 
 
-def plugin_variance(values) -> float:
-    """Variance with denominator n, summed in plain Python."""
-    n = len(values)
-    mean = sum(values) / n
-    return sum((v - mean) ** 2 for v in values) / n
-
-
 def _arm_contrast(t: Tallies, g: int) -> tuple[float, float]:
     """Group ``g``'s difference in sampled arm means and its plug-in
     two-sample SE."""

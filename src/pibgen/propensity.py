@@ -8,6 +8,7 @@ deterministic and the fitted model is immutable.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 
@@ -108,16 +109,16 @@ def fit_propensity(
     beta = np.zeros(design.shape[1])
     ll = binomial_loglik(beta, design, z)
     trace = [ll]
-    converged = False
-    iterations = 0
-    for _ in range(options.max_iter):
+    # one gradient test per iterate; the one after max_iter steps is the last
+    for iterations in itertools.count():
         mu = _sigmoid(design @ beta)
         grad = design.T @ (z - mu)
         grad_norm = float(np.max(np.abs(grad)))
         if grad_norm <= options.tolerance:
             _check_saturation(beta, design, z, covariates)
-            converged = True
             break
+        if iterations >= options.max_iter:
+            raise NoConvergence(options.max_iter, grad_norm)
         weights = mu * (1.0 - mu)
         hess = design.T @ (design * weights[:, None])
         try:
@@ -141,17 +142,10 @@ def fit_propensity(
             trial_ll = binomial_loglik(trial, design, z)
         beta, ll = trial, trial_ll
         trace.append(ll)
-        iterations += 1
         if float(np.max(np.abs(beta))) > 30.0:
             # standardized coefficients this large mean the likelihood is
             # drifting to a perfect-separation boundary
             _raise_separation(beta, covariates)
-    if not converged:
-        grad_norm = float(np.max(np.abs(binomial_score(beta, design, z))))
-        if grad_norm > options.tolerance:
-            raise NoConvergence(options.max_iter, grad_norm)
-        _check_saturation(beta, design, z, covariates)
-        converged = True
 
     # back-transform to the original covariate scale
     coef_std = beta[1:]
@@ -160,7 +154,7 @@ def fit_propensity(
     return PropensityModel(
         intercept=intercept,
         coefficients={name: float(b) for name, b in zip(covariates, coef_orig)},
-        converged=converged,
+        converged=True,
         iterations=iterations,
         final_gradient_norm=grad_norm,
         loglik_trace=tuple(trace),
@@ -225,11 +219,11 @@ class BalanceReport:
 def _balance_row(frame: StudyFrame, covariate: str) -> BalanceRow:
     col = frame.covariate_column(covariate)
     sample = col[frame.z == 1]
+    if len(sample) == 0:  # before any moment: an empty column has none
+        raise EmptySample()
     sigma = col.std()
     if sigma == 0:
         raise ZeroVariance(f"covariate {covariate!r}")
-    if len(sample) == 0:
-        raise EmptySample()
     population_mean = col.mean()
     sample_mean = sample.mean()
     return BalanceRow(

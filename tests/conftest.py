@@ -14,6 +14,14 @@ def make_frame(spec, support=BINARY, covariates=(), x=None):
     return StudyFrame([f"u{i}" for i in range(len(spec))], z, w, y, X, support, covariates)
 
 
+def plugin_variance(values) -> float:
+    """Variance with denominator n, summed in plain Python: the two-pass
+    reference the tallies' centred sums of squares are checked against."""
+    n = len(values)
+    mean = sum(values) / n
+    return sum((v - mean) ** 2 for v in values) / n
+
+
 def binary_frame(n_treated, treated_passes, n_control, control_passes,
                  z0_outcomes=(), n_z0_free=0):
     """Binary frame from counts; z0_outcomes become outcome-bearing z=0 units."""

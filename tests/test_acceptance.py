@@ -41,11 +41,7 @@ LAMBDA_GRID = (Fraction(0), Fraction(1, 10), Fraction(1, 4), Fraction(1, 2), Fra
 
 
 def _rates(e1, e0, q0=None):
-    return EmpiricalRates(
-        e_y1_w1z1=e1, e_y0_w0z1=e0, e_y0_w0z0=q0,
-        pass1_w1z1=e1, fail0_w0z1=1 - e0,
-        fail0_w0z0=None if q0 is None else 1 - q0,
-    )
+    return EmpiricalRates(e_y1_w1z1=e1, e_y0_w0z1=e0, e_y0_w0z0=q0, binary=True)
 
 
 def test_criterion_1_oracle_equivalence(rng):

@@ -35,14 +35,7 @@ STUDY_PROBS = DesignProbs(p_z1=56 / 1029, p_w1_given_z1=34 / 56, p_w0_given_z0=0
 
 
 def rates_from(e1, e0, q0=None):
-    return EmpiricalRates(
-        e_y1_w1z1=e1,
-        e_y0_w0z1=e0,
-        e_y0_w0z0=q0,
-        pass1_w1z1=e1,
-        fail0_w0z1=1 - e0,
-        fail0_w0z0=None if q0 is None else 1 - q0,
-    )
+    return EmpiricalRates(e_y1_w1z1=e1, e_y0_w0z1=e0, e_y0_w0z0=q0, binary=True)
 
 
 class TestWorstCase:
@@ -224,6 +217,17 @@ class TestMtr:
         probs = design_probs(frame, 0.5)
         with pytest.raises(NonBinaryOutcome):
             mtr_bounds(empirical_rates(frame), probs, "sample")
+
+    def test_rejects_rates_not_flagged_binary(self):
+        rates = EmpiricalRates(e_y1_w1z1=0.6, e_y0_w0z1=0.4, e_y0_w0z0=0.5, binary=False)
+        with pytest.raises(NonBinaryOutcome):
+            mtr_bounds(rates, STUDY_PROBS, "sample")
+
+    def test_fail_rates_are_one_minus_the_control_means(self):
+        rates = rates_from(0.7, 0.3, q0=0.9)
+        mtr_min, _ = mtr_bounds(rates, STUDY_PROBS, "population")
+        sample_part = (1 - 0.3) * STUDY_PROBS.p_w0_z1 + 0.7 * STUDY_PROBS.p_w1_z1
+        assert mtr_min.hi == sample_part + (1 - 0.9) * STUDY_PROBS.p_w0_z0
 
     def test_population_scope_needs_fail_rate(self):
         with pytest.raises(MissingPopulationOutcome):

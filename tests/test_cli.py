@@ -603,6 +603,17 @@ class TestExitContract:
         assert f"error: {message}" in err
         assert out == ""
 
+    @pytest.mark.parametrize("text", ["5", "null", '[["a", "b"]]', '"abc"'])
+    def test_config_file_that_is_not_a_json_object_is_a_config_error(
+            self, capsys, small_csv, tmp_path, text):
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        code, out, err = run(capsys, "--config", str(path), "analyze", "--data", small_csv,
+                             "--strata", "1")
+        assert code == 3
+        assert err == f"error: config file {str(path)!r} does not hold a JSON object\n"
+        assert out == ""
+
     @pytest.mark.parametrize("count", ["3", True, 0])
     def test_strata_command_rejects_a_stratum_count_that_is_not_a_positive_integer(
             self, capsys, small_csv, tmp_path, count):
@@ -613,7 +624,8 @@ class TestExitContract:
         assert f"stratum count must be an integer >= 1, got {count!r}" in err
         assert out == ""
 
-    @pytest.mark.parametrize("command", ["propensity", "strata", "analyze"])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("command", ["propensity", "strata", "analyze", "lambda"])
     def test_header_only_file_is_a_data_error(self, capsys, tmp_path, command):
         path = tmp_path / "empty.csv"
         path.write_text("id,in_sample,treatment,outcome,x1\n")
@@ -642,6 +654,35 @@ class TestExitContract:
                  "--sample": ["--sample", missing, "--population", small_csv],
                  "--population": ["--sample", small_csv, "--population", missing]}
         code, out, err = run(capsys, command, *files[flag], "--strata", "1")
+        assert code == 3
+        assert err == f"error: cannot read data file {missing!r}: No such file or directory\n"
+        assert out == ""
+
+    @pytest.mark.parametrize("flag", ["--data", "--sample", "--population"])
+    def test_data_path_with_a_newline_is_read_as_a_file(self, capsys, tmp_path, flag):
+        texts = {"--data": SMALL_BINARY,
+                 "--sample": "id,treatment,outcome\ns1,1,1\ns2,0,0\n",
+                 "--population": "id,outcome\np1,1\np2,\np3,0\n"}
+        paths = {}
+        for role, text in texts.items():
+            name = f"odd\n{role[2:]}.csv" if role == flag else f"{role[2:]}.csv"
+            paths[role] = tmp_path / name
+            paths[role].write_text(text)
+        files = (["--data", str(paths["--data"])] if flag == "--data" else
+                 ["--sample", str(paths["--sample"]), "--population", str(paths["--population"])])
+        code, out, err = run(capsys, "bounds", *files, "--strata", "1", "--format", "json")
+        assert (code, err) == (0, "")
+        frame = json.loads(out)["frame"]
+        assert (frame["n_units"], frame["n_sample"]) == ((7, 3) if flag == "--data" else (5, 2))
+
+    @pytest.mark.parametrize("flag", ["--data", "--sample", "--population"])
+    def test_missing_data_path_with_a_newline_is_a_config_error(self, capsys, small_csv,
+                                                                tmp_path, flag):
+        missing = str(tmp_path / "odd\nname.csv")
+        files = {"--data": ["--data", missing],
+                 "--sample": ["--sample", missing, "--population", small_csv],
+                 "--population": ["--sample", small_csv, "--population", missing]}
+        code, out, err = run(capsys, "analyze", *files[flag], "--strata", "1")
         assert code == 3
         assert err == f"error: cannot read data file {missing!r}: No such file or directory\n"
         assert out == ""

@@ -238,14 +238,13 @@ class TestEmpiricalRates:
     def test_binary_rate_fields(self):
         frame = make_frame([(1, 1, 1.0), (1, 1, 0.0), (1, 0, 0.0), (0, None, 1.0)])
         rates = empirical_rates(frame)
-        assert rates.pass1_w1z1 == rates.e_y1_w1z1
-        assert rates.fail0_w0z1 == 1 - rates.e_y0_w0z1
-        assert rates.fail0_w0z0 == 0.0
+        assert rates.binary is True
+        assert rates.e_y0_w0z0 == 1.0
 
     def test_continuous_frame_has_no_binary_rates(self):
         frame = make_frame([(1, 1, 2.5), (1, 0, -1.0)], support=CONTINUOUS)
         rates = empirical_rates(frame)
-        assert rates.pass1_w1z1 is None
+        assert rates.binary is False
 
     def test_permutation_invariance(self, rng):
         spec = [(1, 1, 1.0), (1, 1, 0.0), (1, 0, 1.0), (1, 0, 0.0),

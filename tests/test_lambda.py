@@ -6,7 +6,7 @@ import pytest
 
 from pibgen.bounds import bsv_bounds
 from pibgen.errors import ConfigError, NegativeLambda, UnknownCovariate
-from pibgen.frame import BINARY, design_probs, empirical_rates
+from pibgen.frame import BINARY, design_probs, empirical_rates, load_frame
 from pibgen.lambda_select import LambdaSpec, lambda_report, parse_lambda_expr, resolve_lambda
 from pibgen.propensity import compute_balance
 
@@ -134,6 +134,14 @@ class TestReport:
         assert rows["asmd:max"] == pytest.approx(1.0)
         # sampled outcomes {1, 0}: sd 0.5
         assert rows["sd:pooled"] == pytest.approx(1.0)
+
+    def test_rows_are_the_rules_as_lambda_resolves_them(self, statewide_path):
+        frame = load_frame(statewide_path, BINARY)
+        balance = compute_balance(frame)
+        rows = lambda_report(frame, balance)
+        assert len(rows) == len(frame.covariate_names) + 4
+        for row in rows:
+            assert row["value"] == resolve_lambda(parse_lambda_expr(row["rule"]), frame, balance)
 
     def test_report_is_deterministic(self):
         frame = lopsided_frame()

@@ -131,9 +131,7 @@ def _pop_rates(frame, rates):
         e_y1_w1z1=rates.e_y1_w1z1,
         e_y0_w0z1=rates.e_y0_w0z1,
         e_y0_w0z0=q0,
-        pass1_w1z1=rates.pass1_w1z1,
-        fail0_w0z1=rates.fail0_w0z1,
-        fail0_w0z0=1 - q0,
+        binary=True,
     )
 
 

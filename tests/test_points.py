@@ -13,14 +13,13 @@ from pibgen.points import (
     _hajek_contrast,
     ipw_estimate,
     naive_sate,
-    plugin_variance,
     subclass_estimate,
 )
 from pibgen.propensity import PropensityModel
 from pibgen.stratify import merge_nonviable
 from pibgen.stratify import strata_for_frame
 
-from conftest import make_frame
+from conftest import make_frame, plugin_variance
 
 
 def constant_model(intercept=0.0):

@@ -42,6 +42,16 @@ class TestFit:
         scores = propensity_scores(model, frame)
         assert all(s == pytest.approx(56 / 1029, abs=1e-10) for s in scores)
 
+    def test_convergence_is_tested_once_after_the_last_step(self, statewide_path):
+        frame = load_frame(statewide_path, BINARY)
+        model = fit_propensity(frame, frame.covariate_names)
+        exact = fit_propensity(frame, frame.covariate_names, FitOptions(max_iter=model.iterations))
+        assert (exact.intercept, exact.coefficients) == (model.intercept, model.coefficients)
+        assert exact.iterations == model.iterations
+        with pytest.raises(NoConvergence):
+            fit_propensity(frame, frame.covariate_names,
+                           FitOptions(max_iter=model.iterations - 1))
+
     def test_mean_score_equals_sampling_rate(self, statewide_path):
         frame = load_frame(statewide_path, BINARY)
         model = fit_propensity(frame, frame.covariate_names)

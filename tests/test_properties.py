@@ -12,8 +12,10 @@ from hypothesis import strategies as st
 
 from pibgen.frame import BINARY, OutcomeSupport, StudyFrame, design_probs, empirical_rates
 from pibgen.errors import NonBinaryOutcome
-from pibgen.points import naive_sate, plugin_variance, subclass_estimate
+from pibgen.points import naive_sate, subclass_estimate
 from pibgen.stratify import merge_nonviable, strata_for_frame, stratum_frames
+
+from conftest import plugin_variance
 
 TOL = 1e-12
 CONTINUOUS = OutcomeSupport(-2.0, 3.0)
@@ -104,6 +106,9 @@ def test_stratum_tallies_give_the_statistics_of_each_sub_frame(frame, k, p_w0_gi
             assert rates.e_y0_w0z1 == _row_order_mean(sub.y[sub.control])
             if sub.z0_bearing.any():
                 assert rates.e_y0_w0z0 == _row_order_mean(sub.y[sub.z0_bearing])
+        if sub.n_sample:  # sd:pooled reads this plug-in variance
+            sampled = sub.y[sub.z == 1].tolist()
+            assert t.ss_sampled[g] / len(sampled) == plugin_variance(sampled)
 
 
 def _row_order_mean(values) -> float:
