@@ -66,9 +66,6 @@ class PateInterval:
     def pre_clamp_width(self):
         return self.pre_clamp_hi - self.pre_clamp_lo
 
-    def contains(self, value) -> bool:
-        return self.lo <= value <= self.hi
-
     def to_json(self) -> dict:
         doc = {
             "assumption": self.assumption,

@@ -46,7 +46,7 @@ from .propensity import (
     model_from_json,
     model_to_json,
 )
-from .report import render_csv, render_markdown, rows_csv, to_json
+from .report import render_csv, render_markdown, rows_csv, rows_md, to_json
 from .stratify import merge_nonviable, strata_for_frame, stratum_summary_rows
 
 FORMATS = ("json", "csv", "md")
@@ -60,62 +60,56 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(3)
 
 
-def _add_data_options(p):
-    p.add_argument("--data", help="combined CSV with an in-sample column")
-    p.add_argument("--sample", help="sample-only CSV (rows become z=1)")
-    p.add_argument("--population", help="non-sampled population CSV (rows become z=0)")
-    p.add_argument("--sample-col", default=None, help="in-sample indicator column (default in_sample)")
-    p.add_argument("--treatment-col", default=None, help="treatment column (default treatment)")
-    p.add_argument("--outcome-col", default=None, help="outcome column (default outcome)")
-    p.add_argument("--id-col", default=None, help="id column (default id; absent = row numbers)")
-    p.add_argument("--support", default=None,
-                   help="outcome support as 'lo,hi' (default 0,1; write --support=-2,3 "
-                        "for a negative lower bound)")
-    p.add_argument("--covariates", default=None, help="comma-separated covariate columns (default: all)")
-    p.add_argument("--exclude", default=None,
-                   help="comma-separated columns to drop from the default covariate set")
-    p.add_argument("--categorical", action="append", default=None, metavar="COL=REF",
-                   help="one-hot encode COL with reference level REF (repeatable)")
-
-
-def _add_analysis_options(p):
-    p.add_argument("--strata", type=int, default=None, help="stratum count k (default 5)")
-    p.add_argument("--pw0z0", type=float, default=None,
-                   help="assumed P(W=0|Z=0) for the reduced framework (default 0.5)")
-    p.add_argument("--lambda", dest="lambdas", action="append", default=None,
-                   metavar="EXPR", help="lambda value or rule (repeatable), e.g. 0.3, asmd:max:x1,x2, sd:pooled")
-    p.add_argument("--framework", choices=["full", "reduced", "both"], default=None)
-    p.add_argument("--assumption", action="append", default=None,
-                   choices=sorted(ASSUMPTION_ALIASES), help="repeatable; default worst")
-    p.add_argument("--seed", type=int, default=None, help="master seed (env PIBGEN_SEED as fallback)")
-    p.add_argument("--reps", type=int, default=None, help="bootstrap replicates (default 1000)")
-    p.add_argument("--pooled", action="store_true", default=None,
-                   help="add the population-share pooled interval across strata")
-    p.add_argument("--merge-strata", action="store_true", default=None,
-                   help="collapse non-viable strata into a neighbor instead of skipping")
-    p.add_argument("--model", default=None,
-                   help="propensity model JSON to load instead of fitting")
+COMMANDS = {
+    "analyze": "full report: intervals, stratified intervals, point estimates",
+    "propensity": "fit the sampling propensity model and print it as JSON",
+    "strata": "print the stratum layout as a table",
+    "lambda": "print the candidate lambda values as a table",
+    "bounds": "whole-frame interval estimates only",
+    "points": "point estimates only",
+    "verify": "check the closed-form engine against the enumeration oracles",
+}
 
 
 def build_parser() -> _Parser:
-    parser = _Parser(prog="pibgen", description=__doc__)
-    parser.add_argument("--config", help="JSON config file; flags override its values")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in [
-        ("analyze", "full report: intervals, stratified intervals, point estimates"),
-        ("propensity", "fit the sampling propensity model and print it as JSON"),
-        ("strata", "print the stratum layout as CSV"),
-        ("lambda", "print candidate lambda values"),
-        ("bounds", "whole-frame interval estimates only"),
-        ("points", "point estimates only"),
-        ("verify", "check the closed-form engine against the enumeration oracles"),
-    ]:
-        p = sub.add_parser(name, help=help_text)
-        _add_data_options(p)
-        _add_analysis_options(p)
-        p.add_argument("--format", choices=FORMATS, default=None)
-        p.add_argument("--out", default=None, help="write output here instead of stdout")
-    return parser
+    # a flag left out is absent from the namespace, so the config value shows through
+    p = _Parser(prog="pibgen", description=__doc__, argument_default=argparse.SUPPRESS)
+    p.add_argument("command", choices=COMMANDS,
+                   help="; ".join(f"{name}: {text}" for name, text in COMMANDS.items()))
+    p.add_argument("--config", help="JSON config file; flags override its values")
+    p.add_argument("--data", help="combined CSV with an in-sample column")
+    p.add_argument("--sample", help="sample-only CSV (rows become z=1)")
+    p.add_argument("--population", help="non-sampled population CSV (rows become z=0)")
+    p.add_argument("--sample-col", help="in-sample indicator column (default in_sample)")
+    p.add_argument("--treatment-col", help="treatment column (default treatment)")
+    p.add_argument("--outcome-col", help="outcome column (default outcome)")
+    p.add_argument("--id-col", help="id column (default id; absent = row numbers)")
+    p.add_argument("--support",
+                   help="outcome support as 'lo,hi' (default 0,1; write --support=-2,3 "
+                        "for a negative lower bound)")
+    p.add_argument("--covariates", help="comma-separated covariate columns (default: all)")
+    p.add_argument("--exclude",
+                   help="comma-separated columns to drop from the default covariate set")
+    p.add_argument("--categorical", action="append", metavar="COL=REF",
+                   help="one-hot encode COL with reference level REF (repeatable)")
+    p.add_argument("--strata", type=int, help="stratum count k (default 5)")
+    p.add_argument("--pw0z0", type=float,
+                   help="assumed P(W=0|Z=0) for the reduced framework (default 0.5)")
+    p.add_argument("--lambda", action="append", metavar="EXPR",
+                   help="lambda value or rule (repeatable), e.g. 0.3, asmd:max:x1,x2, sd:pooled")
+    p.add_argument("--framework", choices=["full", "reduced", "both"])
+    p.add_argument("--assumption", action="append", choices=sorted(ASSUMPTION_ALIASES),
+                   help="repeatable; default worst")
+    p.add_argument("--seed", type=int, help="master seed (env PIBGEN_SEED as fallback)")
+    p.add_argument("--reps", type=int, help="bootstrap replicates (default 1000)")
+    p.add_argument("--pooled", action="store_true",
+                   help="add the population-share pooled interval across strata")
+    p.add_argument("--merge-strata", action="store_true",
+                   help="collapse non-viable strata into a neighbor instead of skipping")
+    p.add_argument("--model", help="propensity model JSON to load instead of fitting")
+    p.add_argument("--format", choices=FORMATS)
+    p.add_argument("--out", help="write output here instead of stdout")
+    return p
 
 
 _DEFAULTS = {
@@ -130,7 +124,7 @@ _DEFAULTS = {
     "model": None,
     "strata": 5,
     "pw0z0": 0.5,
-    "lambdas": [],
+    "lambda": [],
     "framework": "full",
     "assumption": ["worst"],
     "reps": 1000,
@@ -147,33 +141,25 @@ _DEFAULTS = {
 
 def _merge_config(args) -> dict:
     config = {}
-    if args.config:
+    path = getattr(args, "config", None)
+    if path:
         try:
-            with open(args.config, encoding="utf-8") as fh:
+            with open(path, encoding="utf-8") as fh:
                 config = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config file: {exc}")
         if not isinstance(config, dict):
-            raise ConfigError(f"config file {args.config!r} does not hold a JSON object")
-        unknown = set(config) - set(_DEFAULTS) - {"lambda"}
+            raise ConfigError(f"config file {path!r} does not hold a JSON object")
+        unknown = set(config) - set(_DEFAULTS)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        if "lambda" in config:
-            config["lambdas"] = config.pop("lambda")
-    options = dict(_DEFAULTS)
-    options.update(config)
-    for key in _DEFAULTS:
-        value = getattr(args, key, None)
-        if value is not None:
-            options[key] = value
+    options = {**_DEFAULTS, **config, **vars(args)}
     if options["seed"] is None:
         env = os.environ.get("PIBGEN_SEED")
         try:
             options["seed"] = int(env) if env else 0
         except ValueError:
             options["seed"] = env  # rejected by the commands that use a seed
-    if isinstance(options["lambdas"], (str, float, int)):
-        options["lambdas"] = [options["lambdas"]]
     return options
 
 
@@ -328,7 +314,12 @@ class _Pipeline:
 
     @cached_property
     def lambdas(self):
-        specs = (parse_lambda_expr(str(expr)) for expr in self.options["lambdas"])
+        exprs = self.options["lambda"]
+        if isinstance(exprs, (str, float, int)):
+            exprs = [exprs]
+        elif not isinstance(exprs, list):
+            raise ConfigError(f"--lambda expects an expression or a list of them, got {exprs!r}")
+        specs = (parse_lambda_expr(str(expr)) for expr in exprs)
         return [{"label": spec.label(), "value": resolve_lambda(spec, self.frame, self.balance)}
                 for spec in specs]
 
@@ -448,13 +439,15 @@ class _Pipeline:
         return notes
 
 
-def _emit(document: dict, options) -> str:
+def _emit(document: dict, options, table=None) -> str:
+    """The document in the chosen format; in CSV and Markdown a ``table`` of
+    rows stands for a document that holds only that table."""
     fmt = options["format"]
     if fmt == "json":
         return to_json(document)
     if fmt == "csv":
-        return render_csv(document)
-    return render_markdown(document)
+        return render_csv(document) if table is None else rows_csv(table)
+    return render_markdown(document) if table is None else rows_md(table)
 
 
 # --- verify ---------------------------------------------------------------------
@@ -573,12 +566,10 @@ def _run(args) -> int:
         if options["format"] == "json":
             # JSON has no infinity: the open outer ends are written as null
             rows[0]["logit_lo"] = rows[-1]["logit_hi"] = None
-            write(to_json({"strata": rows}))
-        else:
-            write(rows_csv(rows))
+        write(_emit({"strata": rows}, options, rows))
     elif args.command == "lambda":
         rows = lambda_report(stages.frame, stages.balance)
-        write(to_json({"lambda_report": rows}) if options["format"] == "json" else rows_csv(rows))
+        write(_emit({"lambda_report": rows}, options, rows))
     else:
         write(_emit(stages.document(VIEWS[args.command]), options))
     return 0

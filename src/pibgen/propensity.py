@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,6 +31,13 @@ from .frame import StudyFrame
 class FitOptions:
     tolerance: float = 1e-8
     max_iter: int = 100
+
+    def __post_init__(self):
+        if type(self.max_iter) is not int or self.max_iter < 0:  # a bool is no count either
+            raise ConfigError(f"max_iter must be a non-negative integer, got {self.max_iter!r}")
+        tol = self.tolerance
+        if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not 0 < tol < math.inf:
+            raise ConfigError(f"tolerance must be positive and finite, got {tol!r}")
 
 
 @dataclass(frozen=True)

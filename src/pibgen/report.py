@@ -178,6 +178,11 @@ def rows_csv(rows: list[dict]) -> str:
     return buf.getvalue()
 
 
+def rows_md(rows: list[dict]) -> str:
+    """The header and cells of ``rows_csv`` as a Markdown table."""
+    return "\n".join(_md_table(list(rows[0]), [row.values() for row in rows])) + "\n"
+
+
 def render_csv(document: dict) -> str:
     """Flat delimited view: one row per interval or point estimate."""
     buf = io.StringIO()

@@ -15,11 +15,18 @@ def make_frame(spec, support=BINARY, covariates=(), x=None):
 
 
 def plugin_variance(values) -> float:
-    """Variance with denominator n, summed in plain Python: the two-pass
-    reference the tallies' centred sums of squares are checked against."""
-    n = len(values)
-    mean = sum(values) / n
-    return sum((v - mean) ** 2 for v in values) / n
+    """Variance with denominator n, added in row order by a plain loop: the
+    two-pass reference the tallies' centred sums of squares are checked
+    against.  (Python's ``sum`` of floats is compensated from 3.12 on, so it
+    would not add in row order.)"""
+    total = 0.0
+    for v in values:
+        total += v
+    mean = total / len(values)
+    squares = 0.0
+    for v in values:
+        squares += (v - mean) ** 2
+    return squares / len(values)
 
 
 def binary_frame(n_treated, treated_passes, n_control, control_passes,

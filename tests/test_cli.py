@@ -62,6 +62,13 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _md_cells(table: str) -> list[list[str]]:
+    """The header and body cells of a Markdown table, without the rule line."""
+    lines = table.splitlines()
+    assert lines[1].startswith("| --- |")
+    return [line[2:-2].split(" | ") for line in [lines[0], *lines[2:]]]
+
+
 class TestAnalyze:
     def test_markdown_report(self, capsys, small_csv):
         code, out, err = run(
@@ -187,6 +194,63 @@ class TestAnalyze:
         config.write_text(json.dumps({"data": small_csv, "stratums": 3}))
         code, _, err = run(capsys, "--config", str(config), "analyze")
         assert code == 3
+
+    def test_config_key_lambdas_is_unknown(self, capsys, tmp_path, small_csv):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"data": small_csv, "lambdas": [0.3]}))
+        code, out, err = run(capsys, "--config", str(config), "bounds")
+        assert (code, out, err) == (3, "", "error: unknown config keys: ['lambdas']\n")
+
+    @pytest.mark.parametrize("command", ["analyze", "bounds"])
+    def test_config_lambda_that_is_no_expression_is_a_config_error(self, capsys, tmp_path,
+                                                                   small_csv, command):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"lambda": None, "assumption": ["bsv"]}))
+        code, out, err = run(capsys, "--config", str(config), command, "--data", small_csv,
+                             "--strata", "1")
+        assert (code, out) == (3, "")
+        assert err == "error: --lambda expects an expression or a list of them, got None\n"
+
+    def test_config_lambda_is_the_flag_lambda(self, capsys, tmp_path, small_csv):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"lambda": "0.25", "assumption": ["bsv"]}))
+        argv = ["bounds", "--data", small_csv, "--strata", "1", "--format", "json"]
+        _, from_config, _ = run(capsys, "--config", str(config), *argv)
+        _, from_flag, _ = run(capsys, *argv, "--assumption", "bsv", "--lambda", "0.25")
+        assert json.loads(from_config)["intervals"][0]["lambda"] == 0.25
+        assert from_config == from_flag
+
+    def test_options_may_come_before_or_after_the_command(self, capsys, small_csv):
+        options = ["--data", small_csv, "--strata", "1", "--format", "json"]
+        before = run(capsys, *options, "bounds")
+        after = run(capsys, "bounds", *options)
+        assert before == after
+        assert before[0] == 0
+
+    def test_config_may_come_after_the_command(self, capsys, tmp_path, small_csv):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"seed": 3, "format": "json"}))
+        code, out, _ = run(capsys, "analyze", "--config", str(config), "--data", small_csv,
+                           "--strata", "1", "--reps", "5")
+        assert code == 0
+        assert json.loads(out)["meta"]["seed"] == 3
+
+    @pytest.mark.parametrize("argv, message", [
+        ([], "the following arguments are required: command"),
+        (["nope"], "argument command: invalid choice: 'nope' (choose from 'analyze', "
+                   "'propensity', 'strata', 'lambda', 'bounds', 'points', 'verify')"),
+    ], ids=["missing", "unknown"])
+    def test_command_that_is_missing_or_unknown_is_a_config_error(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert err == f"{pibgen.cli.build_parser().format_usage()}error: {message}\n"
+
+    def test_parser_declares_each_option_once(self):
+        actions = pibgen.cli.build_parser()._actions
+        flags = [flag for action in actions for flag in action.option_strings]
+        assert len(flags) == len(set(flags))
+        assert {action.dest for action in actions} == {
+            "help", "command", "config", *pibgen.cli._DEFAULTS}
 
     def test_env_seed_fallback(self, capsys, small_csv, monkeypatch):
         monkeypatch.setenv("PIBGEN_SEED", "123")
@@ -317,9 +381,17 @@ class TestSubcommands:
         assert "--reps" in err
 
     def test_strata_csv(self, capsys, small_csv):
-        code, out, _ = run(capsys, "strata", "--data", small_csv, "--strata", "1")
+        code, out, _ = run(capsys, "strata", "--data", small_csv, "--strata", "1",
+                           "--format", "csv")
         assert code == 0
         assert out.splitlines()[0].startswith("stratum,logit_lo,logit_hi")
+
+    def test_strata_table_in_markdown_holds_the_csv_cells(self, capsys):
+        argv = ["strata", "--data", synthetic_path(), "--strata", "3", "--format"]
+        code, table, _ = run(capsys, *argv, "md")
+        _, rows, _ = run(capsys, *argv, "csv")
+        assert code == 0
+        assert _md_cells(table) == list(csv.reader(io.StringIO(rows)))
 
     def test_lambda_report(self, capsys, tmp_path):
         path = tmp_path / "with_x.csv"
@@ -339,9 +411,13 @@ class TestSubcommands:
             'id,in_sample,treatment,outcome,"size,log",x2\n'
             "a,1,1,1,0.2,3\nb,1,0,0,0.9,1\nc,0,,,0.5,2\nd,0,,,0.1,5\n"
         )
-        code, out, _ = run(capsys, "lambda", "--data", str(path), "--format", fmt)
+        code, out, _ = run(capsys, "lambda", "--data", str(path), "--format", "csv")
         assert code == 0
         rows = list(csv.reader(io.StringIO(out)))
+        if fmt == "md":  # the Markdown table holds the CSV's header and cells
+            code, out, _ = run(capsys, "lambda", "--data", str(path), "--format", fmt)
+            assert code == 0
+            assert _md_cells(out) == rows
         assert rows[0] == ["rule", "value"]
         assert {len(row) for row in rows} == {2}
         _, doc, _ = run(capsys, "lambda", "--data", str(path), "--format", "json")
@@ -358,7 +434,8 @@ class TestSubcommands:
         block = doc["stratum_intervals"]
         subclass = doc["point_estimates"][2]
         assert subclass["method"] == "subclassification"
-        code, rows, _ = run(capsys, "strata", "--data", data, "--strata", "8", "--merge-strata")
+        code, rows, _ = run(capsys, "strata", "--data", data, "--strata", "8", "--merge-strata",
+                            "--format", "csv")
         assert code == 0
         assert block["k"] == subclass["details"]["k"] == len(rows.splitlines()) - 1 == 7
         assert [s["stratum"] for s in block["strata"]] == list(range(1, 8))
@@ -720,6 +797,19 @@ class TestExitContract:
         assert err == (f"error: data file {str(latin1)!r} is not UTF-8 text: "
                        "invalid continuation byte\n")
         assert out == ""
+
+
+@pytest.mark.parametrize("key", sorted(pibgen.cli._DEFAULTS))
+def test_every_config_value_ends_in_a_report_or_a_typed_error(capsys, small_csv, tmp_path,
+                                                              monkeypatch, key):
+    monkeypatch.delenv("PIBGEN_SEED", raising=False)
+    path = tmp_path / "cfg.json"
+    for value in (None, True, 0, -1, 1.5, "", [], {}, [None]):
+        path.write_text(json.dumps({"data": small_csv, "reps": 5, key: value}))
+        for command in ("analyze", "strata", "lambda"):
+            code, _, err = run(capsys, "--config", str(path), command)
+            assert code in (0, 2, 3), (key, value, command, err)
+            assert "Traceback" not in err, (key, value, command)
 
 
 # one alphabet per column: valid cells, blanks, non-finite and unparsable text,

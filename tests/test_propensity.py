@@ -7,7 +7,14 @@ import pathlib
 import numpy as np
 import pytest
 
-from pibgen.errors import NoConvergence, Separation, SingularDesign, UnknownCovariate, ZeroVariance
+from pibgen.errors import (
+    ConfigError,
+    NoConvergence,
+    Separation,
+    SingularDesign,
+    UnknownCovariate,
+    ZeroVariance,
+)
 from pibgen.frame import BINARY, StudyFrame, load_frame
 from pibgen.propensity import (
     FitOptions,
@@ -93,6 +100,26 @@ class TestFit:
         with pytest.raises(Separation) as err:
             fit_propensity(frame, ["a"])
         assert "a" in err.value.direction
+
+    @pytest.mark.parametrize("options, message", [
+        ({"max_iter": -1}, "max_iter must be a non-negative integer, got -1"),
+        ({"max_iter": 2.5}, "max_iter must be a non-negative integer, got 2.5"),
+        ({"max_iter": True}, "max_iter must be a non-negative integer, got True"),
+        ({"tolerance": -1.0}, "tolerance must be positive and finite, got -1.0"),
+        ({"tolerance": 0.0}, "tolerance must be positive and finite, got 0.0"),
+        ({"tolerance": math.nan}, "tolerance must be positive and finite, got nan"),
+        ({"tolerance": math.inf}, "tolerance must be positive and finite, got inf"),
+        ({"tolerance": True}, "tolerance must be positive and finite, got True"),
+        ({"tolerance": "1e-8"}, "tolerance must be positive and finite, got '1e-8'"),
+    ])
+    def test_fit_options_out_of_range_are_a_config_error(self, options, message):
+        with pytest.raises(ConfigError) as err:
+            FitOptions(**options)
+        assert str(err.value) == message
+
+    def test_fit_options_accept_a_zero_budget_and_an_integer_tolerance(self):
+        options = FitOptions(tolerance=1, max_iter=0)
+        assert (options.tolerance, options.max_iter) == (1, 0)
 
     def test_no_convergence_when_budget_too_small(self):
         rng = np.random.default_rng(5)
