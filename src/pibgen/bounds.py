@@ -339,8 +339,8 @@ def stratified_bounds(
     A spec that needs business-as-usual outcomes the stratum lacks is dropped
     from that stratum; a stratum where every spec is dropped is skipped.  The
     optional pooled intervals are the population-share weighted sums of the
-    per-stratum endpoints, one set per spec that every stratum evaluated; they
-    are an extension beyond the per-stratum reporting and stay off by default.
+    per-stratum endpoints, one set per spec that every stratum evaluated: the
+    PATE range when randomization identifies each stratum's arm means.
     """
     t = assignment.tallies
     per_stratum = []

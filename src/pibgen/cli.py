@@ -17,15 +17,13 @@ import json
 import os
 import sys
 import traceback
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from fractions import Fraction
-from functools import cached_property
-
-import numpy as np
+from functools import cached_property, partial
 
 from . import bounds as bounds_mod
 from . import oracle as oracle_mod
-from .errors import ConfigError, NonViableStratum, PibgenError
+from .errors import ConfigError, DataError, NonViableStratum, PibgenError
 from .frame import (
     ColumnMap,
     OutcomeSupport,
@@ -420,10 +418,10 @@ class _Pipeline:
         block = {"k": self.assignment.k,
                  "strata": [stratum.to_json() for stratum in self.stratified.strata]}
         if self.stratified.pooled:
-            block["pooled"] = [
-                {**interval.to_json(), "note": "population-share weighted across strata (extension)"}
-                for interval in self.stratified.pooled
-            ]
+            note = ("population-share weighted across strata: the PATE range when "
+                    "randomization identifies each stratum's arm means")
+            block["pooled"] = [{**interval.to_json(), "note": note}
+                               for interval in self.stratified.pooled]
         return block
 
     def _notes(self, keys):
@@ -454,51 +452,37 @@ def _emit(document: dict, options, table=None) -> str:
 
 
 def _verify_checks(frame):
-    """Yield (name, float engine interval, rational engine interval, oracle lo,
-    oracle hi) comparisons.  The float inputs are the exact ones rounded once,
-    as a float tally of 0/1 outcomes gives them."""
-    rates_x = oracle_mod.exact_rates(frame)
-    share = oracle_mod.bearing_share(frame) if frame.z0_bearing.any() else Fraction(1, 2)
-    probs_x = oracle_mod.exact_design_probs(frame, share)
-    rates_f, probs_f = convert(rates_x), convert(probs_x)
-    support = frame.support
+    """Yield (name, (float engine interval, rational engine interval), oracle
+    enumeration) comparisons on the information set the oracles describe."""
+    def engine_pair(closed_form, *exact_args):
+        """``closed_form`` on the exact inputs rounded once to float, as a float
+        tally of 0/1 outcomes gives them, and then on the exact inputs."""
+        rounded = (arg if isinstance(arg, str) else float(arg) if isinstance(arg, Fraction)
+                   else convert(arg) for arg in exact_args)
+        return closed_form(*rounded), closed_form(*exact_args)
+
+    rates, probs = oracle_mod.exact_inputs(frame)
     exact = oracle_mod.EXACT_BINARY
     # the reduced framework needs business-as-usual outcomes among z=0 units
-    frameworks = ("full", "reduced") if frame.z0_bearing.any() else ("full",)
-
+    frameworks = ("full", "reduced") if rates.e_y0_w0z0 is not None else ("full",)
     for framework in frameworks:
-        enum = oracle_mod.enumerate_worst_case(frame, framework)
         yield (f"worst_case {framework}",
-               bounds_mod.worst_case_bounds(rates_f, probs_f, framework, support),
-               bounds_mod.worst_case_bounds(rates_x, probs_x, framework, exact),
-               enum.lo, enum.hi)
+               engine_pair(bounds_mod.worst_case_bounds, rates, probs, framework, exact),
+               oracle_mod.enumerate_worst_case(frame, framework))
+    sharp_bsv = partial(bounds_mod.bsv_bounds, intersect_support=True)
     for lam in (Fraction(0), Fraction(1, 10), Fraction(1, 4), Fraction(1, 2), Fraction(1)):
         for framework in frameworks:
-            enum = oracle_mod.enumerate_bsv(rates_x, probs_x, lam, framework, exact)
             yield (f"bsv {framework} lambda={lam}",
-                   bounds_mod.bsv_bounds(rates_f, probs_f, framework, float(lam), support,
-                                         intersect_support=True),
-                   bounds_mod.bsv_bounds(rates_x, probs_x, framework, lam, exact,
-                                         intersect_support=True),
-                   enum.lo, enum.hi)
-    scopes = [("sample", rates_x, probs_x)]
-    z0 = frame.z == 0
-    w0 = z0 & (frame.w == 0)
-    labeled = (frame.w[z0] >= 0).all()
-    w0_bearing = not np.isnan(frame.y[w0]).any()
-    if z0.any() and labeled and w0_bearing and w0.any():
-        # the z=0 control mean runs over the control-labeled units only
-        n_w0 = int(np.count_nonzero(w0))
-        rates_w0 = replace(rates_x, e_y0_w0z0=Fraction(int(frame.y[w0].sum()), n_w0))
-        probs_w0 = oracle_mod.exact_design_probs(frame, Fraction(n_w0, int(np.count_nonzero(z0))))
-        scopes.append(("population", rates_w0, probs_w0))
-    for scope, rates_s, probs_s in scopes:
-        enum_max = oracle_mod.enumerate_mtr(frame, scope)
-        enum_min = oracle_mod.enumerate_mtr(frame, scope, pin_free_to_zero=True)
-        min_f, max_f = bounds_mod.mtr_bounds(convert(rates_s), convert(probs_s), scope)
-        min_x, max_x = bounds_mod.mtr_bounds(rates_s, probs_s, scope)
-        yield (f"mtr {scope} max-variant", max_f, max_x, enum_max.lo, enum_max.hi)
-        yield (f"mtr {scope} min-variant", min_f, min_x, enum_min.lo, enum_min.hi)
+                   engine_pair(sharp_bsv, rates, probs, framework, lam, exact),
+                   oracle_mod.enumerate_bsv(rates, probs, lam, framework, exact))
+    scopes = [("sample", rates, probs)]
+    with contextlib.suppress(DataError):  # a frame the population scope does not fit
+        scopes.append(("population", *oracle_mod.population_inputs(frame)))
+    for scope, rates, probs in scopes:
+        (min_f, max_f), (min_x, max_x) = engine_pair(bounds_mod.mtr_bounds, rates, probs, scope)
+        yield (f"mtr {scope} max-variant", (max_f, max_x), oracle_mod.enumerate_mtr(frame, scope))
+        yield (f"mtr {scope} min-variant", (min_f, min_x),
+               oracle_mod.enumerate_mtr(frame, scope, pin_free_to_zero=True))
 
 
 def cmd_verify(options) -> tuple[str, int]:
@@ -506,20 +490,19 @@ def cmd_verify(options) -> tuple[str, int]:
     mismatch, each mismatch followed by the frame as a counterexample."""
     frame, _ = _load(options)
     lines, failures = [], 0
-    for name, engine, exact_engine, oracle_lo, oracle_hi in _verify_checks(frame):
-        exact_ok = (exact_engine.pre_clamp_lo == oracle_lo
-                    and exact_engine.pre_clamp_hi == oracle_hi)
-        float_ok = (abs(engine.pre_clamp_lo - float(oracle_lo)) <= 1e-12
-                    and abs(engine.pre_clamp_hi - float(oracle_hi)) <= 1e-12)
+    for name, (engine, exact_engine), enum in _verify_checks(frame):
+        exact_ok = exact_engine.pre_clamp_lo == enum.lo and exact_engine.pre_clamp_hi == enum.hi
+        float_ok = (abs(engine.pre_clamp_lo - float(enum.lo)) <= 1e-12
+                    and abs(engine.pre_clamp_hi - float(enum.hi)) <= 1e-12)
         if exact_ok and float_ok:
-            lines.append(f"ok {name}: [{float(oracle_lo):.6f}, {float(oracle_hi):.6f}]")
+            lines.append(f"ok {name}: [{float(enum.lo):.6f}, {float(enum.hi):.6f}]")
             continue
         failures += 1
         lines += [
             f"MISMATCH {name}",
             f"  engine (float):    [{engine.pre_clamp_lo!r}, {engine.pre_clamp_hi!r}]",
             f"  engine (rational): [{exact_engine.pre_clamp_lo}, {exact_engine.pre_clamp_hi}]",
-            f"  enumeration:       [{oracle_lo}, {oracle_hi}]",
+            f"  enumeration:       [{enum.lo}, {enum.hi}]",
             "  frame:",
         ]
         lines += [f"    id={uid} z={z} w={None if w < 0 else w} y={None if y != y else y}"

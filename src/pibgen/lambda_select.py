@@ -59,7 +59,8 @@ class LambdaSpec:
             if self.covariates:
                 return f"asmd:{self.aggregate}:{','.join(self.covariates)}"
             return f"asmd:{self.aggregate}"
-        return f"sd:{self.arm_rule}"
+        multiplier = "" if self.multiplier == 2 else f":{self.multiplier:g}"
+        return f"sd:{self.arm_rule}{multiplier}"
 
 
 def resolve_lambda(spec: LambdaSpec, frame: StudyFrame, balance: BalanceReport) -> float:
@@ -102,14 +103,11 @@ def lambda_report(frame: StudyFrame, balance: BalanceReport) -> list[dict]:
 def parse_lambda_expr(expr: str) -> LambdaSpec:
     """Parse a CLI lambda expression.
 
-    Accepted forms: a bare number, ``asmd:AGG[:cov1,cov2]``, ``sd:pooled``,
-    ``sd:max_arm`` (optionally ``sd:RULE:MULTIPLIER``).
+    Accepted forms: a number or ``fixed:NUMBER``, ``asmd:AGG[:cov1,cov2]``,
+    ``sd:pooled``, ``sd:max_arm`` (optionally ``sd:RULE:MULTIPLIER``).  Every
+    ``LambdaSpec.label()`` is one of them.
     """
     expr = expr.strip()
-    try:
-        return LambdaSpec(mode="fixed", value=float(expr))
-    except ValueError:
-        pass
     parts = expr.split(":")
     if parts[0] == "asmd":
         if len(parts) < 2:
@@ -119,6 +117,15 @@ def parse_lambda_expr(expr: str) -> LambdaSpec:
     if parts[0] == "sd":
         if len(parts) < 2:
             raise ConfigError(f"bad lambda expression {expr!r}: sd needs an arm rule")
-        multiplier = float(parts[2]) if len(parts) > 2 else 2.0
+        multiplier = _number(expr, parts[2]) if len(parts) > 2 else 2.0
         return LambdaSpec(mode="outcome_sd", arm_rule=parts[1], multiplier=multiplier)
+    if len(parts) == 1 or (parts[0] == "fixed" and len(parts) == 2):
+        return LambdaSpec(mode="fixed", value=_number(expr, parts[-1]))
     raise ConfigError(f"bad lambda expression {expr!r}")
+
+
+def _number(expr: str, text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise ConfigError(f"bad lambda expression {expr!r}: {text!r} is not a number")

@@ -17,8 +17,9 @@ against a closed form evaluated on rational inputs is exact.
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -54,15 +55,14 @@ def exact_design_probs(frame: StudyFrame, p_w0_given_z0: Fraction) -> DesignProb
     return design_probs(frame, p_w0_given_z0, Fraction)
 
 
-def bearing_share(frame: StudyFrame) -> Fraction:
-    """Fraction of z=0 units carrying a business-as-usual outcome — the
-    non-sampled mass whose control outcome the data identify.  Feeding this as
-    P(W=0|Z=0) makes the reduced closed form and the enumeration describe the
-    same information set."""
-    n_z0 = frame.n_units - frame.n_sample
-    if not n_z0:
-        raise MissingPopulationOutcome()
-    return Fraction(int(np.count_nonzero(frame.z0_bearing)), n_z0)
+def exact_inputs(frame: StudyFrame) -> tuple[EmpiricalRates, DesignProbs]:
+    """Exact inputs of the information set the unit-level oracles describe:
+    P(W=0|Z=0) is the share of z=0 units carrying a business-as-usual outcome,
+    the mass ``enumerate_worst_case(frame, "reduced")`` pins; 1/2 without one,
+    where only the full framework applies and the split does not enter."""
+    n_bearing = int(np.count_nonzero(frame.z0_bearing))
+    share = Fraction(n_bearing, frame.n_units - frame.n_sample) if n_bearing else Fraction(1, 2)
+    return exact_rates(frame), exact_design_probs(frame, share)
 
 
 def _require_binary(frame: StudyFrame):
@@ -131,6 +131,33 @@ def enumerate_worst_case(frame: StudyFrame, framework: str = "full") -> Enumerat
                        n_completions=n_completions)
 
 
+def _population_arms(frame: StudyFrame):
+    """Masks of the control- and treated-labeled z=0 units; population scope
+    needs every z=0 unit labeled, and each control-labeled one's outcome."""
+    z0 = frame.z == 0
+    unlabeled = np.flatnonzero(z0 & (frame.w == -1))
+    if unlabeled.size:
+        raise DataError("population-scope enumeration needs an arm label for z=0 unit "
+                        f"{frame.ids[unlabeled[0]]!r}")
+    w0 = z0 & (frame.w == 0)
+    missing = np.flatnonzero(w0 & np.isnan(frame.y))
+    if missing.size:
+        raise MissingPopulationOutcome(f"z=0 unit {frame.ids[missing[0]]!r} labeled control")
+    return w0, z0 & (frame.w == 1)
+
+
+def population_inputs(frame: StudyFrame) -> tuple[EmpiricalRates, DesignProbs]:
+    """Exact inputs of the population-scope MTR closed form that
+    ``enumerate_mtr(frame, "population")`` describes: the z=0 control mean and
+    P(W=0|Z=0) run over the control-labeled z=0 units."""
+    w0, _ = _population_arms(frame)
+    n_w0 = int(np.count_nonzero(w0))
+    if not n_w0:
+        raise MissingPopulationOutcome("the population-scope monotone bound")
+    rates = replace(exact_rates(frame), e_y0_w0z0=Fraction(int(frame.y[w0].sum()), n_w0))
+    return rates, exact_design_probs(frame, Fraction(n_w0, frame.n_units - frame.n_sample))
+
+
 def enumerate_mtr(
     frame: StudyFrame,
     scope: str = "sample",
@@ -149,26 +176,37 @@ def enumerate_mtr(
     _require_binary(frame)
     if scope not in ("sample", "population"):
         raise ConfigError(f"scope must be 'sample' or 'population', got {scope!r}")
-    y, z, w = frame.y, frame.z, frame.w
+    y = frame.y
     y0 = np.where(frame.control, y, np.nan)
     y1 = np.where(frame.treated, y, np.nan)
-    free = z == 0
+    free = frame.z == 0
     if scope == "population":
-        unlabeled = np.flatnonzero(free & (w == -1))
-        if unlabeled.size:
-            raise DataError("population-scope enumeration needs an arm label for z=0 unit "
-                            f"{frame.ids[unlabeled[0]]!r}")
-        w0 = free & (w == 0)
-        missing = np.flatnonzero(w0 & np.isnan(y))
-        if missing.size:
-            raise MissingPopulationOutcome(f"z=0 unit {frame.ids[missing[0]]!r} labeled control")
+        w0, free = _population_arms(frame)  # free: nothing observed about its counterfactuals
         y0 = np.where(w0, y, y0)
-        free &= w == 1  # treated-labeled, nothing observed about its counterfactuals
     if pin_free_to_zero:
         y0, y1 = np.where(free, 0.0, y0), np.where(free, 0.0, y1)
     lo, hi, n_completions = _extreme_sums(y0, y1, monotone=True)
     return Enumeration(lo=Fraction(lo, frame.n_units), hi=Fraction(hi, frame.n_units),
                        n_completions=n_completions)
+
+
+def enumerate_box(rates: EmpiricalRates, probs: DesignProbs, box1, box0,
+                  framework: str = "full") -> Enumeration:
+    """Exact PATE range when the four non-sampled cell means E(Y(a)|W=w, Z=0)
+    range over ``(lo, hi)`` boxes, ``box1`` for a=1 and ``box0`` for a=0; the
+    reduced framework pins E(Y(0)|W=0, Z=0) at the business-as-usual mean.
+    The PATE is linear in the cell means, so a sweep of the box corners is
+    exhaustive.  It is the oracle side of ``bounds._split_mass``."""
+    if framework not in ("full", "reduced"):
+        raise ConfigError(f"framework must be 'full' or 'reduced', got {framework!r}")
+    if framework == "reduced" and rates.e_y0_w0z0 is None:
+        raise MissingPopulationOutcome()
+    box00 = box0 if framework == "full" else (rates.e_y0_w0z0,)
+    sample_part = (rates.e_y1_w1z1 - rates.e_y0_w0z1) * probs.p_z1
+    p1, p0 = probs.p_w1_z0, probs.p_w0_z0
+    values = [sample_part + (y1_w1 - y0_w1) * p1 + (y1_w0 - y0_w0) * p0
+              for y1_w1, y1_w0, y0_w1, y0_w0 in itertools.product(box1, box1, box0, box00)]
+    return Enumeration(lo=min(values), hi=max(values), n_completions=len(values))
 
 
 def enumerate_bsv(
@@ -178,43 +216,13 @@ def enumerate_bsv(
     framework: str = "full",
     support: OutcomeSupport = EXACT_BINARY,
 ) -> Enumeration:
-    """Exact PATE range over the box of unknown non-sampled expectations.
-
-    Each unknown expectation lies within lam of its sample arm mean and inside
-    the outcome support; the PATE is linear in them, so the extremes sit at
-    corners of the box and a full corner sweep is exhaustive.
-    """
+    """Exact PATE range when each non-sampled cell mean lies within lam of its
+    sample arm mean and inside the outcome support: ``enumerate_box`` over the
+    clipped lam bands."""
     if lam < 0:
         raise NegativeLambda(lam)
-    if framework not in ("full", "reduced"):
-        raise ConfigError(f"framework must be 'full' or 'reduced', got {framework!r}")
-    e1, e0 = rates.e_y1_w1z1, rates.e_y0_w0z1
 
-    def box(center):
-        return (
-            max(support.y_lo, center - lam),
-            min(support.y_hi, center + lam),
-        )
+    def band(center):
+        return max(support.y_lo, center - lam), min(support.y_hi, center + lam)
 
-    u1 = box(e1)  # applies to E(Y(1)|., Z=0) on both assignment arms
-    u0 = box(e0)
-    values = []
-    if framework == "full":
-        for a in u1:           # E(Y(1)|W=1, Z=0)
-            for b in u1:       # E(Y(1)|W=0, Z=0)
-                for c in u0:   # E(Y(0)|W=1, Z=0)
-                    for d in u0:  # E(Y(0)|W=0, Z=0)
-                        ey1 = e1 * probs.p_z1 + a * probs.p_w1_z0 + b * probs.p_w0_z0
-                        ey0 = e0 * probs.p_z1 + c * probs.p_w1_z0 + d * probs.p_w0_z0
-                        values.append(ey1 - ey0)
-    else:
-        if rates.e_y0_w0z0 is None:
-            raise MissingPopulationOutcome()
-        pinned = rates.e_y0_w0z0 * probs.p_w0_z0
-        for a in u1:
-            for b in u1:
-                for c in u0:   # E(Y(0)|W=1, Z=0), carrying the residual mass
-                    ey1 = e1 * probs.p_z1 + a * probs.p_w1_z0 + b * probs.p_w0_z0
-                    ey0 = e0 * probs.p_z1 + pinned + c * probs.p_w1_z0
-                    values.append(ey1 - ey0)
-    return Enumeration(lo=min(values), hi=max(values), n_completions=len(values))
+    return enumerate_box(rates, probs, band(rates.e_y1_w1z1), band(rates.e_y0_w0z1), framework)

@@ -103,8 +103,8 @@ def render_markdown(document: dict) -> str:
         lines += _md_table(["Stratum", "N", "Assumption", "Detail", "Interval"], rows)
         lines.append("")
         if strata_block.get("pooled"):
-            lines.append("Pooled across strata (population-share weighted, an extension "
-                         "beyond the per-stratum bounds):")
+            lines.append("Pooled across strata (population-share weighted; the PATE range "
+                         "when randomization identifies each stratum's arm means):")
             lines.append("")
             rows = []
             for entry in strata_block["pooled"]:

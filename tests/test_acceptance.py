@@ -51,9 +51,7 @@ def test_criterion_1_oracle_equivalence(rng):
     while n_frames < 200:
         frame = random_binary_frame(rng, max_units=10, labeled=True)
         n_frames += 1
-        share = oracle.bearing_share(frame) if frame.z0_bearing.any() else Fraction(1, 2)
-        rates_x = oracle.exact_rates(frame)
-        probs_x = oracle.exact_design_probs(frame, share)
+        rates_x, probs_x = oracle.exact_inputs(frame)
         rates_f, probs_f = convert(rates_x), convert(probs_x)
 
         def agree(float_interval, exact_interval, enum):
@@ -66,7 +64,7 @@ def test_criterion_1_oracle_equivalence(rng):
         agree(bounds.worst_case_bounds(rates_f, probs_f, "full", BINARY),
               bounds.worst_case_bounds(rates_x, probs_x, "full", EXACT_BINARY), enum)
         n_checks += 1
-        if frame.z0_bearing.any():
+        if rates_x.e_y0_w0z0 is not None:
             enum = oracle.enumerate_worst_case(frame, "reduced")
             agree(bounds.worst_case_bounds(rates_f, probs_f, "reduced", BINARY),
                   bounds.worst_case_bounds(rates_x, probs_x, "reduced", EXACT_BINARY), enum)
@@ -96,11 +94,12 @@ def test_criterion_1_oracle_equivalence(rng):
               bounds.mtr_bounds(rates_x, probs_x, "sample")[1], enum)
         n_checks += 1
         # the generator labels every z=0 unit and gives outcomes exactly to the
-        # control-labeled ones, so the population scope is exact here too
+        # control-labeled ones, so the population scope applies whenever one exists
         if ((frame.z == 0) & (frame.w == 0)).any():
+            rates_p, probs_p = oracle.population_inputs(frame)
             enum = oracle.enumerate_mtr(frame, "population")
-            agree(bounds.mtr_bounds(rates_f, probs_f, "population")[1],
-                  bounds.mtr_bounds(rates_x, probs_x, "population")[1],
+            agree(bounds.mtr_bounds(convert(rates_p), convert(probs_p), "population")[1],
+                  bounds.mtr_bounds(rates_p, probs_p, "population")[1],
                   enum)
             n_checks += 1
     elapsed = time.monotonic() - started

@@ -3,14 +3,36 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pibgen.bounds import bsv_bounds
 from pibgen.errors import ConfigError, NegativeLambda, UnknownCovariate
 from pibgen.frame import BINARY, design_probs, empirical_rates, load_frame
-from pibgen.lambda_select import LambdaSpec, lambda_report, parse_lambda_expr, resolve_lambda
+from pibgen.lambda_select import (
+    ARM_RULES,
+    LambdaSpec,
+    lambda_report,
+    parse_lambda_expr,
+    resolve_lambda,
+)
 from pibgen.propensity import compute_balance
 
 from conftest import make_frame
+
+# numbers of at most 6 significant digits, which a label prints exactly
+SIX_DIGITS = st.builds(lambda digits, exponent: float(f"{digits}e{exponent}"),
+                       st.integers(0, 999_999), st.integers(-9, 3))
+NAMES = st.text("abcdefghijklmnopqrstuvwxyz0123456789_", min_size=1, max_size=8)
+LAMBDA_SPECS = st.one_of(
+    st.builds(LambdaSpec, mode=st.just("fixed"), value=SIX_DIGITS),
+    st.builds(LambdaSpec, mode=st.just("asmd"), aggregate=st.sampled_from(["max", "mean"]),
+              covariates=st.lists(NAMES, max_size=3).map(tuple)),
+    st.builds(LambdaSpec, mode=st.just("asmd"), aggregate=st.just("single"),
+              covariates=st.tuples(NAMES)),
+    st.builds(LambdaSpec, mode=st.just("outcome_sd"), arm_rule=st.sampled_from(ARM_RULES),
+              multiplier=SIX_DIGITS),
+)
 
 
 def balanced_frame():
@@ -165,6 +187,18 @@ class TestParse:
         assert parse_lambda_expr("sd:max_arm:1.5").multiplier == 1.5
 
     def test_bad_expressions(self):
-        for text in ("nope", "asmd", "sd", "sd:everything", "asmd:best:x"):
+        for text in ("nope", "asmd", "sd", "sd:everything", "asmd:best:x", "sd:pooled:x",
+                     "fixed", "fixed:x", "fixed:0.3:1"):
             with pytest.raises(ConfigError):
                 parse_lambda_expr(text)
+
+    def test_labels_of_the_golden_forms(self):
+        for text, label in (("0.3", "fixed:0.3"), ("fixed:0.3", "fixed:0.3"),
+                            ("asmd:max", "asmd:max"), ("sd:pooled", "sd:pooled"),
+                            ("sd:max_arm:2", "sd:max_arm"), ("sd:pooled:3", "sd:pooled:3")):
+            assert parse_lambda_expr(text).label() == label
+
+    @settings(max_examples=300, deadline=None)
+    @given(LAMBDA_SPECS)
+    def test_label_parses_back_to_its_spec(self, spec):
+        assert parse_lambda_expr(spec.label()) == spec

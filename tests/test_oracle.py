@@ -8,24 +8,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pibgen import bounds, oracle
-from pibgen.errors import DataError
+from pibgen.errors import DataError, MissingPopulationOutcome
+from pibgen.frame import DesignProbs, EmpiricalRates
 from pibgen.oracle import EXACT_BINARY
 from pibgen.stratify import strata_for_frame, stratum_frames
 
 from conftest import binary_frame, make_frame, random_binary_frame
 
 
-def exact_inputs(frame, p_w0_given_z0=None):
-    share = p_w0_given_z0
-    if share is None:
-        share = oracle.bearing_share(frame) if (frame.z == 0).any() else Fraction(1, 2)
-    return oracle.exact_rates(frame), oracle.exact_design_probs(frame, share)
-
-
 class TestWorstCaseEnumeration:
     def test_four_unit_frame_matches_closed_form(self):
         frame = binary_frame(1, 1, 1, 0, n_z0_free=2)
-        rates, probs = exact_inputs(frame, Fraction(1, 2))
+        rates, probs = oracle.exact_inputs(frame)
         enum = oracle.enumerate_worst_case(frame, "full")
         closed = bounds.worst_case_bounds(rates, probs, "full", EXACT_BINARY)
         assert enum.lo == closed.pre_clamp_lo == 0
@@ -51,7 +45,7 @@ class TestWorstCaseEnumeration:
     def test_matches_closed_form_on_random_frames(self, rng):
         for _ in range(60):
             frame = random_binary_frame(rng, labeled=False)
-            rates, probs = exact_inputs(frame)
+            rates, probs = oracle.exact_inputs(frame)
             enum = oracle.enumerate_worst_case(frame, "full")
             closed = bounds.worst_case_bounds(rates, probs, "full", EXACT_BINARY)
             assert (enum.lo, enum.hi) == (closed.pre_clamp_lo, closed.pre_clamp_hi)
@@ -87,16 +81,17 @@ class TestMtrEnumeration:
         frame = make_frame(
             [(1, 1, 1.0), (1, 1, 0.0), (1, 0, 0.0), (0, 0, 1.0), (0, 0, 0.0), (0, 1, None)]
         )
-        rates, probs = exact_inputs(frame, Fraction(2, 3))
+        rates, probs = oracle.population_inputs(frame)
+        assert probs.p_w0_given_z0 == Fraction(2, 3)
         enum = oracle.enumerate_mtr(frame, "population")
-        _, closed_max = bounds.mtr_bounds(_pop_rates(frame, rates), probs, "population")
+        _, closed_max = bounds.mtr_bounds(rates, probs, "population")
         assert enum.hi == closed_max.pre_clamp_hi
         assert enum.lo == 0
 
     def test_pin_free_to_zero_matches_min_variant(self, rng):
         for _ in range(40):
             frame = random_binary_frame(rng, labeled=True)
-            rates, probs = exact_inputs(frame, Fraction(1, 2))
+            rates, probs = oracle.exact_inputs(frame)
             enum = oracle.enumerate_mtr(frame, "sample", pin_free_to_zero=True)
             closed_min, _ = bounds.mtr_bounds(rates, probs, "sample")
             assert enum.hi == closed_min.pre_clamp_hi
@@ -104,48 +99,41 @@ class TestMtrEnumeration:
     def test_max_variant_on_random_labeled_frames(self, rng):
         for _ in range(60):
             frame = random_binary_frame(rng, labeled=True)
-            z0, w0 = frame.z == 0, (frame.z == 0) & (frame.w == 0)
-            share = Fraction(int(w0.sum()), int(z0.sum())) if z0.any() else Fraction(1, 2)
-            rates, probs = exact_inputs(frame, share)
+            rates, probs = oracle.exact_inputs(frame)
             enum = oracle.enumerate_mtr(frame, "sample")
             _, closed_max = bounds.mtr_bounds(rates, probs, "sample")
             assert enum.hi == closed_max.pre_clamp_hi
-            if w0.any():
+            if ((frame.z == 0) & (frame.w == 0)).any():
+                rates, probs = oracle.population_inputs(frame)
                 enum = oracle.enumerate_mtr(frame, "population")
-                _, closed_max = bounds.mtr_bounds(_pop_rates(frame, rates), probs, "population")
+                _, closed_max = bounds.mtr_bounds(rates, probs, "population")
                 assert enum.hi == closed_max.pre_clamp_hi
 
     def test_population_scope_needs_labels(self):
         frame = binary_frame(1, 1, 1, 0, n_z0_free=1)
         with pytest.raises(DataError):
             oracle.enumerate_mtr(frame, "population")
+        with pytest.raises(DataError):
+            oracle.population_inputs(frame)
 
-
-def _pop_rates(frame, rates):
-    """Exact rates whose z=0 mean runs over control-labeled units only."""
-    from pibgen.frame import EmpiricalRates
-
-    w0 = frame.y[(frame.z == 0) & (frame.w == 0)]
-    q0 = Fraction(int(w0.sum()), len(w0))
-    return EmpiricalRates(
-        e_y1_w1z1=rates.e_y1_w1z1,
-        e_y0_w0z1=rates.e_y0_w0z1,
-        e_y0_w0z0=q0,
-        binary=True,
-    )
+    def test_population_inputs_need_a_control_labeled_unit(self):
+        frame = make_frame([(1, 1, 1.0), (1, 0, 0.0), (0, 1, None)])
+        assert oracle.enumerate_mtr(frame, "population").hi == 1
+        with pytest.raises(MissingPopulationOutcome):
+            oracle.population_inputs(frame)
 
 
 class TestBsvEnumeration:
     def test_lambda_zero_is_a_point(self):
         frame = binary_frame(2, 1, 2, 1, z0_outcomes=(1, 0))
-        rates, probs = exact_inputs(frame)
+        rates, probs = oracle.exact_inputs(frame)
         enum = oracle.enumerate_bsv(rates, probs, Fraction(0), "full")
         assert enum.lo == enum.hi == rates.sate
 
     def test_corner_sweep_matches_sharp_closed_form(self, rng):
         for _ in range(40):
             frame = random_binary_frame(rng, labeled=False, min_z0=1)
-            rates, probs = exact_inputs(frame)
+            rates, probs = oracle.exact_inputs(frame)
             for lam in (Fraction(1, 5), Fraction(1, 2)):
                 enum = oracle.enumerate_bsv(rates, probs, lam, "full")
                 closed = bounds.bsv_bounds(rates, probs, "full", lam, EXACT_BINARY,
@@ -154,7 +142,7 @@ class TestBsvEnumeration:
 
     def test_large_lambda_hits_support_edges(self):
         frame = binary_frame(2, 2, 2, 0, n_z0_free=2)
-        rates, probs = exact_inputs(frame, Fraction(1, 2))
+        rates, probs = oracle.exact_inputs(frame)
         enum = oracle.enumerate_bsv(rates, probs, Fraction(5), "full")
         worst = bounds.worst_case_bounds(rates, probs, "full", EXACT_BINARY)
         # with the box clipped to the whole support, BSV degenerates to worst case
@@ -163,7 +151,7 @@ class TestBsvEnumeration:
     def test_every_corner_value_inside_closed_interval(self, rng):
         for _ in range(30):
             frame = random_binary_frame(rng, labeled=False)
-            rates, probs = exact_inputs(frame)
+            rates, probs = oracle.exact_inputs(frame)
             enum = oracle.enumerate_bsv(rates, probs, Fraction(3, 10), "full")
             closed = bounds.bsv_bounds(rates, probs, "full", Fraction(3, 10), EXACT_BINARY,
                                        intersect_support=True)
@@ -277,3 +265,22 @@ def test_extreme_sums_equal_brute_force_enumeration(drawn):
         for pin in (False, True):
             enum = oracle.enumerate_mtr(frame, scope, pin_free_to_zero=pin)
             assert (enum.lo, enum.hi, enum.n_completions) == _brute_mtr(frame, scope, pin)
+
+
+UNIT = st.fractions(0, 1, max_denominator=1000)
+
+
+@settings(max_examples=300, deadline=None)
+@given(e1=UNIT, e0=UNIT, q0=UNIT, p_z1=UNIT.filter(bool), p_w1_given_z1=UNIT,
+       p_w0_given_z0=UNIT, lam=st.fractions(0, Fraction(3, 2), max_denominator=1000),
+       framework=st.sampled_from(["full", "reduced"]))
+def test_box_sweep_equals_the_split_mass_formula(e1, e0, q0, p_z1, p_w1_given_z1,
+                                                 p_w0_given_z0, lam, framework):
+    rates = EmpiricalRates(e_y1_w1z1=e1, e_y0_w0z1=e0, e_y0_w0z0=q0, binary=True)
+    probs = DesignProbs(p_z1=p_z1, p_w1_given_z1=p_w1_given_z1, p_w0_given_z0=p_w0_given_z0)
+    box = oracle.enumerate_box(rates, probs, (0, 1), (0, 1), framework)
+    worst = bounds.worst_case_bounds(rates, probs, framework, EXACT_BINARY)
+    assert (box.lo, box.hi) == (worst.pre_clamp_lo, worst.pre_clamp_hi)
+    sharp = bounds.bsv_bounds(rates, probs, framework, lam, EXACT_BINARY, intersect_support=True)
+    enum = oracle.enumerate_bsv(rates, probs, lam, framework)
+    assert (enum.lo, enum.hi) == (sharp.pre_clamp_lo, sharp.pre_clamp_hi)
