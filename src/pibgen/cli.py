@@ -451,6 +451,10 @@ def _emit(document: dict, options, table=None) -> str:
 # --- verify ---------------------------------------------------------------------
 
 
+# verify checks the sharp BSV bounds at each of these λ
+VERIFY_LAMBDAS = (Fraction(0), Fraction(1, 10), Fraction(1, 4), Fraction(1, 2), Fraction(1))
+
+
 def _verify_checks(frame):
     """Yield (name, (float engine interval, rational engine interval), oracle
     enumeration) comparisons on the information set the oracles describe."""
@@ -470,7 +474,7 @@ def _verify_checks(frame):
                engine_pair(bounds_mod.worst_case_bounds, rates, probs, framework, exact),
                oracle_mod.enumerate_worst_case(frame, framework))
     sharp_bsv = partial(bounds_mod.bsv_bounds, intersect_support=True)
-    for lam in (Fraction(0), Fraction(1, 10), Fraction(1, 4), Fraction(1, 2), Fraction(1)):
+    for lam in VERIFY_LAMBDAS:
         for framework in frameworks:
             yield (f"bsv {framework} lambda={lam}",
                    engine_pair(sharp_bsv, rates, probs, framework, lam, exact),

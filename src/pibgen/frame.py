@@ -98,6 +98,7 @@ class StudyFrame:
         self.ids, self.z, self.w, self.y, self.X = ids, z, w, y, X
         self.support = support
         self.covariate_names = covariate_names
+        self._moments = {}  # covariate index -> (mean, SD), each taken on first use
 
     def take(self, rows) -> StudyFrame:
         """The frame of the given rows, in the given order.  Its rows passed the
@@ -132,13 +133,17 @@ class StudyFrame:
     def n_sample(self) -> int:
         return int(np.count_nonzero(self.z))
 
-    @property
-    def is_binary(self) -> bool:
-        return tallies(self).is_binary(0)
-
     @cached_property
     def _totals(self) -> Tallies:
         return _tally(self, np.ones(self.n_units, dtype=np.intp), 1)
+
+    def covariate_moments(self, name: str) -> tuple[float, float]:
+        """Population mean and SD (denominator N) of a covariate column."""
+        j = self.covariate_index(name)
+        if j not in self._moments:
+            col = self.X[:, j]
+            self._moments[j] = col.mean(), col.std()
+        return self._moments[j]
 
     def covariate_index(self, name: str) -> int:
         try:
@@ -301,14 +306,16 @@ class Tallies:
 
     def empirical_rates(self, g: int, number=float) -> EmpiricalRates:
         """Arm means of group ``g``, plus its z=0 business-as-usual mean when
-        present, as ``number``; exact (non-float) rates only for 0/1 outcomes."""
-        binary = self.is_binary(g)
-        if number is not float and not binary:
-            raise NonBinaryOutcome("exact rates need 0/1 outcomes")
+        present, as ``number``.  Exact (non-float) rates are the one check that
+        a group fits the enumeration oracles: both sampled arms, then 0/1
+        outcomes on the binary support."""
         if not self.treated[g]:
             raise EmptyArm("treated")
         if not self.control[g]:
             raise EmptyArm("control")
+        binary = self.is_binary(g)
+        if number is not float and not binary:
+            raise NonBinaryOutcome("enumeration oracles require a binary frame")
         e1 = number(self.y_treated[g]) / self.treated[g]
         e0 = number(self.y_control[g]) / self.control[g]
         q0 = number(self.y_z0[g]) / self.z0_bearing[g] if self.z0_bearing[g] else None

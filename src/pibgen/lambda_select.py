@@ -109,6 +109,8 @@ def parse_lambda_expr(expr: str) -> LambdaSpec:
     """
     expr = expr.strip()
     parts = expr.split(":")
+    if parts[0] in ("asmd", "sd") and len(parts) > 3:
+        raise ConfigError(f"bad lambda expression {expr!r}: more than three ':' fields")
     if parts[0] == "asmd":
         if len(parts) < 2:
             raise ConfigError(f"bad lambda expression {expr!r}: asmd needs an aggregate")

@@ -27,10 +27,8 @@ import numpy as np
 from .errors import (
     ConfigError,
     DataError,
-    EmptyArm,
     MissingPopulationOutcome,
     NegativeLambda,
-    NonBinaryOutcome,
 )
 from .frame import (
     DesignProbs,
@@ -46,8 +44,9 @@ EXACT_BINARY = OutcomeSupport(0, 1)
 
 
 def exact_rates(frame: StudyFrame) -> EmpiricalRates:
-    """Arm means as exact fractions of integer counts."""
-    _require_binary(frame)
+    """Arm means as exact fractions of integer counts.  It is every oracle's
+    one precondition: it raises ``EmptyArm`` for a frame without a sampled
+    unit in each arm, then ``NonBinaryOutcome`` for outcomes other than 0/1."""
     return empirical_rates(frame, Fraction)
 
 
@@ -63,15 +62,6 @@ def exact_inputs(frame: StudyFrame) -> tuple[EmpiricalRates, DesignProbs]:
     n_bearing = int(np.count_nonzero(frame.z0_bearing))
     share = Fraction(n_bearing, frame.n_units - frame.n_sample) if n_bearing else Fraction(1, 2)
     return exact_rates(frame), exact_design_probs(frame, share)
-
-
-def _require_binary(frame: StudyFrame):
-    if not frame.treated.any():
-        raise EmptyArm("treated")
-    if not frame.control.any():
-        raise EmptyArm("control")
-    if not frame.is_binary:
-        raise NonBinaryOutcome("enumeration oracles require a binary frame")
 
 
 @dataclass(frozen=True)
@@ -106,11 +96,6 @@ def _extreme_sums(y0, y1, monotone: bool = False) -> tuple[int, int, int]:
     return int(lo), int(hi), n_completions
 
 
-def _fixed_sample_part(frame: StudyFrame) -> Fraction:
-    rates = exact_rates(frame)
-    return frame.n_sample * (rates.e_y1_w1z1 - rates.e_y0_w0z1)
-
-
 def enumerate_worst_case(frame: StudyFrame, framework: str = "full") -> Enumeration:
     """Exact PATE range over every completion consistent with the observations.
 
@@ -118,14 +103,14 @@ def enumerate_worst_case(frame: StudyFrame, framework: str = "full") -> Enumerat
     {0,1}.  Reduced framework: a z=0 unit carrying a business-as-usual outcome
     has its control potential outcome pinned to it.
     """
-    _require_binary(frame)
+    rates = exact_rates(frame)
     if framework not in ("full", "reduced"):
         raise ConfigError(f"framework must be 'full' or 'reduced', got {framework!r}")
     z0 = frame.z == 0
     free = np.full(int(np.count_nonzero(z0)), np.nan)
     y0 = frame.y[z0] if framework == "reduced" else free
     lo, hi, n_completions = _extreme_sums(y0, free)
-    fixed = _fixed_sample_part(frame)
+    fixed = frame.n_sample * rates.sate
     n_total = frame.n_units
     return Enumeration(lo=(fixed + lo) / n_total, hi=(fixed + hi) / n_total,
                        n_completions=n_completions)
@@ -173,7 +158,7 @@ def enumerate_mtr(
     realizes the reporting convention behind the min variant of the closed
     form.
     """
-    _require_binary(frame)
+    exact_rates(frame)  # the precondition; the bounds read the frame's columns
     if scope not in ("sample", "population"):
         raise ConfigError(f"scope must be 'sample' or 'population', got {scope!r}")
     y = frame.y

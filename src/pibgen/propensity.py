@@ -82,12 +82,10 @@ def _standardized_design(frame: StudyFrame, covariates):
     n = frame.n_units
     cols, means, sds = [], [], []
     for name in covariates:
-        col = frame.covariate_column(name)
-        mean = col.mean()
-        sd = col.std()  # population (denominator N) scale
+        mean, sd = frame.covariate_moments(name)
         if sd == 0:
             raise SingularDesign(f"covariate {name!r} is constant")
-        cols.append((col - mean) / sd)
+        cols.append((frame.covariate_column(name) - mean) / sd)
         means.append(mean)
         sds.append(sd)
     design = np.column_stack([np.ones(n)] + cols) if cols else np.ones((n, 1))
@@ -229,10 +227,9 @@ def _balance_row(frame: StudyFrame, covariate: str) -> BalanceRow:
     sample = col[frame.z == 1]
     if len(sample) == 0:  # before any moment: an empty column has none
         raise EmptySample()
-    sigma = col.std()
+    population_mean, sigma = frame.covariate_moments(covariate)
     if sigma == 0:
         raise ZeroVariance(f"covariate {covariate!r}")
-    population_mean = col.mean()
     sample_mean = sample.mean()
     return BalanceRow(
         covariate=covariate,

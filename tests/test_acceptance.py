@@ -4,13 +4,12 @@ measured quantities.  Run with ``pytest tests/test_acceptance.py -v -s``."""
 import json
 import pathlib
 import time
-from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from pibgen import bounds, oracle, points
-from pibgen.cli import main
+from pibgen.cli import VERIFY_LAMBDAS, main
 from pibgen.data import synthetic_path
 from pibgen.frame import (
     BINARY,
@@ -37,7 +36,6 @@ from conftest import make_frame, random_binary_frame
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 TOL = 1e-12
-LAMBDA_GRID = (Fraction(0), Fraction(1, 10), Fraction(1, 4), Fraction(1, 2), Fraction(1))
 
 
 def _rates(e1, e0, q0=None):
@@ -69,7 +67,7 @@ def test_criterion_1_oracle_equivalence(rng):
             agree(bounds.worst_case_bounds(rates_f, probs_f, "reduced", BINARY),
                   bounds.worst_case_bounds(rates_x, probs_x, "reduced", EXACT_BINARY), enum)
             n_checks += 1
-        for lam in LAMBDA_GRID:
+        for lam in VERIFY_LAMBDAS:
             enum = oracle.enumerate_bsv(rates_x, probs_x, lam, "full", EXACT_BINARY)
             agree(
                 bounds.bsv_bounds(rates_f, probs_f, "full", float(lam), BINARY,

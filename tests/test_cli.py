@@ -353,6 +353,17 @@ def test_non_finite_input_is_a_typed_error(capsys, tmp_path, argv, x, code, mess
     assert "NaN" not in out and "Infinity" not in out
 
 
+@pytest.mark.parametrize("expr", ["sd:pooled:3:4", "asmd:single:x:1"])
+def test_lambda_with_extra_fields_is_a_config_error(capsys, tmp_path, expr):
+    path = tmp_path / "data.csv"
+    path.write_text("id,in_sample,treatment,outcome,x\na,1,1,1,0.2\nb,1,0,0,0.9\n"
+                    "c,0,,,0.4\nd,0,,,0.1\n")
+    rc, out, err = run(capsys, "bounds", "--data", str(path), "--assumption", "bsv",
+                       "--lambda", expr)
+    assert (rc, out) == (3, "")
+    assert err == f"error: bad lambda expression '{expr}': more than three ':' fields\n"
+
+
 class TestSubcommands:
     def test_propensity_model_json(self, capsys, small_csv, tmp_path):
         path = tmp_path / "with_x.csv"

@@ -26,6 +26,7 @@ from pibgen.frame import (
     empirical_rates,
     load_frame,
     load_two_frames,
+    tallies,
 )
 
 from conftest import CONTINUOUS, make_frame
@@ -282,9 +283,9 @@ class TestSupport:
             OutcomeSupport(1.0, 0.0)
 
     def test_binary_detection(self):
-        assert make_frame([(1, 1, 1.0), (1, 0, 0.0)]).is_binary
+        assert tallies(make_frame([(1, 1, 1.0), (1, 0, 0.0)])).is_binary(0)
         fractional = make_frame([(1, 1, 0.5), (1, 0, 0.0)])
-        assert not fractional.is_binary
+        assert not tallies(fractional).is_binary(0)
 
 
 class TestColumns:
@@ -301,6 +302,15 @@ class TestColumns:
         frame = load_frame(text, BINARY)
         assert frame.covariate_column("x2").tolist() == [2.0, 3.0]
         assert frame.covariate_column("x2").flags["C_CONTIGUOUS"]
+
+    def test_covariate_moments_are_taken_once_per_frame(self):
+        text = "id,in_sample,treatment,outcome,x1,x2\na,1,1,1,0.5,2\nb,1,0,0,1.5,3\nc,0,,,1,7\n"
+        frame = load_frame(text, BINARY)
+        col = frame.covariate_column("x2")
+        moments = frame.covariate_moments("x2")
+        assert moments == (col.mean(), col.std())
+        assert frame.covariate_moments("x2") is moments
+        assert frame.take(np.array([0, 1])).covariate_moments("x2") == (2.5, 0.5)
 
     def test_take_keeps_the_given_row_order(self):
         frame = make_frame([(1, 1, 1.0), (1, 0, 0.0), (0, None, None), (0, None, 1.0)])

@@ -192,6 +192,11 @@ class TestParse:
             with pytest.raises(ConfigError):
                 parse_lambda_expr(text)
 
+    def test_extra_fields_are_rejected(self):
+        for text in ("sd:pooled:3:4", "asmd:single:x:1", "asmd:max:a,b:"):
+            with pytest.raises(ConfigError, match=f"bad lambda expression '{text}'"):
+                parse_lambda_expr(text)
+
     def test_labels_of_the_golden_forms(self):
         for text, label in (("0.3", "fixed:0.3"), ("fixed:0.3", "fixed:0.3"),
                             ("asmd:max", "asmd:max"), ("sd:pooled", "sd:pooled"),

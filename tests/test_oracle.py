@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pibgen import bounds, oracle
-from pibgen.errors import DataError, MissingPopulationOutcome
-from pibgen.frame import DesignProbs, EmpiricalRates
+from pibgen.errors import DataError, EmptyArm, MissingPopulationOutcome
+from pibgen.frame import DesignProbs, EmpiricalRates, empirical_rates
 from pibgen.oracle import EXACT_BINARY
 from pibgen.stratify import strata_for_frame, stratum_frames
 
@@ -60,6 +60,16 @@ class TestWorstCaseEnumeration:
         frame = make_frame([(1, 1, 1.5), (1, 0, 0.5), (0, None, None)], support=CONTINUOUS)
         with pytest.raises(DataError):
             oracle.enumerate_worst_case(frame, "full")
+
+    def test_missing_arm_is_reported_before_non_binary_outcomes(self):
+        from conftest import CONTINUOUS
+
+        frame = make_frame([(1, 1, 1.5), (1, 1, 0.5), (0, None, None)], support=CONTINUOUS)
+        for check in (oracle.enumerate_worst_case, oracle.enumerate_mtr, oracle.exact_inputs,
+                      lambda frame: empirical_rates(frame, Fraction)):
+            with pytest.raises(EmptyArm) as caught:
+                check(frame)
+            assert caught.value.arm == "control"
 
 
 class TestMtrEnumeration:
@@ -268,19 +278,49 @@ def test_extreme_sums_equal_brute_force_enumeration(drawn):
 
 
 UNIT = st.fractions(0, 1, max_denominator=1000)
+LAMBDAS = st.fractions(0, Fraction(3, 2), max_denominator=1000)
+FRAMEWORKS = st.sampled_from(["full", "reduced"])
+
+
+@st.composite
+def rational_inputs(draw):
+    """Exact arm means, BAU mean and design probabilities, P(Z=1) in (0, 1]."""
+    rates = EmpiricalRates(e_y1_w1z1=draw(UNIT), e_y0_w0z1=draw(UNIT), e_y0_w0z0=draw(UNIT),
+                           binary=True)
+    probs = DesignProbs(p_z1=draw(UNIT.filter(bool)), p_w1_given_z1=draw(UNIT),
+                        p_w0_given_z0=draw(UNIT))
+    return rates, probs
 
 
 @settings(max_examples=300, deadline=None)
-@given(e1=UNIT, e0=UNIT, q0=UNIT, p_z1=UNIT.filter(bool), p_w1_given_z1=UNIT,
-       p_w0_given_z0=UNIT, lam=st.fractions(0, Fraction(3, 2), max_denominator=1000),
-       framework=st.sampled_from(["full", "reduced"]))
-def test_box_sweep_equals_the_split_mass_formula(e1, e0, q0, p_z1, p_w1_given_z1,
-                                                 p_w0_given_z0, lam, framework):
-    rates = EmpiricalRates(e_y1_w1z1=e1, e_y0_w0z1=e0, e_y0_w0z0=q0, binary=True)
-    probs = DesignProbs(p_z1=p_z1, p_w1_given_z1=p_w1_given_z1, p_w0_given_z0=p_w0_given_z0)
+@given(rational_inputs(), LAMBDAS, FRAMEWORKS)
+def test_box_sweep_equals_the_split_mass_formula(inputs, lam, framework):
+    rates, probs = inputs
     box = oracle.enumerate_box(rates, probs, (0, 1), (0, 1), framework)
     worst = bounds.worst_case_bounds(rates, probs, framework, EXACT_BINARY)
     assert (box.lo, box.hi) == (worst.pre_clamp_lo, worst.pre_clamp_hi)
     sharp = bounds.bsv_bounds(rates, probs, framework, lam, EXACT_BINARY, intersect_support=True)
     enum = oracle.enumerate_bsv(rates, probs, lam, framework)
     assert (enum.lo, enum.hi) == (sharp.pre_clamp_lo, sharp.pre_clamp_hi)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rational_inputs(), LAMBDAS, LAMBDAS, FRAMEWORKS)
+def test_width_collapse_and_nesting_identities_are_exact(inputs, lam_a, lam_b, framework):
+    rates, probs = inputs
+    small, large = sorted((lam_a, lam_b))
+    # the bounded mass: both non-sampled means in the full framework, and in
+    # the reduced one the treated mean plus the unpinned control remainder
+    mass = 2 * probs.p_z0 if framework == "full" else probs.p_z0 + probs.p_w1_z0
+    worst = bounds.worst_case_bounds(rates, probs, framework, EXACT_BINARY)
+    assert worst.pre_clamp_width == mass
+    inner, outer = (bounds.bsv_bounds(rates, probs, framework, lam, EXACT_BINARY)
+                    for lam in (small, large))
+    assert inner.pre_clamp_width == 2 * small * mass
+    assert outer.pre_clamp_lo <= inner.pre_clamp_lo <= inner.pre_clamp_hi <= outer.pre_clamp_hi
+    sharp = bounds.bsv_bounds(rates, probs, framework, small, EXACT_BINARY,
+                              intersect_support=True)
+    assert worst.pre_clamp_lo <= sharp.pre_clamp_lo <= sharp.pre_clamp_hi <= worst.pre_clamp_hi
+    if framework == "full":
+        point = bounds.bsv_bounds(rates, probs, "full", Fraction(0), EXACT_BINARY)
+        assert point.lo == point.hi == rates.sate

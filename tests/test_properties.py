@@ -10,7 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pibgen.frame import BINARY, OutcomeSupport, StudyFrame, design_probs, empirical_rates
+from pibgen.frame import (
+    BINARY,
+    OutcomeSupport,
+    StudyFrame,
+    design_probs,
+    empirical_rates,
+    tallies,
+)
 from pibgen.errors import NonBinaryOutcome
 from pibgen.points import naive_sate, subclass_estimate
 from pibgen.stratify import merge_nonviable, strata_for_frame, stratum_frames
@@ -50,7 +57,7 @@ def _close(a, b) -> bool:
 @settings(max_examples=150, deadline=None)
 @given(frames(), st.fractions(0, 1, max_denominator=20))
 def test_float_statistics_agree_with_exact_fractions(frame, p_w0_given_z0):
-    if frame.is_binary:
+    if tallies(frame).is_binary(0):
         rates_f, rates_x = empirical_rates(frame), empirical_rates(frame, Fraction)
         for name in rates_f.__dataclass_fields__:
             assert _close(getattr(rates_f, name), getattr(rates_x, name)), name
@@ -131,7 +138,7 @@ def test_subclassification_strata_equal_naive_on_each_sub_frame(frame, k):
         control = piece.frame.y[piece.frame.control]
         assert naive.se == math.sqrt(plugin_variance(treated) / len(treated)
                                      + plugin_variance(control) / len(control))
-        if frame.is_binary:  # exact sums: the pairwise numpy means agree too
+        if tallies(frame).is_binary(0):  # exact sums: the pairwise numpy means agree too
             assert naive.estimate == float(treated.mean() - control.mean())
 
 
