@@ -37,7 +37,6 @@ from .points import (
 )
 from .propensity import (
     BalanceReport,
-    FitOptions,
     PropensityModel,
     asmd,
     compute_balance,
@@ -59,7 +58,6 @@ __all__ = [
     "ColumnMap",
     "DesignProbs",
     "EmpiricalRates",
-    "FitOptions",
     "LambdaSpec",
     "OutcomeSupport",
     "PateInterval",

@@ -37,7 +37,6 @@ from .frame import (
 from .lambda_select import lambda_report, parse_lambda_expr, resolve_lambda
 from .points import BootstrapOptions, ipw_estimate, naive_sate, subclass_estimate
 from .propensity import (
-    FitOptions,
     compute_balance,
     fit_propensity,
     logit_scores,
@@ -69,72 +68,53 @@ COMMANDS = {
 }
 
 
+# Each option once: its config key, its default, and the declaration of its
+# flag, which is the key with '-' for '_'
+OPTIONS = {
+    "data": (None, dict(help="combined CSV with an in-sample column")),
+    "sample": (None, dict(help="sample-only CSV (rows become z=1)")),
+    "population": (None, dict(help="non-sampled population CSV (rows become z=0)")),
+    "sample_col": ("in_sample", dict(help="in-sample indicator column (default in_sample)")),
+    "treatment_col": ("treatment", dict(help="treatment column (default treatment)")),
+    "outcome_col": ("outcome", dict(help="outcome column (default outcome)")),
+    "id_col": ("id", dict(help="id column (default id; absent = row numbers)")),
+    "support": ("0,1", dict(help="outcome support as 'lo,hi' (default 0,1; write "
+                                 "--support=-2,3 for a negative lower bound)")),
+    "covariates": (None, dict(help="comma-separated covariate columns (default: all)")),
+    "exclude": (None, dict(help="comma-separated columns to drop from the default "
+                                "covariate set")),
+    "categorical": ([], dict(action="append", metavar="COL=REF",
+                             help="one-hot encode COL with reference level REF (repeatable)")),
+    "strata": (5, dict(type=int, help="stratum count k (default 5)")),
+    "pw0z0": (0.5, dict(type=float,
+                        help="assumed P(W=0|Z=0) for the reduced framework (default 0.5)")),
+    "lambda": ([], dict(action="append", metavar="EXPR", help="lambda value or rule "
+                        "(repeatable), e.g. 0.3, asmd:max:x1,x2, sd:pooled")),
+    "framework": ("full", dict(choices=["full", "reduced", "both"])),
+    "assumption": (["worst"], dict(action="append", choices=sorted(ASSUMPTION_ALIASES),
+                                   help="repeatable; default worst")),
+    "seed": (None, dict(type=int, help="master seed (env PIBGEN_SEED as fallback)")),
+    "reps": (1000, dict(type=int, help="bootstrap replicates (default 1000)")),
+    "pooled": (False, dict(action="store_true",
+                           help="add the population-share pooled interval across strata")),
+    "merge_strata": (False, dict(action="store_true", help="collapse non-viable strata into "
+                                 "a neighbor instead of skipping")),
+    "model": (None, dict(help="propensity model JSON to load instead of fitting")),
+    "format": ("md", dict(choices=FORMATS)),
+    "out": (None, dict(help="write output here instead of stdout")),
+}
+_DEFAULTS = {key: default for key, (default, _) in OPTIONS.items()}
+
+
 def build_parser() -> _Parser:
     # a flag left out is absent from the namespace, so the config value shows through
     p = _Parser(prog="pibgen", description=__doc__, argument_default=argparse.SUPPRESS)
     p.add_argument("command", choices=COMMANDS,
                    help="; ".join(f"{name}: {text}" for name, text in COMMANDS.items()))
     p.add_argument("--config", help="JSON config file; flags override its values")
-    p.add_argument("--data", help="combined CSV with an in-sample column")
-    p.add_argument("--sample", help="sample-only CSV (rows become z=1)")
-    p.add_argument("--population", help="non-sampled population CSV (rows become z=0)")
-    p.add_argument("--sample-col", help="in-sample indicator column (default in_sample)")
-    p.add_argument("--treatment-col", help="treatment column (default treatment)")
-    p.add_argument("--outcome-col", help="outcome column (default outcome)")
-    p.add_argument("--id-col", help="id column (default id; absent = row numbers)")
-    p.add_argument("--support",
-                   help="outcome support as 'lo,hi' (default 0,1; write --support=-2,3 "
-                        "for a negative lower bound)")
-    p.add_argument("--covariates", help="comma-separated covariate columns (default: all)")
-    p.add_argument("--exclude",
-                   help="comma-separated columns to drop from the default covariate set")
-    p.add_argument("--categorical", action="append", metavar="COL=REF",
-                   help="one-hot encode COL with reference level REF (repeatable)")
-    p.add_argument("--strata", type=int, help="stratum count k (default 5)")
-    p.add_argument("--pw0z0", type=float,
-                   help="assumed P(W=0|Z=0) for the reduced framework (default 0.5)")
-    p.add_argument("--lambda", action="append", metavar="EXPR",
-                   help="lambda value or rule (repeatable), e.g. 0.3, asmd:max:x1,x2, sd:pooled")
-    p.add_argument("--framework", choices=["full", "reduced", "both"])
-    p.add_argument("--assumption", action="append", choices=sorted(ASSUMPTION_ALIASES),
-                   help="repeatable; default worst")
-    p.add_argument("--seed", type=int, help="master seed (env PIBGEN_SEED as fallback)")
-    p.add_argument("--reps", type=int, help="bootstrap replicates (default 1000)")
-    p.add_argument("--pooled", action="store_true",
-                   help="add the population-share pooled interval across strata")
-    p.add_argument("--merge-strata", action="store_true",
-                   help="collapse non-viable strata into a neighbor instead of skipping")
-    p.add_argument("--model", help="propensity model JSON to load instead of fitting")
-    p.add_argument("--format", choices=FORMATS)
-    p.add_argument("--out", help="write output here instead of stdout")
+    for key, (_, declaration) in OPTIONS.items():
+        p.add_argument(f"--{key.replace('_', '-')}", **declaration)
     return p
-
-
-_DEFAULTS = {
-    "sample_col": "in_sample",
-    "treatment_col": "treatment",
-    "outcome_col": "outcome",
-    "id_col": "id",
-    "support": "0,1",
-    "covariates": None,
-    "exclude": None,
-    "categorical": [],
-    "model": None,
-    "strata": 5,
-    "pw0z0": 0.5,
-    "lambda": [],
-    "framework": "full",
-    "assumption": ["worst"],
-    "reps": 1000,
-    "pooled": False,
-    "merge_strata": False,
-    "format": "md",
-    "data": None,
-    "sample": None,
-    "population": None,
-    "out": None,
-    "seed": None,
-}
 
 
 def _merge_config(args) -> dict:
@@ -302,7 +282,7 @@ class _Pipeline:
                     return model_from_json(fh.read())
             except (OSError, ValueError, KeyError) as exc:
                 raise ConfigError(f"cannot read model file: {exc}")
-        return fit_propensity(self.frame, self.frame.covariate_names, FitOptions())
+        return fit_propensity(self.frame, self.frame.covariate_names)
 
     @cached_property
     def balance(self):
@@ -318,7 +298,9 @@ class _Pipeline:
         elif not isinstance(exprs, list):
             raise ConfigError(f"--lambda expects an expression or a list of them, got {exprs!r}")
         specs = (parse_lambda_expr(str(expr)) for expr in exprs)
-        return [{"label": spec.label(), "value": resolve_lambda(spec, self.frame, self.balance)}
+        # only an asmd rule reads the balance table, and so the model
+        return [{"label": spec.label(), "value": resolve_lambda(
+                    spec, self.frame, self.balance if spec.mode == "asmd" else None)}
                 for spec in specs]
 
     @cached_property
@@ -478,7 +460,7 @@ def _verify_checks(frame):
         for framework in frameworks:
             yield (f"bsv {framework} lambda={lam}",
                    engine_pair(sharp_bsv, rates, probs, framework, lam, exact),
-                   oracle_mod.enumerate_bsv(rates, probs, lam, framework, exact))
+                   oracle_mod.enumerate_bsv(rates, probs, lam, framework))
     scopes = [("sample", rates, probs)]
     with contextlib.suppress(DataError):  # a frame the population scope does not fit
         scopes.append(("population", *oracle_mod.population_inputs(frame)))

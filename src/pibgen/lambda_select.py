@@ -63,8 +63,9 @@ class LambdaSpec:
         return f"sd:{self.arm_rule}{multiplier}"
 
 
-def resolve_lambda(spec: LambdaSpec, frame: StudyFrame, balance: BalanceReport) -> float:
-    """Turn a lambda rule into a number for the BSV bounds."""
+def resolve_lambda(spec: LambdaSpec, frame: StudyFrame, balance: BalanceReport | None) -> float:
+    """Turn a lambda rule into a number for the BSV bounds; only an asmd rule
+    reads ``balance``."""
     if spec.mode == "fixed":
         return float(spec.value)
     if spec.mode == "asmd":

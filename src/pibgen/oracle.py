@@ -194,20 +194,15 @@ def enumerate_box(rates: EmpiricalRates, probs: DesignProbs, box1, box0,
     return Enumeration(lo=min(values), hi=max(values), n_completions=len(values))
 
 
-def enumerate_bsv(
-    rates: EmpiricalRates,
-    probs: DesignProbs,
-    lam,
-    framework: str = "full",
-    support: OutcomeSupport = EXACT_BINARY,
-) -> Enumeration:
+def enumerate_bsv(rates: EmpiricalRates, probs: DesignProbs, lam,
+                  framework: str = "full") -> Enumeration:
     """Exact PATE range when each non-sampled cell mean lies within lam of its
-    sample arm mean and inside the outcome support: ``enumerate_box`` over the
-    clipped lam bands."""
+    sample arm mean and inside the binary support [0, 1]: ``enumerate_box``
+    over the clipped lam bands."""
     if lam < 0:
         raise NegativeLambda(lam)
 
     def band(center):
-        return max(support.y_lo, center - lam), min(support.y_hi, center + lam)
+        return max(0, center - lam), min(1, center + lam)
 
     return enumerate_box(rates, probs, band(rates.e_y1_w1z1), band(rates.e_y0_w0z1), framework)

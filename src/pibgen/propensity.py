@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,17 +26,8 @@ from .errors import (
 from .frame import StudyFrame
 
 
-@dataclass(frozen=True)
-class FitOptions:
-    tolerance: float = 1e-8
-    max_iter: int = 100
-
-    def __post_init__(self):
-        if type(self.max_iter) is not int or self.max_iter < 0:  # a bool is no count either
-            raise ConfigError(f"max_iter must be a non-negative integer, got {self.max_iter!r}")
-        tol = self.tolerance
-        if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not 0 < tol < math.inf:
-            raise ConfigError(f"tolerance must be positive and finite, got {tol!r}")
+_TOLERANCE = 1e-8
+_MAX_ITER = 100
 
 
 @dataclass(frozen=True)
@@ -94,16 +84,13 @@ def _standardized_design(frame: StudyFrame, covariates):
     return design, np.array(means), np.array(sds)
 
 
-def fit_propensity(
-    frame: StudyFrame,
-    covariates,
-    options: FitOptions = FitOptions(),
-) -> PropensityModel:
+def fit_propensity(frame: StudyFrame, covariates) -> PropensityModel:
     """Maximum-likelihood logistic fit of sample membership on covariates.
 
     Newton steps with step-halving keep the log-likelihood
     non-decreasing; convergence is declared when the max-norm of the gradient
-    on the standardized scale falls below ``options.tolerance``.
+    on the standardized scale falls to ``_TOLERANCE`` (1e-8), and
+    ``NoConvergence`` is raised after ``_MAX_ITER`` (100) steps without it.
     """
     covariates = tuple(covariates)
     z = frame.z.astype(float)
@@ -115,16 +102,16 @@ def fit_propensity(
     beta = np.zeros(design.shape[1])
     ll = binomial_loglik(beta, design, z)
     trace = [ll]
-    # one gradient test per iterate; the one after max_iter steps is the last
+    # one gradient test per iterate; the one after _MAX_ITER steps is the last
     for iterations in itertools.count():
         mu = _sigmoid(design @ beta)
         grad = design.T @ (z - mu)
         grad_norm = float(np.max(np.abs(grad)))
-        if grad_norm <= options.tolerance:
+        if grad_norm <= _TOLERANCE:
             _check_saturation(beta, design, z, covariates)
             break
-        if iterations >= options.max_iter:
-            raise NoConvergence(options.max_iter, grad_norm)
+        if iterations >= _MAX_ITER:
+            raise NoConvergence(_MAX_ITER, grad_norm)
         weights = mu * (1.0 - mu)
         hess = design.T @ (design * weights[:, None])
         try:

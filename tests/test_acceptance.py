@@ -68,7 +68,7 @@ def test_criterion_1_oracle_equivalence(rng):
                   bounds.worst_case_bounds(rates_x, probs_x, "reduced", EXACT_BINARY), enum)
             n_checks += 1
         for lam in VERIFY_LAMBDAS:
-            enum = oracle.enumerate_bsv(rates_x, probs_x, lam, "full", EXACT_BINARY)
+            enum = oracle.enumerate_bsv(rates_x, probs_x, lam, "full")
             agree(
                 bounds.bsv_bounds(rates_f, probs_f, "full", float(lam), BINARY,
                                   intersect_support=True),
@@ -78,7 +78,7 @@ def test_criterion_1_oracle_equivalence(rng):
             )
             n_checks += 1
             if rates_x.e_y0_w0z0 is not None:
-                enum = oracle.enumerate_bsv(rates_x, probs_x, lam, "reduced", EXACT_BINARY)
+                enum = oracle.enumerate_bsv(rates_x, probs_x, lam, "reduced")
                 agree(
                     bounds.bsv_bounds(rates_f, probs_f, "reduced", float(lam), BINARY,
                                       intersect_support=True),

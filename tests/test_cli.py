@@ -22,6 +22,7 @@ import pibgen.points
 import pibgen.stratify
 from pibgen.cli import main
 from pibgen.data import synthetic_path
+from pibgen.errors import ZeroVariance
 
 from test_acceptance import GOLDEN_ARGS
 
@@ -34,6 +35,11 @@ e,0,1,
 f,0,0,0
 g,0,1,
 """
+
+# x1 varies and c is constant: only a rule that reads the balance table fails
+CONSTANT_COVARIATE_CSV = "id,in_sample,treatment,outcome,x1,c\n" + "".join(
+    f"u{i},{int(i < 12)},{i % 2 if i < 12 else ''},{i * 7 % 3 % 2},{i * 0.37 % 1:.2f},1\n"
+    for i in range(40))
 
 CONTINUOUS_CSV = """id,in_sample,treatment,outcome
 a,1,1,2.5
@@ -510,6 +516,87 @@ class TestSubcommands:
                            "--exclude", "notes")
         assert code == 0
         assert list(json.loads(out)["coefficients"]) == ["x1"]
+
+    @pytest.mark.parametrize("argv", [
+        ["--assumption", "bsv", "--lambda", "0.3"],
+        ["--assumption", "bsv", "--lambda", "sd:max_arm"],
+        ["--assumption", "bsv", "--lambda", "sd:pooled"],
+        ["--assumption", "worst", "--lambda", "0.3"],
+    ], ids=["fixed", "sd-max-arm", "sd-pooled", "worst"])
+    def test_fixed_and_sd_lambda_rules_read_no_covariate(self, capsys, tmp_path, argv):
+        data = tmp_path / "constant.csv"
+        data.write_text(CONSTANT_COVARIATE_CSV)
+        code, out, err = run(capsys, "bounds", "--data", str(data), *argv)
+        assert (code, err) == (0, "")
+        assert (code, out, err) == run(capsys, "bounds", "--data", str(data), *argv,
+                                       "--exclude", "c")
+
+    def test_asmd_lambda_rule_reads_every_covariate(self, capsys, tmp_path):
+        data = tmp_path / "constant.csv"
+        data.write_text(CONSTANT_COVARIATE_CSV)
+        code, out, err = run(capsys, "bounds", "--data", str(data), "--assumption", "bsv",
+                             "--lambda", "asmd:max")
+        assert (code, out) == (2, "")
+        expected = ZeroVariance("covariate 'c'")
+        assert err == f"error: {expected}\n"
+
+    def test_fixed_lambda_reads_no_model_file(self, capsys, tmp_path):
+        model = tmp_path / "model.json"
+        model.write_text("{not json")
+        argv = ["bounds", "--data", synthetic_path(), "--assumption", "bsv", "--lambda"]
+        expected = run(capsys, *argv, "0.3")
+        assert expected[0] == 0
+        assert run(capsys, *argv, "0.3", "--model", str(model)) == expected
+        code, _, err = run(capsys, *argv, "asmd:max", "--model", str(model))
+        assert code == 3
+        assert err.startswith("error: cannot read model file: ")
+
+
+class TestReportViews:
+    """The Markdown and CSV views of reports on the bundled data."""
+
+    def test_markdown_pooled_table(self, capsys):
+        code, out, _ = run(capsys, "analyze", "--data", synthetic_path(), "--strata", "3",
+                           "--pooled", "--reps", "50", "--format", "md")
+        assert code == 0
+        lines = out.splitlines()
+        caption = lines.index("Pooled across strata (population-share weighted; the PATE "
+                              "range when randomization identifies each stratum's arm means):")
+        assert lines[caption + 1:caption + 6] == [
+            "",
+            "| Assumption | Framework | Detail | Interval |",
+            "| --- | --- | --- | --- |",
+            "| treatment randomization | full |  | [-0.94, 0.95] |",
+            "",
+        ]
+
+    def test_markdown_skipped_stratum(self, capsys):
+        code, out, _ = run(capsys, "analyze", "--data", synthetic_path(), "--strata", "8",
+                           "--reps", "50", "--format", "md")
+        assert code == 0
+        lines = out.splitlines()
+        assert "| 1 | 129 | - | - | skipped: no sampled treated unit |" in lines
+        assert "- non-viable strata skipped: [1]" in lines
+
+    def test_csv_pooled_rows_hold_the_json_endpoints(self, capsys):
+        argv = ["analyze", *GOLDEN_ARGS, "--pooled", "--format"]
+        code, out, _ = run(capsys, *argv, "json")
+        assert code == 0
+        pooled = json.loads(out)["stratum_intervals"]["pooled"]
+        code, out, _ = run(capsys, *argv, "csv")
+        assert code == 0
+        rows = [row for row in csv.DictReader(io.StringIO(out)) if row["section"] == "pooled"]
+        assert len(rows) == len(pooled) == 10
+        for row, entry in zip(rows, pooled):
+            assert row["assumption"] == entry["assumption"]
+            assert (row["lo"], row["hi"]) == (repr(entry["lo"]), repr(entry["hi"]))
+
+    def test_markdown_notes_why_subclassification_is_unavailable(self, capsys):
+        code, out, _ = run(capsys, "points", "--data", synthetic_path(), "--strata", "15",
+                           "--reps", "50", "--format", "md")
+        assert code == 0
+        assert out.endswith("\n- subclassification unavailable: stratum(s) [1, 2, 3, 6, 8, 10] "
+                            "lack a sampled treated or control unit\n")
 
 
 BUNDLED_VERIFY_LOG = """\

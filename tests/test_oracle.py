@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from pibgen import bounds, oracle
 from pibgen.errors import DataError, EmptyArm, MissingPopulationOutcome
-from pibgen.frame import DesignProbs, EmpiricalRates, empirical_rates
+from pibgen.frame import BINARY, DesignProbs, EmpiricalRates, convert, empirical_rates
 from pibgen.oracle import EXACT_BINARY
 from pibgen.stratify import strata_for_frame, stratum_frames
 
@@ -324,3 +324,43 @@ def test_width_collapse_and_nesting_identities_are_exact(inputs, lam_a, lam_b, f
     if framework == "full":
         point = bounds.bsv_bounds(rates, probs, "full", Fraction(0), EXACT_BINARY)
         assert point.lo == point.hi == rates.sate
+
+
+def _every_interval(rates, probs, lam, support) -> dict:
+    """Each whole-frame interval of the engine, keyed by form and framework."""
+    intervals = {}
+    for framework in ("full", "reduced"):
+        intervals["worst", framework] = bounds.worst_case_bounds(rates, probs, framework, support)
+        intervals["paper", framework] = bounds.bsv_bounds(rates, probs, framework, lam, support)
+        intervals["sharp", framework] = bounds.bsv_bounds(rates, probs, framework, lam, support,
+                                                          intersect_support=True)
+    for scope in ("sample", "population"):
+        intervals["mtr min", scope], intervals["mtr max", scope] = bounds.mtr_bounds(
+            rates, probs, scope)
+    return intervals
+
+
+def _inside(inner, outer) -> bool:
+    return (outer.pre_clamp_lo <= inner.pre_clamp_lo <= inner.pre_clamp_hi <= outer.pre_clamp_hi
+            and outer.lo <= inner.lo <= inner.hi <= outer.hi)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rational_inputs(), LAMBDAS)
+def test_framework_nesting_clamping_and_float_agreement_are_exact(inputs, lam):
+    rates, probs = inputs
+    exact = _every_interval(rates, probs, lam, EXACT_BINARY)
+    for interval in exact.values():
+        assert interval.lo == max(interval.pre_clamp_lo, -1)
+        assert interval.hi == min(interval.pre_clamp_hi, 1)
+        assert interval.clamped_lo == (interval.pre_clamp_lo < -1)
+        assert interval.clamped_hi == (interval.pre_clamp_hi > 1)
+    # pinning the business-as-usual mean narrows the full framework's box,
+    # and under BSV it does when that mean lies in the control band
+    assert _inside(exact["worst", "reduced"], exact["worst", "full"])
+    if abs(rates.e_y0_w0z0 - rates.e_y0_w0z1) <= lam:
+        assert _inside(exact["paper", "reduced"], exact["paper", "full"])
+    rounded = _every_interval(convert(rates), convert(probs), float(lam), BINARY)
+    for key, interval in exact.items():
+        for end in ("lo", "hi", "pre_clamp_lo", "pre_clamp_hi"):
+            assert abs(getattr(rounded[key], end) - getattr(interval, end)) <= 1e-12, (key, end)

@@ -7,8 +7,8 @@ import pathlib
 import numpy as np
 import pytest
 
+from pibgen import propensity
 from pibgen.errors import (
-    ConfigError,
     NoConvergence,
     Separation,
     SingularDesign,
@@ -17,7 +17,6 @@ from pibgen.errors import (
 )
 from pibgen.frame import BINARY, StudyFrame, load_frame
 from pibgen.propensity import (
-    FitOptions,
     asmd,
     binomial_loglik,
     binomial_score,
@@ -49,15 +48,16 @@ class TestFit:
         scores = propensity_scores(model, frame)
         assert all(s == pytest.approx(56 / 1029, abs=1e-10) for s in scores)
 
-    def test_convergence_is_tested_once_after_the_last_step(self, statewide_path):
+    def test_convergence_is_tested_once_after_the_last_step(self, statewide_path, monkeypatch):
         frame = load_frame(statewide_path, BINARY)
         model = fit_propensity(frame, frame.covariate_names)
-        exact = fit_propensity(frame, frame.covariate_names, FitOptions(max_iter=model.iterations))
+        monkeypatch.setattr(propensity, "_MAX_ITER", model.iterations)
+        exact = fit_propensity(frame, frame.covariate_names)
         assert (exact.intercept, exact.coefficients) == (model.intercept, model.coefficients)
         assert exact.iterations == model.iterations
+        monkeypatch.setattr(propensity, "_MAX_ITER", model.iterations - 1)
         with pytest.raises(NoConvergence):
-            fit_propensity(frame, frame.covariate_names,
-                           FitOptions(max_iter=model.iterations - 1))
+            fit_propensity(frame, frame.covariate_names)
 
     def test_mean_score_equals_sampling_rate(self, statewide_path):
         frame = load_frame(statewide_path, BINARY)
@@ -101,34 +101,17 @@ class TestFit:
             fit_propensity(frame, ["a"])
         assert "a" in err.value.direction
 
-    @pytest.mark.parametrize("options, message", [
-        ({"max_iter": -1}, "max_iter must be a non-negative integer, got -1"),
-        ({"max_iter": 2.5}, "max_iter must be a non-negative integer, got 2.5"),
-        ({"max_iter": True}, "max_iter must be a non-negative integer, got True"),
-        ({"tolerance": -1.0}, "tolerance must be positive and finite, got -1.0"),
-        ({"tolerance": 0.0}, "tolerance must be positive and finite, got 0.0"),
-        ({"tolerance": math.nan}, "tolerance must be positive and finite, got nan"),
-        ({"tolerance": math.inf}, "tolerance must be positive and finite, got inf"),
-        ({"tolerance": True}, "tolerance must be positive and finite, got True"),
-        ({"tolerance": "1e-8"}, "tolerance must be positive and finite, got '1e-8'"),
-    ])
-    def test_fit_options_out_of_range_are_a_config_error(self, options, message):
-        with pytest.raises(ConfigError) as err:
-            FitOptions(**options)
-        assert str(err.value) == message
-
-    def test_fit_options_accept_a_zero_budget_and_an_integer_tolerance(self):
-        options = FitOptions(tolerance=1, max_iter=0)
-        assert (options.tolerance, options.max_iter) == (1, 0)
-
-    def test_no_convergence_when_budget_too_small(self):
+    def test_no_convergence_when_budget_too_small(self, monkeypatch):
         rng = np.random.default_rng(5)
         x = [(float(v),) for v in rng.normal(size=40)]
         z = [int(rng.random() < 0.4) for _ in range(40)]
         z[0], z[1] = 1, 0
         frame = frame_with_x(z, x, ["a"])
-        with pytest.raises(NoConvergence):
-            fit_propensity(frame, ["a"], FitOptions(max_iter=1, tolerance=1e-12))
+        monkeypatch.setattr(propensity, "_MAX_ITER", 1)
+        monkeypatch.setattr(propensity, "_TOLERANCE", 1e-12)
+        with pytest.raises(NoConvergence) as err:
+            fit_propensity(frame, ["a"])
+        assert str(err.value).startswith("no convergence after 1 iterations")
 
     def test_converges_on_population_scale_frame(self):
         # at N=100,000 one ulp of the log-likelihood exceeds 1e-12, so an
@@ -149,7 +132,7 @@ class TestFit:
         model = fit_propensity(frame, frame.covariate_names)
         trace = model.loglik_trace
         assert all(b >= a - 1e-12 for a, b in zip(trace, trace[1:]))
-        assert model.final_gradient_norm <= FitOptions().tolerance
+        assert model.final_gradient_norm <= 1e-8
 
     def test_gradient_matches_central_differences(self, statewide_path):
         frame = load_frame(statewide_path, BINARY)

@@ -3,63 +3,27 @@
 Shape mirrors a small statewide cluster trial: 1029 schools, 56 volunteers
 (34 treated, 22 control), binary pass/fail outcome, four school covariates,
 and business-as-usual outcomes recorded for every non-sampled school.
+
+The model is the one in ``perfbench/synth.py``: this tool calls it at its
+bundled sizes (``synth.BUNDLED``), so the bundled file and the benchmark's
+larger frames come from one model.
 """
 
-import csv
+import importlib.util
 import pathlib
 
-import numpy as np
-
-N = 1029
-N_SAMPLE = 56
-N_TREATED = 34
-SEED = 20160412
-
-OUT = pathlib.Path(__file__).resolve().parents[1] / "src" / "pibgen" / "data" / "statewide_synthetic.csv"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+OUT = ROOT / "src" / "pibgen" / "data" / "statewide_synthetic.csv"
 
 
 def main():
-    rng = np.random.default_rng(SEED)
-    pretest = rng.normal(0.0, 1.0, N).round(4)
-    enroll = rng.lognormal(5.8, 0.45, N).round(1)
-    frl = rng.beta(2.2, 3.0, N).round(4)
-    title1 = (rng.random(N) < 0.35 + 0.3 * frl).astype(int)
-
-    # self-selection leans on pretest and Title I status
-    sel_logit = -3.2 + 0.55 * pretest - 0.4 * title1 + 0.3 * (frl - frl.mean())
-    keys = sel_logit + rng.gumbel(0.0, 1.0, N)
-    sampled = np.zeros(N, dtype=int)
-    sampled[np.argsort(-keys)[:N_SAMPLE]] = 1
-
-    treatment = np.full(N, "", dtype=object)
-    sample_idx = np.flatnonzero(sampled == 1)
-    treated_idx = rng.choice(sample_idx, size=N_TREATED, replace=False)
-    treatment[sample_idx] = "0"
-    treatment[treated_idx] = "1"
-
-    # pass probability: baseline from pretest, modest lift under treatment
-    base = 1 / (1 + np.exp(-(0.9 + 0.8 * pretest - 0.6 * frl)))
-    lift = np.clip(base + 0.12, 0, 1)
-    outcome = np.full(N, "", dtype=object)
-    for i in range(N):
-        if sampled[i] == 1 and treatment[i] == "1":
-            outcome[i] = str(int(rng.random() < lift[i]))
-        else:
-            # control condition realized for sampled controls; business as
-            # usual recorded for every non-sampled school
-            outcome[i] = str(int(rng.random() < base[i]))
-
-    with OUT.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["id", "in_sample", "treatment", "outcome",
-                         "pretest", "enroll", "frl", "title1"])
-        for i in range(N):
-            writer.writerow(
-                [f"sch{i + 1:04d}", sampled[i], treatment[i], outcome[i],
-                 pretest[i], enroll[i], frl[i], title1[i]]
-            )
-    print(f"wrote {OUT} ({N} rows, {sampled.sum()} sampled, "
-          f"{(treatment == '1').sum()} treated)")
+    spec = importlib.util.spec_from_file_location("synth", ROOT / "perfbench" / "synth.py")
+    synth = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(synth)
+    cols = synth.generate(**synth.BUNDLED)
+    synth.write_csv(cols, OUT)
+    print(f"wrote {OUT} ({len(cols.sampled)} rows, {cols.sampled.sum()} sampled, "
+          f"{(cols.treatment == 1).sum()} treated)")
 
 
 if __name__ == "__main__":
