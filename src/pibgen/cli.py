@@ -47,6 +47,7 @@ from .report import render_csv, render_markdown, rows_csv, rows_md, to_json
 from .stratify import merge_nonviable, strata_for_frame, stratum_summary_rows
 
 FORMATS = ("json", "csv", "md")
+FRAMEWORKS = ("full", "reduced", "both")
 ASSUMPTION_ALIASES = {"worst": "worst_case", "worst_case": "worst_case", "bsv": "bsv", "mtr": "mtr"}
 
 
@@ -69,32 +70,32 @@ COMMANDS = {
 
 
 # Each option once: its config key, its default, and the declaration of its
-# flag, which is the key with '-' for '_'
+# flag, which is the key with '-' for '_'; '{default}' in a help text is the default
 OPTIONS = {
     "data": (None, dict(help="combined CSV with an in-sample column")),
     "sample": (None, dict(help="sample-only CSV (rows become z=1)")),
     "population": (None, dict(help="non-sampled population CSV (rows become z=0)")),
-    "sample_col": ("in_sample", dict(help="in-sample indicator column (default in_sample)")),
-    "treatment_col": ("treatment", dict(help="treatment column (default treatment)")),
-    "outcome_col": ("outcome", dict(help="outcome column (default outcome)")),
-    "id_col": ("id", dict(help="id column (default id; absent = row numbers)")),
-    "support": ("0,1", dict(help="outcome support as 'lo,hi' (default 0,1; write "
+    "sample_col": ("in_sample", dict(help="in-sample indicator column (default {default})")),
+    "treatment_col": ("treatment", dict(help="treatment column (default {default})")),
+    "outcome_col": ("outcome", dict(help="outcome column (default {default})")),
+    "id_col": ("id", dict(help="id column (default {default}; absent = row numbers)")),
+    "support": ("0,1", dict(help="outcome support as 'lo,hi' (default {default}; write "
                                  "--support=-2,3 for a negative lower bound)")),
     "covariates": (None, dict(help="comma-separated covariate columns (default: all)")),
     "exclude": (None, dict(help="comma-separated columns to drop from the default "
                                 "covariate set")),
     "categorical": ([], dict(action="append", metavar="COL=REF",
                              help="one-hot encode COL with reference level REF (repeatable)")),
-    "strata": (5, dict(type=int, help="stratum count k (default 5)")),
+    "strata": (5, dict(type=int, help="stratum count k (default {default})")),
     "pw0z0": (0.5, dict(type=float,
-                        help="assumed P(W=0|Z=0) for the reduced framework (default 0.5)")),
+                        help="assumed P(W=0|Z=0) for the reduced framework (default {default})")),
     "lambda": ([], dict(action="append", metavar="EXPR", help="lambda value or rule "
                         "(repeatable), e.g. 0.3, asmd:max:x1,x2, sd:pooled")),
-    "framework": ("full", dict(choices=["full", "reduced", "both"])),
+    "framework": ("full", dict(choices=FRAMEWORKS)),
     "assumption": (["worst"], dict(action="append", choices=sorted(ASSUMPTION_ALIASES),
-                                   help="repeatable; default worst")),
+                                   help="repeatable; default {default[0]}")),
     "seed": (None, dict(type=int, help="master seed (env PIBGEN_SEED as fallback)")),
-    "reps": (1000, dict(type=int, help="bootstrap replicates (default 1000)")),
+    "reps": (1000, dict(type=int, help="bootstrap replicates (default {default})")),
     "pooled": (False, dict(action="store_true",
                            help="add the population-share pooled interval across strata")),
     "merge_strata": (False, dict(action="store_true", help="collapse non-viable strata into "
@@ -112,7 +113,9 @@ def build_parser() -> _Parser:
     p.add_argument("command", choices=COMMANDS,
                    help="; ".join(f"{name}: {text}" for name, text in COMMANDS.items()))
     p.add_argument("--config", help="JSON config file; flags override its values")
-    for key, (_, declaration) in OPTIONS.items():
+    for key, (default, declaration) in OPTIONS.items():
+        if "help" in declaration:
+            declaration = {**declaration, "help": declaration["help"].format(default=default)}
         p.add_argument(f"--{key.replace('_', '-')}", **declaration)
     return p
 
@@ -246,6 +249,11 @@ def _validate_request(options):
     pw0z0 = options["pw0z0"]
     if isinstance(pw0z0, bool) or not isinstance(pw0z0, (int, float)):
         raise ConfigError(f"--pw0z0 must be a real number, got {pw0z0!r}")
+    if not 0 <= pw0z0 <= 1:  # NaN included
+        raise ConfigError(f"--pw0z0 must be in [0, 1], got {pw0z0!r}")
+    if options["framework"] not in FRAMEWORKS:
+        raise ConfigError(f"--framework must be one of {', '.join(FRAMEWORKS)}, "
+                          f"got {options['framework']!r}")
     _assumptions(options)
 
 

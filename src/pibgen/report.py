@@ -55,6 +55,11 @@ def _describe(entry: dict) -> tuple[str, str, str]:
     return assumption, framework, extra
 
 
+def _section(title, headers, rows, *after) -> list[str]:
+    lines = [f"## {title}", "", *_md_table(headers, rows), ""]
+    return lines + [*after, ""] if after else lines
+
+
 def render_markdown(document: dict) -> str:
     lines = ["# PATE analysis report", ""]
     meta = document["meta"]
@@ -70,26 +75,15 @@ def render_markdown(document: dict) -> str:
     lines.append("")
 
     if document.get("intervals"):
-        lines.append("## Interval estimates (whole frame)")
-        lines.append("")
-        rows = []
-        for entry in document["intervals"]:
-            assumption, framework, extra = _describe(entry)
-            note = ""
-            if entry.get("improves") is False:
-                note = "does not improve on worst case"
-            elif entry.get("improves") is True:
-                note = "sharp and improving"
-            rows.append((assumption, framework, extra, _interval_cell(entry), note))
-        lines += _md_table(["Assumption", "Framework", "Detail", "Interval", "Note"], rows)
-        lines.append("")
-        lines.append("`*` endpoint clamped to the feasible range.")
-        lines.append("")
+        note = {True: "sharp and improving", False: "does not improve on worst case"}
+        rows = [(*_describe(entry), _interval_cell(entry), note.get(entry.get("improves"), ""))
+                for entry in document["intervals"]]
+        lines += _section("Interval estimates (whole frame)",
+                          ["Assumption", "Framework", "Detail", "Interval", "Note"], rows,
+                          "`*` endpoint clamped to the feasible range.")
 
     strata_block = document.get("stratum_intervals")
     if strata_block:
-        lines.append(f"## Interval estimates by propensity stratum (k={strata_block['k']})")
-        lines.append("")
         rows = []
         for stratum in strata_block["strata"]:
             if not stratum["viable"]:
@@ -100,48 +94,31 @@ def render_markdown(document: dict) -> str:
                 assumption, framework, extra = _describe(entry)
                 rows.append((stratum["stratum"], stratum["n_population"],
                              f"{assumption} ({framework})", extra, _interval_cell(entry)))
-        lines += _md_table(["Stratum", "N", "Assumption", "Detail", "Interval"], rows)
-        lines.append("")
+        lines += _section(f"Interval estimates by propensity stratum (k={strata_block['k']})",
+                          ["Stratum", "N", "Assumption", "Detail", "Interval"], rows)
         if strata_block.get("pooled"):
             lines.append("Pooled across strata (population-share weighted; the PATE range "
                          "when randomization identifies each stratum's arm means):")
             lines.append("")
-            rows = []
-            for entry in strata_block["pooled"]:
-                assumption, framework, extra = _describe(entry)
-                rows.append((assumption, framework, extra, _interval_cell(entry)))
+            rows = [(*_describe(entry), _interval_cell(entry)) for entry in strata_block["pooled"]]
             lines += _md_table(["Assumption", "Framework", "Detail", "Interval"], rows)
             lines.append("")
 
     if document.get("point_estimates"):
-        lines.append("## Point estimates under sampling ignorability")
-        lines.append("")
-        rows = [
-            (p["method"], f"{_f3(p['estimate'])} ({_f3(p['se'])})")
-            for p in document["point_estimates"]
-        ]
-        lines += _md_table(["Method", "Estimate (SE)"], rows)
-        lines.append("")
+        lines += _section("Point estimates under sampling ignorability",
+                          ["Method", "Estimate (SE)"],
+                          [(p["method"], f"{_f3(p['estimate'])} ({_f3(p['se'])})")
+                           for p in document["point_estimates"]])
 
     if document.get("balance"):
-        lines.append("## Covariate balance")
-        lines.append("")
-        rows = [
-            (b["covariate"], _f3(b["sample_mean"]), _f3(b["population_mean"]),
-             _f3(b["population_sd"]), _f3(b["asmd"]))
-            for b in document["balance"]
-        ]
-        lines += _md_table(
-            ["Covariate", "Sample mean", "Population mean", "Population SD", "ASMD"], rows
-        )
-        lines.append("")
+        lines += _section("Covariate balance",
+                          ["Covariate", "Sample mean", "Population mean", "Population SD", "ASMD"],
+                          [(b["covariate"], _f3(b["sample_mean"]), _f3(b["population_mean"]),
+                            _f3(b["population_sd"]), _f3(b["asmd"])) for b in document["balance"]])
 
     if document.get("lambda_report"):
-        lines.append("## Candidate lambda values")
-        lines.append("")
-        rows = [(r["rule"], _f3(r["value"])) for r in document["lambda_report"]]
-        lines += _md_table(["Rule", "Value"], rows)
-        lines.append("")
+        lines += _section("Candidate lambda values", ["Rule", "Value"],
+                          [(r["rule"], _f3(r["value"])) for r in document["lambda_report"]])
 
     prop = document.get("propensity")
     if prop:
@@ -169,13 +146,17 @@ def render_markdown(document: dict) -> str:
     return "\n".join(lines).rstrip() + "\n"
 
 
-def rows_csv(rows: list[dict]) -> str:
-    """Same-keyed rows as CSV, header first; a cell with a comma is quoted."""
+def _csv(header, rows) -> str:
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=list(rows[0]), lineterminator="\n")
-    writer.writeheader()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
     writer.writerows(rows)
     return buf.getvalue()
+
+
+def rows_csv(rows: list[dict]) -> str:
+    """Same-keyed rows as CSV, header first; a cell with a comma is quoted."""
+    return _csv(list(rows[0]), [row.values() for row in rows])
 
 
 def rows_md(rows: list[dict]) -> str:
@@ -185,15 +166,10 @@ def rows_md(rows: list[dict]) -> str:
 
 def render_csv(document: dict) -> str:
     """Flat delimited view: one row per interval or point estimate."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
-        ["section", "stratum", "assumption", "framework", "lambda", "variant",
-         "lo", "hi", "clamped_lo", "clamped_hi", "method", "estimate", "se"]
-    )
+    rows = []
 
     def interval_row(section, stratum, entry):
-        writer.writerow(
+        rows.append(
             [section, stratum, entry["assumption"],
              entry.get("scope") or entry["framework"],
              entry.get("lambda", ""), entry.get("variant", ""),
@@ -211,8 +187,9 @@ def render_csv(document: dict) -> str:
     for entry in block.get("pooled", []):
         interval_row("pooled", "", entry)
     for p in document.get("point_estimates", []):
-        writer.writerow(
+        rows.append(
             ["point", "", "", "", "", "", "", "", "", "", p["method"],
              repr(p["estimate"]), "" if p["se"] is None else repr(p["se"])]
         )
-    return buf.getvalue()
+    return _csv(["section", "stratum", "assumption", "framework", "lambda", "variant",
+                 "lo", "hi", "clamped_lo", "clamped_hi", "method", "estimate", "se"], rows)

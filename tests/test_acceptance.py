@@ -326,7 +326,11 @@ def test_criterion_8_cli_determinism(tmp_path):
     assert main(["analyze", *GOLDEN_ARGS, "--format", "md", "--out", str(out_md)]) == 0
     assert out_md.read_bytes() == (GOLDEN / "analyze.md").read_bytes()
 
+    out_csv = tmp_path / "report.csv"
+    assert main(["analyze", *GOLDEN_ARGS, "--format", "csv", "--out", str(out_csv)]) == 0
+    assert out_csv.read_bytes() == (GOLDEN / "analyze.csv").read_bytes()
+
     document = json.loads(golden_json)
     assert document["meta"]["seed"] == 20240311
     print("PASS criterion 8: analyze JSON byte-identical across runs and equal to "
-          "the golden files (json + md)")
+          "the golden files (json + md + csv)")

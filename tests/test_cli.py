@@ -258,6 +258,10 @@ class TestAnalyze:
         assert {action.dest for action in actions} == {
             "help", "command", "config", *pibgen.cli._DEFAULTS}
 
+    def test_help_states_the_declared_default(self, monkeypatch):
+        monkeypatch.setitem(pibgen.cli.OPTIONS, "strata", (7, pibgen.cli.OPTIONS["strata"][1]))
+        assert "stratum count k (default 7)" in pibgen.cli.build_parser().format_help()
+
     def test_env_seed_fallback(self, capsys, small_csv, monkeypatch):
         monkeypatch.setenv("PIBGEN_SEED", "123")
         code, out, _ = run(capsys, "analyze", "--data", small_csv, "--strata", "1",
@@ -740,6 +744,13 @@ class TestExitContract:
         ([], None, {"reps": 2.5}, "--reps must be an integer, got 2.5"),
         ([], None, {"strata": "3"}, "--strata must be an integer, got '3'"),
         ([], None, {"pw0z0": "x"}, "--pw0z0 must be a real number, got 'x'"),
+        (["--pw0z0", "1.5"], None, None, "--pw0z0 must be in [0, 1], got 1.5"),
+        (["--pw0z0", "-0.1"], None, None, "--pw0z0 must be in [0, 1], got -0.1"),
+        (["--pw0z0", "nan"], None, None, "--pw0z0 must be in [0, 1], got nan"),
+        ([], None, {"framework": "bogus"},
+         "--framework must be one of full, reduced, both, got 'bogus'"),
+        ([], None, {"framework": ["full"]},
+         "--framework must be one of full, reduced, both, got ['full']"),
         ([], None, {"assumption": ["nope"]}, "--assumption must be one of"),
     ])
     def test_option_of_the_wrong_type_is_a_config_error_before_loading(

@@ -26,7 +26,7 @@ def run():
         raise SystemExit(f"oracle suite failed (pytest exited {suite.returncode}); "
                          "goldens not written")
     GOLDEN.mkdir(exist_ok=True)
-    for fmt in ("json", "md"):
+    for fmt in ("json", "md", "csv"):
         target = GOLDEN / f"analyze.{fmt}"
         code = main(["analyze", *GOLDEN_ARGS, "--format", fmt, "--out", str(target)])
         if code != 0:
