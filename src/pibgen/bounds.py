@@ -115,9 +115,14 @@ def _clamp(lo, hi, support: OutcomeSupport, **tags) -> PateInterval:
     )
 
 
-def _check_framework(framework):
+def check_framework(framework):
     if framework not in FRAMEWORKS:
         raise ConfigError(f"framework must be one of {FRAMEWORKS}, got {framework!r}")
+
+
+def check_scope(scope):
+    if scope not in MTR_SCOPES:
+        raise ConfigError(f"scope must be one of {MTR_SCOPES}, got {scope!r}")
 
 
 def _split_mass(rates: EmpiricalRates, probs: DesignProbs, framework: str,
@@ -132,7 +137,7 @@ def _split_mass(rates: EmpiricalRates, probs: DesignProbs, framework: str,
     P(W=0, Z=0) at the observed business-as-usual rate and bounds only the
     remainder, P(W=1, Z=0).
     """
-    _check_framework(framework)
+    check_framework(framework)
     e1, e0 = rates.e_y1_w1z1, rates.e_y0_w0z1
     e1_lo = e1 * probs.p_z1 + box1[0] * probs.p_z0
     e1_hi = e1 * probs.p_z1 + box1[1] * probs.p_z0
@@ -216,8 +221,7 @@ def mtr_bounds(rates: EmpiricalRates, probs: DesignProbs,
     in the min variant and to its full mass in the max variant; the result is
     the ``(min, max)`` pair, each interval tagged by its ``variant``.
     """
-    if scope not in MTR_SCOPES:
-        raise ConfigError(f"scope must be one of {MTR_SCOPES}, got {scope!r}")
+    check_scope(scope)
     if not rates.binary:
         raise NonBinaryOutcome("monotone-response bounds need binary pass/fail rates")
     support = OutcomeSupport(0, 1)  # integer endpoints stay exact under Fraction inputs
@@ -260,7 +264,7 @@ class BoundSpec:
     def __post_init__(self):
         if self.assumption not in ASSUMPTIONS:
             raise ConfigError(f"assumption must be one of {ASSUMPTIONS}, got {self.assumption!r}")
-        _check_framework(self.framework)
+        check_framework(self.framework)
         if self.assumption == "bsv" and self.lam is None:
             raise ConfigError("bsv bounds need a lambda value")
 

@@ -134,14 +134,7 @@ def _merge_config(args) -> dict:
         unknown = set(config) - set(_DEFAULTS)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    options = {**_DEFAULTS, **config, **vars(args)}
-    if options["seed"] is None:
-        env = os.environ.get("PIBGEN_SEED")
-        try:
-            options["seed"] = int(env) if env else 0
-        except ValueError:
-            options["seed"] = env  # rejected by the commands that use a seed
-    return options
+    return {**_DEFAULTS, **config, **vars(args)}
 
 
 def _parse_support(value) -> OutcomeSupport:
@@ -210,7 +203,42 @@ def _load(options) -> tuple:
     return frame, "+".join(os.path.basename(options[key]) for key in keys)
 
 
-def _assumptions(options) -> list[str]:
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_request(options):
+    """Check every analysis option before any file is read, and leave each one
+    resolved in ``options``: the seed with its PIBGEN_SEED fallback, the
+    assumptions by canonical name and each ``--lambda`` expression parsed."""
+    for key in ("strata", "reps"):
+        if not _is_int(options[key]):
+            raise ConfigError(f"--{key} must be an integer, got {options[key]!r}")
+    if options["strata"] < 1:
+        raise ConfigError("--strata must be >= 1")
+    if options["reps"] < 0:
+        raise ConfigError("--reps must be >= 0")
+    seed = options["seed"]
+    if seed is None:  # PIBGEN_SEED is the fallback, 0 when it is unset or empty
+        seed = os.environ.get("PIBGEN_SEED") or 0
+        with contextlib.suppress(ValueError):
+            seed = int(seed)
+    if not _is_int(seed) or seed < 0:
+        raise ConfigError(f"--seed (or PIBGEN_SEED) must be a non-negative integer, got {seed!r}")
+    options["seed"] = seed
+    for key in ("pooled", "merge_strata"):
+        if not isinstance(options[key], bool):
+            raise ConfigError(f"--{key.replace('_', '-')} expects true or false, "
+                              f"got {options[key]!r}")
+    pw0z0 = options["pw0z0"]
+    if isinstance(pw0z0, bool) or not isinstance(pw0z0, (int, float)):
+        raise ConfigError(f"--pw0z0 must be a real number, got {pw0z0!r}")
+    if not 0 <= pw0z0 <= 1:  # NaN included
+        raise ConfigError(f"--pw0z0 must be in [0, 1], got {pw0z0!r}")
+    for key, choices in (("framework", FRAMEWORKS), ("format", FORMATS)):
+        if not isinstance(options[key], str) or options[key] not in choices:
+            raise ConfigError(f"--{key} must be one of {', '.join(choices)}, "
+                              f"got {options[key]!r}")
     names = options["assumption"]
     if not isinstance(names, list):
         raise ConfigError(f"--assumption expects a list of names, got {names!r}")
@@ -220,41 +248,13 @@ def _assumptions(options) -> list[str]:
                               f"got {name!r}")
     if not names:
         raise ConfigError("at least one --assumption is required")
-    return [ASSUMPTION_ALIASES[name] for name in names]
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _switch(options, key) -> bool:
-    if not isinstance(options[key], bool):
-        raise ConfigError(f"--{key.replace('_', '-')} expects true or false, got {options[key]!r}")
-    return options[key]
-
-
-def _validate_request(options):
-    for key in ("strata", "reps"):
-        if not _is_int(options[key]):
-            raise ConfigError(f"--{key} must be an integer, got {options[key]!r}")
-    if options["strata"] < 1:
-        raise ConfigError("--strata must be >= 1")
-    if options["reps"] < 0:
-        raise ConfigError("--reps must be >= 0")
-    seed = options["seed"]
-    if not _is_int(seed) or seed < 0:
-        raise ConfigError(f"--seed (or PIBGEN_SEED) must be a non-negative integer, got {seed!r}")
-    for key in ("pooled", "merge_strata"):
-        _switch(options, key)
-    pw0z0 = options["pw0z0"]
-    if isinstance(pw0z0, bool) or not isinstance(pw0z0, (int, float)):
-        raise ConfigError(f"--pw0z0 must be a real number, got {pw0z0!r}")
-    if not 0 <= pw0z0 <= 1:  # NaN included
-        raise ConfigError(f"--pw0z0 must be in [0, 1], got {pw0z0!r}")
-    if options["framework"] not in FRAMEWORKS:
-        raise ConfigError(f"--framework must be one of {', '.join(FRAMEWORKS)}, "
-                          f"got {options['framework']!r}")
-    _assumptions(options)
+    options["assumption"] = [ASSUMPTION_ALIASES[name] for name in names]
+    exprs = options["lambda"]
+    if isinstance(exprs, (str, float, int)):
+        exprs = [exprs]
+    elif not isinstance(exprs, list):
+        raise ConfigError(f"--lambda expects an expression or a list of them, got {exprs!r}")
+    options["lambda"] = [parse_lambda_expr(str(expr)) for expr in exprs]
 
 
 # Each subcommand's document is a view: the keys it shows, in build order.
@@ -288,7 +288,7 @@ class _Pipeline:
             try:
                 with open(self.options["model"], encoding="utf-8") as fh:
                     return model_from_json(fh.read())
-            except (OSError, ValueError, KeyError) as exc:
+            except (OSError, ValueError, KeyError, TypeError) as exc:
                 raise ConfigError(f"cannot read model file: {exc}")
         return fit_propensity(self.frame, self.frame.covariate_names)
 
@@ -300,22 +300,16 @@ class _Pipeline:
 
     @cached_property
     def lambdas(self):
-        exprs = self.options["lambda"]
-        if isinstance(exprs, (str, float, int)):
-            exprs = [exprs]
-        elif not isinstance(exprs, list):
-            raise ConfigError(f"--lambda expects an expression or a list of them, got {exprs!r}")
-        specs = (parse_lambda_expr(str(expr)) for expr in exprs)
         # only an asmd rule reads the balance table, and so the model
         return [{"label": spec.label(), "value": resolve_lambda(
                     spec, self.frame, self.balance if spec.mode == "asmd" else None)}
-                for spec in specs]
+                for spec in self.options["lambda"]]
 
     @cached_property
     def specs(self):
         framework = self.options["framework"]
         frameworks = ["full", "reduced"] if framework == "both" else [framework]
-        return bounds_mod.bound_specs(_assumptions(self.options), frameworks,
+        return bounds_mod.bound_specs(self.options["assumption"], frameworks,
                                       [lam["value"] for lam in self.lambdas])
 
     @cached_property
@@ -329,7 +323,7 @@ class _Pipeline:
         """The run's one stratum layout: every per-stratum result reads it."""
         logits = logit_scores(self.model, self.frame)
         assignment = strata_for_frame(self.frame, logits, self.options["strata"])
-        if not _switch(self.options, "merge_strata"):
+        if not self.options["merge_strata"]:
             return assignment
         merged = merge_nonviable(assignment, self.frame)
         if merged.k != assignment.k:
@@ -389,7 +383,7 @@ class _Pipeline:
                 "strata": options["strata"],
                 "pw0z0": options["pw0z0"],
                 "framework": options["framework"],
-                "assumptions": _assumptions(options),
+                "assumptions": options["assumption"],
                 "reps": options["reps"],
             },
         }
@@ -529,12 +523,8 @@ def _run(args) -> int:
         text, code = cmd_verify(options)
         write(text)
         return code
-    if args.command in VIEWS:
-        _validate_request(options)
     if args.command != "propensity":
-        fmt = options["format"]
-        if not isinstance(fmt, str) or fmt not in FORMATS:
-            raise ConfigError(f"--format must be one of {', '.join(FORMATS)}, got {fmt!r}")
+        _check_request(options)
     stages = _Pipeline(options)
     if args.command == "propensity":
         write(model_to_json(stages.model) + "\n")

@@ -464,10 +464,14 @@ def _covariate_layout(header, columns: ColumnMap, tables):
 
     Numeric columns pass through; a declared categorical column becomes one
     indicator per observed non-reference level (levels discovered over every
-    table supplied, so merged files share one encoding).
+    table supplied, so merged files share one encoding).  A categorical column
+    missing from the header is an error; one that is no covariate is ignored.
     """
     raw = _resolve_covariates(header, columns)
     categorical = dict(columns.categorical)
+    for col in categorical:
+        if col not in header:
+            raise MissingColumn(col)
     names, layout = [], []
     for col in raw:
         if col in categorical:

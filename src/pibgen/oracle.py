@@ -24,12 +24,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    DataError,
-    MissingPopulationOutcome,
-    NegativeLambda,
-)
+from .bounds import check_framework, check_scope
+from .errors import DataError, MissingPopulationOutcome, NegativeLambda
 from .frame import (
     DesignProbs,
     EmpiricalRates,
@@ -104,8 +100,7 @@ def enumerate_worst_case(frame: StudyFrame, framework: str = "full") -> Enumerat
     has its control potential outcome pinned to it.
     """
     rates = exact_rates(frame)
-    if framework not in ("full", "reduced"):
-        raise ConfigError(f"framework must be 'full' or 'reduced', got {framework!r}")
+    check_framework(framework)
     z0 = frame.z == 0
     free = np.full(int(np.count_nonzero(z0)), np.nan)
     y0 = frame.y[z0] if framework == "reduced" else free
@@ -159,8 +154,7 @@ def enumerate_mtr(
     form.
     """
     exact_rates(frame)  # the precondition; the bounds read the frame's columns
-    if scope not in ("sample", "population"):
-        raise ConfigError(f"scope must be 'sample' or 'population', got {scope!r}")
+    check_scope(scope)
     y = frame.y
     y0 = np.where(frame.control, y, np.nan)
     y1 = np.where(frame.treated, y, np.nan)
@@ -182,8 +176,7 @@ def enumerate_box(rates: EmpiricalRates, probs: DesignProbs, box1, box0,
     reduced framework pins E(Y(0)|W=0, Z=0) at the business-as-usual mean.
     The PATE is linear in the cell means, so a sweep of the box corners is
     exhaustive.  It is the oracle side of ``bounds._split_mass``."""
-    if framework not in ("full", "reduced"):
-        raise ConfigError(f"framework must be 'full' or 'reduced', got {framework!r}")
+    check_framework(framework)
     if framework == "reduced" and rates.e_y0_w0z0 is None:
         raise MissingPopulationOutcome()
     box00 = box0 if framework == "full" else (rates.e_y0_w0z0,)

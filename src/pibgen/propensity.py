@@ -250,6 +250,10 @@ def model_to_json(model: PropensityModel) -> str:
 
 def model_from_json(text: str) -> PropensityModel:
     doc = json.loads(text)
+    if not isinstance(doc, dict) or not isinstance(doc["coefficients"], dict):
+        raise TypeError("the model and its 'coefficients' must be JSON objects")
+    if not isinstance(doc["converged"], bool):
+        raise TypeError(f"'converged' must be true or false, got {doc['converged']!r}")
     intercept = float(doc["intercept"])
     coefficients = {k: float(v) for k, v in doc["coefficients"].items()}
     if not np.all(np.isfinite([intercept, *coefficients.values()])):
@@ -257,7 +261,7 @@ def model_from_json(text: str) -> PropensityModel:
     return PropensityModel(
         intercept=intercept,
         coefficients=coefficients,
-        converged=bool(doc["converged"]),
+        converged=doc["converged"],
         iterations=int(doc["iterations"]),
         final_gradient_norm=float("nan"),
     )

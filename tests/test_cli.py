@@ -510,6 +510,12 @@ class TestSubcommands:
                            "--categorical", "region=north")
         assert code == 0
 
+    def test_categorical_column_missing_from_the_header_is_a_data_error(self, capsys):
+        code, out, err = run(capsys, "propensity", "--data", synthetic_path(),
+                             "--categorical", "titel1=0")
+        assert (code, out) == (2, "")
+        assert err == "error: required column 'titel1' not found in header\n"
+
     def test_exclude_flag_drops_columns(self, capsys, tmp_path):
         data = tmp_path / "notes.csv"
         data.write_text(
@@ -543,6 +549,29 @@ class TestSubcommands:
         assert (code, out) == (2, "")
         expected = ZeroVariance("covariate 'c'")
         assert err == f"error: {expected}\n"
+
+    @pytest.mark.parametrize("document", [
+        [1],
+        "abc",
+        {"intercept": None},
+        {"coefficients": [1]},
+        {"coefficients": {"pretest": None}},
+        {"converged": "false"},
+    ], ids=["list", "string", "null-intercept", "list-coefficients", "null-coefficient",
+            "text-converged"])
+    @pytest.mark.parametrize("command", ["points", "propensity"])
+    def test_model_file_of_the_wrong_shape_is_a_config_error(self, capsys, tmp_path, command,
+                                                            document):
+        if isinstance(document, dict):
+            document = {"intercept": -1.0, "coefficients": {"pretest": 0.5},
+                        "converged": True, "iterations": 4, **document}
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(document))
+        code, out, err = run(capsys, command, "--data", synthetic_path(), "--reps", "2",
+                             "--model", str(model))
+        assert (code, out) == (3, "")
+        assert err.startswith("error: cannot read model file: ")
+        assert "Traceback" not in err
 
     def test_fixed_lambda_reads_no_model_file(self, capsys, tmp_path):
         model = tmp_path / "model.json"
@@ -743,6 +772,8 @@ class TestExitContract:
         ([], None, {"reps": "10"}, "--reps must be an integer, got '10'"),
         ([], None, {"reps": 2.5}, "--reps must be an integer, got 2.5"),
         ([], None, {"strata": "3"}, "--strata must be an integer, got '3'"),
+        ([], None, {"strata": True}, "--strata must be an integer, got True"),
+        ([], None, {"strata": 0}, "--strata must be >= 1"),
         ([], None, {"pw0z0": "x"}, "--pw0z0 must be a real number, got 'x'"),
         (["--pw0z0", "1.5"], None, None, "--pw0z0 must be in [0, 1], got 1.5"),
         (["--pw0z0", "-0.1"], None, None, "--pw0z0 must be in [0, 1], got -0.1"),
@@ -752,6 +783,9 @@ class TestExitContract:
         ([], None, {"framework": ["full"]},
          "--framework must be one of full, reduced, both, got ['full']"),
         ([], None, {"assumption": ["nope"]}, "--assumption must be one of"),
+        ([], None, {"lambda": None}, "--lambda expects an expression or a list of them, got None"),
+        (["--lambda", "bogus"], None, None, "bad lambda expression 'bogus'"),
+        (["--lambda=-0.3"], None, None, "lambda must be >= 0, got -0.3"),
     ])
     def test_option_of_the_wrong_type_is_a_config_error_before_loading(
             self, capsys, small_csv, tmp_path, monkeypatch, argv, env, config, message):
@@ -767,7 +801,7 @@ class TestExitContract:
             options = ["--config", str(path)]
         with monkeypatch.context() as patched:
             patched.setattr(pibgen.cli, "load_frame", not_reached)
-            for command in ("analyze", "bounds", "points"):
+            for command in ("analyze", "bounds", "points", "strata", "lambda"):
                 code, out, err = run(capsys, *options, command, "--data", small_csv, *argv)
                 assert code == 3
                 assert message in err
@@ -817,16 +851,6 @@ class TestExitContract:
                              "--strata", "1")
         assert code == 3
         assert err == f"error: config file {str(path)!r} does not hold a JSON object\n"
-        assert out == ""
-
-    @pytest.mark.parametrize("count", ["3", True, 0])
-    def test_strata_command_rejects_a_stratum_count_that_is_not_a_positive_integer(
-            self, capsys, small_csv, tmp_path, count):
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"strata": count}))
-        code, out, err = run(capsys, "--config", str(path), "strata", "--data", small_csv)
-        assert code == 3
-        assert f"stratum count must be an integer >= 1, got {count!r}" in err
         assert out == ""
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -927,6 +951,9 @@ class TestExitContract:
         assert out == ""
 
 
+_COMMANDS = ("analyze", "bounds", "points", "strata", "lambda", "propensity", "verify")
+
+
 @pytest.mark.parametrize("key", sorted(pibgen.cli._DEFAULTS))
 def test_every_config_value_ends_in_a_report_or_a_typed_error(capsys, small_csv, tmp_path,
                                                               monkeypatch, key):
@@ -934,7 +961,7 @@ def test_every_config_value_ends_in_a_report_or_a_typed_error(capsys, small_csv,
     path = tmp_path / "cfg.json"
     for value in (None, True, 0, -1, 1.5, "", [], {}, [None]):
         path.write_text(json.dumps({"data": small_csv, "reps": 5, key: value}))
-        for command in ("analyze", "strata", "lambda"):
+        for command in _COMMANDS:
             code, _, err = run(capsys, "--config", str(path), command)
             assert code in (0, 2, 3), (key, value, command, err)
             assert "Traceback" not in err, (key, value, command)
@@ -949,9 +976,6 @@ _CELLS = {
     "outcome": ["0", "1", "1", "0.5", "", "nan", "inf", "-1", "2", "x"],
     "x1": ["0", "1", "2.5", "-3", "", "nan", "-inf", "x"],
 }
-_COMMANDS = ("analyze", "bounds", "points", "strata", "lambda", "propensity", "verify")
-
-
 @st.composite
 def _csv_texts(draw):
     rows = draw(st.lists(st.fixed_dictionaries(

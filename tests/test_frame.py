@@ -165,6 +165,22 @@ class TestLoadFrame:
         assert frame.covariate_names == ("region=south", "region=west")
         assert frame.X[3].tolist() == [0.0, 0.0]
 
+    @pytest.mark.parametrize("two_files", [False, True], ids=["one-file", "two-files"])
+    def test_categorical_column_missing_from_the_header_is_an_error(self, two_files):
+        columns = ColumnMap(categorical=(("regoin", "north"),))
+        with pytest.raises(MissingColumn, match="'regoin'"):
+            if two_files:
+                load_two_frames("id,treatment,outcome,region\ns1,1,1,north\ns2,0,0,south\n",
+                                "id,region\np1,west\n", BINARY, columns)
+            else:
+                load_frame("id,in_sample,treatment,outcome,region\na,1,1,1,north\n"
+                           "b,1,0,0,south\nc,0,,,west\n", BINARY, columns)
+
+    def test_categorical_column_that_is_no_covariate_is_ignored(self):
+        text = "id,in_sample,treatment,outcome,region,size\na,1,1,1,north,10\nb,1,0,0,south,20\n"
+        columns = ColumnMap(covariates=("size",), categorical=(("region", "north"),))
+        assert load_frame(text, BINARY, columns).covariate_names == ("size",)
+
     def test_missing_categorical_value_is_error(self):
         text = "id,in_sample,treatment,outcome,region\na,1,1,1,north\nb,1,0,0,\n"
         columns = ColumnMap(categorical=(("region", "north"),))
