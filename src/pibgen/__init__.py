@@ -29,7 +29,6 @@ from .frame import (
 from .lambda_select import LambdaSpec, lambda_report, parse_lambda_expr, resolve_lambda
 from .oracle import enumerate_bsv, enumerate_mtr, enumerate_worst_case
 from .points import (
-    BootstrapOptions,
     PointEstimate,
     ipw_estimate,
     naive_sate,
@@ -46,14 +45,13 @@ from .propensity import (
     model_to_json,
     propensity_scores,
 )
-from .stratify import StratumAssignment, make_strata, strata_for_frame, stratum_frames
+from .stratify import StratumAssignment, make_strata, strata_for_frame
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BINARY",
     "BalanceReport",
-    "BootstrapOptions",
     "BoundSpec",
     "ColumnMap",
     "DesignProbs",
@@ -93,7 +91,6 @@ __all__ = [
     "resolve_lambda",
     "strata_for_frame",
     "stratified_bounds",
-    "stratum_frames",
     "subclass_estimate",
     "worst_case_bounds",
 ]

@@ -35,7 +35,7 @@ from .frame import (
     tallies,
 )
 from .lambda_select import lambda_report, parse_lambda_expr, resolve_lambda
-from .points import BootstrapOptions, ipw_estimate, naive_sate, subclass_estimate
+from .points import ipw_estimate, naive_sate, subclass_estimate
 from .propensity import (
     compute_balance,
     fit_propensity,
@@ -284,13 +284,16 @@ class _Pipeline:
 
     @cached_property
     def model(self):
-        if self.options["model"]:
-            try:
-                with open(self.options["model"], encoding="utf-8") as fh:
-                    return model_from_json(fh.read())
-            except (OSError, ValueError, KeyError, TypeError) as exc:
-                raise ConfigError(f"cannot read model file: {exc}")
-        return fit_propensity(self.frame, self.frame.covariate_names)
+        if not self.options["model"]:
+            return fit_propensity(self.frame, self.frame.covariate_names)
+        try:
+            with open(self.options["model"], encoding="utf-8") as fh:
+                model = model_from_json(fh.read())
+        except (OSError, ValueError, KeyError, TypeError, OverflowError) as exc:
+            raise ConfigError(f"cannot read model file: {exc}")
+        for name in model.coefficients:  # each must name a covariate of the frame
+            self.frame.covariate_index(name)
+        return model
 
     @cached_property
     def balance(self):
@@ -343,8 +346,8 @@ class _Pipeline:
         """The three estimators, plus the reason subclassification is unavailable."""
         frame, options = self.frame, self.options
         points = [naive_sate(frame).to_json()]
-        bootstrap = BootstrapOptions(reps=options["reps"], seed=options["seed"])
-        points.append(ipw_estimate(frame, self.model, bootstrap).to_json())
+        points.append(ipw_estimate(frame, self.model, reps=options["reps"],
+                                   seed=options["seed"]).to_json())
         try:
             points.append(subclass_estimate(frame, self.assignment).to_json())
         except NonViableStratum as exc:

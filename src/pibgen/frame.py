@@ -91,22 +91,10 @@ class StudyFrame:
         if not len(ids) == len(z) == len(w) == len(y) or X.shape != (len(ids), len(names)):
             raise DataError("frame columns differ in length")
         _raise_first(_invalid_units(ids, z, w, y, support))
-        self._fill(ids, z.astype(np.int8, copy=False), w.astype(np.int8, copy=False), y,
-                   np.asfortranarray(X), support, names)
-
-    def _fill(self, ids, z, w, y, X, support, covariate_names):
-        self.ids, self.z, self.w, self.y, self.X = ids, z, w, y, X
-        self.support = support
-        self.covariate_names = covariate_names
+        self.ids, self.y, self.X = ids, y, np.asfortranarray(X)
+        self.z, self.w = z.astype(np.int8, copy=False), w.astype(np.int8, copy=False)
+        self.support, self.covariate_names = support, names
         self._moments = {}  # covariate index -> (mean, SD), each taken on first use
-
-    def take(self, rows) -> StudyFrame:
-        """The frame of the given rows, in the given order.  Its rows passed the
-        checks as part of this frame, so they are not checked again."""
-        sub = object.__new__(StudyFrame)
-        sub._fill(self.ids[rows], self.z[rows], self.w[rows], self.y[rows],
-                  np.asfortranarray(self.X[rows]), self.support, self.covariate_names)
-        return sub
 
     # -- row masks and sizes ----------------------------------------------------
 
@@ -563,7 +551,8 @@ def _float_or_nan(cell: str) -> float:
 
 def _parse_columns(table, support, columns, layout, *, fixed_z, id_prefix):
     """The ``(ids, z, w, y, X)`` columns of one file.  Rows are checked in the
-    order of their cells; the first bad row raises, numbered from 1."""
+    order of their cells; the first bad row raises, numbered from 1.  A clean
+    file's ids are left to the frame's constructor to check, once."""
     header, n = table.header, len(table.rows)
     if fixed_z == 1:  # a pure sample file needs treatment and outcome columns
         for required in (columns.treatment, columns.outcome):
@@ -612,11 +601,13 @@ def _parse_columns(table, support, columns, layout, *, fixed_z, id_prefix):
                 continue
             values = (stripped == level).astype(float)
         x_columns.append(values)
-    _raise_first(checks)
-
     ids = list(map(str.strip, table.cells(columns.id)))
     if "" in ids:  # a row without an id (or a file without the column) is numbered
         ids = [uid or f"{id_prefix}{i}" for i, uid in enumerate(ids, 1)]
+    if any(mask.any() for mask, _ in checks):  # a repeated id may come first
+        checks.insert(0, (_repeats(ids), lambda i: DuplicateId(ids[i])))
+    _raise_first(checks)
+
     X = np.array(x_columns).T.reshape(n, len(x_columns))  # column-major
     return np.array(ids, dtype=object), z, w, y, X
 

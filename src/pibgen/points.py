@@ -41,12 +41,6 @@ class PointEstimate:
         }
 
 
-@dataclass(frozen=True)
-class BootstrapOptions:
-    reps: int = 1000
-    seed: int = 0
-
-
 def _arm_contrast(t: Tallies, g: int) -> tuple[float, float]:
     """Group ``g``'s difference in sampled arm means and its plug-in
     two-sample SE."""
@@ -110,16 +104,13 @@ def _bootstrap_contrasts(y, weights, treated, control, reps: int, seed: int,
     return contrasts
 
 
-def ipw_estimate(
-    frame: StudyFrame,
-    model: PropensityModel,
-    options: BootstrapOptions = BootstrapOptions(),
-) -> PointEstimate:
+def ipw_estimate(frame: StudyFrame, model: PropensityModel, *, reps: int = 1000,
+                 seed: int = 0) -> PointEstimate:
     """Normalized inverse-propensity-weighted contrast over sampled units.
 
     Each sampled unit is weighted by the inverse of its fitted selection
-    probability; the SE comes from an arm-stratified nonparametric bootstrap,
-    deterministic given the seed.
+    probability; the SE comes from an arm-stratified nonparametric bootstrap
+    of ``reps`` replicates, deterministic given the seed.
     """
     if not model.converged:
         raise UnfittedModel()
@@ -137,17 +128,17 @@ def ipw_estimate(
     weights = 1.0 / scores
     estimate = _hajek_contrast(y, w, weights)
 
-    reps = _bootstrap_contrasts(y, weights, np.flatnonzero(w == 1), np.flatnonzero(w == 0),
-                                options.reps, options.seed, batch_rows=_BATCH_ROWS)
-    se = float(reps.std(ddof=1)) if options.reps > 1 else None
+    contrasts = _bootstrap_contrasts(y, weights, np.flatnonzero(w == 1), np.flatnonzero(w == 0),
+                                     reps, seed, batch_rows=_BATCH_ROWS)
+    se = float(contrasts.std(ddof=1)) if reps > 1 else None
     return PointEstimate(
         method="ipw",
         estimate=estimate,
         se=se,
         details={
             "normalized": True,
-            "bootstrap_reps": options.reps,
-            "seed": options.seed,
+            "bootstrap_reps": reps,
+            "seed": seed,
             "weight_range": [float(weights.min()), float(weights.max())],
         },
     )

@@ -249,11 +249,20 @@ def model_to_json(model: PropensityModel) -> str:
 
 
 def model_from_json(text: str) -> PropensityModel:
+    """The model ``model_to_json`` wrote.  Each field must have its JSON type:
+    a number for the intercept and each coefficient, true or false for
+    ``converged``, and a non-negative integer for ``iterations``."""
     doc = json.loads(text)
     if not isinstance(doc, dict) or not isinstance(doc["coefficients"], dict):
         raise TypeError("the model and its 'coefficients' must be JSON objects")
     if not isinstance(doc["converged"], bool):
         raise TypeError(f"'converged' must be true or false, got {doc['converged']!r}")
+    iterations = doc["iterations"]
+    if type(iterations) is not int or iterations < 0:  # JSON true and false are bools
+        raise TypeError(f"'iterations' must be a non-negative integer, got {iterations!r}")
+    for name, value in [("intercept", doc["intercept"]), *doc["coefficients"].items()]:
+        if type(value) not in (int, float):
+            raise TypeError(f"{name!r} must be a number, got {value!r}")
     intercept = float(doc["intercept"])
     coefficients = {k: float(v) for k, v in doc["coefficients"].items()}
     if not np.all(np.isfinite([intercept, *coefficients.values()])):
@@ -262,6 +271,6 @@ def model_from_json(text: str) -> PropensityModel:
         intercept=intercept,
         coefficients=coefficients,
         converged=doc["converged"],
-        iterations=int(doc["iterations"]),
+        iterations=iterations,
         final_gradient_norm=float("nan"),
     )

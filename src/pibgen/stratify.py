@@ -91,16 +91,19 @@ class StratumPiece:
 
 def stratum_frames(frame: StudyFrame, assignment: StratumAssignment) -> list[StratumPiece]:
     """Slice the frame into per-stratum sub-frames (support and covariate names
-    inherited, rows in frame order).
+    inherited, rows in frame order), each built and checked like any frame.
 
     No estimator calls this: they read ``assignment.tallies``.  The sub-frames
-    are the reference API: the tallies are tested against them, and the
-    enumeration oracles take a stratum's rows as one.
+    are the reference API, imported from ``pibgen.stratify``: the tallies are
+    tested against them, and the enumeration oracles take a stratum's rows as one.
     """
     _check_covers(frame, len(assignment.labels))
-    labels = assignment.labels
-    return [StratumPiece(index=j, frame=frame.take(np.flatnonzero(labels == j)))
-            for j in range(1, assignment.k + 1)]
+    pieces = []
+    for j in range(1, assignment.k + 1):
+        rows = np.flatnonzero(assignment.labels == j)
+        columns = (frame.ids[rows], frame.z[rows], frame.w[rows], frame.y[rows], frame.X[rows])
+        pieces.append(StratumPiece(j, StudyFrame(*columns, frame.support, frame.covariate_names)))
+    return pieces
 
 
 def stratum_summary_rows(assignment: StratumAssignment) -> list[dict]:

@@ -22,7 +22,7 @@ from pibgen.frame import (
     load_frame,
 )
 from pibgen.oracle import EXACT_BINARY
-from pibgen.points import BootstrapOptions, ipw_estimate, naive_sate, subclass_estimate
+from pibgen.points import ipw_estimate, naive_sate, subclass_estimate
 from pibgen.propensity import (
     PropensityModel,
     binomial_loglik,
@@ -288,14 +288,14 @@ def test_criterion_7_point_estimator_coherence(monkeypatch):
 
     constant = PropensityModel(intercept=-1.0, coefficients={}, converged=True,
                                iterations=0, final_gradient_norm=0.0)
-    ipw = ipw_estimate(frame, constant, BootstrapOptions(reps=100, seed=4))
+    ipw = ipw_estimate(frame, constant, reps=100, seed=4)
     assert ipw.estimate == naive.estimate
 
     # one replicate per batch, seven per batch, all in one batch, and a rerun
     runs = []
     for batch_rows in (1, 35, 1 << 16, 1 << 16):
         monkeypatch.setattr(points, "_BATCH_ROWS", batch_rows)
-        runs.append(ipw_estimate(frame, constant, BootstrapOptions(reps=500, seed=99)))
+        runs.append(ipw_estimate(frame, constant, reps=500, seed=99))
     ses = {r.se for r in runs}
     assert len(ses) == 1
     print(f"PASS criterion 7: k=1 subclass == naive == constant-weight IPW "

@@ -2,12 +2,8 @@
 
 import contextlib
 import csv
-import importlib
-import importlib.util
 import io
 import json
-import pathlib
-import sys
 
 import pytest
 from hypothesis import given, settings
@@ -275,23 +271,22 @@ class TestPipeline:
         def not_called(*args, **kwargs):
             raise AssertionError("a stratum sub-frame was built")
 
+        built = []
+        init = pibgen.frame.StudyFrame.__init__
+
+        def counted_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
         monkeypatch.setattr(pibgen.stratify, "stratum_frames", not_called)
         monkeypatch.setattr(pibgen.points, "stratum_frames", not_called)
-        monkeypatch.setattr(pibgen.frame.StudyFrame, "take", not_called)
+        monkeypatch.setattr(pibgen.frame.StudyFrame, "__init__", counted_init)
         for extra in ((), ("--merge-strata", "--pooled")):
+            built.clear()
             code, out, err = run(capsys, "analyze", *GOLDEN_ARGS, *extra, "--format", "json")
             assert (code, err) == (0, "")
             assert json.loads(out)["stratum_intervals"]["k"] == 3
-
-    def test_benchmark_tracer_targets_resolve(self, monkeypatch):
-        # the tracer wraps these names from outside; a rename would break it silently
-        path = pathlib.Path(__file__).parents[1] / "perfbench" / "tracing.py"
-        spec = importlib.util.spec_from_file_location("tracing", path)
-        tracing = importlib.util.module_from_spec(spec)
-        monkeypatch.setitem(sys.modules, "tracing", tracing)  # its dataclasses look it up
-        spec.loader.exec_module(tracing)
-        for module, attr, _, _ in tracing.TARGETS:
-            assert callable(getattr(importlib.import_module(module), attr)), (module, attr)
+            assert len(built) == 1  # the loaded frame only
 
     def test_public_names_resolve(self):
         for name in pibgen.__all__:
@@ -557,8 +552,18 @@ class TestSubcommands:
         {"coefficients": [1]},
         {"coefficients": {"pretest": None}},
         {"converged": "false"},
+        {"intercept": True},
+        {"intercept": "-1.0"},
+        {"intercept": 10**400},
+        {"coefficients": {"pretest": True}},
+        {"iterations": 1.5},
+        {"iterations": "5"},
+        {"iterations": True},
+        {"iterations": -1},
     ], ids=["list", "string", "null-intercept", "list-coefficients", "null-coefficient",
-            "text-converged"])
+            "text-converged", "true-intercept", "text-intercept", "huge-intercept", "true-coefficient",
+            "fractional-iterations", "text-iterations", "true-iterations",
+            "negative-iterations"])
     @pytest.mark.parametrize("command", ["points", "propensity"])
     def test_model_file_of_the_wrong_shape_is_a_config_error(self, capsys, tmp_path, command,
                                                             document):
@@ -572,6 +577,29 @@ class TestSubcommands:
         assert (code, out) == (3, "")
         assert err.startswith("error: cannot read model file: ")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["points", "propensity"])
+    def test_model_file_with_an_iteration_count_past_any_float(self, capsys, tmp_path,
+                                                               command):
+        model = tmp_path / "model.json"
+        model.write_text('{"intercept": -1.0, "coefficients": {"pretest": 0.5}, '
+                         '"converged": true, "iterations": 1e400}')
+        code, out, err = run(capsys, command, "--data", synthetic_path(), "--reps", "2",
+                             "--model", str(model))
+        assert (code, out) == (3, "")
+        assert err == ("error: cannot read model file: 'iterations' must be a non-negative "
+                       "integer, got inf\n")
+
+    def test_model_naming_a_covariate_the_frame_lacks_is_rejected_on_load(self, capsys,
+                                                                         tmp_path):
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps({"intercept": -1.0, "coefficients": {"pretset": 0.5},
+                                     "converged": True, "iterations": 4}))
+        results = [run(capsys, command, "--data", synthetic_path(), "--reps", "2",
+                       "--model", str(model)) for command in ("propensity", "points")]
+        known = ["enroll", "frl", "pretest", "title1"]
+        expected = (3, "", f"error: unknown covariate 'pretset'; frame has {known}\n")
+        assert results == [expected, expected]
 
     def test_fixed_lambda_reads_no_model_file(self, capsys, tmp_path):
         model = tmp_path / "model.json"

@@ -5,6 +5,7 @@ import io
 import numpy as np
 import pytest
 
+import pibgen.frame
 from pibgen.errors import (
     BadIndicator,
     DuplicateColumn,
@@ -326,13 +327,17 @@ class TestColumns:
         moments = frame.covariate_moments("x2")
         assert moments == (col.mean(), col.std())
         assert frame.covariate_moments("x2") is moments
-        assert frame.take(np.array([0, 1])).covariate_moments("x2") == (2.5, 0.5)
+        rows = np.array([0, 1])
+        sub = StudyFrame(frame.ids[rows], frame.z[rows], frame.w[rows], frame.y[rows],
+                         frame.X[rows], frame.support, frame.covariate_names)
+        assert sub.covariate_moments("x2") == (2.5, 0.5)
 
-    def test_take_keeps_the_given_row_order(self):
-        frame = make_frame([(1, 1, 1.0), (1, 0, 0.0), (0, None, None), (0, None, 1.0)])
-        sub = frame.take(np.array([3, 0]))
-        assert sub.ids.tolist() == ["u3", "u0"]
-        assert sub.support == frame.support
+    def test_a_sub_frame_that_repeats_a_row_is_rejected(self, statewide_path):
+        frame = load_frame(statewide_path, BINARY)
+        rows = np.array([0, 0, 1])
+        with pytest.raises(DuplicateId, match="^duplicate unit id 'sch0001'$"):
+            StudyFrame(frame.ids[rows], frame.z[rows], frame.w[rows], frame.y[rows],
+                       frame.X[rows], frame.support, frame.covariate_names)
 
     @pytest.mark.parametrize("bad, error, row", [
         ((2, 1, 1.0), BadIndicator, "u1"),
@@ -351,6 +356,36 @@ class TestColumns:
             StudyFrame(*columns, (), BINARY)
         with pytest.raises(BadIndicator):
             StudyFrame(*(column[::-1] for column in columns), (), BINARY)
+
+    def test_a_repeated_id_before_a_bad_cell_wins(self):
+        text = "id,in_sample,treatment,outcome\na,1,1,1\na,1,0,0\nb,1,x,1\n"
+        with pytest.raises(DuplicateId, match="^duplicate unit id 'a'$"):
+            load_frame(text, BINARY)
+        with pytest.raises(DuplicateId):  # a row's id is checked before its cells
+            load_frame(text.replace("a,1,0,0", "a,1,x,0"), BINARY)
+        with pytest.raises(BadIndicator) as err:  # an earlier bad row still wins
+            load_frame(text.replace("a,1,1,1", "a,1,x,1"), BINARY)
+        assert err.value.row == 1
+
+    def test_a_clean_file_has_its_ids_checked_once(self, monkeypatch, statewide_path):
+        calls = []
+
+        def counted(ids):
+            calls.append(len(ids))
+            return repeats(ids)
+
+        repeats = pibgen.frame._repeats
+        monkeypatch.setattr(pibgen.frame, "_repeats", counted)
+        load_frame(statewide_path, BINARY)
+        assert calls == [1029]  # by the constructor only
+
+    def test_an_id_shared_by_the_two_files_is_reported_after_their_rows(self):
+        sample = "id,treatment,outcome\ns1,1,1\ns2,0,0\n"
+        with pytest.raises(DuplicateId, match="^duplicate unit id 's1'$"):
+            load_two_frames(sample, "id,outcome\ns1,1\np2,\n", BINARY)
+        with pytest.raises(OutcomeOutOfSupport) as err:
+            load_two_frames(sample, "id,outcome\ns1,1\np2,x\n", BINARY)
+        assert err.value.row == 2
 
     def test_first_bad_row_wins_across_kinds_of_check(self):
         header = "id,in_sample,treatment,outcome,x1\n"

@@ -8,7 +8,6 @@ import pytest
 from pibgen.errors import NonViableStratum, UnfittedModel, ZeroPropensity
 from pibgen.frame import BINARY, OutcomeSupport, StudyFrame
 from pibgen.points import (
-    BootstrapOptions,
     _bootstrap_contrasts,
     _hajek_contrast,
     ipw_estimate,
@@ -64,7 +63,7 @@ class TestIpw:
         frame = make_frame(
             [(1, 1, 1.0), (1, 1, 0.0), (1, 0, 1.0), (1, 0, 0.0), (0, None, None)]
         )
-        est = ipw_estimate(frame, constant_model(-2.0), BootstrapOptions(reps=10, seed=1))
+        est = ipw_estimate(frame, constant_model(-2.0), reps=10, seed=1)
         assert est.estimate == naive_sate(frame).estimate
 
     def test_hand_weighted_means(self):
@@ -74,7 +73,7 @@ class TestIpw:
         model = PropensityModel(intercept=0.0, coefficients={"x": -math.log(3.0)},
                                 converged=True, iterations=1, final_gradient_norm=0.0)
         # s(0) = 0.5 -> weight 2; s(1) = 0.25 -> weight 4
-        est = ipw_estimate(frame, model, BootstrapOptions(reps=5, seed=0))
+        est = ipw_estimate(frame, model, reps=5, seed=0)
         expected = (2 * 1.0 + 4 * 0.0) / 6 - (2 * 1.0 + 4 * 0.0) / 6
         assert est.estimate == pytest.approx(expected)
 
@@ -82,10 +81,10 @@ class TestIpw:
         frame = make_frame(
             [(1, 1, 1.0), (1, 1, 0.0), (1, 1, 1.0), (1, 0, 0.0), (1, 0, 1.0), (0, None, None)]
         )
-        a = ipw_estimate(frame, constant_model(), BootstrapOptions(reps=500, seed=42))
-        b = ipw_estimate(frame, constant_model(), BootstrapOptions(reps=500, seed=42))
+        a = ipw_estimate(frame, constant_model(), reps=500, seed=42)
+        b = ipw_estimate(frame, constant_model(), reps=500, seed=42)
         assert a.se == b.se
-        c = ipw_estimate(frame, constant_model(), BootstrapOptions(reps=500, seed=43))
+        c = ipw_estimate(frame, constant_model(), reps=500, seed=43)
         assert a.se != c.se
 
     def test_unfitted_model_rejected(self):
@@ -211,6 +210,6 @@ class TestSanity:
         spec += [(0, None, None)] * 60
         frame = make_frame(spec)
         plug = naive_sate(frame)
-        boot = ipw_estimate(frame, constant_model(), BootstrapOptions(reps=2000, seed=11))
+        boot = ipw_estimate(frame, constant_model(), reps=2000, seed=11)
         assert boot.estimate == pytest.approx(plug.estimate)
         assert boot.se == pytest.approx(plug.se, rel=0.15)

@@ -101,6 +101,57 @@ class TestFit:
             fit_propensity(frame, ["a"])
         assert "a" in err.value.direction
 
+    def test_separation_drift_past_the_coefficient_cap(self, monkeypatch):
+        # separated rows, but the gradient is still above tolerance when a
+        # standardized coefficient passes 30, so the fit stops on the cap
+        raised = []
+
+        def record(beta, covariates):
+            raised.append(beta)
+            separation(beta, covariates)
+
+        def converged(*args):
+            raise AssertionError("the gradient reached tolerance before the cap")
+
+        separation = propensity._raise_separation
+        monkeypatch.setattr(propensity, "_raise_separation", record)
+        monkeypatch.setattr(propensity, "_check_saturation", converged)
+        frame = frame_with_x([0, 0, 1, 1], [(0.0,), (1.0,), (2.0,), (3.0,)], ["a"])
+        with pytest.raises(Separation):
+            fit_propensity(frame, ["a"])
+        assert len(raised) == 1 and np.max(np.abs(raised[0])) > 30
+
+    def test_singular_hessian_is_separation(self, monkeypatch, statewide_path):
+        def singular(a, b):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        frame = load_frame(statewide_path, BINARY)
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        with pytest.raises(Separation) as err:
+            fit_propensity(frame, frame.covariate_names)
+        assert set(err.value.direction) == {"intercept", *frame.covariate_names}
+
+    def test_step_halving_rejects_a_newton_step_that_lowers_the_loglik(self, monkeypatch):
+        # two high-leverage rows make full Newton steps overshoot the optimum
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return loglik(*args)
+
+        loglik = propensity.binomial_loglik
+        monkeypatch.setattr(propensity, "binomial_loglik", counted)
+        x = [(-1.0, -1.0), (0.0, -2.0), (-1.0, -1.0), (-1.0, 1.0), (61.0, 79.0), (-1.0, 0.0),
+             (-59.0, -5.0), (0.0, -2.0)]
+        frame = frame_with_x([0, 1, 1, 1, 1, 1, 1, 0], x, ["a", "b"])
+        model = fit_propensity(frame, ["a", "b"])
+        assert model.converged
+        # one evaluation at the start and one per accepted step; the rest are halvings
+        assert len(calls) > 1 + model.iterations
+        trace = model.loglik_trace
+        assert len(trace) == 1 + model.iterations
+        assert all(b >= a for a, b in zip(trace, trace[1:]))
+
     def test_no_convergence_when_budget_too_small(self, monkeypatch):
         rng = np.random.default_rng(5)
         x = [(float(v),) for v in rng.normal(size=40)]

@@ -1,11 +1,21 @@
-"""The maintenance scripts under ``tools/``."""
+"""The maintenance scripts under ``tools/``, and the names the benchmark's
+tracer wraps."""
 
+import importlib
 import importlib.util
+import json
 import pathlib
+import sys
 
+from pibgen import stratify
+from pibgen.cli import main
 from pibgen.data import synthetic_path
+from pibgen.frame import BINARY, load_frame
+
+from test_acceptance import GOLDEN_ARGS
 
 TOOLS = pathlib.Path(__file__).parents[1] / "tools"
+PERFBENCH = pathlib.Path(__file__).parents[1] / "perfbench"
 
 
 def test_synthetic_dataset_tool_reproduces_the_bundled_file(tmp_path, monkeypatch, capsys):
@@ -18,3 +28,30 @@ def test_synthetic_dataset_tool_reproduces_the_bundled_file(tmp_path, monkeypatc
     tool.main()
     assert capsys.readouterr().out == f"wrote {out} (1029 rows, 56 sampled, 34 treated)\n"
     assert out.read_bytes() == pathlib.Path(synthetic_path()).read_bytes()
+
+
+def test_benchmark_tracer_wraps_and_restores_every_target(monkeypatch, capsys):
+    # the tracer wraps pibgen's names from outside and reads return values
+    # (StratumPiece.frame, details["bootstrap_reps"]); a rename breaks it here
+    spec = importlib.util.spec_from_file_location("tracing", PERFBENCH / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "tracing", tracing)  # its dataclasses look it up
+    spec.loader.exec_module(tracing)
+    originals = {(module, attr): getattr(importlib.import_module(module), attr)
+                 for module, attr, _, _ in tracing.TARGETS}
+    frame = load_frame(synthetic_path(), BINARY)
+    assignment = stratify.strata_for_frame(frame, frame.covariate_column("pretest"), 3)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert main(["analyze", *GOLDEN_ARGS, "--format", "json"]) == 0
+        pieces = stratify.stratum_frames(frame, assignment)
+    finally:
+        tracer.uninstall()
+    assert json.loads(capsys.readouterr().out)["meta"]["options"]["reps"] == 300
+    assert [piece.index for piece in pieces] == [1, 2, 3]
+    counts = {span.name: span.count for span in tracer.spans if span.count is not None}
+    assert counts["points.ipw"] == 300
+    assert counts["stratify.slice"] == frame.n_units
+    for (module, attr), original in originals.items():
+        assert getattr(importlib.import_module(module), attr) is original, (module, attr)
