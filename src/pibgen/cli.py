@@ -193,11 +193,8 @@ def _load(options) -> tuple:
     if not all(options[key] for key in keys):
         raise ConfigError("provide --data, or both --sample and --population")
     try:
-        with contextlib.ExitStack() as files:
-            # opened here, so that no path is ever taken for CSV text
-            streams = [files.enter_context(open(options[key], newline="", encoding="utf-8-sig"))
-                       for key in keys]
-            frame = (load_frame if len(keys) == 1 else load_two_frames)(*streams, support, columns)
+        frame = (load_frame if len(keys) == 1 else load_two_frames)(
+            *(options[key] for key in keys), support, columns)
     except OSError as exc:
         raise ConfigError(f"cannot read data file {exc.filename!r}: {exc.strerror}")
     return frame, "+".join(os.path.basename(options[key]) for key in keys)

@@ -32,35 +32,40 @@ class NotUtf8(DataError):
         super().__init__(f"{source} is not UTF-8 text: {reason}")
 
 
-class BadIndicator(DataError):
-    def __init__(self, row, column, value):
-        super().__init__(f"row {row}: column {column!r} must be 0 or 1, got {value!r}")
-        self.row = row
+class BadRow(DataError):
+    """A bad row, numbered from 1 (by unit id in a frame built from columns);
+    ``file`` names the file of a two-file load, "sample" or "population"."""
+
+    def __init__(self, row, detail, file=None):
+        where = f"row {row}" if file is None else f"row {row} of the {file} file"
+        super().__init__(f"{where}: {detail}")
+        self.row, self.file = row, file
 
 
-class OutcomeOutOfSupport(DataError):
-    def __init__(self, row, value, lo, hi):
-        super().__init__(f"row {row}: outcome {value!r} outside support [{lo}, {hi}]")
-        self.row = row
+class BadIndicator(BadRow):
+    def __init__(self, row, column, value, file=None):
+        super().__init__(row, f"column {column!r} must be 0 or 1, got {value!r}", file)
 
 
-class MissingOutcome(DataError):
-    def __init__(self, row):
-        super().__init__(f"row {row}: sampled unit has no outcome")
-        self.row = row
+class OutcomeOutOfSupport(BadRow):
+    def __init__(self, row, value, lo, hi, file=None):
+        super().__init__(row, f"outcome {value!r} outside support [{lo}, {hi}]", file)
 
 
-class MissingCovariate(DataError):
-    def __init__(self, row, name):
-        super().__init__(f"row {row}: covariate {name!r} is missing")
-        self.row = row
+class MissingOutcome(BadRow):
+    def __init__(self, row, file=None):
+        super().__init__(row, "sampled unit has no outcome", file)
+
+
+class MissingCovariate(BadRow):
+    def __init__(self, row, name, file=None):
+        super().__init__(row, f"covariate {name!r} is missing", file)
         self.name = name
 
 
-class NonFiniteValue(DataError):
-    def __init__(self, row, name, value):
-        super().__init__(f"row {row}: column {name!r} must be a finite number, got {value!r}")
-        self.row = row
+class NonFiniteValue(BadRow):
+    def __init__(self, row, name, value, file=None):
+        super().__init__(row, f"column {name!r} must be a finite number, got {value!r}", file)
         self.name = name
 
 

@@ -14,8 +14,8 @@ reads.
 from __future__ import annotations
 
 import csv
-import io
 import math
+import os
 from dataclasses import dataclass, fields
 from functools import cached_property
 
@@ -411,19 +411,17 @@ class _Table:
 
 
 def _read_table(source) -> _Table:
-    """Accept a path (str without newline), CSV text/bytes, or an open stream."""
+    """Read a path (``os.PathLike``, or a ``str`` whatever it holds) or an open
+    text stream; a path is read as UTF-8 text, a leading BOM dropped."""
+    if isinstance(source, (str, os.PathLike)):
+        with open(source, newline="", encoding="utf-8-sig") as fh:
+            return _read_table(fh)
     try:
-        text = source.decode("utf-8-sig") if isinstance(source, bytes) else source
-        if isinstance(text, str):
-            if "\n" not in text:  # a path: read the open file
-                with open(text, newline="", encoding="utf-8-sig") as fh:
-                    return _read_table(fh)
-            text = io.StringIO(text.removeprefix("\ufeff"))
-        reader = csv.reader(text)
+        reader = csv.reader(source)
         header = next(reader, [])
         rows = list(reader)
     except UnicodeDecodeError as exc:
-        name = getattr(source, "name", source)  # a path, or an open file's name
+        name = getattr(source, "name", None)  # an open file's name is its path
         raise NotUtf8(f"data file {name!r}" if isinstance(name, str) else "CSV data", exc.reason)
     for j, name in enumerate(header):
         if name in header[:j]:
@@ -454,6 +452,7 @@ def _covariate_layout(header, columns: ColumnMap, tables):
     indicator per observed non-reference level (levels discovered over every
     table supplied, so merged files share one encoding).  A categorical column
     missing from the header is an error; one that is no covariate is ignored.
+    One entry per raw column: ``(column, levels)``, ``levels`` None if numeric.
     """
     raw = _resolve_covariates(header, columns)
     categorical = dict(columns.categorical)
@@ -464,20 +463,15 @@ def _covariate_layout(header, columns: ColumnMap, tables):
     for col in raw:
         if col in categorical:
             reference = str(categorical[col])
-            levels = sorted(
+            levels = tuple(sorted(
                 {cell.strip() for table in tables for cell in table.cells(col)}
                 - {"", reference}
-            )
-            if not levels:
-                # only the reference level observed: no indicators, but the
-                # value must still be present in every row
-                layout.append(("require", col, None))
-            for level in levels:
-                names.append(f"{col}={level}")
-                layout.append(("cat", col, level))
+            ))
+            names += [f"{col}={level}" for level in levels]
+            layout.append((col, levels))
         else:
             names.append(col)
-            layout.append(("num", col, None))
+            layout.append((col, None))
     return tuple(names), tuple(layout)
 
 
@@ -488,15 +482,15 @@ def load_frame(
 ) -> StudyFrame:
     """Read a combined frame (z column distinguishes sample from population).
 
-    ``source`` may be a path, CSV text/bytes, or an open text stream.  Row
-    order is preserved; sampled rows missing a treatment or outcome are
-    rejected, as is any missing covariate value.
+    ``source`` is a path or an open text stream (wrap CSV text held in memory
+    in a stream).  Row order is preserved; sampled rows missing a treatment or
+    outcome are rejected, as is any missing covariate value.
     """
     table = _read_table(source)
     if columns.in_sample not in table.header:
         raise MissingColumn(columns.in_sample)
     names, layout = _covariate_layout(table.header, columns, [table])
-    parsed = _parse_columns(table, support, columns, layout, fixed_z=None, id_prefix="row")
+    parsed = _parse_columns(table, support, columns, layout)
     return StudyFrame(*parsed, support=support, covariate_names=names)
 
 
@@ -507,7 +501,10 @@ def load_two_frames(
     columns: ColumnMap = ColumnMap(),
 ) -> StudyFrame:
     """Merge a sample file (rows become z=1) with a population file holding the
-    non-sampled remainder (rows become z=0), tagging z automatically."""
+    non-sampled remainder (rows become z=0), tagging z automatically.  Each
+    source is as for ``load_frame``.  The sample file's rows, repeated ids
+    included, are checked before the population file's; a row error names its
+    file, and an id the two files share is reported after both pass."""
     sample = _read_table(sample_source)
     population = _read_table(population_source)
     raw = _resolve_covariates(sample.header, columns)
@@ -515,11 +512,14 @@ def load_two_frames(
         if name not in population.header:
             raise MissingColumn(name)
     names, layout = _covariate_layout(sample.header, columns, [sample, population])
-    s_cols = _parse_columns(sample, support, columns, layout, fixed_z=1, id_prefix="s")
-    p_cols = _parse_columns(population, support, columns, layout, fixed_z=0, id_prefix="p")
+    s_cols = _parse_columns(sample, support, columns, layout, file="sample")
+    p_cols = _parse_columns(population, support, columns, layout, file="population")
     merged = [np.concatenate([s, p]) for s, p in zip(s_cols, p_cols)]
     return StudyFrame(*merged, support=support, covariate_names=names)
 
+
+# a file's z value and the prefix of its auto-numbered ids (None: a combined file)
+_FILE_ROLES = {None: (None, "row"), "sample": (1, "s"), "population": (0, "p")}
 
 _INDICATOR_CODES = {"0": 0, "1": 1, "": -1}  # -1 blank; -2 (below) not an indicator
 
@@ -549,11 +549,15 @@ def _float_or_nan(cell: str) -> float:
         return math.nan
 
 
-def _parse_columns(table, support, columns, layout, *, fixed_z, id_prefix):
-    """The ``(ids, z, w, y, X)`` columns of one file.  Rows are checked in the
-    order of their cells; the first bad row raises, numbered from 1.  A clean
-    file's ids are left to the frame's constructor to check, once."""
+def _parse_columns(table, support, columns, layout, file=None):
+    """The ``(ids, z, w, y, X)`` columns of a combined file, or of the
+    ``"sample"`` or ``"population"`` ``file`` of a two-file load, which its row
+    errors name.  Rows are checked in the order of their cells; the first bad
+    row raises, numbered from 1.  A sample file's ids are checked here, before
+    the population file is parsed; another clean file's ids are left to the
+    frame's constructor to check, once."""
     header, n = table.header, len(table.rows)
+    fixed_z, id_prefix = _FILE_ROLES[file]
     if fixed_z == 1:  # a pure sample file needs treatment and outcome columns
         for required in (columns.treatment, columns.outcome):
             if required not in header:
@@ -564,7 +568,7 @@ def _parse_columns(table, support, columns, layout, *, fixed_z, id_prefix):
         cells = table.cells(name)
         codes = _indicator_codes(cells)
         bad = codes < (-1 if allow_missing else 0)
-        checks.append((bad, lambda i: BadIndicator(i + 1, name, cells[i].strip())))
+        checks.append((bad, lambda i: BadIndicator(i + 1, name, cells[i].strip(), file)))
         return codes
 
     if fixed_z is None:
@@ -575,36 +579,35 @@ def _parse_columns(table, support, columns, layout, *, fixed_z, id_prefix):
     has_w = columns.treatment in header
     w = indicator(columns.treatment, allow_missing=True) if has_w else np.full(n, -1, np.int8)
     checks.append((sampled & (w == -1), lambda i: (
-        BadIndicator(i + 1, columns.treatment, "") if has_w
+        BadIndicator(i + 1, columns.treatment, "", file) if has_w
         else MissingColumn(columns.treatment))))
 
     y_cells = table.cells(columns.outcome)
     y, y_blank = _float_cells(y_cells)
     checks.append((~y_blank & ~((y >= support.y_lo) & (y <= support.y_hi)),
-                   lambda i: _outcome_error(i, y_cells[i].strip(), support)))
+                   lambda i: _outcome_error(i, y_cells[i].strip(), support, file)))
     has_y = columns.outcome in header
     checks.append((sampled & y_blank, lambda i: (
-        MissingOutcome(i + 1) if has_y else MissingColumn(columns.outcome))))
+        MissingOutcome(i + 1, file) if has_y else MissingColumn(columns.outcome))))
 
     x_columns = []
-    for kind, name, level in layout:
+    for name, levels in layout:
         cells = table.cells(name)
-        if kind == "num":
+        if levels is None:
             values, blank = _float_cells(cells)
             bad = blank | ~np.isfinite(values)
             checks.append((bad, lambda i, name=name, cells=cells:
-                           _covariate_error(i, name, cells[i].strip())))
+                           _covariate_error(i, name, cells[i].strip(), file)))
+            x_columns.append(values)
         else:
             stripped = np.array([c.strip() for c in cells], dtype=object)
-            checks.append((stripped == "", lambda i, name=name: MissingCovariate(i + 1, name)))
-            if kind == "require":
-                continue
-            values = (stripped == level).astype(float)
-        x_columns.append(values)
+            checks.append((stripped == "", lambda i, name=name:
+                           MissingCovariate(i + 1, name, file)))
+            x_columns += [(stripped == level).astype(float) for level in levels]
     ids = list(map(str.strip, table.cells(columns.id)))
     if "" in ids:  # a row without an id (or a file without the column) is numbered
         ids = [uid or f"{id_prefix}{i}" for i, uid in enumerate(ids, 1)]
-    if any(mask.any() for mask, _ in checks):  # a repeated id may come first
+    if fixed_z == 1 or any(mask.any() for mask, _ in checks):  # a repeated id may come first
         checks.insert(0, (_repeats(ids), lambda i: DuplicateId(ids[i])))
     _raise_first(checks)
 
@@ -612,18 +615,18 @@ def _parse_columns(table, support, columns, layout, *, fixed_z, id_prefix):
     return np.array(ids, dtype=object), z, w, y, X
 
 
-def _outcome_error(i, raw, support) -> OutcomeOutOfSupport:
+def _outcome_error(i, raw, support, file) -> OutcomeOutOfSupport:
     try:
         value = float(raw)
     except ValueError:
         value = raw
-    return OutcomeOutOfSupport(i + 1, value, support.y_lo, support.y_hi)
+    return OutcomeOutOfSupport(i + 1, value, support.y_lo, support.y_hi, file)
 
 
-def _covariate_error(i, name, raw) -> DataError:
+def _covariate_error(i, name, raw, file) -> DataError:
     """A blank or unparseable covariate cell is missing; a parsed one is not finite."""
     try:
         float(raw)
     except ValueError:
-        return MissingCovariate(i + 1, name)
-    return NonFiniteValue(i + 1, name, raw)
+        return MissingCovariate(i + 1, name, file)
+    return NonFiniteValue(i + 1, name, raw, file)

@@ -191,6 +191,16 @@ class TestAnalyze:
         assert document["meta"]["seed"] == 9  # flag wins
         assert document["meta"]["options"]["assumptions"] == ["worst_case", "mtr"]
 
+    @pytest.mark.parametrize("text", [None, '{"strata": 3,}'], ids=["missing", "not-json"])
+    def test_config_file_that_cannot_be_read_is_a_config_error(self, capsys, small_csv,
+                                                               tmp_path, text):
+        config = tmp_path / "config.json"
+        if text is not None:
+            config.write_text(text)
+        code, out, err = run(capsys, "--config", str(config), "analyze", "--data", small_csv)
+        assert (code, out) == (3, "")
+        assert err.startswith("error: cannot read config file: ")
+
     def test_unknown_config_key_is_config_error(self, capsys, tmp_path, small_csv):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"data": small_csv, "stratums": 3}))
@@ -402,6 +412,21 @@ class TestSubcommands:
         assert code == 0
         assert out.splitlines()[0].startswith("stratum,logit_lo,logit_hi")
 
+    def test_strata_table_writes_the_open_outer_ends_in_each_format(self, capsys):
+        argv = ["strata", "--data", synthetic_path(), "--strata", "3", "--format"]
+        code, out, err = run(capsys, *argv, "json")
+        assert (code, err) == (0, "")  # strict JSON has no infinity: the ends are null
+        rows = json.loads(out)["strata"]
+        assert (rows[0]["logit_lo"], rows[-1]["logit_hi"]) == (None, None)
+        assert rows[0]["logit_hi"] == rows[1]["logit_lo"] < rows[1]["logit_hi"]
+        _, table, _ = run(capsys, *argv, "csv")
+        rows = list(csv.DictReader(io.StringIO(table)))
+        assert (rows[0]["logit_lo"], rows[-1]["logit_hi"]) == ("-inf", "inf")
+        _, table, _ = run(capsys, *argv, "md")
+        header, *rows = _md_cells(table)
+        lo, hi = header.index("logit_lo"), header.index("logit_hi")
+        assert (rows[0][lo], rows[-1][hi]) == ("-inf", "inf")
+
     def test_strata_table_in_markdown_holds_the_csv_cells(self, capsys):
         argv = ["strata", "--data", synthetic_path(), "--strata", "3", "--format"]
         code, table, _ = run(capsys, *argv, "md")
@@ -510,6 +535,21 @@ class TestSubcommands:
                              "--categorical", "titel1=0")
         assert (code, out) == (2, "")
         assert err == "error: required column 'titel1' not found in header\n"
+
+    def test_config_categorical_pair_is_the_flag_item(self, capsys, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"categorical": [["title1", "0"]]}))
+        argv = ["propensity", "--data", synthetic_path()]
+        code, by_pair, _ = run(capsys, "--config", str(config), *argv)
+        assert code == 0
+        assert "title1=1" in json.loads(by_pair)["coefficients"]
+        assert run(capsys, *argv, "--categorical", "title1=0") == (0, by_pair, "")
+
+    def test_covariate_missing_from_the_header_is_a_data_error(self, capsys):
+        code, out, err = run(capsys, "propensity", "--data", synthetic_path(),
+                             "--covariates", "nope")
+        assert (code, out) == (2, "")
+        assert err == "error: required column 'nope' not found in header\n"
 
     def test_exclude_flag_drops_columns(self, capsys, tmp_path):
         data = tmp_path / "notes.csv"
@@ -914,6 +954,32 @@ class TestExitContract:
         assert code == 3
         assert err == f"error: cannot read data file {missing!r}: No such file or directory\n"
         assert out == ""
+
+    @pytest.mark.parametrize("sample, population, message", [
+        ("id,treatment,outcome\ns1,1,1\ns1,0,0\n", "id,outcome\np1,1\np2,x\n",
+         "duplicate unit id 's1'"),
+        ("id,treatment,outcome\ns1,1,1\ns2,0,0\n", "id,outcome\np1,1\np2,x\n",
+         "row 2 of the population file: outcome 'x' outside support [0.0, 1.0]"),
+        # a sample file lacks a column even when it has no row to miss it
+        ("id,outcome\n", "id,outcome\np1,1\n", "required column 'treatment' not found in header"),
+        ("id,treatment\n", "id,outcome\np1,1\n", "required column 'outcome' not found in header"),
+    ], ids=["repeated-sample-id", "population-row", "no-treatment", "no-outcome"])
+    def test_bad_two_file_input_is_a_data_error(self, capsys, tmp_path, sample, population,
+                                                message):
+        (tmp_path / "sample.csv").write_text(sample)
+        (tmp_path / "population.csv").write_text(population)
+        code, out, err = run(capsys, "bounds", "--sample", str(tmp_path / "sample.csv"),
+                             "--population", str(tmp_path / "population.csv"))
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_sample_file_is_read_before_the_population_file_is_opened(self, capsys, tmp_path):
+        latin1 = tmp_path / "latin1.csv"
+        latin1.write_bytes("id,treatment,outcome\ncaf\xe9,1,1\n".encode("latin-1"))
+        code, out, err = run(capsys, "bounds", "--sample", str(latin1),
+                             "--population", str(tmp_path / "nonexistent.csv"))
+        assert (code, out) == (2, "")
+        assert err == (f"error: data file {str(latin1)!r} is not UTF-8 text: "
+                       "invalid continuation byte\n")
 
     @pytest.mark.parametrize("flag", ["--data", "--sample", "--population"])
     def test_data_path_with_a_newline_is_read_as_a_file(self, capsys, tmp_path, flag):

@@ -1,6 +1,8 @@
 """Ingestion, design probabilities, and empirical rates."""
 
 import io
+import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ import pytest
 import pibgen.frame
 from pibgen.errors import (
     BadIndicator,
+    DataError,
     DuplicateColumn,
     DuplicateId,
     EmptyArm,
@@ -41,50 +44,50 @@ c,0,,
 
 class TestLoadFrame:
     def test_minimal_three_row_frame(self):
-        frame = load_frame(CSV3, BINARY)
+        frame = load_frame(io.StringIO(CSV3), BINARY)
         assert frame.n_units == 3
         assert frame.n_sample == 2
         assert frame.w[0] == 1 and frame.y[0] == 1.0
         assert frame.z[2] == 0 and np.isnan(frame.y[2])
 
     def test_row_order_preserved(self):
-        frame = load_frame(CSV3, BINARY)
+        frame = load_frame(io.StringIO(CSV3), BINARY)
         assert frame.ids.tolist() == ["a", "b", "c"]
 
     def test_outcome_out_of_support(self):
         bad = CSV3.replace("a,1,1,1", "a,1,1,1.5")
         with pytest.raises(OutcomeOutOfSupport) as err:
-            load_frame(bad, BINARY)
+            load_frame(io.StringIO(bad), BINARY)
         assert err.value.row == 1
 
     def test_bad_indicator(self):
         bad = CSV3.replace("b,1,0,0", "b,2,0,0")
         with pytest.raises(BadIndicator):
-            load_frame(bad, BINARY)
+            load_frame(io.StringIO(bad), BINARY)
 
     def test_sampled_row_missing_treatment(self):
         bad = CSV3.replace("b,1,0,0", "b,1,,0")
         with pytest.raises(BadIndicator):
-            load_frame(bad, BINARY)
+            load_frame(io.StringIO(bad), BINARY)
 
     def test_sampled_row_missing_outcome(self):
         bad = CSV3.replace("b,1,0,0", "b,1,0,")
         with pytest.raises(MissingOutcome):
-            load_frame(bad, BINARY)
+            load_frame(io.StringIO(bad), BINARY)
 
     def test_missing_sample_column(self):
         with pytest.raises(MissingColumn):
-            load_frame("id,treatment,outcome\na,1,1\n", BINARY)
+            load_frame(io.StringIO("id,treatment,outcome\na,1,1\n"), BINARY)
 
     def test_missing_covariate_value(self):
         text = "id,in_sample,treatment,outcome,x1\na,1,1,1,0.5\nb,1,0,0,\n"
         with pytest.raises(MissingCovariate) as err:
-            load_frame(text, BINARY)
+            load_frame(io.StringIO(text), BINARY)
         assert err.value.row == 2
 
     def test_unmapped_columns_become_covariates(self):
         text = "id,in_sample,treatment,outcome,x1,x2\na,1,1,1,0.5,2\nb,1,0,0,1.5,3\n"
-        frame = load_frame(text, BINARY)
+        frame = load_frame(io.StringIO(text), BINARY)
         assert frame.covariate_names == ("x1", "x2")
         assert frame.X[0].tolist() == [0.5, 2.0]
 
@@ -92,34 +95,54 @@ class TestLoadFrame:
         text = "school,selected,arm,passed\na,1,1,1\nb,1,0,0\n"
         columns = ColumnMap(id="school", in_sample="selected", treatment="arm",
                             outcome="passed")
-        frame = load_frame(text, BINARY, columns)
+        frame = load_frame(io.StringIO(text), BINARY, columns)
         assert frame.n_sample == 2
 
     def test_auto_ids_without_id_column(self):
         text = "in_sample,treatment,outcome\n1,1,1\n1,0,0\n"
-        frame = load_frame(text, BINARY)
+        frame = load_frame(io.StringIO(text), BINARY)
         assert frame.ids.tolist() == ["row1", "row2"]
 
     def test_duplicate_ids_rejected(self):
         text = "id,in_sample,treatment,outcome\na,1,1,1\na,1,0,0\n"
         with pytest.raises(DuplicateId):
-            load_frame(text, BINARY)
+            load_frame(io.StringIO(text), BINARY)
 
     def test_stream_source(self):
         frame = load_frame(io.StringIO(CSV3), BINARY)
         assert frame.n_units == 3
 
-    @pytest.mark.parametrize("as_bytes", [True, False])
-    def test_leading_bom_is_stripped(self, as_bytes):
-        text = "\ufeffid,in_sample,treatment,outcome\na,1,1,1\nb,1,0,0\nc,0,,\n"
-        frame = load_frame(text.encode("utf-8") if as_bytes else text, BINARY)
+    def test_a_path_object_loads_the_frame_its_str_loads(self, statewide_path):
+        by_str = load_frame(statewide_path, BINARY)
+        by_path = load_frame(pathlib.Path(statewide_path), BINARY)
+        for column in ("ids", "z", "w", "y", "X"):
+            np.testing.assert_array_equal(getattr(by_path, column), getattr(by_str, column))
+        assert by_path.covariate_names == by_str.covariate_names
+
+    def test_a_str_is_a_path_whatever_it_holds(self, tmp_path):
+        path = tmp_path / "odd\nname.csv"
+        path.write_text(CSV3)
+        assert load_frame(str(path), BINARY).ids.tolist() == ["a", "b", "c"]
+        with pytest.raises(FileNotFoundError):  # CSV text is read through io.StringIO
+            load_frame(CSV3, BINARY)
+
+    def test_leading_bom_of_a_file_is_stripped(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_text("\ufeff" + CSV3, encoding="utf-8")
+        frame = load_frame(path, BINARY)
         assert frame.ids.tolist() == ["a", "b", "c"]
         assert frame.covariate_names == ()
 
-    def test_bytes_that_are_not_utf8_are_a_data_error(self):
-        text = "id,in_sample,treatment,outcome\ncaf\xe9,1,1,1\nb,1,0,0\n"
+    def test_a_file_that_is_not_utf8_is_a_data_error(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(CSV3.replace("a,1,1,1", "caf\xe9,1,1,1").encode("latin-1"))
+        message = f"data file {str(path)!r} is not UTF-8 text: invalid continuation byte"
+        for source in (str(path), path):
+            with pytest.raises(NotUtf8, match=f"^{re.escape(message)}$"):
+                load_frame(source, BINARY)
+        stream = io.TextIOWrapper(io.BytesIO(path.read_bytes()), encoding="utf-8")
         with pytest.raises(NotUtf8, match="^CSV data is not UTF-8 text: invalid continuation"):
-            load_frame(text.encode("latin-1"), BINARY)
+            load_frame(stream, BINARY)  # a stream without a file name
 
     def test_statewide_shaped_file(self, statewide_path):
         frame = load_frame(statewide_path, BINARY)
@@ -131,7 +154,7 @@ class TestLoadFrame:
     def test_two_file_mode(self):
         sample = "id,treatment,outcome\ns1,1,1\ns2,0,0\n"
         population = "id,outcome\np1,1\np2,\n"
-        frame = load_two_frames(sample, population, BINARY)
+        frame = load_two_frames(io.StringIO(sample), io.StringIO(population), BINARY)
         assert frame.n_units == 4
         assert frame.n_sample == 2
         assert frame.z.tolist() == [1, 1, 0, 0]
@@ -141,7 +164,7 @@ class TestLoadFrame:
         sample = "id,treatment,outcome,x1\ns1,1,1,0.2\ns2,0,0,0.4\n"
         population = "id,outcome\np1,1\n"
         with pytest.raises(MissingColumn):
-            load_two_frames(sample, population, BINARY)
+            load_two_frames(io.StringIO(sample), io.StringIO(population), BINARY)
 
     def test_categorical_one_hot_with_reference_level(self):
         text = (
@@ -152,7 +175,7 @@ class TestLoadFrame:
             "d,0,,,north,40\n"
         )
         columns = ColumnMap(categorical=(("region", "north"),))
-        frame = load_frame(text, BINARY, columns)
+        frame = load_frame(io.StringIO(text), BINARY, columns)
         assert frame.covariate_names == ("region=south", "region=west", "size")
         assert frame.X[0].tolist() == [0.0, 0.0, 10.0]
         assert frame.X[1].tolist() == [1.0, 0.0, 20.0]
@@ -162,7 +185,7 @@ class TestLoadFrame:
         sample = "id,treatment,outcome,region\ns1,1,1,north\ns2,0,0,south\n"
         population = "id,region\np1,west\np2,north\n"
         columns = ColumnMap(categorical=(("region", "north"),))
-        frame = load_two_frames(sample, population, BINARY, columns)
+        frame = load_two_frames(io.StringIO(sample), io.StringIO(population), BINARY, columns)
         assert frame.covariate_names == ("region=south", "region=west")
         assert frame.X[3].tolist() == [0.0, 0.0]
 
@@ -171,22 +194,23 @@ class TestLoadFrame:
         columns = ColumnMap(categorical=(("regoin", "north"),))
         with pytest.raises(MissingColumn, match="'regoin'"):
             if two_files:
-                load_two_frames("id,treatment,outcome,region\ns1,1,1,north\ns2,0,0,south\n",
-                                "id,region\np1,west\n", BINARY, columns)
+                load_two_frames(
+                    io.StringIO("id,treatment,outcome,region\ns1,1,1,north\ns2,0,0,south\n"),
+                    io.StringIO("id,region\np1,west\n"), BINARY, columns)
             else:
-                load_frame("id,in_sample,treatment,outcome,region\na,1,1,1,north\n"
-                           "b,1,0,0,south\nc,0,,,west\n", BINARY, columns)
+                load_frame(io.StringIO("id,in_sample,treatment,outcome,region\na,1,1,1,north\n"
+                                       "b,1,0,0,south\nc,0,,,west\n"), BINARY, columns)
 
     def test_categorical_column_that_is_no_covariate_is_ignored(self):
         text = "id,in_sample,treatment,outcome,region,size\na,1,1,1,north,10\nb,1,0,0,south,20\n"
         columns = ColumnMap(covariates=("size",), categorical=(("region", "north"),))
-        assert load_frame(text, BINARY, columns).covariate_names == ("size",)
+        assert load_frame(io.StringIO(text), BINARY, columns).covariate_names == ("size",)
 
     def test_missing_categorical_value_is_error(self):
         text = "id,in_sample,treatment,outcome,region\na,1,1,1,north\nb,1,0,0,\n"
         columns = ColumnMap(categorical=(("region", "north"),))
         with pytest.raises(MissingCovariate):
-            load_frame(text, BINARY, columns)
+            load_frame(io.StringIO(text), BINARY, columns)
 
 
 class TestDesignProbs:
@@ -307,7 +331,7 @@ class TestSupport:
 
 class TestColumns:
     def test_columns_and_missing_markers(self):
-        frame = load_frame(CSV3, BINARY)
+        frame = load_frame(io.StringIO(CSV3), BINARY)
         assert frame.ids.tolist() == ["a", "b", "c"]
         assert frame.z.dtype == np.int8 and frame.z.tolist() == [1, 1, 0]
         assert frame.w.dtype == np.int8 and frame.w.tolist() == [1, 0, -1]
@@ -316,13 +340,13 @@ class TestColumns:
 
     def test_covariate_columns_are_contiguous(self):
         text = "id,in_sample,treatment,outcome,x1,x2\na,1,1,1,0.5,2\nb,1,0,0,1.5,3\n"
-        frame = load_frame(text, BINARY)
+        frame = load_frame(io.StringIO(text), BINARY)
         assert frame.covariate_column("x2").tolist() == [2.0, 3.0]
         assert frame.covariate_column("x2").flags["C_CONTIGUOUS"]
 
     def test_covariate_moments_are_taken_once_per_frame(self):
         text = "id,in_sample,treatment,outcome,x1,x2\na,1,1,1,0.5,2\nb,1,0,0,1.5,3\nc,0,,,1,7\n"
-        frame = load_frame(text, BINARY)
+        frame = load_frame(io.StringIO(text), BINARY)
         col = frame.covariate_column("x2")
         moments = frame.covariate_moments("x2")
         assert moments == (col.mean(), col.std())
@@ -360,11 +384,11 @@ class TestColumns:
     def test_a_repeated_id_before_a_bad_cell_wins(self):
         text = "id,in_sample,treatment,outcome\na,1,1,1\na,1,0,0\nb,1,x,1\n"
         with pytest.raises(DuplicateId, match="^duplicate unit id 'a'$"):
-            load_frame(text, BINARY)
+            load_frame(io.StringIO(text), BINARY)
         with pytest.raises(DuplicateId):  # a row's id is checked before its cells
-            load_frame(text.replace("a,1,0,0", "a,1,x,0"), BINARY)
+            load_frame(io.StringIO(text.replace("a,1,0,0", "a,1,x,0")), BINARY)
         with pytest.raises(BadIndicator) as err:  # an earlier bad row still wins
-            load_frame(text.replace("a,1,1,1", "a,1,x,1"), BINARY)
+            load_frame(io.StringIO(text.replace("a,1,1,1", "a,1,x,1")), BINARY)
         assert err.value.row == 1
 
     def test_a_clean_file_has_its_ids_checked_once(self, monkeypatch, statewide_path):
@@ -378,42 +402,83 @@ class TestColumns:
         monkeypatch.setattr(pibgen.frame, "_repeats", counted)
         load_frame(statewide_path, BINARY)
         assert calls == [1029]  # by the constructor only
+        calls.clear()
+        load_two_frames(io.StringIO("id,treatment,outcome\ns1,1,1\ns2,0,0\n"),
+                        io.StringIO("id,outcome\np1,1\n"), BINARY)
+        assert calls == [2, 3]  # the sample file's, before the population file's rows
 
     def test_an_id_shared_by_the_two_files_is_reported_after_their_rows(self):
         sample = "id,treatment,outcome\ns1,1,1\ns2,0,0\n"
         with pytest.raises(DuplicateId, match="^duplicate unit id 's1'$"):
-            load_two_frames(sample, "id,outcome\ns1,1\np2,\n", BINARY)
+            load_two_frames(io.StringIO(sample), io.StringIO("id,outcome\ns1,1\np2,\n"), BINARY)
         with pytest.raises(OutcomeOutOfSupport) as err:
-            load_two_frames(sample, "id,outcome\ns1,1\np2,x\n", BINARY)
-        assert err.value.row == 2
+            load_two_frames(io.StringIO(sample), io.StringIO("id,outcome\ns1,1\np2,x\n"), BINARY)
+        assert (err.value.row, err.value.file) == (2, "population")
+
+    def test_a_repeated_id_of_the_sample_file_comes_before_the_population_rows(self):
+        sample = "id,treatment,outcome\ns1,1,1\ns1,0,0\n"
+        population = "id,outcome\np1,1\np2,x\n"
+        with pytest.raises(DuplicateId, match="^duplicate unit id 's1'$"):
+            load_two_frames(io.StringIO(sample), io.StringIO(population), BINARY)
+        with pytest.raises(BadIndicator) as err:  # an earlier bad row still wins
+            load_two_frames(io.StringIO(sample.replace("s1,1,1", "s1,x,1")),
+                            io.StringIO(population), BINARY)
+        assert (err.value.row, err.value.file) == (1, "sample")
+
+    @pytest.mark.parametrize("file, row, message", [
+        ("sample", "s2,x,0,0.5", "column 'treatment' must be 0 or 1, got 'x'"),
+        ("sample", "s2,0,,0.5", "sampled unit has no outcome"),
+        ("population", "p2,x,1", "outcome 'x' outside support [0.0, 1.0]"),
+        ("population", "p2,0,", "covariate 'x1' is missing"),
+        ("population", "p2,0,inf", "column 'x1' must be a finite number, got 'inf'"),
+    ], ids=["sample-indicator", "sample-outcome", "population-outcome", "population-covariate",
+            "population-non-finite"])
+    def test_a_two_file_row_error_names_its_file(self, file, row, message):
+        texts = {"sample": "id,treatment,outcome,x1\ns1,1,1,0.5\n",
+                 "population": "id,outcome,x1\np1,1,0.5\n"}
+        texts[file] += row + "\n"
+        with pytest.raises(DataError) as err:
+            load_two_frames(io.StringIO(texts["sample"]), io.StringIO(texts["population"]), BINARY)
+        assert str(err.value) == f"row 2 of the {file} file: {message}"
+        assert (err.value.row, err.value.file) == (2, file)
+
+    def test_a_combined_file_row_error_names_no_file(self):
+        with pytest.raises(OutcomeOutOfSupport) as err:
+            load_frame(io.StringIO(CSV3.replace("b,1,0,0", "b,1,0,x")), BINARY)
+        assert str(err.value) == "row 2: outcome 'x' outside support [0.0, 1.0]"
+        assert (err.value.row, err.value.file) == (2, None)
 
     def test_first_bad_row_wins_across_kinds_of_check(self):
         header = "id,in_sample,treatment,outcome,x1\n"
         with pytest.raises(MissingOutcome) as err:
-            load_frame(header + "a,1,1,,0.5\nb,1,0,0,oops\n", BINARY)
+            load_frame(io.StringIO(header + "a,1,1,,0.5\nb,1,0,0,oops\n"), BINARY)
         assert err.value.row == 1
         with pytest.raises(MissingCovariate) as err:
-            load_frame(header + "a,1,1,1,oops\nb,1,0,,0.5\n", BINARY)
+            load_frame(io.StringIO(header + "a,1,1,1,oops\nb,1,0,,0.5\n"), BINARY)
         assert err.value.row == 1
 
     def test_blank_lines_hold_no_row(self):
-        frame = load_frame("id,in_sample,treatment,outcome\na,1,1,1\n\nb,1,0,0\n", BINARY)
+        text = "id,in_sample,treatment,outcome\na,1,1,1\n\nb,1,0,0\n"
+        frame = load_frame(io.StringIO(text), BINARY)
         assert frame.ids.tolist() == ["a", "b"]
         with pytest.raises(MissingOutcome) as err:
-            load_frame("id,in_sample,treatment,outcome\na,1,1,1\n\nb,1,0,\n", BINARY)
+            load_frame(io.StringIO(text.replace("b,1,0,0", "b,1,0,")), BINARY)
         assert err.value.row == 2
 
     def test_short_row_reads_as_blank_cells(self):
         with pytest.raises(MissingCovariate) as err:
-            load_frame("id,in_sample,treatment,outcome,x1\na,1,1,1,0.5\nb,0\n", BINARY)
+            load_frame(io.StringIO("id,in_sample,treatment,outcome,x1\na,1,1,1,0.5\nb,0\n"),
+                       BINARY)
         assert err.value.row == 2 and err.value.name == "x1"
 
     def test_duplicate_header_name(self):
         with pytest.raises(DuplicateColumn) as err:
-            load_frame("id,in_sample,treatment,outcome,x1,x1\na,1,1,1,0.2,0.3\n", BINARY)
+            load_frame(io.StringIO("id,in_sample,treatment,outcome,x1,x1\na,1,1,1,0.2,0.3\n"),
+                       BINARY)
         assert err.value.name == "x1"
         with pytest.raises(DuplicateColumn):
-            load_two_frames("id,treatment,outcome\ns1,1,1\n", "id,id\np1,p1\n", BINARY)
+            load_two_frames(io.StringIO("id,treatment,outcome\ns1,1,1\n"),
+                            io.StringIO("id,id\np1,p1\n"), BINARY)
 
     def test_continuous_rates_sum_left_to_right(self):
         # the means add the outcomes in row order, one at a time, bit for bit
@@ -430,7 +495,7 @@ class TestColumns:
             z = int(rng.random() < 0.3)
             w = int(rng.random() < 0.5) if z else ""
             rows.append(f"u{i},{z},{w},{rng.uniform(0, 100):.6f}")
-        frame = load_frame("\n".join(rows) + "\n", OutcomeSupport(0.0, 100.0))
+        frame = load_frame(io.StringIO("\n".join(rows) + "\n"), OutcomeSupport(0.0, 100.0))
         rates = empirical_rates(frame)
         for w, mean in ((1, rates.e_y1_w1z1), (0, rates.e_y0_w0z1)):
             values = frame.y[(frame.z == 1) & (frame.w == w)].tolist()

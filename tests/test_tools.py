@@ -30,6 +30,15 @@ def test_synthetic_dataset_tool_reproduces_the_bundled_file(tmp_path, monkeypatc
     assert out.read_bytes() == pathlib.Path(synthetic_path()).read_bytes()
 
 
+def test_benchmark_options_are_the_golden_options():
+    # the benchmark checks every statewide_1k op against the goldens
+    spec = importlib.util.spec_from_file_location("workloads", PERFBENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    i = GOLDEN_ARGS.index("--data")
+    assert workloads.GOLDEN_OPTIONS == GOLDEN_ARGS[:i] + GOLDEN_ARGS[i + 2:]
+
+
 def test_benchmark_tracer_wraps_and_restores_every_target(monkeypatch, capsys):
     # the tracer wraps pibgen's names from outside and reads return values
     # (StratumPiece.frame, details["bootstrap_reps"]); a rename breaks it here
