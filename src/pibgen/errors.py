@@ -16,15 +16,19 @@ class ConfigError(PibgenError):
 # --- frame ingestion ---------------------------------------------------------
 
 class MissingColumn(DataError):
-    def __init__(self, name):
-        super().__init__(f"required column {name!r} not found in header")
-        self.name = name
+    """``file`` names the file of a two-file load, as for ``BadRow``."""
+
+    def __init__(self, name, file=None):
+        where = "header" if file is None else f"the {file} file header"
+        super().__init__(f"required column {name!r} not found in {where}")
+        self.name, self.file = name, file
 
 
 class DuplicateColumn(DataError):
-    def __init__(self, name):
-        super().__init__(f"column {name!r} appears more than once in the header")
-        self.name = name
+    def __init__(self, name, file=None):
+        where = "the header" if file is None else f"the {file} file header"
+        super().__init__(f"column {name!r} appears more than once in {where}")
+        self.name, self.file = name, file
 
 
 class NotUtf8(DataError):

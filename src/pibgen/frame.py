@@ -14,10 +14,12 @@ reads.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import os
 from dataclasses import dataclass, fields
 from functools import cached_property
+from itertools import chain, islice, repeat
 
 import numpy as np
 
@@ -396,49 +398,100 @@ class ColumnMap:
 
 @dataclass(frozen=True)
 class _Table:
-    """A parsed CSV file: its header and its data rows, each at least as long
-    as the header (blank lines dropped)."""
+    """A parsed CSV file held as columns: its header, one list of cells per
+    header name, and the number of data rows (a blank line holds none).  A
+    short row's missing cells are blank; a long row's extra cells are dropped."""
 
     header: list
-    rows: list
+    columns: list
+    n_rows: int
 
     def cells(self, name) -> list[str]:
         """The column's cells in row order; a column the header lacks is all blank."""
         if name not in self.header:
-            return [""] * len(self.rows)
-        j = self.header.index(name)
-        return [row[j] for row in self.rows]
+            return [""] * self.n_rows
+        return self.columns[self.header.index(name)]
 
 
-def _read_table(source) -> _Table:
+def _read_table(source, file=None) -> _Table:
     """Read a path (``os.PathLike``, or a ``str`` whatever it holds) or an open
-    text stream; a path is read as UTF-8 text, a leading BOM dropped."""
+    text stream.  A path is read as UTF-8 text; a leading BOM is dropped from
+    either.  ``file`` names the file of a two-file load in a header error."""
     if isinstance(source, (str, os.PathLike)):
         with open(source, newline="", encoding="utf-8-sig") as fh:
-            return _read_table(fh)
-    try:
-        reader = csv.reader(source)
-        header = next(reader, [])
-        rows = list(reader)
-    except UnicodeDecodeError as exc:
-        name = getattr(source, "name", None)  # an open file's name is its path
-        raise NotUtf8(f"data file {name!r}" if isinstance(name, str) else "CSV data", exc.reason)
+            text = _read_text(fh)
+    else:
+        text = _read_text(source).removeprefix("\ufeff")
+    header, columns, n_rows = _split_plain(text) or _split_csv(chain.from_iterable(_blocks(text)))
     for j, name in enumerate(header):
         if name in header[:j]:
-            raise DuplicateColumn(name)
-    if not all(rows):  # a blank line holds no row
-        rows = [row for row in rows if row]
+            raise DuplicateColumn(name, file)
+    return _Table(header, columns, n_rows)
+
+
+def _blocks(text, size=1 << 16):
+    """``text`` as streams of about ``size`` characters that end at a line end,
+    so ``csv`` reads it without a second copy of the whole text."""
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + size) + 1 or len(text)
+        yield io.StringIO(text[start:end], newline="")
+        start = end
+
+
+def _read_text(stream) -> str:
+    read = getattr(stream, "read", None)  # a source without one (bytes, say) is no stream
+    try:
+        text = stream if read is None else read()
+    except UnicodeDecodeError as exc:
+        name = getattr(stream, "name", None)  # an open file's name is its path
+        raise NotUtf8(f"data file {name!r}" if isinstance(name, str) else "CSV data", exc.reason)
+    if not isinstance(text, str):
+        raise ConfigError(
+            f"a data source is a path or an open text stream, got {type(text).__name__}")
+    return text
+
+
+def _split_plain(text):
+    """The header, columns and row count of CSV text that needs no CSV parser:
+    no quote, no line end but LF or CRLF, and every row as wide as the header.
+    None for any other text."""
+    if '"' in text:
+        return None
+    if "\r" in text:
+        text = text.replace("\r\n", "\n")
+        if "\r" in text:
+            return None
+    lines = text.split("\n")
+    header = lines[0].split(",") if lines[0] else []
     width = len(header)
-    if rows and min(map(len, rows)) < width:  # a short row reads as blank cells
-        rows = [row + [""] * (width - len(row)) for row in rows]
-    return _Table(header, rows)
+    body = list(filter(None, lines[1:]))  # a blank line holds no row
+    if set(map(str.count, body, repeat(","))) != {width - 1}:
+        return None
+    cells = ",".join(body).split(",")
+    return header, [cells[j::width] for j in range(width)], len(body)
 
 
-def _resolve_covariates(header, columns: ColumnMap):
+def _split_csv(lines):
+    """The header, columns and row count of any CSV lines, read by ``csv``."""
+    reader = csv.reader(lines)
+    header = next(reader, [])
+    width, columns, n_rows = len(header), [[] for _ in header], 0
+    records = filter(None, reader)  # a blank line holds no row
+    while rows := list(islice(records, 8192)):  # a block at a time, not every row list at once
+        if min(map(len, rows)) < width:  # a short row reads as blank cells
+            rows = [row + [""] * (width - len(row)) for row in rows]
+        for j, column in enumerate(columns):
+            column += [row[j] for row in rows]
+        n_rows += len(rows)
+    return header, columns, n_rows
+
+
+def _resolve_covariates(header, columns: ColumnMap, file=None):
     if columns.covariates is not None:
         for name in columns.covariates:
             if name not in header:
-                raise MissingColumn(name)
+                raise MissingColumn(name, file)
         return tuple(columns.covariates)
     reserved = {columns.id, columns.in_sample, columns.treatment, columns.outcome}
     reserved.update(columns.exclude)
@@ -505,12 +558,12 @@ def load_two_frames(
     source is as for ``load_frame``.  The sample file's rows, repeated ids
     included, are checked before the population file's; a row error names its
     file, and an id the two files share is reported after both pass."""
-    sample = _read_table(sample_source)
-    population = _read_table(population_source)
-    raw = _resolve_covariates(sample.header, columns)
+    sample = _read_table(sample_source, "sample")
+    population = _read_table(population_source, "population")
+    raw = _resolve_covariates(sample.header, columns, "sample")
     for name in raw:
         if name not in population.header:
-            raise MissingColumn(name)
+            raise MissingColumn(name, "population")
     names, layout = _covariate_layout(sample.header, columns, [sample, population])
     s_cols = _parse_columns(sample, support, columns, layout, file="sample")
     p_cols = _parse_columns(population, support, columns, layout, file="population")
@@ -556,7 +609,7 @@ def _parse_columns(table, support, columns, layout, file=None):
     row raises, numbered from 1.  A sample file's ids are checked here, before
     the population file is parsed; another clean file's ids are left to the
     frame's constructor to check, once."""
-    header, n = table.header, len(table.rows)
+    header, n = table.header, table.n_rows
     fixed_z, id_prefix = _FILE_ROLES[file]
     if fixed_z == 1:  # a pure sample file needs treatment and outcome columns
         for required in (columns.treatment, columns.outcome):

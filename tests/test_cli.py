@@ -551,6 +551,15 @@ class TestSubcommands:
         assert (code, out) == (2, "")
         assert err == "error: required column 'nope' not found in header\n"
 
+    def test_covariate_missing_from_the_sample_header_names_the_file(self, capsys, tmp_path):
+        (tmp_path / "sample.csv").write_text("id,treatment,outcome,x1\ns1,1,1,0.2\n")
+        (tmp_path / "population.csv").write_text("id,outcome,nope\np1,1,0.3\n")
+        code, out, err = run(capsys, "propensity", "--sample", str(tmp_path / "sample.csv"),
+                             "--population", str(tmp_path / "population.csv"),
+                             "--covariates", "nope")
+        assert (code, out) == (2, "")
+        assert err == "error: required column 'nope' not found in the sample file header\n"
+
     def test_exclude_flag_drops_columns(self, capsys, tmp_path):
         data = tmp_path / "notes.csv"
         data.write_text(
@@ -799,8 +808,8 @@ class TestExitContract:
                  ["--sample", str(tmp_path / "sample.csv"),
                   "--population", str(tmp_path / "population.csv")])
         code, _, err = run(capsys, "propensity", *files)
-        assert code == 2
-        assert "column 'x1' appears more than once" in err
+        header = "the header" if mode == "data" else f"the {mode} file header"
+        assert (code, err) == (2, f"error: column 'x1' appears more than once in {header}\n")
 
     @pytest.mark.parametrize("reps", ["0", "1"])
     def test_ipw_reports_no_se_below_two_replicates(self, capsys, small_csv, reps):
@@ -963,7 +972,10 @@ class TestExitContract:
         # a sample file lacks a column even when it has no row to miss it
         ("id,outcome\n", "id,outcome\np1,1\n", "required column 'treatment' not found in header"),
         ("id,treatment\n", "id,outcome\np1,1\n", "required column 'outcome' not found in header"),
-    ], ids=["repeated-sample-id", "population-row", "no-treatment", "no-outcome"])
+        ("id,treatment,outcome,x1\ns1,1,1,0.2\ns2,0,0,0.5\n", "id,outcome\np1,1\n",
+         "required column 'x1' not found in the population file header"),
+    ], ids=["repeated-sample-id", "population-row", "no-treatment", "no-outcome",
+            "population-no-covariate"])
     def test_bad_two_file_input_is_a_data_error(self, capsys, tmp_path, sample, population,
                                                 message):
         (tmp_path / "sample.csv").write_text(sample)

@@ -1,15 +1,20 @@
 """Ingestion, design probabilities, and empirical rates."""
 
+import csv
 import io
+import itertools
 import pathlib
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pibgen.frame
 from pibgen.errors import (
     BadIndicator,
+    ConfigError,
     DataError,
     DuplicateColumn,
     DuplicateId,
@@ -114,10 +119,7 @@ class TestLoadFrame:
 
     def test_a_path_object_loads_the_frame_its_str_loads(self, statewide_path):
         by_str = load_frame(statewide_path, BINARY)
-        by_path = load_frame(pathlib.Path(statewide_path), BINARY)
-        for column in ("ids", "z", "w", "y", "X"):
-            np.testing.assert_array_equal(getattr(by_path, column), getattr(by_str, column))
-        assert by_path.covariate_names == by_str.covariate_names
+        assert_same_frame(load_frame(pathlib.Path(statewide_path), BINARY), by_str)
 
     def test_a_str_is_a_path_whatever_it_holds(self, tmp_path):
         path = tmp_path / "odd\nname.csv"
@@ -132,6 +134,17 @@ class TestLoadFrame:
         frame = load_frame(path, BINARY)
         assert frame.ids.tolist() == ["a", "b", "c"]
         assert frame.covariate_names == ()
+        with open(path, encoding="utf-8", newline="") as stream:
+            assert_same_frame(load_frame(stream, BINARY), frame)
+
+    def test_a_source_that_is_not_text_is_a_config_error(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text(CSV3)
+        message = "^a data source is a path or an open text stream, got bytes$"
+        with pytest.raises(ConfigError, match=message):
+            load_frame(CSV3.encode(), BINARY)
+        with open(path, "rb") as stream, pytest.raises(ConfigError, match=message):
+            load_frame(stream, BINARY)
 
     def test_a_file_that_is_not_utf8_is_a_data_error(self, tmp_path):
         path = tmp_path / "latin1.csv"
@@ -211,6 +224,139 @@ class TestLoadFrame:
         columns = ColumnMap(categorical=(("region", "north"),))
         with pytest.raises(MissingCovariate):
             load_frame(io.StringIO(text), BINARY, columns)
+
+
+PLAIN = "id,in_sample,x1,treatment,outcome\na,1,0.5,1,1\nb,1,1.5,0,0\nc,0,2,,\n"
+
+
+def assert_same_frame(a, b):
+    for column in ("ids", "z", "w", "y", "X"):
+        np.testing.assert_array_equal(getattr(a, column), getattr(b, column))
+    assert a.covariate_names == b.covariate_names
+
+
+def load_text(tmp_path, text, source):
+    """Load CSV text from a file holding it byte for byte, or from a stream
+    that splits lines as an opened file does."""
+    if source == "stream":
+        return load_frame(io.StringIO(text, newline=""), BINARY)
+    path = tmp_path / "data.csv"
+    path.write_bytes(text.encode("utf-8"))
+    return load_frame(path, BINARY)
+
+
+@pytest.mark.parametrize("source", ["path", "stream"])
+class TestCsvText:
+    @pytest.mark.parametrize("text", [
+        PLAIN.replace("\n", "\r\n"),
+        PLAIN.replace("\n", "\r"),
+        PLAIN.rstrip("\n"),
+        PLAIN.replace("\n", "\n\n"),
+        '"id","in_sample",x1,"treatment",outcome' + PLAIN[PLAIN.index("\n"):],
+        PLAIN.replace("a,1,0.5,1,1", '"a",1,"0.5","1",1'),
+        PLAIN.replace("c,0,2,,", "c,0,2"),
+        PLAIN.replace("b,1,1.5,0,0", "b,1,1.5,0,0,extra,cells"),
+    ], ids=["crlf", "cr", "no-final-line-end", "blank-lines", "quoted-header", "quoted-cells",
+            "short-row", "long-row"])
+    def test_a_csv_form_loads_the_plain_frame(self, tmp_path, source, text):
+        assert_same_frame(load_text(tmp_path, text, source), load_frame(io.StringIO(PLAIN), BINARY))
+
+    @pytest.mark.parametrize("line_end", ["\n", "\r\n"])
+    def test_a_quoted_cell_holds_commas_line_ends_and_quotes(self, tmp_path, source, line_end):
+        text = PLAIN.replace("\na,", '\n"x,\ny ""q""",').replace("\n", line_end)
+        frame = load_text(tmp_path, text, source)
+        assert frame.ids.tolist() == [f'x,{line_end}y "q"', "b", "c"]
+        plain = load_frame(io.StringIO(PLAIN), BINARY)
+        for column in ("z", "w", "y", "X"):
+            np.testing.assert_array_equal(getattr(frame, column), getattr(plain, column))
+
+    @pytest.mark.parametrize("text", ["", "\n" + PLAIN, "\r\n" + PLAIN],
+                             ids=["empty", "leading-blank-line", "leading-crlf"])
+    def test_a_blank_first_line_is_an_empty_header(self, tmp_path, source, text):
+        with pytest.raises(MissingColumn) as err:
+            load_text(tmp_path, text, source)
+        assert str(err.value) == "required column 'in_sample' not found in header"
+
+    def test_a_whitespace_only_line_is_a_row(self, tmp_path, source):
+        with pytest.raises(BadIndicator) as err:
+            load_text(tmp_path, PLAIN.replace("\nb,", "\n \nb,"), source)
+        assert str(err.value) == "row 2: column 'in_sample' must be 0 or 1, got ''"
+
+    @pytest.mark.parametrize("cell, outcome_error, covariate_error", [
+        ("", "sampled unit has no outcome", "covariate 'x1' is missing"),
+        ("  ", "sampled unit has no outcome", "covariate 'x1' is missing"),
+        ("abc", "outcome 'abc' outside support [0.0, 1.0]", "covariate 'x1' is missing"),
+        ("1e400", "outcome inf outside support [0.0, 1.0]",
+         "column 'x1' must be a finite number, got '1e400'"),
+    ], ids=["blank", "whitespace", "unparseable", "overflow"])
+    def test_a_bad_number_cell_gives_its_first_error(self, tmp_path, source, cell,
+                                                     outcome_error, covariate_error):
+        for text, message in ((PLAIN.replace("b,1,1.5,0,0", f"b,1,1.5,0,{cell}"), outcome_error),
+                              (PLAIN.replace("b,1,1.5,", f"b,1,{cell},"), covariate_error)):
+            with pytest.raises(DataError) as err:
+                load_text(tmp_path, text, source)
+            assert str(err.value) == f"row 2: {message}"
+
+
+CSV_ALPHABET = ["a", "0", "1", ",", '"', "\r", "\n", " ", "\ufeff", "\x00"]
+
+
+@st.composite
+def csv_texts(draw):
+    """Any text over a CSV alphabet, or rows of unquoted cells, mostly as wide
+    as the first, joined by LF or CRLF."""
+    if draw(st.booleans()):
+        return draw(st.text(st.sampled_from(CSV_ALPHABET), max_size=60))
+    width = draw(st.integers(1, 4))
+    cell = st.text(st.sampled_from(["a", "0", " ", "\ufeff", "\x00"]), max_size=3)
+    lengths = st.one_of(st.just(width), st.integers(0, width + 1))
+    rows = draw(st.lists(lengths.flatmap(lambda k: st.lists(cell, min_size=k, max_size=k)),
+                         max_size=6))
+    line_end = draw(st.sampled_from(["\n", "\r\n"]))
+    return line_end.join(map(",".join, rows)) + draw(st.sampled_from(["", line_end]))
+
+
+def csv_reference(text):
+    """The header, columns and row count ``csv.reader`` gives, blank rows
+    dropped and short rows padded."""
+    records = list(csv.reader(io.StringIO(text.removeprefix("\ufeff"), newline="")))
+    header = records[0] if records else []
+    rows = [row + [""] * (len(header) - len(row)) for row in records[1:] if row]
+    return header, [[row[j] for row in rows] for j in range(len(header))], len(rows)
+
+
+@settings(max_examples=500, deadline=None)
+@given(text=csv_texts())
+def test_read_table_reads_what_the_csv_module_reads(tmp_path_factory, text):
+    header, columns, n_rows = csv_reference(text)
+    repeated = [name for j, name in enumerate(header) if name in header[:j]]
+    path = tmp_path_factory.getbasetemp() / "hypothesis.csv"
+    path.write_bytes(text.encode("utf-8"))
+    for source in (io.StringIO(text, newline=""), path):
+        if repeated:
+            with pytest.raises(DuplicateColumn) as err:
+                pibgen.frame._read_table(source)
+            assert err.value.name == repeated[0]
+            continue
+        table = pibgen.frame._read_table(source)
+        assert (table.header, table.columns, table.n_rows) == (header, columns, n_rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=st.text(st.sampled_from(["a", ",", "\r", "\n"]), max_size=40), size=st.integers(0, 12))
+def test_text_blocks_give_the_lines_of_the_whole_text(text, size):
+    blocks = pibgen.frame._blocks(text, size)
+    assert list(itertools.chain.from_iterable(blocks)) == list(io.StringIO(text, newline=""))
+
+
+def test_read_table_reads_a_long_quoted_file_as_the_csv_module_does(tmp_path):
+    rows = [f'"u{i}",{i % 2}' + ("" if i == 17_000 else f",{i}") for i in range(20_000)]
+    text = "id,z,x\n" + "\n".join(rows) + "\n"
+    path = tmp_path / "long.csv"
+    path.write_text(text)
+    for source in (path, io.StringIO(text, newline="")):
+        table = pibgen.frame._read_table(source)
+        assert (table.header, table.columns, table.n_rows) == csv_reference(text)
 
 
 class TestDesignProbs:
