@@ -36,6 +36,16 @@ class NotUtf8(DataError):
         super().__init__(f"{source} is not UTF-8 text: {reason}")
 
 
+class UnreadableCsv(DataError):
+    """Text ``csv`` cannot read, such as a field longer than
+    ``csv.field_size_limit()``; ``file`` names the file of a two-file load."""
+
+    def __init__(self, line, reason, file=None):
+        where = f"line {line}" if file is None else f"line {line} of the {file} file"
+        super().__init__(f"unreadable CSV at {where}: {reason}")
+        self.line, self.file = line, file
+
+
 class BadRow(DataError):
     """A bad row, numbered from 1 (by unit id in a frame built from columns);
     ``file`` names the file of a two-file load, "sample" or "population"."""

@@ -9,6 +9,14 @@ may carry a business-as-usual outcome and, for oracle use only, a hypothetical
 arm label.  The frame is a set of numpy columns, parsed and checked once;
 frames are immutable after construction and all operations here are pure
 reads.
+
+A CSV file's columns are parsed in one pass of numpy's C text reader, which
+reads a numeric covariate straight to float64 with the value ``float()`` gives
+its cell, so no Python object is made per numeric cell.  Quoted text, and a
+file the reader refuses (a blank or malformed number, a row short of a used
+column), goes through the ``csv`` module instead, which also supplies a cell's
+text to an error that quotes it; either way the frame and every error are the
+same.
 """
 
 from __future__ import annotations
@@ -17,6 +25,7 @@ import csv
 import io
 import math
 import os
+import re
 from dataclasses import dataclass, fields
 from functools import cached_property
 from itertools import chain, islice, repeat
@@ -39,6 +48,7 @@ from .errors import (
     NotUtf8,
     OutcomeOutOfSupport,
     UnknownCovariate,
+    UnreadableCsv,
 )
 
 
@@ -396,43 +406,112 @@ class ColumnMap:
     categorical: tuple[tuple[str, str], ...] = ()
 
 
-@dataclass(frozen=True)
-class _Table:
-    """A parsed CSV file held as columns: its header, one list of cells per
-    header name, and the number of data rows (a blank line holds none).  A
-    short row's missing cells are blank; a long row's extra cells are dropped."""
-
-    header: list
-    columns: list
-    n_rows: int
-
-    def cells(self, name) -> list[str]:
-        """The column's cells in row order; a column the header lacks is all blank."""
-        if name not in self.header:
-            return [""] * self.n_rows
-        return self.columns[self.header.index(name)]
-
-
 def _read_table(source, file=None) -> _Table:
     """Read a path (``os.PathLike``, or a ``str`` whatever it holds) or an open
     text stream.  A path is read as UTF-8 text; a leading BOM is dropped from
-    either.  ``file`` names the file of a two-file load in a header error."""
+    either.  ``file`` names the file of a two-file load in the table's errors."""
     if isinstance(source, (str, os.PathLike)):
         with open(source, newline="", encoding="utf-8-sig") as fh:
             text = _read_text(fh)
     else:
         text = _read_text(source).removeprefix("\ufeff")
-    header, columns, n_rows = _split_plain(text) or _split_csv(chain.from_iterable(_blocks(text)))
-    for j, name in enumerate(header):
-        if name in header[:j]:
+    table = _Table(text, file)
+    for j, name in enumerate(table.header):
+        if name in table.header[:j]:
             raise DuplicateColumn(name, file)
-    return _Table(header, columns, n_rows)
+    return table
 
 
-def _blocks(text, size=1 << 16):
-    """``text`` as streams of about ``size`` characters that end at a line end,
-    so ``csv`` reads it without a second copy of the whole text."""
-    start = 0
+# a quote needs csv; numpy's reader, not float(), takes \x1c-\x1f round a number for space
+_CSV_ONLY = '"\x1c\x1d\x1e\x1f'
+_ROW_TEXT = re.compile(r"[^\r\n]")  # a character of a line that holds a row
+
+
+class _Table:
+    """A CSV text: its header, and its data rows, parsed on first use.
+
+    ``read`` parses the columns a frame uses in one pass of numpy's text
+    reader, a numeric column straight to floats and any other as its cell text.
+    Text holding a quote, and text the reader refuses (a blank or bad number, a
+    row short of a used column), is read by ``csv``, which also gives a numeric
+    column's cell text when an error quotes it.  A blank line holds no row; a
+    short row's missing cells are blank; a long row's extra cells are dropped.
+    """
+
+    def __init__(self, text, file=None):
+        self.file = file
+        self._numbers, self._cells = {}, {}  # name -> float column; name -> cell text
+        self._n_rows = None
+        self._text, self._body = text, 0  # the text until csv has read it; where its rows start
+        if any(c in text for c in _CSV_ONLY):
+            self.header = self._split()
+        else:
+            first = next(_lines(text), "")
+            self._body = len(first)
+            line = first.rstrip("\r\n")
+            self.header = line.split(",") if line else []
+
+    @property
+    def n_rows(self) -> int:
+        if self._n_rows is None:
+            self._split()
+        return self._n_rows
+
+    def read(self, names, numeric):
+        """Parse the columns of the header named in ``names``, those in
+        ``numeric`` as floats, in one pass of numpy's reader."""
+        if self._text is None:
+            return  # csv has read every column
+        used = [j for j, name in enumerate(self.header) if name in names]
+        if not used or not _ROW_TEXT.search(self._text, self._body):  # no row: the reader warns
+            self._split()
+            return
+        kinds = [float if self.header[j] in numeric else object for j in used]
+        try:
+            rows = np.loadtxt(_lines(self._text, self._body), np.dtype([("", k) for k in kinds]),
+                              delimiter=",", usecols=used, comments=None, quotechar=None, ndmin=1)
+        except ValueError:  # a cell that is no number, a row short of a used column, ...
+            self._split()
+            return
+        self._n_rows = len(rows)
+        for j, field, kind in zip(used, rows.dtype.names, kinds):
+            name = self.header[j]
+            if kind is float:
+                self._numbers[name] = rows[field]
+            else:
+                self._cells[name] = rows[field].tolist()
+
+    def cells(self, name) -> list[str]:
+        """The column's cell text in row order; a column the header lacks is all blank."""
+        if name not in self._cells:
+            if name not in self.header:
+                return [""] * self.n_rows
+            self._split()
+        return self._cells[name]
+
+    def numbers(self, name):
+        """The column as floats (NaN where blank or unparseable) and its blank mask."""
+        if name in self._numbers:
+            values = self._numbers[name]
+            return values, np.zeros(len(values), dtype=bool)
+        return _float_cells(self.cells(name))
+
+    def _split(self):
+        """Read every column of the text with ``csv``; the header."""
+        header, columns, self._n_rows = _split_csv(_lines(self._text), self.file)
+        self._cells, self._text = dict(zip(header, columns)), None
+        return header
+
+
+def _lines(text, start=0):
+    """The lines of ``text`` from index ``start``, as ``io.StringIO`` splits them."""
+    return chain.from_iterable(_blocks(text, start=start))
+
+
+def _blocks(text, size=1 << 16, start=0):
+    """``text`` from index ``start`` as streams of about ``size`` characters
+    that end at a line end, so a reader reads it without a second copy of the
+    whole text."""
     while start < len(text):
         end = text.find("\n", start + size) + 1 or len(text)
         yield io.StringIO(text[start:end], newline="")
@@ -452,66 +531,51 @@ def _read_text(stream) -> str:
     return text
 
 
-def _split_plain(text):
-    """The header, columns and row count of CSV text that needs no CSV parser:
-    no quote, no line end but LF or CRLF, and every row as wide as the header.
-    None for any other text."""
-    if '"' in text:
-        return None
-    if "\r" in text:
-        text = text.replace("\r\n", "\n")
-        if "\r" in text:
-            return None
-    lines = text.split("\n")
-    header = lines[0].split(",") if lines[0] else []
-    width = len(header)
-    body = list(filter(None, lines[1:]))  # a blank line holds no row
-    if set(map(str.count, body, repeat(","))) != {width - 1}:
-        return None
-    cells = ",".join(body).split(",")
-    return header, [cells[j::width] for j in range(width)], len(body)
-
-
-def _split_csv(lines):
+def _split_csv(lines, file=None):
     """The header, columns and row count of any CSV lines, read by ``csv``."""
     reader = csv.reader(lines)
-    header = next(reader, [])
-    width, columns, n_rows = len(header), [[] for _ in header], 0
-    records = filter(None, reader)  # a blank line holds no row
-    while rows := list(islice(records, 8192)):  # a block at a time, not every row list at once
-        if min(map(len, rows)) < width:  # a short row reads as blank cells
-            rows = [row + [""] * (width - len(row)) for row in rows]
-        for j, column in enumerate(columns):
-            column += [row[j] for row in rows]
-        n_rows += len(rows)
+    try:
+        header = next(reader, [])
+        width, columns, n_rows = len(header), [[] for _ in header], 0
+        records = filter(None, reader)  # a blank line holds no row
+        while rows := list(islice(records, 8192)):  # a block at a time, not every row list at once
+            if min(map(len, rows)) < width:  # a short row reads as blank cells
+                rows = [row + [""] * (width - len(row)) for row in rows]
+            for j, column in enumerate(columns):
+                column += [row[j] for row in rows]
+            n_rows += len(rows)
+    except csv.Error as exc:  # a field over csv.field_size_limit(), say
+        raise UnreadableCsv(reader.line_num, str(exc), file) from None
     return header, columns, n_rows
 
 
 def _resolve_covariates(header, columns: ColumnMap, file=None):
+    """The covariate columns of a file with ``header``, before encoding.  A
+    declared covariate or categorical column missing from the header is an
+    error; a categorical column that is no covariate is ignored."""
+    for name in [*(columns.covariates or ()), *(name for name, _ in columns.categorical)]:
+        if name not in header:
+            raise MissingColumn(name, file)
     if columns.covariates is not None:
-        for name in columns.covariates:
-            if name not in header:
-                raise MissingColumn(name, file)
         return tuple(columns.covariates)
     reserved = {columns.id, columns.in_sample, columns.treatment, columns.outcome}
     reserved.update(columns.exclude)
     return tuple(name for name in header if name not in reserved)
 
 
-def _covariate_layout(header, columns: ColumnMap, tables):
-    """Expand raw covariate columns into the encoded layout.
+def _covariate_layout(raw, columns: ColumnMap, tables):
+    """Read the columns a frame uses from each table, and expand the raw
+    covariate columns into the encoded layout.
 
     Numeric columns pass through; a declared categorical column becomes one
     indicator per observed non-reference level (levels discovered over every
-    table supplied, so merged files share one encoding).  A categorical column
-    missing from the header is an error; one that is no covariate is ignored.
-    One entry per raw column: ``(column, levels)``, ``levels`` None if numeric.
+    table supplied, so merged files share one encoding).  One entry per raw
+    column: ``(column, levels)``, ``levels`` None if numeric.
     """
-    raw = _resolve_covariates(header, columns)
     categorical = dict(columns.categorical)
-    for col in categorical:
-        if col not in header:
-            raise MissingColumn(col)
+    used = {columns.id, columns.in_sample, columns.treatment, columns.outcome, *raw}
+    for table in tables:
+        table.read(used, numeric={col for col in raw if col not in categorical})
     names, layout = [], []
     for col in raw:
         if col in categorical:
@@ -542,8 +606,10 @@ def load_frame(
     table = _read_table(source)
     if columns.in_sample not in table.header:
         raise MissingColumn(columns.in_sample)
-    names, layout = _covariate_layout(table.header, columns, [table])
+    raw = _resolve_covariates(table.header, columns)
+    names, layout = _covariate_layout(raw, columns, [table])
     parsed = _parse_columns(table, support, columns, layout)
+    del table  # its text and cells go before the frame's checks run
     return StudyFrame(*parsed, support=support, covariate_names=names)
 
 
@@ -564,9 +630,13 @@ def load_two_frames(
     for name in raw:
         if name not in population.header:
             raise MissingColumn(name, "population")
-    names, layout = _covariate_layout(sample.header, columns, [sample, population])
+    for name in (columns.treatment, columns.outcome):  # a pure sample file needs these
+        if name not in sample.header:
+            raise MissingColumn(name, "sample")
+    names, layout = _covariate_layout(raw, columns, [sample, population])
     s_cols = _parse_columns(sample, support, columns, layout, file="sample")
     p_cols = _parse_columns(population, support, columns, layout, file="population")
+    del sample, population  # their text and cells go before the frame's checks run
     merged = [np.concatenate([s, p]) for s, p in zip(s_cols, p_cols)]
     return StudyFrame(*merged, support=support, covariate_names=names)
 
@@ -578,7 +648,7 @@ _INDICATOR_CODES = {"0": 0, "1": 1, "": -1}  # -1 blank; -2 (below) not an indic
 
 
 def _indicator_codes(cells) -> np.ndarray:
-    codes = np.array([_INDICATOR_CODES.get(c, -2) for c in cells], dtype=np.int8)
+    codes = np.fromiter(map(_INDICATOR_CODES.get, cells, repeat(-2)), np.int8, len(cells))
     for i in np.flatnonzero(codes == -2):  # padded with whitespace, or bad
         codes[i] = _INDICATOR_CODES.get(cells[i].strip(), -2)
     return codes
@@ -611,10 +681,6 @@ def _parse_columns(table, support, columns, layout, file=None):
     frame's constructor to check, once."""
     header, n = table.header, table.n_rows
     fixed_z, id_prefix = _FILE_ROLES[file]
-    if fixed_z == 1:  # a pure sample file needs treatment and outcome columns
-        for required in (columns.treatment, columns.outcome):
-            if required not in header:
-                raise MissingColumn(required)
     checks = []
 
     def indicator(name, allow_missing):
@@ -643,28 +709,26 @@ def _parse_columns(table, support, columns, layout, file=None):
     checks.append((sampled & y_blank, lambda i: (
         MissingOutcome(i + 1, file) if has_y else MissingColumn(columns.outcome))))
 
-    x_columns = []
+    X = np.empty((n, sum(1 if levels is None else len(levels) for _, levels in layout)), order="F")
+    x_columns = iter(X.T)  # X's columns, each contiguous
     for name, levels in layout:
-        cells = table.cells(name)
         if levels is None:
-            values, blank = _float_cells(cells)
-            bad = blank | ~np.isfinite(values)
-            checks.append((bad, lambda i, name=name, cells=cells:
-                           _covariate_error(i, name, cells[i].strip(), file)))
-            x_columns.append(values)
+            values, blank = table.numbers(name)
+            checks.append((blank | ~np.isfinite(values), lambda i, name=name:
+                           _covariate_error(i, name, table.cells(name)[i].strip(), file)))
+            next(x_columns)[:] = values
         else:
-            stripped = np.array([c.strip() for c in cells], dtype=object)
+            stripped = np.array([c.strip() for c in table.cells(name)], dtype=object)
             checks.append((stripped == "", lambda i, name=name:
                            MissingCovariate(i + 1, name, file)))
-            x_columns += [(stripped == level).astype(float) for level in levels]
+            for level in levels:
+                next(x_columns)[:] = stripped == level
     ids = list(map(str.strip, table.cells(columns.id)))
     if "" in ids:  # a row without an id (or a file without the column) is numbered
         ids = [uid or f"{id_prefix}{i}" for i, uid in enumerate(ids, 1)]
     if fixed_z == 1 or any(mask.any() for mask, _ in checks):  # a repeated id may come first
         checks.insert(0, (_repeats(ids), lambda i: DuplicateId(ids[i])))
     _raise_first(checks)
-
-    X = np.array(x_columns).T.reshape(n, len(x_columns))  # column-major
     return np.array(ids, dtype=object), z, w, y, X
 
 

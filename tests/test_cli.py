@@ -970,8 +970,10 @@ class TestExitContract:
         ("id,treatment,outcome\ns1,1,1\ns2,0,0\n", "id,outcome\np1,1\np2,x\n",
          "row 2 of the population file: outcome 'x' outside support [0.0, 1.0]"),
         # a sample file lacks a column even when it has no row to miss it
-        ("id,outcome\n", "id,outcome\np1,1\n", "required column 'treatment' not found in header"),
-        ("id,treatment\n", "id,outcome\np1,1\n", "required column 'outcome' not found in header"),
+        ("id,outcome\n", "id,outcome\np1,1\n",
+         "required column 'treatment' not found in the sample file header"),
+        ("id,treatment\n", "id,outcome\np1,1\n",
+         "required column 'outcome' not found in the sample file header"),
         ("id,treatment,outcome,x1\ns1,1,1,0.2\ns2,0,0,0.5\n", "id,outcome\np1,1\n",
          "required column 'x1' not found in the population file header"),
     ], ids=["repeated-sample-id", "population-row", "no-treatment", "no-outcome",
@@ -983,6 +985,21 @@ class TestExitContract:
         code, out, err = run(capsys, "bounds", "--sample", str(tmp_path / "sample.csv"),
                              "--population", str(tmp_path / "population.csv"))
         assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("flag", ["--data", "--sample"])
+    def test_a_field_over_the_csv_size_limit_is_a_data_error(self, capsys, tmp_path, flag):
+        long_id = '"' + "u" * 140_000 + '"'  # csv.field_size_limit() is 131,072
+        texts = {"--data": f"id,in_sample,treatment,outcome\na,1,1,1\n{long_id},1,0,0\n",
+                 "--sample": f"id,treatment,outcome\ns1,1,1\n{long_id},0,0\n"}
+        (tmp_path / "data.csv").write_text(texts[flag])
+        (tmp_path / "population.csv").write_text("id,outcome\np1,1\n")
+        files = (["--data", str(tmp_path / "data.csv")] if flag == "--data" else
+                 ["--sample", str(tmp_path / "data.csv"),
+                  "--population", str(tmp_path / "population.csv")])
+        code, out, err = run(capsys, "bounds", *files)
+        where = "line 3" if flag == "--data" else "line 3 of the sample file"
+        assert (code, out, err) == (
+            2, "", f"error: unreadable CSV at {where}: field larger than field limit (131072)\n")
 
     def test_sample_file_is_read_before_the_population_file_is_opened(self, capsys, tmp_path):
         latin1 = tmp_path / "latin1.csv"

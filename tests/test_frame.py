@@ -1,10 +1,12 @@
 """Ingestion, design probabilities, and empirical rates."""
 
 import csv
+import importlib.util
 import io
 import itertools
 import pathlib
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -325,6 +327,11 @@ def csv_reference(text):
     return header, [[row[j] for row in rows] for j in range(len(header))], len(rows)
 
 
+def table_columns(table):
+    """A table's header, the cells of each header column, and its row count."""
+    return table.header, [list(table.cells(name)) for name in table.header], table.n_rows
+
+
 @settings(max_examples=500, deadline=None)
 @given(text=csv_texts())
 def test_read_table_reads_what_the_csv_module_reads(tmp_path_factory, text):
@@ -332,14 +339,17 @@ def test_read_table_reads_what_the_csv_module_reads(tmp_path_factory, text):
     repeated = [name for j, name in enumerate(header) if name in header[:j]]
     path = tmp_path_factory.getbasetemp() / "hypothesis.csv"
     path.write_bytes(text.encode("utf-8"))
-    for source in (io.StringIO(text, newline=""), path):
+    for source in (lambda: io.StringIO(text, newline=""), lambda: path):
         if repeated:
             with pytest.raises(DuplicateColumn) as err:
-                pibgen.frame._read_table(source)
+                pibgen.frame._read_table(source())
             assert err.value.name == repeated[0]
             continue
-        table = pibgen.frame._read_table(source)
-        assert (table.header, table.columns, table.n_rows) == (header, columns, n_rows)
+        for read in (False, True):  # every column from csv, or from numpy's reader where it can
+            table = pibgen.frame._read_table(source())
+            if read:
+                table.read(set(header), numeric=())
+            assert table_columns(table) == (header, columns, n_rows)
 
 
 @settings(max_examples=300, deadline=None)
@@ -356,7 +366,158 @@ def test_read_table_reads_a_long_quoted_file_as_the_csv_module_does(tmp_path):
     path.write_text(text)
     for source in (path, io.StringIO(text, newline="")):
         table = pibgen.frame._read_table(source)
-        assert (table.header, table.columns, table.n_rows) == csv_reference(text)
+        assert table_columns(table) == csv_reference(text)
+
+
+def refuse(*args, **kwargs):
+    raise ValueError("refused")
+
+
+def loaded(load):
+    """A frame's columns as bytes, or the class and message of its data error."""
+    try:
+        frame = load()
+    except DataError as exc:
+        return type(exc), str(exc)
+    return (frame.ids.tolist(), frame.covariate_names, frame.X.shape,
+            *(getattr(frame, c).tobytes(order="A") for c in ("z", "w", "y", "X")))
+
+
+NUMBERS = (["0.5", "2", "-3e2", " 1 ", "1e-320"],
+           ["", " ", "nan", "inf", "1e400", "1_0", "\u0663", "0x10", "\x00", "1\x1c"])
+FRAME_CELLS = {  # a column's good cells, and its odd ones
+    "id": ([None], ["", "a", " a"]),  # None: an id no other row has
+    "in_sample": (["0", "1"], ["", " 1", "2", "x"]), "treatment": (["0", "1"], ["", " 1", "2"]),
+    "outcome": (["0", "1"], ["", " 0 ", "0.5", "7", "nan"]), "x1": NUMBERS, "x2": NUMBERS,
+    "region": (["n", "s"], [" s", ""]), "note": (["a", "", "0x10"], [""]),
+}
+
+
+@st.composite
+def frame_texts(draw, required, optional):
+    """CSV text whose header holds the ``required`` columns and some
+    ``optional`` ones, in any order, and whose rows hold good cells for their
+    columns, but for up to three odd ones; some rows are short or long, some
+    lines blank or white space, and lines end in LF, CRLF or a lone CR."""
+    header = draw(st.permutations(required + draw(st.lists(st.sampled_from(optional),
+                                                            unique=True))))
+    rows = []
+    for k in range(draw(st.integers(0, 5))):
+        cells = [draw(st.sampled_from(FRAME_CELLS[name][0])) for name in header]
+        rows.append([f"u{k}" if cell is None else cell for cell in cells])
+    for _ in range(draw(st.integers(0, 3)) if rows and header else 0):
+        row, j = draw(st.sampled_from(rows)), draw(st.integers(0, len(header) - 1))
+        row[j] = draw(st.sampled_from(FRAME_CELLS[header[j]][1]))
+    lines = [",".join(header)]
+    for row in rows:
+        if draw(st.integers(0, 5)) == 0:
+            lines.append(draw(st.sampled_from(["", "", " "])))
+        if draw(st.integers(0, 5)) == 0:  # a short or long row
+            row = (row + ["9"])[:draw(st.integers(0, len(header) + 1))]
+        lines.append(",".join(row))
+    ends = [draw(st.sampled_from(["\n", "\n", "\r\n", "\r"])) for _ in lines]
+    text = "".join(line + end for line, end in zip(lines, ends))
+    return text[:-1] if draw(st.booleans()) else text  # no last line end, or half a CRLF
+
+
+@settings(max_examples=500, deadline=None)
+@given(data=st.data(), two_files=st.booleans(), categorical=st.booleans())
+def test_numpy_reader_loads_what_the_csv_module_loads(data, two_files, categorical):
+    columns = ColumnMap(exclude=("note",), categorical=(("region", "n"),) if categorical else ())
+    covariates = data.draw(st.lists(st.sampled_from(["x1", "x2", "region"]), unique=True))
+    if two_files:
+        texts = (data.draw(frame_texts(["treatment", "outcome", *covariates], ["id", "note"])),
+                 data.draw(frame_texts(covariates, ["id", "outcome", "note"])))
+    else:
+        texts = (data.draw(frame_texts(["in_sample", "treatment", "outcome", *covariates],
+                                       ["id", "note"])),)
+    load = load_two_frames if two_files else load_frame
+
+    def frame():
+        return load(*(io.StringIO(text, newline="") for text in texts), BINARY, columns)
+
+    read = loaded(frame)
+    with pytest.MonkeyPatch.context() as patch:  # every file goes to csv
+        patch.setattr(np, "loadtxt", refuse)
+        assert loaded(frame) == read
+
+
+@pytest.mark.parametrize("cell", [*NUMBERS[0], *NUMBERS[1], "-nan", "Infinity", "1e-400", "0.1e1",
+                                  ".5", "5.", "+1", "1\u2003", "\t1", "1\x0b", "1\x1f", "1\ufeff"])
+def test_numpy_reader_reads_a_number_as_float_does(monkeypatch, cell):
+    text = PLAIN.replace("b,1,1.5,", f"b,1,{cell},")
+
+    def frame():
+        return load_frame(io.StringIO(text), BINARY)
+
+    read = loaded(frame)
+    monkeypatch.setattr(np, "loadtxt", refuse)
+    assert loaded(frame) == read
+
+
+def count_loadtxt_calls(monkeypatch):
+    """The ``usecols`` of each call of numpy's reader from here on."""
+    calls, loadtxt = [], np.loadtxt
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs["usecols"])
+        return loadtxt(*args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", counted)
+    return calls
+
+
+def test_numpy_reader_reads_each_plain_file_once(monkeypatch):
+    plain = load_frame(io.StringIO(PLAIN), BINARY)
+    calls = count_loadtxt_calls(monkeypatch)
+    text = PLAIN.replace("\n", ",note\n", 1)  # rows short of an unused column
+    assert_same_frame(load_frame(io.StringIO(text), BINARY, ColumnMap(exclude=("note",))), plain)
+    assert calls == [[0, 1, 2, 3, 4]]
+    sample = "id,treatment,outcome,x1\ns1,1,1,0.5\ns2,0,0,1.5\n"
+    load_two_frames(io.StringIO(sample), io.StringIO("note,x1,id\n,2,p1\n"), BINARY)
+    assert calls[1:] == [[0, 1, 2, 3], [1, 2]]
+
+
+@pytest.mark.parametrize("text", [
+    PLAIN.replace("a,1,0.5", '"a",1,0.5'),
+    PLAIN.replace("\na,", "\na\x1c,"),  # numpy's reader takes \x1c round a number for white space
+], ids=["quoted", "file-separator"])
+def test_numpy_reader_does_not_read_text_csv_must(monkeypatch, text):
+    calls = count_loadtxt_calls(monkeypatch)
+    frame = load_frame(io.StringIO(text), BINARY)
+    assert frame.ids.tolist() == ["a", "b", "c"] and calls == []
+
+
+@pytest.mark.parametrize("text", ["", "id,in_sample\n", "id,in_sample", "id,in_sample\n\n\r\n\r"],
+                         ids=["empty", "header", "header-no-line-end", "blank-lines"])
+def test_a_file_without_rows_does_not_reach_numpy_reader(monkeypatch, text):
+    def unexpected(*args, **kwargs):  # numpy's reader warns "input contained no data"
+        raise AssertionError("numpy's reader was called")
+
+    monkeypatch.setattr(np, "loadtxt", unexpected)
+    table = pibgen.frame._read_table(io.StringIO(text, newline=""))
+    table.read({"id", "in_sample"}, numeric=())
+    assert (table.n_rows, table.cells("id")) == (0, [])
+    if text:  # an empty file has no header, so no in_sample column
+        assert load_frame(io.StringIO(text, newline=""), BINARY).n_units == 0
+
+
+def test_loading_a_population_frame_peaks_below_ten_times_its_file_size(tmp_path):
+    spec = importlib.util.spec_from_file_location(
+        "synth", pathlib.Path(__file__).parents[1] / "perfbench" / "synth.py")
+    synth = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(synth)
+    path = tmp_path / "population.csv"
+    synth.write_csv(synth.generate(n=20_000, n_sample=400, n_treated=200, seed=7), path)
+    load_frame(path, BINARY)  # the first load's one-off imports and caches are not measured
+    tracemalloc.start()
+    try:
+        frame = load_frame(path, BINARY)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert frame.n_units == 20_000
+    assert peak < 10 * path.stat().st_size
 
 
 class TestDesignProbs:
