@@ -37,8 +37,8 @@ class NotUtf8(DataError):
 
 
 class UnreadableCsv(DataError):
-    """Text ``csv`` cannot read, such as a field longer than
-    ``csv.field_size_limit()``; ``file`` names the file of a two-file load."""
+    """Text ``csv`` refuses to read, naming its line; ``file`` names the file
+    of a two-file load."""
 
     def __init__(self, line, reason, file=None):
         where = f"line {line}" if file is None else f"line {line} of the {file} file"

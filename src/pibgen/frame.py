@@ -12,10 +12,11 @@ reads.
 
 A CSV file's columns are parsed in one pass of numpy's C text reader, which
 reads a numeric covariate straight to float64 with the value ``float()`` gives
-its cell, so no Python object is made per numeric cell.  Quoted text, and a
-file the reader refuses (a blank or malformed number, a row short of a used
-column), goes through the ``csv`` module instead, which also supplies a cell's
-text to an error that quotes it; either way the frame and every error are the
+its cell, so no Python object is made per numeric cell.  Quoted text, a file
+the reader refuses (a blank or malformed number, a row short of a used
+column), and a file with a number that is not finite (an error, which quotes
+the cell) go through the ``csv`` module instead.  Each file is parsed once,
+by one reader or the other, and either way the frame and every error are the
 same.
 """
 
@@ -412,14 +413,8 @@ def _read_table(source, file=None) -> _Table:
     either.  ``file`` names the file of a two-file load in the table's errors."""
     if isinstance(source, (str, os.PathLike)):
         with open(source, newline="", encoding="utf-8-sig") as fh:
-            text = _read_text(fh)
-    else:
-        text = _read_text(source).removeprefix("\ufeff")
-    table = _Table(text, file)
-    for j, name in enumerate(table.header):
-        if name in table.header[:j]:
-            raise DuplicateColumn(name, file)
-    return table
+            return _Table(_read_text(fh), file)
+    return _Table(_read_text(source).removeprefix("\ufeff"), file)
 
 
 # a quote needs csv; numpy's reader, not float(), takes \x1c-\x1f round a number for space
@@ -428,21 +423,22 @@ _ROW_TEXT = re.compile(r"[^\r\n]")  # a character of a line that holds a row
 
 
 class _Table:
-    """A CSV text: its header, and its data rows, parsed on first use.
+    """A CSV text's header, and once read, a map of its columns.
 
     ``read`` parses the columns a frame uses in one pass of numpy's text
     reader, a numeric column straight to floats and any other as its cell text.
-    Text holding a quote, and text the reader refuses (a blank or bad number, a
-    row short of a used column), is read by ``csv``, which also gives a numeric
-    column's cell text when an error quotes it.  A blank line holds no row; a
-    short row's missing cells are blank; a long row's extra cells are dropped.
+    Text holding a quote, text the reader refuses (a blank or bad number, a row
+    short of a used column) and text with a number that is not finite (an
+    error, which quotes its cell) are read by ``csv`` instead, every column as
+    its cell text.  Either way the text is then dropped.  A blank line holds no
+    row; a short row's missing cells are blank; a long row's extra cells are
+    dropped.
     """
 
     def __init__(self, text, file=None):
         self.file = file
-        self._numbers, self._cells = {}, {}  # name -> float column; name -> cell text
-        self._n_rows = None
-        self._text, self._body = text, 0  # the text until csv has read it; where its rows start
+        self.columns, self.n_rows = {}, None  # name -> column, and the row count, once read
+        self._text, self._body = text, 0  # the text until it is read; where its rows start
         if any(c in text for c in _CSV_ONLY):
             self.header = self._split()
         else:
@@ -450,56 +446,43 @@ class _Table:
             self._body = len(first)
             line = first.rstrip("\r\n")
             self.header = line.split(",") if line else []
-
-    @property
-    def n_rows(self) -> int:
-        if self._n_rows is None:
-            self._split()
-        return self._n_rows
+        for j, name in enumerate(self.header):
+            if name in self.header[:j]:
+                raise DuplicateColumn(name, file)
 
     def read(self, names, numeric):
-        """Parse the columns of the header named in ``names``, those in
-        ``numeric`` as floats, in one pass of numpy's reader."""
-        if self._text is None:
-            return  # csv has read every column
-        used = [j for j, name in enumerate(self.header) if name in names]
-        if not used or not _ROW_TEXT.search(self._text, self._body):  # no row: the reader warns
+        """Fill ``columns`` with the columns of the header named in ``names``,
+        those in ``numeric`` as floats where numpy's reader reads the text."""
+        if self._text is not None and not self._read_numpy(names, numeric):
             self._split()
-            return
+
+    def _read_numpy(self, names, numeric) -> bool:
+        """Whether numpy's reader read the named columns, every number finite."""
+        used = [j for j, name in enumerate(self.header) if name in names]
+        if not used or not _ROW_TEXT.search(self._text, self._body):
+            return False  # no row: the reader warns
         kinds = [float if self.header[j] in numeric else object for j in used]
         try:
             rows = np.loadtxt(_lines(self._text, self._body), np.dtype([("", k) for k in kinds]),
                               delimiter=",", usecols=used, comments=None, quotechar=None, ndmin=1)
         except ValueError:  # a cell that is no number, a row short of a used column, ...
-            self._split()
-            return
-        self._n_rows = len(rows)
+            return False
+        columns = {}
         for j, field, kind in zip(used, rows.dtype.names, kinds):
-            name = self.header[j]
-            if kind is float:
-                self._numbers[name] = rows[field]
-            else:
-                self._cells[name] = rows[field].tolist()
+            if kind is float and not np.isfinite(rows[field]).all():
+                return False  # an error, which quotes its cell's text
+            columns[self.header[j]] = rows[field] if kind is float else rows[field].tolist()
+        self.columns, self.n_rows, self._text = columns, len(rows), None
+        return True
 
-    def cells(self, name) -> list[str]:
-        """The column's cell text in row order; a column the header lacks is all blank."""
-        if name not in self._cells:
-            if name not in self.header:
-                return [""] * self.n_rows
-            self._split()
-        return self._cells[name]
-
-    def numbers(self, name):
-        """The column as floats (NaN where blank or unparseable) and its blank mask."""
-        if name in self._numbers:
-            values = self._numbers[name]
-            return values, np.zeros(len(values), dtype=bool)
-        return _float_cells(self.cells(name))
+    def cells(self, name):
+        """The column read for ``name``; a column the header lacks is all blank."""
+        return self.columns[name] if name in self.header else [""] * self.n_rows
 
     def _split(self):
-        """Read every column of the text with ``csv``; the header."""
-        header, columns, self._n_rows = _split_csv(_lines(self._text), self.file)
-        self._cells, self._text = dict(zip(header, columns)), None
+        """Read every column of the text with ``csv`` and drop the text; the header."""
+        header, columns, self.n_rows = _split_csv(self._text, self.file)
+        self.columns, self._text = dict(zip(header, columns)), None
         return header
 
 
@@ -531,9 +514,12 @@ def _read_text(stream) -> str:
     return text
 
 
-def _split_csv(lines, file=None):
-    """The header, columns and row count of any CSV lines, read by ``csv``."""
-    reader = csv.reader(lines)
+def _split_csv(text, file=None):
+    """The header, columns and row count of any CSV text, read by ``csv``.  The
+    field size limit is lifted to the text's length for the read, so no cell
+    is too long."""
+    reader = csv.reader(_lines(text))
+    limit = csv.field_size_limit(max(csv.field_size_limit(), len(text)))
     try:
         header = next(reader, [])
         width, columns, n_rows = len(header), [[] for _ in header], 0
@@ -544,8 +530,10 @@ def _split_csv(lines, file=None):
             for j, column in enumerate(columns):
                 column += [row[j] for row in rows]
             n_rows += len(rows)
-    except csv.Error as exc:  # a field over csv.field_size_limit(), say
+    except csv.Error as exc:
         raise UnreadableCsv(reader.line_num, str(exc), file) from None
+    finally:
+        csv.field_size_limit(limit)
     return header, columns, n_rows
 
 
@@ -573,9 +561,10 @@ def _covariate_layout(raw, columns: ColumnMap, tables):
     column: ``(column, levels)``, ``levels`` None if numeric.
     """
     categorical = dict(columns.categorical)
-    used = {columns.id, columns.in_sample, columns.treatment, columns.outcome, *raw}
+    roles = {columns.id, columns.in_sample, columns.treatment, columns.outcome}
+    numeric = {col for col in raw if col not in categorical} - roles  # a role's column is text
     for table in tables:
-        table.read(used, numeric={col for col in raw if col not in categorical})
+        table.read(roles | set(raw), numeric)
     names, layout = [], []
     for col in raw:
         if col in categorical:
@@ -609,7 +598,7 @@ def load_frame(
     raw = _resolve_covariates(table.header, columns)
     names, layout = _covariate_layout(raw, columns, [table])
     parsed = _parse_columns(table, support, columns, layout)
-    del table  # its text and cells go before the frame's checks run
+    del table  # its cells go before the frame's checks run
     return StudyFrame(*parsed, support=support, covariate_names=names)
 
 
@@ -636,7 +625,7 @@ def load_two_frames(
     names, layout = _covariate_layout(raw, columns, [sample, population])
     s_cols = _parse_columns(sample, support, columns, layout, file="sample")
     p_cols = _parse_columns(population, support, columns, layout, file="population")
-    del sample, population  # their text and cells go before the frame's checks run
+    del sample, population  # their cells go before the frame's checks run
     merged = [np.concatenate([s, p]) for s, p in zip(s_cols, p_cols)]
     return StudyFrame(*merged, support=support, covariate_names=names)
 
@@ -655,8 +644,11 @@ def _indicator_codes(cells) -> np.ndarray:
 
 
 def _float_cells(cells):
-    """Each cell as a float (NaN where blank or unparseable) and the blank mask."""
+    """Each cell as a float (NaN where blank or unparseable) and the blank mask;
+    a column numpy's reader parsed passes through, none of it blank."""
     n = len(cells)
+    if isinstance(cells, np.ndarray):
+        return cells, np.zeros(n, dtype=bool)
     try:
         return np.fromiter(map(float, cells), float, n), np.zeros(n, dtype=bool)
     except ValueError:  # a blank or unparseable cell
@@ -704,7 +696,7 @@ def _parse_columns(table, support, columns, layout, file=None):
     y_cells = table.cells(columns.outcome)
     y, y_blank = _float_cells(y_cells)
     checks.append((~y_blank & ~((y >= support.y_lo) & (y <= support.y_hi)),
-                   lambda i: _outcome_error(i, y_cells[i].strip(), support, file)))
+                   lambda i: _outcome_error(i, y_cells[i], support, file)))
     has_y = columns.outcome in header
     checks.append((sampled & y_blank, lambda i: (
         MissingOutcome(i + 1, file) if has_y else MissingColumn(columns.outcome))))
@@ -713,9 +705,10 @@ def _parse_columns(table, support, columns, layout, file=None):
     x_columns = iter(X.T)  # X's columns, each contiguous
     for name, levels in layout:
         if levels is None:
-            values, blank = table.numbers(name)
-            checks.append((blank | ~np.isfinite(values), lambda i, name=name:
-                           _covariate_error(i, name, table.cells(name)[i].strip(), file)))
+            cells = table.cells(name)
+            values, blank = _float_cells(cells)
+            checks.append((blank | ~np.isfinite(values), lambda i, name=name, cells=cells:
+                           _covariate_error(i, name, cells[i], file)))
             next(x_columns)[:] = values
         else:
             stripped = np.array([c.strip() for c in table.cells(name)], dtype=object)
@@ -732,18 +725,21 @@ def _parse_columns(table, support, columns, layout, file=None):
     return np.array(ids, dtype=object), z, w, y, X
 
 
-def _outcome_error(i, raw, support, file) -> OutcomeOutOfSupport:
+def _outcome_error(i, cell, support, file) -> OutcomeOutOfSupport:
+    """An outcome cell outside the support, quoted as its stripped text where
+    ``float()`` cannot read the cell as it stands."""
     try:
-        value = float(raw)
+        value = float(cell)
     except ValueError:
-        value = raw
+        value = cell.strip()
     return OutcomeOutOfSupport(i + 1, value, support.y_lo, support.y_hi, file)
 
 
-def _covariate_error(i, name, raw, file) -> DataError:
-    """A blank or unparseable covariate cell is missing; a parsed one is not finite."""
+def _covariate_error(i, name, cell, file) -> DataError:
+    """A covariate cell that ``float()`` cannot read as it stands is missing; one
+    it reads is not finite, and is quoted stripped."""
     try:
-        float(raw)
+        float(cell)
     except ValueError:
         return MissingCovariate(i + 1, name, file)
-    return NonFiniteValue(i + 1, name, raw, file)
+    return NonFiniteValue(i + 1, name, cell.strip(), file)

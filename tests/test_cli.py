@@ -792,6 +792,17 @@ class TestVerify:
         assert "enumeration" in out
 
 
+def long_id_files(tmp_path, flag, long_id):
+    """The files of a ``flag`` load whose second data row has id ``long_id``."""
+    texts = {"--data": f"id,in_sample,treatment,outcome\na,1,1,1\n{long_id},1,0,0\n",
+             "--sample": f"id,treatment,outcome\ns1,1,1\n{long_id},0,0\n"}
+    (tmp_path / "data.csv").write_text(texts[flag])
+    (tmp_path / "population.csv").write_text("id,outcome\np1,1\n")
+    return (["--data", str(tmp_path / "data.csv")] if flag == "--data" else
+            ["--sample", str(tmp_path / "data.csv"),
+             "--population", str(tmp_path / "population.csv")])
+
+
 class TestExitContract:
     @pytest.mark.parametrize("mode", ["data", "sample", "population"])
     def test_duplicate_header_name_is_a_data_error(self, capsys, tmp_path, mode):
@@ -987,15 +998,19 @@ class TestExitContract:
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
     @pytest.mark.parametrize("flag", ["--data", "--sample"])
-    def test_a_field_over_the_csv_size_limit_is_a_data_error(self, capsys, tmp_path, flag):
-        long_id = '"' + "u" * 140_000 + '"'  # csv.field_size_limit() is 131,072
-        texts = {"--data": f"id,in_sample,treatment,outcome\na,1,1,1\n{long_id},1,0,0\n",
-                 "--sample": f"id,treatment,outcome\ns1,1,1\n{long_id},0,0\n"}
-        (tmp_path / "data.csv").write_text(texts[flag])
-        (tmp_path / "population.csv").write_text("id,outcome\np1,1\n")
-        files = (["--data", str(tmp_path / "data.csv")] if flag == "--data" else
-                 ["--sample", str(tmp_path / "data.csv"),
-                  "--population", str(tmp_path / "population.csv")])
+    def test_a_field_over_the_default_csv_size_limit_loads(self, capsys, tmp_path, flag):
+        long_id = "u" * 140_000  # csv.field_size_limit() is 131,072 by default
+        outputs = []
+        for cell in (long_id, f'"{long_id}"'):  # numpy's reader reads it; csv reads it quoted
+            files = long_id_files(tmp_path, flag, cell)
+            outputs.append(run(capsys, "bounds", *files, "--strata", "1", "--format", "json"))
+        assert outputs[0] == outputs[1] and outputs[0][::2] == (0, "")
+
+    @pytest.mark.parametrize("flag", ["--data", "--sample"])
+    def test_a_csv_error_is_a_data_error_naming_its_line(self, capsys, monkeypatch, tmp_path,
+                                                         flag):
+        monkeypatch.setattr(csv, "field_size_limit", lambda *limit: 131_072)  # not to be lifted
+        files = long_id_files(tmp_path, flag, '"' + "u" * 140_000 + '"')
         code, out, err = run(capsys, "bounds", *files)
         where = "line 3" if flag == "--data" else "line 3 of the sample file"
         assert (code, out, err) == (

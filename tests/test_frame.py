@@ -25,6 +25,7 @@ from pibgen.errors import (
     MissingColumn,
     MissingCovariate,
     MissingOutcome,
+    NonFiniteValue,
     NotUtf8,
     OutcomeOutOfSupport,
 )
@@ -97,6 +98,12 @@ class TestLoadFrame:
         frame = load_frame(io.StringIO(text), BINARY)
         assert frame.covariate_names == ("x1", "x2")
         assert frame.X[0].tolist() == [0.5, 2.0]
+
+    def test_a_declared_covariate_may_be_a_role_column(self):
+        text = "id,in_sample,treatment,outcome,x1\na,1,1,1,0.5\nb,1,0,0,1.5\nc,0,,0,2\n"
+        frame = load_frame(io.StringIO(text), BINARY, ColumnMap(covariates=("x1", "in_sample")))
+        assert frame.X.tolist() == [[0.5, 1.0], [1.5, 1.0], [2.0, 0.0]]
+        assert frame.z.tolist() == [1, 1, 0]
 
     def test_column_remapping(self):
         text = "school,selected,arm,passed\na,1,1,1\nb,1,0,0\n"
@@ -345,11 +352,15 @@ def test_read_table_reads_what_the_csv_module_reads(tmp_path_factory, text):
                 pibgen.frame._read_table(source())
             assert err.value.name == repeated[0]
             continue
-        for read in (False, True):  # every column from csv, or from numpy's reader where it can
-            table = pibgen.frame._read_table(source())
-            if read:
+        for csv_only in (True, False):  # every column from csv, or from numpy's reader where it can
+            with pytest.MonkeyPatch.context() as patch:
+                if csv_only:
+                    patch.setattr(np, "loadtxt", refuse)
+                table = pibgen.frame._read_table(source())
                 table.read(set(header), numeric=())
-            assert table_columns(table) == (header, columns, n_rows)
+                patch.setattr(np, "loadtxt", refuse)  # nothing reads the text again
+                patch.setattr(pibgen.frame, "_split_csv", refuse)
+                assert table_columns(table) == (header, columns, n_rows)
 
 
 @settings(max_examples=300, deadline=None)
@@ -366,6 +377,7 @@ def test_read_table_reads_a_long_quoted_file_as_the_csv_module_does(tmp_path):
     path.write_text(text)
     for source in (path, io.StringIO(text, newline="")):
         table = pibgen.frame._read_table(source)
+        table.read({"id", "z", "x"}, numeric=())
         assert table_columns(table) == csv_reference(text)
 
 
@@ -455,27 +467,88 @@ def test_numpy_reader_reads_a_number_as_float_does(monkeypatch, cell):
     assert loaded(frame) == read
 
 
-def count_loadtxt_calls(monkeypatch):
-    """The ``usecols`` of each call of numpy's reader from here on."""
-    calls, loadtxt = [], np.loadtxt
+def count_calls(monkeypatch, owner, name):
+    """The keyword arguments of each call of ``owner.name`` from here on."""
+    calls, function = [], getattr(owner, name)
 
     def counted(*args, **kwargs):
-        calls.append(kwargs["usecols"])
-        return loadtxt(*args, **kwargs)
+        calls.append(kwargs)
+        return function(*args, **kwargs)
 
-    monkeypatch.setattr(np, "loadtxt", counted)
+    monkeypatch.setattr(owner, name, counted)
     return calls
 
 
 def test_numpy_reader_reads_each_plain_file_once(monkeypatch):
     plain = load_frame(io.StringIO(PLAIN), BINARY)
-    calls = count_loadtxt_calls(monkeypatch)
+    calls = count_calls(monkeypatch, np, "loadtxt")
     text = PLAIN.replace("\n", ",note\n", 1)  # rows short of an unused column
     assert_same_frame(load_frame(io.StringIO(text), BINARY, ColumnMap(exclude=("note",))), plain)
-    assert calls == [[0, 1, 2, 3, 4]]
     sample = "id,treatment,outcome,x1\ns1,1,1,0.5\ns2,0,0,1.5\n"
     load_two_frames(io.StringIO(sample), io.StringIO("note,x1,id\n,2,p1\n"), BINARY)
-    assert calls[1:] == [[0, 1, 2, 3], [1, 2]]
+    assert [call["usecols"] for call in calls] == [[0, 1, 2, 3, 4], [0, 1, 2, 3], [1, 2]]
+
+
+@pytest.mark.parametrize("text, reads, error", [
+    (PLAIN, (1, 0), None),
+    (PLAIN.replace("\nb,1,", "\nb,2,"), (1, 0),
+     (BadIndicator, "row 2: column 'in_sample' must be 0 or 1, got '2'")),
+    (PLAIN.replace("b,1,1.5,", "b,1,inf,"), (1, 1),
+     (NonFiniteValue, "row 2: column 'x1' must be a finite number, got 'inf'")),
+    (PLAIN.replace("\na,", '\n"a",'), (0, 1), None),
+], ids=["plain", "bad-indicator", "non-finite", "quoted"])
+def test_a_file_is_parsed_once(monkeypatch, text, reads, error):
+    """``reads``: the calls of numpy's reader and of ``csv``.  A file with a
+    number that is not finite goes to ``csv`` too, as its error quotes the cell."""
+    plain = loaded(lambda: load_frame(io.StringIO(PLAIN), BINARY))
+    calls = count_calls(monkeypatch, np, "loadtxt"), count_calls(monkeypatch, pibgen.frame,
+                                                                 "_split_csv")
+    assert loaded(lambda: load_frame(io.StringIO(text), BINARY)) == (error or plain)
+    assert tuple(map(len, calls)) == reads
+
+
+@pytest.mark.parametrize("csv_only", [False, True])
+def test_a_cell_float_refuses_is_missing_whatever_it_strips_to(monkeypatch, csv_only):
+    if csv_only:
+        monkeypatch.setattr(np, "loadtxt", refuse)
+    for text, message in ((PLAIN.replace("a,1,0.5,", "a,1,0.5\x1c,"), "covariate 'x1' is missing"),
+                          (PLAIN.replace("a,1,0.5,1,1", "a,1,0.5,1,0.5\x1c"),
+                           "outcome '0.5' outside support [0.0, 1.0]")):
+        with pytest.raises(DataError) as err:
+            load_frame(io.StringIO(text), BINARY)
+        assert str(err.value) == f"row 1: {message}"
+
+
+LONG_ID = "u" * 140_000  # over csv.field_size_limit(), 131,072 by default
+
+
+@pytest.mark.parametrize("rows", [[f"{LONG_ID},1,,1,1", "b,1,1.5,0,0"],
+                                  ["a,1,,1,1", f"{LONG_ID},1,1.5,0,0"]],
+                         ids=["same-row", "next-row"])
+def test_a_long_unquoted_cell_does_not_hide_a_row_error(rows):
+    text = "id,in_sample,x,treatment,outcome\n" + "\n".join(rows) + "\n"
+    with pytest.raises(MissingCovariate) as err:
+        load_frame(io.StringIO(text), BINARY)
+    assert str(err.value) == "row 1: covariate 'x' is missing"
+
+
+@pytest.mark.parametrize("limit", [None, 1_000, 1 << 20], ids=["default", "lower", "higher"])
+def test_a_load_leaves_the_csv_field_size_limit_as_it_was(limit):
+    default = csv.field_size_limit()
+    try:
+        if limit is not None:
+            csv.field_size_limit(limit)
+        before = csv.field_size_limit()
+        for row, error in (("", None), ("\nd,2,3,1,1", BadIndicator)):  # loads, or a row error
+            text = PLAIN.replace("\na,", f'\n"{LONG_ID}",') + row
+            if error is None:
+                assert load_frame(io.StringIO(text), BINARY).ids[0] == LONG_ID
+            else:
+                with pytest.raises(error):
+                    load_frame(io.StringIO(text), BINARY)
+            assert csv.field_size_limit() == before
+    finally:
+        csv.field_size_limit(default)
 
 
 @pytest.mark.parametrize("text", [
@@ -483,7 +556,7 @@ def test_numpy_reader_reads_each_plain_file_once(monkeypatch):
     PLAIN.replace("\na,", "\na\x1c,"),  # numpy's reader takes \x1c round a number for white space
 ], ids=["quoted", "file-separator"])
 def test_numpy_reader_does_not_read_text_csv_must(monkeypatch, text):
-    calls = count_loadtxt_calls(monkeypatch)
+    calls = count_calls(monkeypatch, np, "loadtxt")
     frame = load_frame(io.StringIO(text), BINARY)
     assert frame.ids.tolist() == ["a", "b", "c"] and calls == []
 
