@@ -40,6 +40,7 @@ from .frame import design_probs, empirical_rates  # noqa: F401 (perfbench/tracin
 FRAMEWORKS = ("full", "reduced")
 ASSUMPTIONS = ("worst_case", "bsv", "mtr")
 MTR_SCOPES = ("sample", "population")
+SPEC_TAGS = ("assumption", "framework", "lam", "variant", "scope")  # what a pooled interval copies
 
 
 @dataclass(frozen=True)
@@ -353,40 +354,26 @@ def stratified_bounds(
     per_stratum = []
     per_spec = [[] for _ in specs]  # (population share, intervals) per stratum
     for g in range(assignment.k):
-        counts = dict(
-            index=g + 1,
-            n_population=t.units[g],
-            n_sample_treated=t.treated[g],
-            n_sample_control=t.control[g],
-        )
-        if not t.viable(g):
+        results = []
+        if t.viable(g):
+            s_rates = t.empirical_rates(g)
+            s_probs = t.design_probs(g, p_w0_given_z0)
+            for i, spec in enumerate(specs):
+                try:
+                    intervals = compute_bounds(spec, s_rates, s_probs, frame.support)
+                except MissingPopulationOutcome:
+                    continue
+                per_spec[i].append((t.units[g] / frame.n_units, intervals))
+                results.extend(intervals)
+            reason = None if results else "no business-as-usual outcomes among its z=0 units"
+        else:
             reason = ("no sampled treated unit" if t.treated[g] == 0
                       else "no sampled control unit")
-            per_stratum.append(StratumBounds(viable=False, skip_reason=reason, **counts))
-            continue
-        s_rates = t.empirical_rates(g)
-        s_probs = t.design_probs(g, p_w0_given_z0)
-        results = []
-        for i, spec in enumerate(specs):
-            try:
-                intervals = compute_bounds(spec, s_rates, s_probs, frame.support)
-            except MissingPopulationOutcome:
-                continue
-            per_spec[i].append((t.units[g] / frame.n_units, intervals))
-            results.extend(intervals)
-        if results:
-            per_stratum.append(StratumBounds(viable=True, results=tuple(results), **counts))
-        else:
-            per_stratum.append(StratumBounds(
-                viable=False,
-                skip_reason="no business-as-usual outcomes among its z=0 units",
-                **counts,
-            ))
-    pooled_results = []
-    if pooled:
-        for pieces in per_spec:
-            if pieces and len(pieces) == len(per_stratum):
-                pooled_results.extend(_pool(pieces, frame.support))
+        per_stratum.append(StratumBounds(g + 1, t.units[g], t.treated[g], t.control[g],
+                                         viable=reason is None, results=tuple(results),
+                                         skip_reason=reason))
+    complete = [pieces for pieces in per_spec if pooled and pieces and len(pieces) == assignment.k]
+    pooled_results = [interval for pieces in complete for interval in _pool(pieces, frame.support)]
     return StratifiedBounds(strata=tuple(per_stratum), pooled=tuple(pooled_results))
 
 
@@ -396,13 +383,7 @@ def _pool(pieces, support) -> list[PateInterval]:
     for j, first in enumerate(pieces[0][1]):
         lo = sum(share * intervals[j].pre_clamp_lo for share, intervals in pieces)
         hi = sum(share * intervals[j].pre_clamp_hi for share, intervals in pieces)
-        pooled.append(_clamp(
-            lo, hi, support,
-            assumption=first.assumption,
-            framework=first.framework,
-            lam=first.lam,
-            variant=first.variant,
-            scope=first.scope,
-            inputs={"pooled": True, "strata": len(pieces)},
-        ))
+        tags = {tag: getattr(first, tag) for tag in SPEC_TAGS}
+        pooled.append(_clamp(lo, hi, support, inputs={"pooled": True, "strata": len(pieces)},
+                             **tags))
     return pooled

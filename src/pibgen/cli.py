@@ -43,12 +43,15 @@ from .propensity import (
     model_from_json,
     model_to_json,
 )
-from .report import render_csv, render_markdown, rows_csv, rows_md, to_json
+from .report import check_finite, render_csv, render_markdown, rows_csv, rows_md, to_json
 from .stratify import merge_nonviable, strata_for_frame, stratum_summary_rows
 
 FORMATS = ("json", "csv", "md")
 FRAMEWORKS = ("full", "reduced", "both")
 ASSUMPTION_ALIASES = {"worst": "worst_case", "worst_case": "worst_case", "bsv": "bsv", "mtr": "mtr"}
+# past this many bootstrap replicates the SE's Monte Carlo error is far below
+# the 3 decimals a report prints
+MAX_REPS = 1_000_000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -95,7 +98,8 @@ OPTIONS = {
     "assumption": (["worst"], dict(action="append", choices=sorted(ASSUMPTION_ALIASES),
                                    help="repeatable; default {default[0]}")),
     "seed": (None, dict(type=int, help="master seed (env PIBGEN_SEED as fallback)")),
-    "reps": (1000, dict(type=int, help="bootstrap replicates (default {default})")),
+    "reps": (1000, dict(type=int, help=f"bootstrap replicates, at most {MAX_REPS:,} "
+                        "(default {default})")),
     "pooled": (False, dict(action="store_true",
                            help="add the population-share pooled interval across strata")),
     "merge_strata": (False, dict(action="store_true", help="collapse non-viable strata into "
@@ -215,6 +219,8 @@ def _check_request(options):
         raise ConfigError("--strata must be >= 1")
     if options["reps"] < 0:
         raise ConfigError("--reps must be >= 0")
+    if options["reps"] > MAX_REPS:
+        raise ConfigError(f"--reps must be <= {MAX_REPS:,}, got {options['reps']}")
     seed = options["seed"]
     if seed is None:  # PIBGEN_SEED is the fallback, 0 when it is unset or empty
         seed = os.environ.get("PIBGEN_SEED") or 0
@@ -536,9 +542,9 @@ def _run(args) -> int:
         write(_emit({"strata": rows}, options, rows))
     elif args.command == "lambda":
         rows = lambda_report(stages.frame, stages.balance)
-        write(_emit({"lambda_report": rows}, options, rows))
+        write(_emit(check_finite({"lambda_report": rows}), options, rows))
     else:
-        write(_emit(stages.document(VIEWS[args.command]), options))
+        write(_emit(check_finite(stages.document(VIEWS[args.command])), options))
     return 0
 
 

@@ -178,3 +178,14 @@ class ZeroPropensity(DataError):
 class UnfittedModel(ConfigError):
     def __init__(self):
         super().__init__("propensity model did not converge; refusing to weight with it")
+
+
+# --- report ------------------------------------------------------------------
+
+class NonFiniteResult(DataError):
+    """A number about to be printed is infinite or NaN: a result too large for
+    float arithmetic, reported the same way in every output format."""
+
+    def __init__(self, path, value):
+        super().__init__(f"result {path} is {value}: too large for float arithmetic")
+        self.path = path

@@ -331,6 +331,7 @@ def tallies(frame: StudyFrame, labels=None, k: int = 1) -> Tallies:
     return _tally(frame, np.asarray(labels), k)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # overflow gives inf or NaN: check_finite reports it
 def _tally(frame: StudyFrame, labels, k: int) -> Tallies:
     y, bins = frame.y, k + 1  # bin 0 holds no label
 

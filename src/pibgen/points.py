@@ -104,6 +104,7 @@ def _bootstrap_contrasts(y, weights, treated, control, reps: int, seed: int,
     return contrasts
 
 
+@np.errstate(over="ignore", invalid="ignore")  # overflow gives inf or NaN: check_finite reports it
 def ipw_estimate(frame: StudyFrame, model: PropensityModel, *, reps: int = 1000,
                  seed: int = 0) -> PointEstimate:
     """Normalized inverse-propensity-weighted contrast over sampled units.

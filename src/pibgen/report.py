@@ -12,6 +12,23 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
+
+from .errors import NonFiniteResult
+
+
+def check_finite(node, path=""):
+    """``node`` itself once every number in it is finite; otherwise
+    ``NonFiniteResult`` names the first one that is not, by its key path."""
+    if isinstance(node, float) and not math.isfinite(node):
+        raise NonFiniteResult(path, node)
+    if isinstance(node, dict):
+        for key, value in node.items():
+            check_finite(value, f"{path}.{key}" if path else key)
+    elif isinstance(node, (list, tuple)):
+        for i, value in enumerate(node):
+            check_finite(value, f"{path}[{i}]")
+    return node
 
 
 def to_json(document: dict) -> str:

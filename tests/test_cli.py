@@ -4,6 +4,7 @@ import contextlib
 import csv
 import io
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +19,8 @@ import pibgen.points
 import pibgen.stratify
 from pibgen.cli import main
 from pibgen.data import synthetic_path
-from pibgen.errors import ZeroVariance
+from pibgen.errors import ConfigError, NonFiniteResult, ZeroVariance
+from pibgen.report import check_finite
 
 from test_acceptance import GOLDEN_ARGS
 
@@ -377,6 +379,40 @@ def test_lambda_with_extra_fields_is_a_config_error(capsys, tmp_path, expr):
                        "--lambda", expr)
     assert (rc, out) == (3, "")
     assert err == f"error: bad lambda expression '{expr}': more than three ':' fields\n"
+
+
+# every cell is finite, but the outcome moments of 1e200 are past float range
+HUGE_OUTCOME_CSV = "id,in_sample,treatment,outcome,x1\n" + "".join(
+    f"u{i},{int(i < 24)},{i % 2 if i < 24 else ''},{'1e200' if i % 3 else 0},{i * 0.37 % 1:.2f}\n"
+    for i in range(40))
+
+
+@pytest.mark.parametrize("command, argv, path", [
+    ("bounds", ["--assumption", "bsv", "--lambda", "1e308"], "intervals[0].pre_clamp.lo is -inf"),
+    ("bounds", ["--support=-1e308,1e308"], "intervals[0].lo is -inf"),
+    ("lambda", ["--support=0,1e200"], "lambda_report[3].value is inf"),
+    ("analyze", ["--support=0,1e200", "--strata", "1"], "lambda_report[3].value is inf"),
+    ("points", ["--support=0,1e200", "--strata", "1"], "point_estimates[0].se is inf"),
+], ids=["bsv-lambda", "support", "lambda-huge-outcomes", "analyze-huge-outcomes",
+        "points-huge-outcomes"])
+def test_a_result_past_float_range_is_the_same_data_error_in_every_format(
+        capsys, tmp_path, command, argv, path):
+    data = synthetic_path()
+    if "--support=0,1e200" in argv:
+        data = tmp_path / "huge.csv"
+        data.write_text(HUGE_OUTCOME_CSV)
+    for fmt in ("json", "md", "csv"):
+        assert run(capsys, command, "--data", str(data), *argv, "--reps", "20",
+                   "--format", fmt) == (
+            2, "", f"error: result {path}: too large for float arithmetic\n"), fmt
+
+
+def test_check_finite_names_the_first_non_finite_number_by_its_path():
+    document = {"a": [1.0, {"b": 2, "c": float("nan")}], "d": float("inf")}
+    with pytest.raises(NonFiniteResult, match=r"^result a\[1\]\.c is nan:"):
+        check_finite(document)
+    assert check_finite({"a": [1.0, None, "inf"], "b": True}) == {"a": [1.0, None, "inf"],
+                                                                 "b": True}
 
 
 class TestSubcommands:
@@ -851,6 +887,12 @@ class TestExitContract:
         assert err.startswith("internal error: Traceback (most recent call last)")
         assert "RuntimeError: stage failed" in err
 
+    def test_reps_ceiling_is_inclusive(self, monkeypatch):
+        monkeypatch.delenv("PIBGEN_SEED", raising=False)
+        pibgen.cli._check_request({**pibgen.cli._DEFAULTS, "reps": pibgen.cli.MAX_REPS})
+        with pytest.raises(ConfigError, match="^--reps must be <= 1,000,000, got 1000001$"):
+            pibgen.cli._check_request({**pibgen.cli._DEFAULTS, "reps": pibgen.cli.MAX_REPS + 1})
+
     @pytest.mark.parametrize("argv, env, config, message", [
         (["--seed", "-1"], None, None, "--seed (or PIBGEN_SEED) must be a non-negative integer"),
         ([], "abc", None, "--seed (or PIBGEN_SEED) must be a non-negative integer, got 'abc'"),
@@ -859,6 +901,9 @@ class TestExitContract:
         ([], None, {"seed": True}, "--seed (or PIBGEN_SEED) must be a non-negative integer"),
         ([], None, {"reps": "10"}, "--reps must be an integer, got '10'"),
         ([], None, {"reps": 2.5}, "--reps must be an integer, got 2.5"),
+        (["--reps", str(10**20)], None, None,
+         f"--reps must be <= 1,000,000, got {10**20}"),
+        ([], None, {"reps": 10**20}, f"--reps must be <= 1,000,000, got {10**20}"),
         ([], None, {"strata": "3"}, "--strata must be an integer, got '3'"),
         ([], None, {"strata": True}, "--strata must be an integer, got True"),
         ([], None, {"strata": 0}, "--strata must be >= 1"),
@@ -1144,3 +1189,38 @@ def test_every_input_ends_in_a_report_or_a_typed_error(tmp_path_factory, text, s
         assert "Traceback" not in err.getvalue()
         if code == 0:
             assert "NaN" not in out.getvalue() and "Infinity" not in out.getvalue(), command
+
+
+# sampled treated, sampled control and non-sampled rows, with overlapping
+# covariates so that the propensity fit converges; each row's outcome is drawn
+# from the cells that lie in the support
+_EXTREME_ROWS = (("1", "1", "0.2"), ("1", "1", "1.4"), ("1", "0", "0.9"), ("1", "0", "-0.3"),
+                 ("0", "", "0.5"), ("0", "", "1.1"), ("0", "", "-0.6"), ("0", "", "0.1"))
+_SUPPORT_CELLS = {"0,1": ["0", "1"], "0,1e200": ["0", "1", "1e200"],
+                  "-1e308,1e308": ["0", "1", "1e200", "-1e308"]}
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), support=st.sampled_from(list(_SUPPORT_CELLS)),
+       lam=st.sampled_from(["0.3", "1e308", "sd:pooled"]))
+def test_extreme_magnitudes_end_in_a_finite_report_or_a_typed_error(tmp_path_factory, data,
+                                                                   support, lam):
+    outcomes = data.draw(st.lists(st.sampled_from(_SUPPORT_CELLS[support]),
+                                  min_size=len(_EXTREME_ROWS), max_size=len(_EXTREME_ROWS)))
+    path = tmp_path_factory.mktemp("extreme") / "data.csv"
+    path.write_text("id,in_sample,treatment,outcome,x1\n" + "".join(
+        f"u{i},{z},{w},{y},{x}\n" for i, ((z, w, x), y) in enumerate(zip(_EXTREME_ROWS, outcomes))))
+    options = ["--data", str(path), f"--support={support}", "--lambda", lam, "--strata", "1",
+               "--reps", "5", "--framework", "both", "--assumption", "worst", "--assumption", "bsv"]
+    for command in ("analyze", "bounds", "points", "lambda"):
+        ends = set()
+        for fmt in ("json", "md", "csv"):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([command, *options, "--format", fmt])
+            assert code in (0, 2, 3), (command, fmt, err.getvalue())
+            assert "Traceback" not in err.getvalue()
+            if code == 0:
+                assert not re.search(r"\b(inf|nan|Infinity|NaN)\b", out.getvalue()), (command, fmt)
+            ends.add((code, err.getvalue()))
+        assert len(ends) == 1, (command, ends)
