@@ -1,20 +1,25 @@
 """Point estimators: naive contrast, normalized IPW, subclassification."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from pibgen import points
 from pibgen.errors import NonViableStratum, UnfittedModel, ZeroPropensity
-from pibgen.frame import BINARY, OutcomeSupport, StudyFrame
+from pibgen.frame import BINARY, OutcomeSupport, StudyFrame, load_frame
 from pibgen.points import (
     _bootstrap_contrasts,
+    _child_states,
     _hajek_contrast,
     ipw_estimate,
     naive_sate,
     subclass_estimate,
 )
-from pibgen.propensity import PropensityModel
+from pibgen.propensity import PropensityModel, fit_propensity
 from pibgen.stratify import merge_nonviable
 from pibgen.stratify import strata_for_frame
 
@@ -132,6 +137,102 @@ class TestBatchedBootstrap:
         )
         reference = per_replicate_contrasts(y, w, weights, reps, seed)
         assert batched.tolist() == reference.tolist()
+
+
+def arms(n_treated, n_control, seed):
+    """Shuffled arm labels, outcomes and inverse-propensity weights."""
+    rng = np.random.default_rng(seed)
+    w = rng.permutation(np.repeat([1, 0], [n_treated, n_control]))
+    y = rng.uniform(0.0, 100.0, size=w.size)
+    weights = 1.0 / rng.uniform(0.01, 0.9, size=w.size)
+    return y, w, weights
+
+
+def bootstrap(y, w, weights, reps, seed, batch_rows=points._BATCH_ROWS):
+    return _bootstrap_contrasts(y, weights, np.flatnonzero(w == 1), np.flatnonzero(w == 0),
+                                reps, seed, batch_rows=batch_rows)
+
+
+# seeds of one, two, three and 42 32-bit words, on both sides of a word boundary
+EDGE_SEEDS = [0, 2**32 - 1, 2**32, 2**64 + 1, 10**400]
+
+
+class TestBootstrapDraws:
+    """The bootstrap's draws, made without a generator per replicate, against
+    the installed numpy's own ``SeedSequence``, ``PCG64`` and ``Generator``."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.one_of(st.sampled_from(EDGE_SEEDS), st.integers(0, 2**130)),
+           n_treated=st.one_of(st.sampled_from([1, 2]), st.integers(1, 300)),
+           n_control=st.one_of(st.sampled_from([1, 2]), st.integers(1, 300)),
+           reps=st.integers(1, 9), per_batch=st.sampled_from([1, 4, None]))
+    def test_equal_numpys_generators(self, seed, n_treated, n_control, reps, per_batch):
+        y, w, weights = arms(n_treated, n_control, seed % 1000)
+        per_batch = per_batch or reps
+        batched = bootstrap(y, w, weights, reps, seed, batch_rows=per_batch * w.size)
+        assert batched.tolist() == per_replicate_contrasts(y, w, weights, reps, seed).tolist()
+
+    @pytest.mark.parametrize("seed", EDGE_SEEDS + [20240311])
+    def test_child_states_are_pcg64s_seeded_by_the_children(self, seed):
+        children = np.random.SeedSequence(seed).spawn(40)
+        assert _child_states(seed, 0, 40) == [np.random.PCG64(c).state for c in children]
+        assert _child_states(seed, 17, 5) == [np.random.PCG64(c).state for c in children[17:22]]
+
+    def test_negative_seed_rejected_as_numpy_does(self):
+        with pytest.raises(ValueError):
+            np.random.SeedSequence(-1)
+        with pytest.raises(ValueError):
+            _child_states(-1, 0, 1)
+
+    def test_rejected_draw_is_redrawn_by_numpy(self, monkeypatch):
+        # at these arm sizes replicate 37 is the one whose words hold a draw
+        # numpy's 32-bit Lemire rule rejects
+        reps, seed = 300, 20240311
+        y, w, weights = arms(3036, 1964, 5)
+        redrawn = []
+        draws = points._numpy_draws
+
+        def spy(rng, n_t, n_c):
+            redrawn.append(rng.bit_generator.state)
+            return draws(rng, n_t, n_c)
+
+        monkeypatch.setattr(points, "_numpy_draws", spy)
+        contrasts = bootstrap(y, w, weights, reps, seed)
+        assert redrawn == [_child_states(seed, 37, 1)[0]]
+        assert contrasts.tolist() == per_replicate_contrasts(y, w, weights, reps, seed).tolist()
+
+    def test_one_generator_per_call_not_per_replicate(self, monkeypatch, statewide_path):
+        built = {"PCG64": 0, "SeedSequence": 0}
+
+        def counting(cls):
+            def __init__(self, *args, **kwargs):
+                built[cls.__name__] += 1
+                cls.__init__(self, *args, **kwargs)
+
+            # named as numpy's class: PCG64's state setter checks the name
+            return type(cls.__name__, (cls,), {"__init__": __init__})
+
+        frame = load_frame(statewide_path, BINARY)
+        model = fit_propensity(frame, frame.covariate_names)
+        for cls in (np.random.PCG64, np.random.SeedSequence):
+            monkeypatch.setattr(np.random, cls.__name__, counting(cls))
+        assert ipw_estimate(frame, model, reps=300, seed=20240311).se is not None
+        assert built["PCG64"] == 1
+        assert built["SeedSequence"] <= 1
+
+    def test_peak_memory_does_not_grow_with_the_replicates(self):
+        # 300 units per replicate: 218 replicates per batch at _BATCH_ROWS
+        y, w, weights = arms(200, 100, 1)
+
+        def peak(reps):
+            tracemalloc.start()
+            try:
+                bootstrap(y, w, weights, reps, 7)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(50_000) <= 1.5 * peak(500)
 
 
 class TestSubclassification:
