@@ -19,7 +19,7 @@ import sys
 import traceback
 from dataclasses import asdict
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cache, cached_property, partial
 
 from . import bounds as bounds_mod
 from . import oracle as oracle_mod
@@ -112,6 +112,7 @@ _DEFAULTS = {key: default for key, (default, _) in OPTIONS.items()}
 
 
 def build_parser() -> _Parser:
+    """A new parser; ``main`` builds one per process (see ``_parser``)."""
     # a flag left out is absent from the namespace, so the config value shows through
     p = _Parser(prog="pibgen", description=__doc__, argument_default=argparse.SUPPRESS)
     p.add_argument("command", choices=COMMANDS,
@@ -122,6 +123,13 @@ def build_parser() -> _Parser:
             declaration = {**declaration, "help": declaration["help"].format(default=default)}
         p.add_argument(f"--{key.replace('_', '-')}", **declaration)
     return p
+
+
+@cache
+def _parser() -> _Parser:
+    """The process's one parser: it keeps no state between ``parse_args`` calls,
+    and building it costs more than most of a call's own work."""
+    return build_parser()
 
 
 def _merge_config(args) -> dict:
@@ -427,12 +435,16 @@ class _Pipeline:
         return notes
 
 
-def _emit(document: dict, options, table=None) -> str:
+def _emit(document: dict, options, table=None, finite=True) -> str:
     """The document in the chosen format; in CSV and Markdown a ``table`` of
-    rows stands for a document that holds only that table."""
+    rows stands for a document that holds only that table.  A NaN or infinity
+    is a ``NonFiniteResult`` in every format: JSON checks as it writes, and the
+    other formats check first unless ``finite`` is false."""
     fmt = options["format"]
     if fmt == "json":
         return to_json(document)
+    if finite:
+        check_finite(document)
     if fmt == "csv":
         return render_csv(document) if table is None else rows_csv(table)
     return render_markdown(document) if table is None else rows_md(table)
@@ -539,19 +551,19 @@ def _run(args) -> int:
         if options["format"] == "json":
             # JSON has no infinity: the open outer ends are written as null
             rows[0]["logit_lo"] = rows[-1]["logit_hi"] = None
-        write(_emit({"strata": rows}, options, rows))
+        # the other formats print the open outer ends as -inf and inf
+        write(_emit({"strata": rows}, options, rows, finite=False))
     elif args.command == "lambda":
         rows = lambda_report(stages.frame, stages.balance)
-        write(_emit(check_finite({"lambda_report": rows}), options, rows))
+        write(_emit({"lambda_report": rows}, options, rows))
     else:
-        write(_emit(check_finite(stages.document(VIEWS[args.command])), options))
+        write(_emit(stages.document(VIEWS[args.command]), options))
     return 0
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -129,6 +129,13 @@ class ZeroVariance(DataError):
         super().__init__(f"{what} has zero variance")
 
 
+class CovariateOverflow(DataError):
+    def __init__(self, name):
+        super().__init__(f"covariate {name!r} is too large for float arithmetic: "
+                         "its mean or SD overflows")
+        self.name = name
+
+
 class UnknownCovariate(ConfigError):
     def __init__(self, name, known):
         super().__init__(f"unknown covariate {name!r}; frame has {sorted(known)}")

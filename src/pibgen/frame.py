@@ -36,6 +36,7 @@ import numpy as np
 from .errors import (
     BadIndicator,
     ConfigError,
+    CovariateOverflow,
     DataError,
     DuplicateColumn,
     DuplicateId,
@@ -139,11 +140,16 @@ class StudyFrame:
         return _tally(self, np.ones(self.n_units, dtype=np.intp), 1)
 
     def covariate_moments(self, name: str) -> tuple[float, float]:
-        """Population mean and SD (denominator N) of a covariate column."""
+        """Population mean and SD (denominator N) of a covariate column;
+        ``CovariateOverflow`` when either is too large for a float."""
         j = self.covariate_index(name)
         if j not in self._moments:
             col = self.X[:, j]
-            self._moments[j] = col.mean(), col.std()
+            with np.errstate(over="ignore", invalid="ignore"):
+                mean, sd = col.mean(), col.std()
+            if not (np.isfinite(mean) and np.isfinite(sd)):
+                raise CovariateOverflow(name)
+            self._moments[j] = mean, sd
         return self._moments[j]
 
     def covariate_index(self, name: str) -> int:

@@ -24,6 +24,7 @@ from .errors import (
     ZeroVariance,
 )
 from .frame import StudyFrame
+from .report import to_json
 
 
 _TOLERANCE = 1e-8
@@ -245,7 +246,9 @@ def compute_balance(frame: StudyFrame, covariates=None) -> BalanceReport:
 
 
 def model_to_json(model: PropensityModel) -> str:
-    return json.dumps(model.to_json(), indent=2, sort_keys=True)
+    """The model as JSON text without a final newline.  It is as strict as
+    every report: a NaN or infinity raises ``NonFiniteResult``."""
+    return to_json(model.to_json()).removesuffix("\n")
 
 
 def model_from_json(text: str) -> PropensityModel:

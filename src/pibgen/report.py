@@ -19,7 +19,9 @@ from .errors import NonFiniteResult
 
 def check_finite(node, path=""):
     """``node`` itself once every number in it is finite; otherwise
-    ``NonFiniteResult`` names the first one that is not, by its key path."""
+    ``NonFiniteResult`` names the first one that is not, in insertion order,
+    by its key path.  ``to_json`` makes this check as it writes; the Markdown
+    and CSV views call it first."""
     if isinstance(node, float) and not math.isfinite(node):
         raise NonFiniteResult(path, node)
     if isinstance(node, dict):
@@ -31,9 +33,73 @@ def check_finite(node, path=""):
     return node
 
 
+_INF = math.inf
+_encode_str = json.encoder.encode_basestring_ascii
+_float_repr = float.__repr__
+_int_repr = int.__repr__
+
+
+def _encode(node, indent: str) -> str:
+    """``json.dumps(node, indent=2, sort_keys=True)`` for a dict, list or tuple
+    whose closing bracket follows ``indent`` (a newline and its spaces), except
+    that a NaN or infinity raises ``ValueError``.  With ``indent`` set the
+    stdlib leaves its C encoder for a Python one that makes a call per value;
+    this walk writes each scalar in its container's loop instead."""
+    inner = indent + "  "
+    if isinstance(node, dict):
+        if not node:
+            return "{}"
+        keys = sorted(node)
+        values = map(node.__getitem__, keys)
+    else:
+        if not node:
+            return "[]"
+        keys, values = None, node
+    parts = []
+    for value in values:
+        if isinstance(value, float):
+            if not -_INF < value < _INF:  # NaN fails both comparisons
+                raise ValueError(f"out of range float value: {value!r}")
+            parts.append(_float_repr(value))
+        elif isinstance(value, str):
+            parts.append(_encode_str(value))
+        elif isinstance(value, (dict, list, tuple)):
+            parts.append(_encode(value, inner))
+        elif value is True:
+            parts.append("true")
+        elif value is False:
+            parts.append("false")
+        elif value is None:
+            parts.append("null")
+        elif isinstance(value, int):
+            parts.append(_int_repr(value))
+        else:
+            parts.append(_dumps(value, inner))
+    if keys is None:
+        return f"[{inner}{(',' + inner).join(parts)}{indent}]"
+    try:
+        parts = [f"{_encode_str(key)}: {text}" for key, text in zip(keys, parts)]
+    except TypeError:  # a key that is not a string
+        return _dumps(node, indent)
+    return f"{{{inner}{(',' + inner).join(parts)}{indent}}}"
+
+
+def _dumps(node, indent: str) -> str:
+    """The stdlib's text for a value the walk does not write itself, each line
+    break followed by ``indent``'s spaces (a JSON string holds no raw newline).
+    A value of a type JSON lacks raises the stdlib's ``TypeError``."""
+    return json.dumps(node, indent=2, sort_keys=True, allow_nan=False).replace("\n", indent)
+
+
 def to_json(document: dict) -> str:
-    """Strict JSON: a NaN or infinity raises ValueError instead of being written."""
-    return json.dumps(document, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    """Strict JSON, byte for byte ``json.dumps(document, indent=2,
+    sort_keys=True) + "\\n"``.  A NaN or infinity is not written: it raises
+    ``NonFiniteResult``, naming the first one in the document's own order."""
+    try:
+        return _encode(document, "\n") + "\n"
+    except ValueError:
+        check_finite(document)
+        raise
 
 
 def _f2(x) -> str:

@@ -6,8 +6,9 @@ import io
 import json
 import re
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pibgen
@@ -20,7 +21,7 @@ import pibgen.stratify
 from pibgen.cli import main
 from pibgen.data import synthetic_path
 from pibgen.errors import ConfigError, NonFiniteResult, ZeroVariance
-from pibgen.report import check_finite
+from pibgen.report import check_finite, to_json
 
 from test_acceptance import GOLDEN_ARGS
 
@@ -270,6 +271,40 @@ class TestAnalyze:
         monkeypatch.setitem(pibgen.cli.OPTIONS, "strata", (7, pibgen.cli.OPTIONS["strata"][1]))
         assert "stratum count k (default 7)" in pibgen.cli.build_parser().format_help()
 
+    def test_main_builds_one_parser_and_no_option_outlives_its_call(self, capsys, monkeypatch,
+                                                                    tmp_path):
+        built = []
+
+        def build_parser():
+            built.append(original())
+            return built[-1]
+
+        original = pibgen.cli.build_parser
+        monkeypatch.setattr(pibgen.cli, "build_parser", build_parser)
+        monkeypatch.delenv("PIBGEN_SEED", raising=False)
+        pibgen.cli._parser.cache_clear()
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"seed": 9, "pooled": True}))
+        plain = ["analyze", "--data", synthetic_path(), "--strata", "2", "--reps", "5",
+                 "--format", "json"]
+        code, first, _ = run(capsys, *plain, "--lambda", "0.3", "--lambda", "sd:pooled",
+                             "--assumption", "bsv", "--categorical", "title1=0",
+                             "--config", str(config))
+        assert code == 0
+        code, second, _ = run(capsys, *plain)
+        assert code == 0 and len(built) == 1
+        first, second = json.loads(first), json.loads(second)
+        assert first["meta"]["seed"] == 9 and "title1=1" in first["propensity"]["coefficients"]
+        assert [lam["label"] for lam in first["lambda_values"]] == ["fixed:0.3", "sd:pooled"]
+        assert second["meta"]["seed"] == 0
+        assert second["meta"]["options"]["assumptions"] == ["worst_case"]
+        assert second["lambda_values"] == []
+        assert "title1=1" not in second["propensity"]["coefficients"]
+        assert "pooled" not in second["stratum_intervals"]
+        pibgen.cli._parser.cache_clear()  # a fresh parser gives the second call's bytes
+        assert json.loads(run(capsys, *plain)[1]) == second
+        assert len(built) == 2
+
     def test_env_seed_fallback(self, capsys, small_csv, monkeypatch):
         monkeypatch.setenv("PIBGEN_SEED", "123")
         code, out, _ = run(capsys, "analyze", "--data", small_csv, "--strata", "1",
@@ -413,6 +448,46 @@ def test_check_finite_names_the_first_non_finite_number_by_its_path():
         check_finite(document)
     assert check_finite({"a": [1.0, None, "inf"], "b": True}) == {"a": [1.0, None, "inf"],
                                                                  "b": True}
+
+
+_FINITE_FLOATS = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                           st.sampled_from([-0.0, 5e-324, 1e308, -1e308]))
+_TEXT = st.one_of(st.text(), st.sampled_from(['"', "\\", '\\"', "\x00\x1f\x7f", "\n\t",
+                                              "é", "\u2028", "\U0001d11e", "\ud800"]))
+
+
+def _documents(floats):
+    """Dicts as a report holds them, and what the stdlib writes besides: tuples,
+    int keys, big ints and numpy floats; leaf floats are drawn from ``floats``."""
+    scalars = st.one_of(st.none(), st.booleans(), st.integers(), st.just(-(10 ** 40)), _TEXT,
+                        floats, floats.map(np.float64))
+    values = st.recursive(scalars, lambda children: st.one_of(
+        st.lists(children, max_size=4), st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(_TEXT, children, max_size=4),
+        st.dictionaries(st.integers(), children, max_size=4)), max_leaves=20)
+    return st.dictionaries(_TEXT, values, max_size=5)
+
+
+@settings(max_examples=300, deadline=None)
+@given(document=_documents(_FINITE_FLOATS))
+def test_to_json_writes_the_bytes_of_the_stdlib(document):
+    assert to_json(document) == json.dumps(document, indent=2, sort_keys=True) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(document=_documents(st.one_of(_FINITE_FLOATS, st.sampled_from(
+    [float("nan"), float("inf"), float("-inf")]))))
+@example(document={"b": [1.0, {"y": float("-inf")}], "a": {"z": 2.0, "x": float("nan")}})
+@example(document={"b": {1: (float("inf"),)}, "a": [np.float64("nan")]})
+def test_to_json_names_the_first_non_finite_number_as_check_finite_does(document):
+    try:
+        check_finite(document)
+    except NonFiniteResult as exc:
+        with pytest.raises(NonFiniteResult) as raised:
+            to_json(document)
+        assert str(raised.value) == str(exc)
+    else:
+        assert to_json(document) == json.dumps(document, indent=2, sort_keys=True) + "\n"
 
 
 class TestSubcommands:
@@ -1198,18 +1273,27 @@ _EXTREME_ROWS = (("1", "1", "0.2"), ("1", "1", "1.4"), ("1", "0", "0.9"), ("1", 
                  ("0", "", "0.5"), ("0", "", "1.1"), ("0", "", "-0.6"), ("0", "", "0.1"))
 _SUPPORT_CELLS = {"0,1": ["0", "1"], "0,1e200": ["0", "1", "1e200"],
                   "-1e308,1e308": ["0", "1", "1e200", "-1e308"]}
+# covariate magnitudes whose mean or SD overflows a float (a sum past 1.8e308,
+# or a square of 1e200) and ones whose moments stay finite
+_COVARIATE_MAGNITUDES = ["1e308", "1.7e308", "1e200", "1e150", "1e-200"]
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=40, deadline=None)
 @given(data=st.data(), support=st.sampled_from(list(_SUPPORT_CELLS)),
-       lam=st.sampled_from(["0.3", "1e308", "sd:pooled"]))
+       lam=st.sampled_from(["0.3", "1e308", "sd:pooled", "asmd:max"]),
+       magnitude=st.sampled_from([None, *_COVARIATE_MAGNITUDES]))
 def test_extreme_magnitudes_end_in_a_finite_report_or_a_typed_error(tmp_path_factory, data,
-                                                                   support, lam):
+                                                                   support, lam, magnitude):
     outcomes = data.draw(st.lists(st.sampled_from(_SUPPORT_CELLS[support]),
                                   min_size=len(_EXTREME_ROWS), max_size=len(_EXTREME_ROWS)))
+    covariates = [x for _, _, x in _EXTREME_ROWS]
+    if magnitude is not None:
+        covariates = data.draw(st.lists(st.sampled_from([magnitude, f"-{magnitude}", *covariates]),
+                                        min_size=len(_EXTREME_ROWS), max_size=len(_EXTREME_ROWS)))
     path = tmp_path_factory.mktemp("extreme") / "data.csv"
     path.write_text("id,in_sample,treatment,outcome,x1\n" + "".join(
-        f"u{i},{z},{w},{y},{x}\n" for i, ((z, w, x), y) in enumerate(zip(_EXTREME_ROWS, outcomes))))
+        f"u{i},{z},{w},{y},{x}\n"
+        for i, ((z, w, _), x, y) in enumerate(zip(_EXTREME_ROWS, covariates, outcomes))))
     options = ["--data", str(path), f"--support={support}", "--lambda", lam, "--strata", "1",
                "--reps", "5", "--framework", "both", "--assumption", "worst", "--assumption", "bsv"]
     for command in ("analyze", "bounds", "points", "lambda"):
@@ -1224,3 +1308,26 @@ def test_extreme_magnitudes_end_in_a_finite_report_or_a_typed_error(tmp_path_fac
                 assert not re.search(r"\b(inf|nan|Infinity|NaN)\b", out.getvalue()), (command, fmt)
             ends.add((code, err.getvalue()))
         assert len(ends) == 1, (command, ends)
+
+
+@pytest.mark.parametrize("cells", [("1e308", "1.7e308"), ("1e200", "1e-200")])
+@pytest.mark.parametrize("command", ["propensity", "analyze", "lambda"])
+def test_covariate_whose_moments_overflow_is_a_data_error(capsys, tmp_path, cells, command):
+    path = tmp_path / "data.csv"
+    path.write_text("id,in_sample,treatment,outcome,x\n" + "".join(
+        f"u{i},{int(i < 20)},{i % 2 if i < 20 else ''},{i * 7 % 3 % 2},{cells[i * 5 % 7 % 2]}\n"
+        for i in range(60)))
+    assert run(capsys, command, "--data", str(path), "--format", "json") == (
+        2, "", "error: covariate 'x' is too large for float arithmetic: its mean or SD overflows\n")
+
+
+@pytest.mark.parametrize("command", ["analyze", "bounds", "points", "lambda", "strata",
+                                     "propensity"])
+def test_every_json_command_writes_canonical_json(capsys, command):
+    code, out, err = run(capsys, command, *GOLDEN_ARGS, "--format", "json")
+    assert (code, err) == (0, "")
+    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+    if command == "strata":
+        rows = json.loads(out)["strata"]
+        assert rows[0]["logit_lo"] is None and rows[-1]["logit_hi"] is None
+        assert all(isinstance(row["logit_hi"], float) for row in rows[:-1])
