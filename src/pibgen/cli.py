@@ -435,16 +435,15 @@ class _Pipeline:
         return notes
 
 
-def _emit(document: dict, options, table=None, finite=True) -> str:
+def _emit(document: dict, options, table=None) -> str:
     """The document in the chosen format; in CSV and Markdown a ``table`` of
     rows stands for a document that holds only that table.  A NaN or infinity
-    is a ``NonFiniteResult`` in every format: JSON checks as it writes, and the
-    other formats check first unless ``finite`` is false."""
+    in the document is a ``NonFiniteResult`` in every format: JSON checks as it
+    writes, and the other formats check first."""
     fmt = options["format"]
     if fmt == "json":
         return to_json(document)
-    if finite:
-        check_finite(document)
+    check_finite(document)
     if fmt == "csv":
         return render_csv(document) if table is None else rows_csv(table)
     return render_markdown(document) if table is None else rows_md(table)
@@ -547,12 +546,10 @@ def _run(args) -> int:
     if args.command == "propensity":
         write(model_to_json(stages.model) + "\n")
     elif args.command == "strata":
-        rows = stratum_summary_rows(stages.assignment)
-        if options["format"] == "json":
-            # JSON has no infinity: the open outer ends are written as null
-            rows[0]["logit_lo"] = rows[-1]["logit_hi"] = None
-        # the other formats print the open outer ends as -inf and inf
-        write(_emit({"strata": rows}, options, rows, finite=False))
+        table = stratum_summary_rows(stages.assignment)  # open outer ends -inf and inf
+        rows = [dict(row) for row in table]
+        rows[0]["logit_lo"] = rows[-1]["logit_hi"] = None  # JSON has no infinity
+        write(_emit({"strata": rows}, options, table))
     elif args.command == "lambda":
         rows = lambda_report(stages.frame, stages.balance)
         write(_emit({"lambda_report": rows}, options, rows))

@@ -91,8 +91,9 @@ class StudyFrame:
       stored column-major so each covariate column is contiguous.
 
     The checks run once, when the frame is built; the first bad row raises the
-    typed error its first failing check gives, naming the unit id.  Frames are
-    never modified after construction.
+    typed error its first failing check gives, naming the unit id.  Columns are
+    read-only views (a write raises ``ValueError``), not copies: a column may
+    share memory with the array it was given, which stays writable.
     """
 
     def __init__(self, ids, z, w, y, X, support: OutcomeSupport, covariate_names=()):
@@ -105,8 +106,8 @@ class StudyFrame:
         if not len(ids) == len(z) == len(w) == len(y) or X.shape != (len(ids), len(names)):
             raise DataError("frame columns differ in length")
         _raise_first(_invalid_units(ids, z, w, y, support))
-        self.ids, self.y, self.X = ids, y, np.asfortranarray(X)
-        self.z, self.w = z.astype(np.int8, copy=False), w.astype(np.int8, copy=False)
+        z, w, X = z.astype(np.int8, copy=False), w.astype(np.int8, copy=False), np.asfortranarray(X)
+        self.ids, self.z, self.w, self.y, self.X = map(_read_only, (ids, z, w, y, X))
         self.support, self.covariate_names = support, names
         self._moments = {}  # covariate index -> (mean, SD), each taken on first use
 
@@ -160,6 +161,13 @@ class StudyFrame:
 
     def covariate_column(self, name: str) -> np.ndarray:
         return self.X[:, self.covariate_index(name)]
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    """A view of ``array`` that refuses writes; ``array`` itself stays writable."""
+    view = array.view()
+    view.flags.writeable = False
+    return view
 
 
 def _raise_first(checks):

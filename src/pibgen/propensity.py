@@ -172,6 +172,7 @@ def _raise_separation(beta, covariates):
     raise Separation({name: round(float(v), 4) for name, v in zip(names, direction)})
 
 
+@np.errstate(over="ignore", invalid="ignore")  # overflow gives inf or NaN: check_finite reports it
 def logit_scores(model: PropensityModel, frame: StudyFrame) -> np.ndarray:
     """Propensity logit of each row: the intercept plus the covariate terms,
     added one coefficient at a time in the model's order."""

@@ -42,8 +42,9 @@ _int_repr = int.__repr__
 def _encode(node, indent: str) -> str:
     """``json.dumps(node, indent=2, sort_keys=True)`` for a dict, list or tuple
     whose closing bracket follows ``indent`` (a newline and its spaces), except
-    that a NaN or infinity raises ``ValueError``.  With ``indent`` set the
-    stdlib leaves its C encoder for a Python one that makes a call per value;
+    that a NaN or infinity raises ``ValueError``; as in the stdlib, a non-``str``
+    key or a value of a type JSON lacks raises ``TypeError``.  With ``indent`` set
+    the stdlib leaves its C encoder for a Python one that makes a call per value;
     this walk writes each scalar in its container's loop instead."""
     inner = indent + "  "
     if isinstance(node, dict):
@@ -74,27 +75,18 @@ def _encode(node, indent: str) -> str:
         elif isinstance(value, int):
             parts.append(_int_repr(value))
         else:
-            parts.append(_dumps(value, inner))
+            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
     if keys is None:
         return f"[{inner}{(',' + inner).join(parts)}{indent}]"
-    try:
-        parts = [f"{_encode_str(key)}: {text}" for key, text in zip(keys, parts)]
-    except TypeError:  # a key that is not a string
-        return _dumps(node, indent)
+    parts = [f"{_encode_str(key)}: {text}" for key, text in zip(keys, parts)]
     return f"{{{inner}{(',' + inner).join(parts)}{indent}}}"
-
-
-def _dumps(node, indent: str) -> str:
-    """The stdlib's text for a value the walk does not write itself, each line
-    break followed by ``indent``'s spaces (a JSON string holds no raw newline).
-    A value of a type JSON lacks raises the stdlib's ``TypeError``."""
-    return json.dumps(node, indent=2, sort_keys=True, allow_nan=False).replace("\n", indent)
 
 
 def to_json(document: dict) -> str:
     """Strict JSON, byte for byte ``json.dumps(document, indent=2,
-    sort_keys=True) + "\\n"``.  A NaN or infinity is not written: it raises
-    ``NonFiniteResult``, naming the first one in the document's own order."""
+    sort_keys=True) + "\\n"``, written by ``_encode`` alone.  A NaN or infinity is
+    not written: it raises ``NonFiniteResult``, naming the first one in the
+    document's own order.  A non-``str`` key or a non-JSON value is a ``TypeError``."""
     try:
         return _encode(document, "\n") + "\n"
     except ValueError:

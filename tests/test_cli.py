@@ -457,14 +457,13 @@ _TEXT = st.one_of(st.text(), st.sampled_from(['"', "\\", '\\"', "\x00\x1f\x7f", 
 
 
 def _documents(floats):
-    """Dicts as a report holds them, and what the stdlib writes besides: tuples,
-    int keys, big ints and numpy floats; leaf floats are drawn from ``floats``."""
+    """Dicts as a report holds them, with tuples, big ints and numpy floats
+    besides; leaf floats are drawn from ``floats``."""
     scalars = st.one_of(st.none(), st.booleans(), st.integers(), st.just(-(10 ** 40)), _TEXT,
                         floats, floats.map(np.float64))
     values = st.recursive(scalars, lambda children: st.one_of(
         st.lists(children, max_size=4), st.lists(children, max_size=4).map(tuple),
-        st.dictionaries(_TEXT, children, max_size=4),
-        st.dictionaries(st.integers(), children, max_size=4)), max_leaves=20)
+        st.dictionaries(_TEXT, children, max_size=4)), max_leaves=20)
     return st.dictionaries(_TEXT, values, max_size=5)
 
 
@@ -488,6 +487,23 @@ def test_to_json_names_the_first_non_finite_number_as_check_finite_does(document
         assert str(raised.value) == str(exc)
     else:
         assert to_json(document) == json.dumps(document, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("document", [{1: 0.5}, {"a": [{"b": 1, 2: None}]}, {"a": {(): "x"}},
+                                      {"a": object()}, {"a": [1.0, {"b": np.int64(1)}]}])
+def test_to_json_refuses_a_key_or_value_json_lacks(document):
+    with pytest.raises(TypeError):
+        to_json(document)
+
+
+@pytest.mark.parametrize("value", [object(), np.int64(1), {1, 2}])
+def test_to_json_names_a_value_json_lacks_as_the_stdlib_does(value):
+    document = {"a": [1.0, {"b": value}]}
+    with pytest.raises(TypeError) as stdlib:
+        json.dumps(document)
+    with pytest.raises(TypeError) as raised:
+        to_json(document)
+    assert str(raised.value) == str(stdlib.value)
 
 
 class TestSubcommands:
@@ -1242,11 +1258,26 @@ def _csv_texts(draw):
     return "\n".join(lines) + "\n"
 
 
+# a loaded model whose x coefficient overflows the logits of units with |x| > 1
+OVERFLOWING_MODEL = {"intercept": 0.0, "coefficients": {"x": 1e308}, "converged": True,
+                     "iterations": 3}
+
+
+def _past_the_open_ends(table: str, fmt: str) -> str:
+    """A Markdown or CSV strata table with its open outer ends, which must read
+    -inf and inf, blanked: the only cells that may hold an infinity."""
+    header, *rows = _md_cells(table) if fmt == "md" else list(csv.reader(io.StringIO(table)))
+    lo, hi = header.index("logit_lo"), header.index("logit_hi")
+    assert (rows[0][lo], rows[-1][hi]) == ("-inf", "inf")
+    rows[0][lo] = rows[-1][hi] = ""
+    return "\n".join(",".join(row) for row in [header, *rows])
+
+
 @settings(max_examples=100, deadline=None)
 @given(text=_csv_texts(), strata=st.sampled_from(["1", "2", "3"]), merge=st.booleans(),
-       fmt=st.sampled_from(["json", "csv", "md"]))
+       fmt=st.sampled_from(["json", "csv", "md"]), overflowing_model=st.booleans())
 def test_every_input_ends_in_a_report_or_a_typed_error(tmp_path_factory, text, strata, merge,
-                                                       fmt):
+                                                       fmt, overflowing_model):
     path = tmp_path_factory.mktemp("fuzz") / "data.csv"
     path.write_text(text)
     options = ["--data", str(path), "--strata", strata, "--reps", "5", "--format", fmt,
@@ -1255,6 +1286,10 @@ def test_every_input_ends_in_a_report_or_a_typed_error(tmp_path_factory, text, s
                "--lambda", "0.3", "--lambda", "sd:max_arm", "--lambda", "asmd:max"]
     if merge:
         options.append("--merge-strata")
+    if overflowing_model:  # every x1 cell past 1 in size overflows its logit
+        model = path.with_name("model.json")
+        model.write_text(json.dumps({**OVERFLOWING_MODEL, "coefficients": {"x1": 1e308}}))
+        options += ["--model", str(model)]
     for command in _COMMANDS:
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -1264,6 +1299,11 @@ def test_every_input_ends_in_a_report_or_a_typed_error(tmp_path_factory, text, s
         assert "Traceback" not in err.getvalue()
         if code == 0:
             assert "NaN" not in out.getvalue() and "Infinity" not in out.getvalue(), command
+        if code == 0 and fmt != "json":
+            cells = out.getvalue()
+            if command == "strata":
+                cells = _past_the_open_ends(cells, fmt)
+            assert not re.search(r"\b(inf|nan)\b", cells), (command, fmt)
 
 
 # sampled treated, sampled control and non-sampled rows, with overlapping
@@ -1319,6 +1359,59 @@ def test_covariate_whose_moments_overflow_is_a_data_error(capsys, tmp_path, cell
         for i in range(60)))
     assert run(capsys, command, "--data", str(path), "--format", "json") == (
         2, "", "error: covariate 'x' is too large for float arithmetic: its mean or SD overflows\n")
+
+
+def _sampled_first_twelve(cells) -> str:
+    """A frame with one row per covariate cell: the first 12 rows are sampled,
+    with arms alternating, and row i has outcome i % 3 % 2."""
+    return "id,in_sample,treatment,outcome,x\n" + "".join(
+        f"u{i},{int(i < 12)},{i % 2 if i < 12 else ''},{i % 3 % 2},{x}\n"
+        for i, x in enumerate(cells))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command, message", [
+    ("strata", "result strata[1].logit_hi is inf: too large for float arithmetic"),
+    ("analyze", "fitted selection probability is not positive for unit 'u0'"),
+])
+def test_logits_that_overflow_are_the_same_error_in_every_format(capsys, tmp_path, command,
+                                                                 message):
+    data, model = tmp_path / "g.csv", tmp_path / "m.json"
+    data.write_text(_sampled_first_twelve([(-3, 3, 2, 1)[i % 4] for i in range(40)]))
+    model.write_text(json.dumps(OVERFLOWING_MODEL))
+    for fmt in ("md", "csv", "json"):
+        assert run(capsys, command, "--data", str(data), "--model", str(model), "--strata", "3",
+                   "--reps", "5", "--format", fmt) == (2, "", f"error: {message}\n"), fmt
+
+
+@settings(max_examples=40, deadline=None)
+@given(cells=st.lists(st.sampled_from(["-3", "-1", "-0.5", "0", "0.5", "1", "2", "3"]),
+                      min_size=24, max_size=24),
+       coefficient=st.sampled_from([1e308, -1e308, 1e200]), strata=st.sampled_from("1234"),
+       merge=st.booleans())
+def test_a_model_whose_logits_overflow_ends_alike_in_every_format(tmp_path_factory, cells,
+                                                                  coefficient, strata, merge):
+    data = tmp_path_factory.mktemp("overflow") / "g.csv"
+    data.write_text(_sampled_first_twelve(cells))
+    model = data.with_name("m.json")
+    model.write_text(json.dumps({**OVERFLOWING_MODEL, "coefficients": {"x": coefficient}}))
+    options = ["--data", str(data), "--model", str(model), "--strata", strata, "--reps", "5",
+               "--assumption", "bsv", "--lambda", "asmd:max", "--pooled"]
+    if merge:
+        options.append("--merge-strata")
+    for command in ("strata", "analyze", "bounds", "points", "lambda"):
+        ends = set()
+        for fmt in ("json", "md", "csv"):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([command, *options, "--format", fmt])
+            assert code in (0, 2), (command, fmt, err.getvalue())
+            text = out.getvalue()
+            if code == 0 and command == "strata" and fmt != "json":
+                text = _past_the_open_ends(text, fmt)
+            assert not re.search(r"\b(inf|nan|Infinity|NaN)\b", text), (command, fmt)
+            ends.add((code, err.getvalue()))
+        assert len(ends) == 1, (command, ends)
 
 
 @pytest.mark.parametrize("command", ["analyze", "bounds", "points", "lambda", "strata",

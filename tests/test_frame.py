@@ -724,6 +724,25 @@ class TestColumns:
         assert frame.covariate_column("x2").tolist() == [2.0, 3.0]
         assert frame.covariate_column("x2").flags["C_CONTIGUOUS"]
 
+    def test_columns_refuse_writes_and_leave_the_given_arrays_writable(self, statewide_path):
+        frame = load_frame(statewide_path, BINARY)
+        rate = empirical_rates(frame).e_y1_w1z1
+        for column in (frame.ids, frame.z, frame.w, frame.y, frame.X):
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = column[1]
+        with pytest.raises(ValueError, match="read-only"):
+            frame.y[frame.treated] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            frame.covariate_column(frame.covariate_names[0])[:] = 0.0
+        assert empirical_rates(frame).e_y1_w1z1 == rate
+        given = (np.array(["a", "b"], dtype=object), np.array([1, 1], dtype=np.int8),
+                 np.array([1, 0], dtype=np.int8), np.array([1.0, 0.0]),
+                 np.zeros((2, 1), order="F"))
+        frame = StudyFrame(*given, BINARY, ("x1",))
+        assert all(array.flags.writeable for array in given)
+        assert all(np.shares_memory(column, array) for column, array in
+                   zip((frame.ids, frame.z, frame.w, frame.y, frame.X), given))
+
     def test_covariate_moments_are_taken_once_per_frame(self):
         text = "id,in_sample,treatment,outcome,x1,x2\na,1,1,1,0.5,2\nb,1,0,0,1.5,3\nc,0,,,1,7\n"
         frame = load_frame(io.StringIO(text), BINARY)

@@ -3,6 +3,7 @@
 import importlib.util
 import math
 import pathlib
+import warnings
 
 import numpy as np
 import pytest
@@ -236,6 +237,17 @@ class TestScores:
         logits = logit_scores(model, frame)
         assert logits.tolist() == expected
         assert propensity_scores(model, frame).shape == (frame.n_units,)
+
+    def test_logits_that_overflow_are_infinite_without_a_warning(self):
+        from pibgen.propensity import PropensityModel
+
+        model = PropensityModel(intercept=0.0, coefficients={"a": 1e308, "b": 1e308},
+                                converged=True, iterations=0, final_gradient_norm=0.0)
+        frame = frame_with_x([1, 0, 0], [(3.0, 0.0), (-3.0, 0.0), (3.0, -3.0)], ["a", "b"])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            logits = logit_scores(model, frame)
+        assert logits[0] == math.inf and logits[1] == -math.inf and math.isnan(logits[2])
 
     def test_missing_covariate(self):
         from pibgen.propensity import PropensityModel
