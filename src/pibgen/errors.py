@@ -149,6 +149,17 @@ class TooManyStrata(DataError):
         super().__init__(f"cannot form {k} strata from {distinct} distinct logit values")
 
 
+class UndefinedLogit(DataError):
+    """A unit's propensity logit is NaN: a loaded model's terms overflow to
+    +inf and -inf on it, so the unit has no stratum.  ``unit`` is its row for
+    ``make_strata`` and its id for ``strata_for_frame``."""
+
+    def __init__(self, unit):
+        super().__init__(f"propensity logit of unit {unit!r} is NaN: "
+                         "its terms overflow to +inf and -inf")
+        self.unit = unit
+
+
 class NonViableStratum(DataError):
     def __init__(self, indices):
         indices = list(indices)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, TooManyStrata
+from .errors import ConfigError, TooManyStrata, UndefinedLogit
 from .frame import StudyFrame, Tallies, tallies
 
 
@@ -35,13 +35,16 @@ def make_strata(logits, k: int) -> tuple[tuple[float, ...], np.ndarray]:
     label of every row.
 
     ``logits`` holds one propensity logit per row.  Stratum sizes differ by at
-    most one plus any ties sitting exactly on a breakpoint.
+    most one plus any ties sitting exactly on a breakpoint.  A NaN logit has
+    no stratum: the first one raises ``UndefinedLogit`` naming its row.
     """
     if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 1:
         raise ConfigError(f"stratum count must be an integer >= 1, got {k!r}")
     logits = np.asarray(logits, dtype=float)
     values = np.sort(logits)
     n = len(values)
+    if n and np.isnan(values[-1]):  # NaN sorts last
+        raise UndefinedLogit(int(np.flatnonzero(np.isnan(logits))[0]))
     distinct = int(np.count_nonzero(values[1:] != values[:-1])) + 1 if n else 0
     if k > distinct:
         raise TooManyStrata(k, distinct)
@@ -58,9 +61,14 @@ def _check_covers(frame: StudyFrame, rows: int):
 
 
 def strata_for_frame(frame: StudyFrame, logits, k: int) -> StratumAssignment:
-    """Assign every row of the frame to one of k logit strata and tally each."""
+    """Assign every row of the frame to one of k logit strata and tally each.
+
+    ``UndefinedLogit`` for a NaN logit names the unit by its id."""
     _check_covers(frame, len(logits))
-    breakpoints, labels = make_strata(logits, k)
+    try:
+        breakpoints, labels = make_strata(logits, k)
+    except UndefinedLogit as err:
+        raise UndefinedLogit(frame.ids[err.unit]) from None
     return StratumAssignment(k, breakpoints, labels, tallies(frame, labels, k))
 
 

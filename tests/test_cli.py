@@ -1384,6 +1384,23 @@ def test_logits_that_overflow_are_the_same_error_in_every_format(capsys, tmp_pat
                    "--reps", "5", "--format", fmt) == (2, "", f"error: {message}\n"), fmt
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", ["strata", "analyze"])
+def test_a_nan_logit_is_the_same_data_error_in_every_format(capsys, tmp_path, command):
+    # unit u20, not sampled, has terms 3e308 and -3e308: +inf + -inf is NaN
+    data, model = tmp_path / "g.csv", tmp_path / "m.json"
+    data.write_text("id,in_sample,treatment,outcome,x,v\n" + "".join(
+        f"u{i},{int(i < 12)},{i % 2 if i < 12 else ''},{i % 3 % 2},"
+        + ("3,-3" if i == 20 else f"{(-3, 3, 2, 1)[i % 4]}e-308,0") + "\n"
+        for i in range(40)))
+    model.write_text(json.dumps({**OVERFLOWING_MODEL, "coefficients": {"x": 1e308, "v": 1e308}}))
+    for fmt in ("md", "csv", "json"):
+        assert run(capsys, command, "--data", str(data), "--model", str(model), "--strata", "3",
+                   "--reps", "5", "--format", fmt) == (
+            2, "", "error: propensity logit of unit 'u20' is NaN: "
+                   "its terms overflow to +inf and -inf\n"), fmt
+
+
 @settings(max_examples=40, deadline=None)
 @given(cells=st.lists(st.sampled_from(["-3", "-1", "-0.5", "0", "0.5", "1", "2", "3"]),
                       min_size=24, max_size=24),

@@ -1,20 +1,20 @@
 """Point estimators: naive contrast, normalized IPW, subclassification."""
 
 import math
+import pathlib
+import random
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from pibgen import points
 from pibgen.errors import NonViableStratum, UnfittedModel, ZeroPropensity
 from pibgen.frame import BINARY, OutcomeSupport, StudyFrame, load_frame
 from pibgen.points import (
     _bootstrap_contrasts,
-    _child_states,
     _hajek_contrast,
+    _positions,
     ipw_estimate,
     naive_sate,
     subclass_estimate,
@@ -107,14 +107,17 @@ class TestIpw:
 
 
 def per_replicate_contrasts(y, w, weights, reps, seed):
-    """The bootstrap as a plain loop: one generator, two draws, one contrast per replicate."""
+    """The bootstrap as a plain loop: one generator, one row of uniforms and
+    one contrast per replicate."""
     treated = np.flatnonzero(w == 1)
     control = np.flatnonzero(w == 0)
+    n_t, n_c = len(treated), len(control)
+    rng = np.random.default_rng(seed)
     out = []
-    for rep in range(reps):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(rep,)))
-        t = treated[rng.integers(0, len(treated), size=len(treated))]
-        c = control[rng.integers(0, len(control), size=len(control))]
+    for _ in range(reps):
+        u = rng.random(n_t + n_c)
+        t = treated[[math.floor(x * n_t) for x in u[:n_t]]]
+        c = control[[math.floor(x * n_c) for x in u[n_t:]]]
         idx = np.concatenate([t, c])
         out.append(_hajek_contrast(y[idx], w[idx], weights[idx]))
     return np.array(out)
@@ -153,72 +156,43 @@ def bootstrap(y, w, weights, reps, seed, batch_rows=points._BATCH_ROWS):
                                 reps, seed, batch_rows=batch_rows)
 
 
-# seeds of one, two, three and 42 32-bit words, on both sides of a word boundary
-EDGE_SEEDS = [0, 2**32 - 1, 2**32, 2**64 + 1, 10**400]
-
-
 class TestBootstrapDraws:
-    """The bootstrap's draws, made without a generator per replicate, against
-    the installed numpy's own ``SeedSequence``, ``PCG64`` and ``Generator``."""
+    """The bootstrap's draws: one generator, a uniform ``u`` picks position
+    ``floor(u * n)`` of its arm, and the arms are taken in id order."""
 
-    @settings(max_examples=150, deadline=None)
-    @given(seed=st.one_of(st.sampled_from(EDGE_SEEDS), st.integers(0, 2**130)),
-           n_treated=st.one_of(st.sampled_from([1, 2]), st.integers(1, 300)),
-           n_control=st.one_of(st.sampled_from([1, 2]), st.integers(1, 300)),
-           reps=st.integers(1, 9), per_batch=st.sampled_from([1, 4, None]))
-    def test_equal_numpys_generators(self, seed, n_treated, n_control, reps, per_batch):
-        y, w, weights = arms(n_treated, n_control, seed % 1000)
-        per_batch = per_batch or reps
-        batched = bootstrap(y, w, weights, reps, seed, batch_rows=per_batch * w.size)
-        assert batched.tolist() == per_replicate_contrasts(y, w, weights, reps, seed).tolist()
+    # the 0.1% points of chi-squared with n - 1 degrees of freedom
+    @pytest.mark.parametrize("n, bound", [(2, 10.83), (7, 22.46), (34, 63.87), (200, 267.5)])
+    def test_positions_are_uniform_over_the_arm(self, n, bound):
+        draws = 500 * n
+        counts = np.bincount(_positions(np.random.default_rng(n).random(draws), n), minlength=n)
+        assert len(counts) == n
+        expected = draws / n
+        assert np.sum((counts - expected) ** 2 / expected) < bound
 
-    @pytest.mark.parametrize("seed", EDGE_SEEDS + [20240311])
-    def test_child_states_are_pcg64s_seeded_by_the_children(self, seed):
-        children = np.random.SeedSequence(seed).spawn(40)
-        assert _child_states(seed, 0, 40) == [np.random.PCG64(c).state for c in children]
-        assert _child_states(seed, 17, 5) == [np.random.PCG64(c).state for c in children[17:22]]
+    def test_the_largest_uniform_picks_the_last_position(self):
+        # every arm size to 2**16, then each power of two to 2**53 and its neighbours
+        powers = 2 ** np.arange(16, 54, dtype=np.int64)
+        n = np.concatenate([np.arange(1, 2**16), powers - 1, powers, powers + 1])
+        n = n[n < 2**53]
+        u = np.full(len(n), np.nextafter(1.0, 0.0))
+        assert _positions(u, n).tolist() == (n - 1).tolist()
+        assert _positions(np.zeros(len(n)), n).tolist() == [0] * len(n)
 
-    def test_negative_seed_rejected_as_numpy_does(self):
+    def test_negative_seed_rejected(self):
+        frame = make_frame([(1, 1, 1.0), (1, 0, 0.0), (0, None, None)])
         with pytest.raises(ValueError):
-            np.random.SeedSequence(-1)
-        with pytest.raises(ValueError):
-            _child_states(-1, 0, 1)
+            ipw_estimate(frame, constant_model(), reps=10, seed=-1)
 
-    def test_rejected_draw_is_redrawn_by_numpy(self, monkeypatch):
-        # at these arm sizes replicate 37 is the one whose words hold a draw
-        # numpy's 32-bit Lemire rule rejects
-        reps, seed = 300, 20240311
-        y, w, weights = arms(3036, 1964, 5)
-        redrawn = []
-        draws = points._numpy_draws
-
-        def spy(rng, n_t, n_c):
-            redrawn.append(rng.bit_generator.state)
-            return draws(rng, n_t, n_c)
-
-        monkeypatch.setattr(points, "_numpy_draws", spy)
-        contrasts = bootstrap(y, w, weights, reps, seed)
-        assert redrawn == [_child_states(seed, 37, 1)[0]]
-        assert contrasts.tolist() == per_replicate_contrasts(y, w, weights, reps, seed).tolist()
-
-    def test_one_generator_per_call_not_per_replicate(self, monkeypatch, statewide_path):
-        built = {"PCG64": 0, "SeedSequence": 0}
-
-        def counting(cls):
-            def __init__(self, *args, **kwargs):
-                built[cls.__name__] += 1
-                cls.__init__(self, *args, **kwargs)
-
-            # named as numpy's class: PCG64's state setter checks the name
-            return type(cls.__name__, (cls,), {"__init__": __init__})
-
-        frame = load_frame(statewide_path, BINARY)
-        model = fit_propensity(frame, frame.covariate_names)
-        for cls in (np.random.PCG64, np.random.SeedSequence):
-            monkeypatch.setattr(np.random, cls.__name__, counting(cls))
-        assert ipw_estimate(frame, model, reps=300, seed=20240311).se is not None
-        assert built["PCG64"] == 1
-        assert built["SeedSequence"] <= 1
+    def test_se_does_not_depend_on_the_row_order(self, statewide_path, tmp_path):
+        header, *rows = pathlib.Path(statewide_path).read_text().splitlines(keepends=True)
+        random.Random(7).shuffle(rows)
+        shuffled_path = tmp_path / "shuffled.csv"
+        shuffled_path.write_text(header + "".join(rows))
+        frame, shuffled = load_frame(statewide_path, BINARY), load_frame(shuffled_path, BINARY)
+        assert shuffled.ids.tolist() != frame.ids.tolist()
+        model = fit_propensity(frame, frame.covariate_names)  # one model: the same weights
+        se = ipw_estimate(frame, model, reps=300, seed=20240311).se
+        assert ipw_estimate(shuffled, model, reps=300, seed=20240311).se == se
 
     def test_peak_memory_does_not_grow_with_the_replicates(self):
         # 300 units per replicate: 218 replicates per batch at _BATCH_ROWS

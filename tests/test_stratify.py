@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from pibgen.errors import TooManyStrata
+from pibgen.errors import TooManyStrata, UndefinedLogit
 from pibgen.frame import BINARY, load_frame
 from pibgen.propensity import fit_propensity, logit_scores
 from pibgen.report import rows_csv
@@ -68,6 +68,13 @@ class TestMakeStrata:
     def test_too_many_strata(self):
         with pytest.raises(TooManyStrata):
             make_strata(logit_array([1.0, 1.0, 1.0]), 2)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_a_nan_logit_is_refused_by_its_row(self, k):
+        # two defined values would pass the distinct-value check at k <= 2
+        with pytest.raises(UndefinedLogit) as raised:
+            make_strata(logit_array([0.0, 1.0, np.nan, 2.0, np.nan]), k)
+        assert raised.value.unit == 2
 
 
 class TestStatewideShaped:
