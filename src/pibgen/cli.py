@@ -18,16 +18,14 @@ import os
 import sys
 import traceback
 from dataclasses import asdict
-from fractions import Fraction
-from functools import cache, cached_property, partial
+from functools import cache, cached_property
 
 from . import bounds as bounds_mod
 from . import oracle as oracle_mod
-from .errors import ConfigError, DataError, NonViableStratum, PibgenError
+from .errors import ConfigError, NonViableStratum, PibgenError
 from .frame import (
     ColumnMap,
     OutcomeSupport,
-    convert,
     design_probs,
     empirical_rates,
     load_frame,
@@ -452,54 +450,13 @@ def _emit(document: dict, options, table=None) -> str:
 # --- verify ---------------------------------------------------------------------
 
 
-# verify checks the sharp BSV bounds at each of these λ
-VERIFY_LAMBDAS = (Fraction(0), Fraction(1, 10), Fraction(1, 4), Fraction(1, 2), Fraction(1))
-
-
-def _verify_checks(frame):
-    """Yield (name, (float engine interval, rational engine interval), oracle
-    enumeration) comparisons on the information set the oracles describe."""
-    def engine_pair(closed_form, *exact_args):
-        """``closed_form`` on the exact inputs rounded once to float, as a float
-        tally of 0/1 outcomes gives them, and then on the exact inputs."""
-        rounded = (arg if isinstance(arg, str) else float(arg) if isinstance(arg, Fraction)
-                   else convert(arg) for arg in exact_args)
-        return closed_form(*rounded), closed_form(*exact_args)
-
-    rates, probs = oracle_mod.exact_inputs(frame)
-    exact = oracle_mod.EXACT_BINARY
-    # the reduced framework needs business-as-usual outcomes among z=0 units
-    frameworks = ("full", "reduced") if rates.e_y0_w0z0 is not None else ("full",)
-    for framework in frameworks:
-        yield (f"worst_case {framework}",
-               engine_pair(bounds_mod.worst_case_bounds, rates, probs, framework, exact),
-               oracle_mod.enumerate_worst_case(frame, framework))
-    sharp_bsv = partial(bounds_mod.bsv_bounds, intersect_support=True)
-    for lam in VERIFY_LAMBDAS:
-        for framework in frameworks:
-            yield (f"bsv {framework} lambda={lam}",
-                   engine_pair(sharp_bsv, rates, probs, framework, lam, exact),
-                   oracle_mod.enumerate_bsv(rates, probs, lam, framework))
-    scopes = [("sample", rates, probs)]
-    with contextlib.suppress(DataError):  # a frame the population scope does not fit
-        scopes.append(("population", *oracle_mod.population_inputs(frame)))
-    for scope, rates, probs in scopes:
-        (min_f, max_f), (min_x, max_x) = engine_pair(bounds_mod.mtr_bounds, rates, probs, scope)
-        yield (f"mtr {scope} max-variant", (max_f, max_x), oracle_mod.enumerate_mtr(frame, scope))
-        yield (f"mtr {scope} min-variant", (min_f, min_x),
-               oracle_mod.enumerate_mtr(frame, scope, pin_free_to_zero=True))
-
-
 def cmd_verify(options) -> tuple[str, int]:
     """The verify log and its exit code: 0 when every check passes, 1 on any
     mismatch, each mismatch followed by the frame as a counterexample."""
     frame, _ = _load(options)
     lines, failures = [], 0
-    for name, (engine, exact_engine), enum in _verify_checks(frame):
-        exact_ok = exact_engine.pre_clamp_lo == enum.lo and exact_engine.pre_clamp_hi == enum.hi
-        float_ok = (abs(engine.pre_clamp_lo - float(enum.lo)) <= 1e-12
-                    and abs(engine.pre_clamp_hi - float(enum.hi)) <= 1e-12)
-        if exact_ok and float_ok:
+    for name, engine, exact_engine, enum in oracle_mod.checks(frame):
+        if oracle_mod.agrees(engine, exact_engine, enum):
             lines.append(f"ok {name}: [{float(enum.lo):.6f}, {float(enum.hi):.6f}]")
             continue
         failures += 1

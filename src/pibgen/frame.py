@@ -284,13 +284,15 @@ class Tallies:
     Every design probability, arm mean and plug-in variance an estimator or
     lambda rule reads is a closed form in these counts and sums.  Sums add in
     row order within a group, so a group's tallies equal those of a frame
-    holding only its rows.
+    holding only its rows.  The outcome sums are of y / ``scale``, a power of
+    two, so that they stay finite; a mean is the sum over the count, times
+    ``scale``.
     """
 
     units: tuple[int, ...]
     treated: tuple[int, ...]  # sampled treated rows
     control: tuple[int, ...]  # sampled control rows
-    y_treated: tuple[float, ...]  # outcome sum of the sampled treated rows
+    y_treated: tuple[float, ...]  # outcome sum of the sampled treated rows, over scale
     y_control: tuple[float, ...]
     z0_bearing: tuple[int, ...]  # non-sampled rows that carry an outcome
     y_z0: tuple[float, ...]
@@ -299,6 +301,7 @@ class Tallies:
     ss_control: tuple[float, ...]
     ss_sampled: tuple[float, ...]  # of all sampled outcomes, both arms together
     binary_support: bool
+    scale: float
 
     def viable(self, g: int) -> bool:
         """Whether group ``g`` has a sampled unit in each arm."""
@@ -331,9 +334,10 @@ class Tallies:
         binary = self.is_binary(g)
         if number is not float and not binary:
             raise NonBinaryOutcome("enumeration oracles require a binary frame")
-        e1 = number(self.y_treated[g]) / self.treated[g]
-        e0 = number(self.y_control[g]) / self.control[g]
-        q0 = number(self.y_z0[g]) / self.z0_bearing[g] if self.z0_bearing[g] else None
+        scale = number(self.scale)
+        e1 = number(self.y_treated[g]) / self.treated[g] * scale
+        e0 = number(self.y_control[g]) / self.control[g] * scale
+        q0 = number(self.y_z0[g]) / self.z0_bearing[g] * scale if self.z0_bearing[g] else None
         return EmpiricalRates(e1, e0, q0, binary)
 
 
@@ -348,16 +352,25 @@ def tallies(frame: StudyFrame, labels=None, k: int = 1) -> Tallies:
 @np.errstate(over="ignore", invalid="ignore")  # overflow gives inf or NaN: check_finite reports it
 def _tally(frame: StudyFrame, labels, k: int) -> Tallies:
     y, bins = frame.y, k + 1  # bin 0 holds no label
+    # Dividing by a power of two is exact, but any scale past 1 flushes
+    # subnormal outcomes to 0, so it is 1 unless n outcomes at the support's
+    # largest magnitude could overflow a sum; then each y / scale lies in
+    # (-2, 2).  2**1024 is past float range, so the scale stops at 2**1023.
+    largest = max(abs(frame.support.y_lo), abs(frame.support.y_hi))
+    scale, y_scaled = 1.0, y
+    if frame.n_units * largest >= 2.0 ** 1023:
+        scale = 2.0 ** min(math.frexp(largest)[1], 1023)
+        y_scaled = y / scale
 
     def count(mask):
         return np.bincount(labels[mask], minlength=bins)[1:]
 
     def total(mask):
-        return np.bincount(labels[mask], weights=y[mask], minlength=bins)[1:]
+        return np.bincount(labels[mask], weights=y_scaled[mask], minlength=bins)[1:]
 
     def centred_squares(mask, sums, counts):
         groups = labels[mask]
-        deviations = y[mask] - (sums / np.maximum(counts, 1))[groups - 1]
+        deviations = y[mask] - (sums / np.maximum(counts, 1) * scale)[groups - 1]
         # C pow, as Python's ** squares a float in a two-pass plug-in variance;
         # deviations * deviations rounds differently for about 1 value in 1,000
         squares = np.float_power(deviations, 2)
@@ -380,6 +393,7 @@ def _tally(frame: StudyFrame, labels, k: int) -> Tallies:
         ss_control=tuple(centred_squares(control, y_control, n_control).tolist()),
         ss_sampled=tuple(centred_squares(sampled, total(sampled), n_treated + n_control).tolist()),
         binary_support=frame.support.is_binary,
+        scale=scale,
     )
 
 

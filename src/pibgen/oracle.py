@@ -17,6 +17,7 @@ against a closed form evaluated on rational inputs is exact.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 from dataclasses import dataclass, replace
@@ -24,19 +25,22 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bounds import check_framework, check_scope
+from . import bounds
 from .errors import DataError, MissingPopulationOutcome, NegativeLambda
 from .frame import (
+    BINARY,
     DesignProbs,
     EmpiricalRates,
     OutcomeSupport,
     StudyFrame,
+    convert,
     design_probs,
     empirical_rates,
 )
 
 # integer endpoints keep Fraction arithmetic exact (float endpoints would not)
 EXACT_BINARY = OutcomeSupport(0, 1)
+VERIFY_LAMBDAS = (Fraction(0), Fraction(1, 10), Fraction(1, 4), Fraction(1, 2), Fraction(1))
 
 
 def exact_rates(frame: StudyFrame) -> EmpiricalRates:
@@ -100,14 +104,13 @@ def enumerate_worst_case(frame: StudyFrame, framework: str = "full") -> Enumerat
     has its control potential outcome pinned to it.
     """
     rates = exact_rates(frame)
-    check_framework(framework)
+    bounds.check_framework(framework)
     z0 = frame.z == 0
     free = np.full(int(np.count_nonzero(z0)), np.nan)
     y0 = frame.y[z0] if framework == "reduced" else free
     lo, hi, n_completions = _extreme_sums(y0, free)
     fixed = frame.n_sample * rates.sate
-    n_total = frame.n_units
-    return Enumeration(lo=(fixed + lo) / n_total, hi=(fixed + hi) / n_total,
+    return Enumeration(lo=(fixed + lo) / frame.n_units, hi=(fixed + hi) / frame.n_units,
                        n_completions=n_completions)
 
 
@@ -154,7 +157,7 @@ def enumerate_mtr(
     form.
     """
     exact_rates(frame)  # the precondition; the bounds read the frame's columns
-    check_scope(scope)
+    bounds.check_scope(scope)
     y = frame.y
     y0 = np.where(frame.control, y, np.nan)
     y1 = np.where(frame.treated, y, np.nan)
@@ -176,7 +179,7 @@ def enumerate_box(rates: EmpiricalRates, probs: DesignProbs, box1, box0,
     reduced framework pins E(Y(0)|W=0, Z=0) at the business-as-usual mean.
     The PATE is linear in the cell means, so a sweep of the box corners is
     exhaustive.  It is the oracle side of ``bounds._split_mass``."""
-    check_framework(framework)
+    bounds.check_framework(framework)
     if framework == "reduced" and rates.e_y0_w0z0 is None:
         raise MissingPopulationOutcome()
     box00 = box0 if framework == "full" else (rates.e_y0_w0z0,)
@@ -199,3 +202,43 @@ def enumerate_bsv(rates: EmpiricalRates, probs: DesignProbs, lam,
         return max(0, center - lam), min(1, center + lam)
 
     return enumerate_box(rates, probs, band(rates.e_y1_w1z1), band(rates.e_y0_w0z1), framework)
+
+
+def agrees(float_interval, exact_interval, enumeration: Enumeration) -> bool:
+    """The pass rule of a check: before clamping, the exact interval equals the
+    enumeration, and the float one lies within 1e-12 of it."""
+    return (exact_interval.pre_clamp_lo == enumeration.lo
+            and exact_interval.pre_clamp_hi == enumeration.hi
+            and abs(float_interval.pre_clamp_lo - float(enumeration.lo)) <= 1e-12
+            and abs(float_interval.pre_clamp_hi - float(enumeration.hi)) <= 1e-12)
+
+
+def checks(frame: StudyFrame):
+    """Yield (name, float interval, exact interval, enumeration) for each
+    closed form ``bounds`` holds at the call, on the exact inputs of each
+    information set the oracles describe and on those inputs rounded once."""
+    rates, probs = exact_inputs(frame)
+    rounded = convert(rates), convert(probs)
+    # the reduced framework needs business-as-usual outcomes among z=0 units
+    frameworks = ("full", "reduced") if rates.e_y0_w0z0 is not None else ("full",)
+    for framework in frameworks:
+        yield (f"worst_case {framework}", bounds.worst_case_bounds(*rounded, framework, BINARY),
+               bounds.worst_case_bounds(rates, probs, framework, EXACT_BINARY),
+               enumerate_worst_case(frame, framework))
+    for lam in VERIFY_LAMBDAS:
+        for framework in frameworks:
+            yield (f"bsv {framework} lambda={lam}",
+                   bounds.bsv_bounds(*rounded, framework, float(lam), BINARY,
+                                     intersect_support=True),
+                   bounds.bsv_bounds(rates, probs, framework, lam, EXACT_BINARY,
+                                     intersect_support=True),
+                   enumerate_bsv(rates, probs, lam, framework))
+    scopes = [("sample", rounded, (rates, probs))]
+    with contextlib.suppress(DataError):  # a frame the population scope does not fit
+        exact = population_inputs(frame)
+        scopes.append(("population", tuple(map(convert, exact)), exact))
+    for scope, rounded, exact in scopes:
+        floats, exacts = bounds.mtr_bounds(*rounded, scope), bounds.mtr_bounds(*exact, scope)
+        for i, variant in ((1, "max"), (0, "min")):  # mtr_bounds gives (min, max)
+            yield (f"mtr {scope} {variant}-variant", floats[i], exacts[i],
+                   enumerate_mtr(frame, scope, pin_free_to_zero=variant == "min"))

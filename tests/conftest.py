@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from pibgen.frame import BINARY, OutcomeSupport, StudyFrame
 
@@ -78,3 +79,54 @@ def statewide_path():
 
 
 CONTINUOUS = OutcomeSupport(-2.0, 3.0)
+
+
+# cells that break validation, lie past float range or at its edges, or are
+# parsed after stripping the space around them
+HOSTILE_CELLS = ("", "nan", "inf", "-inf", "x", "2", "-1", "0.5", "1e308", "-1e308", "1e-320")
+COVARIATE_VALUES = ("-1.5", "-0.5", "0", "0.5", "1", "2")
+
+
+@st.composite
+def frame_texts(draw):
+    """CSV text of a frame that loads, then 0-2 perturbations.
+
+    The frame holds 4-20 pairs of rows, a sampled and a non-sampled unit with
+    the same covariates x1 and x2, and up to 20 more rows at those points.  The
+    first three pairs sit at affinely independent points, so no hyperplane
+    separates the sampled units from the others and the propensity fit
+    converges.  The first two sampled units are treated and control.  A
+    perturbation replaces a cell with a hostile one or pads it with a space,
+    drops or repeats a row, or adds a covariate column.
+    """
+    outcome = st.sampled_from(["0", "1"])
+    points = [("0", "0"), ("1", "0"), ("0", "1")]
+    points += draw(st.lists(st.tuples(st.sampled_from(COVARIATE_VALUES),
+                                      st.sampled_from(COVARIATE_VALUES)), min_size=1, max_size=17))
+    arm, z0_outcome = st.sampled_from(["0", "1"]), st.sampled_from(["", "0", "1"])
+    rows = []
+    for i, (x1, x2) in enumerate(points):
+        rows.append(["1", str(1 - i) if i < 2 else draw(arm), draw(outcome), x1, x2])
+        rows.append(["0", "", draw(z0_outcome), x1, x2])
+    # more rows at those points make the sampled share, and so the logit, vary
+    for x1, x2 in draw(st.lists(st.sampled_from(points), max_size=20)):
+        rows.append(["1", draw(arm), draw(outcome), x1, x2] if draw(st.booleans())
+                    else ["0", "", draw(z0_outcome), x1, x2])
+    rows = [[f"u{i}", *row] for i, row in enumerate(draw(st.permutations(rows)))]
+    header = ["id", "in_sample", "treatment", "outcome", "x1", "x2"]
+    for _ in range(draw(st.integers(0, 2))):
+        kind = draw(st.sampled_from(["cell", "pad", "drop", "repeat", "column"]))
+        i = draw(st.integers(0, len(rows) - 1))
+        if kind in ("cell", "pad"):
+            j = draw(st.integers(0, len(header) - 1))
+            rows[i][j] = (draw(st.sampled_from(HOSTILE_CELLS)) if kind == "cell"
+                          else draw(st.sampled_from([f" {rows[i][j]}", f"{rows[i][j]} "])))
+        elif kind == "drop":
+            del rows[i]
+        elif kind == "repeat":
+            rows.insert(i, list(rows[i]))
+        else:
+            header.append(f"x{len(header) - 3}")
+            for row in rows:
+                row.append(draw(st.sampled_from(COVARIATE_VALUES)))
+    return "".join(",".join(row) + "\n" for row in [header, *rows])

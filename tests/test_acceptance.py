@@ -9,19 +9,17 @@ import numpy as np
 import pytest
 
 from pibgen import bounds, oracle, points
-from pibgen.cli import VERIFY_LAMBDAS, main
+from pibgen.cli import main
 from pibgen.data import synthetic_path
 from pibgen.frame import (
     BINARY,
     DesignProbs,
     EmpiricalRates,
     OutcomeSupport,
-    convert,
     design_probs,
     empirical_rates,
     load_frame,
 )
-from pibgen.oracle import EXACT_BINARY
 from pibgen.points import ipw_estimate, naive_sate, subclass_estimate
 from pibgen.propensity import (
     PropensityModel,
@@ -44,61 +42,12 @@ def _rates(e1, e0, q0=None):
 
 def test_criterion_1_oracle_equivalence(rng):
     started = time.monotonic()
-    n_frames = 0
+    n_frames = 400
     n_checks = 0
-    while n_frames < 200:
-        frame = random_binary_frame(rng, max_units=10, labeled=True)
-        n_frames += 1
-        rates_x, probs_x = oracle.exact_inputs(frame)
-        rates_f, probs_f = convert(rates_x), convert(probs_x)
-
-        def agree(float_interval, exact_interval, enum):
-            assert exact_interval.pre_clamp_lo == enum.lo
-            assert exact_interval.pre_clamp_hi == enum.hi
-            assert abs(float_interval.pre_clamp_lo - float(enum.lo)) <= TOL
-            assert abs(float_interval.pre_clamp_hi - float(enum.hi)) <= TOL
-
-        enum = oracle.enumerate_worst_case(frame, "full")
-        agree(bounds.worst_case_bounds(rates_f, probs_f, "full", BINARY),
-              bounds.worst_case_bounds(rates_x, probs_x, "full", EXACT_BINARY), enum)
-        n_checks += 1
-        if rates_x.e_y0_w0z0 is not None:
-            enum = oracle.enumerate_worst_case(frame, "reduced")
-            agree(bounds.worst_case_bounds(rates_f, probs_f, "reduced", BINARY),
-                  bounds.worst_case_bounds(rates_x, probs_x, "reduced", EXACT_BINARY), enum)
-            n_checks += 1
-        for lam in VERIFY_LAMBDAS:
-            enum = oracle.enumerate_bsv(rates_x, probs_x, lam, "full")
-            agree(
-                bounds.bsv_bounds(rates_f, probs_f, "full", float(lam), BINARY,
-                                  intersect_support=True),
-                bounds.bsv_bounds(rates_x, probs_x, "full", lam, EXACT_BINARY,
-                                  intersect_support=True),
-                enum,
-            )
-            n_checks += 1
-            if rates_x.e_y0_w0z0 is not None:
-                enum = oracle.enumerate_bsv(rates_x, probs_x, lam, "reduced")
-                agree(
-                    bounds.bsv_bounds(rates_f, probs_f, "reduced", float(lam), BINARY,
-                                      intersect_support=True),
-                    bounds.bsv_bounds(rates_x, probs_x, "reduced", lam, EXACT_BINARY,
-                                      intersect_support=True),
-                    enum,
-                )
-                n_checks += 1
-        enum = oracle.enumerate_mtr(frame, "sample")
-        agree(bounds.mtr_bounds(rates_f, probs_f, "sample")[1],
-              bounds.mtr_bounds(rates_x, probs_x, "sample")[1], enum)
-        n_checks += 1
-        # the generator labels every z=0 unit and gives outcomes exactly to the
-        # control-labeled ones, so the population scope applies whenever one exists
-        if ((frame.z == 0) & (frame.w == 0)).any():
-            rates_p, probs_p = oracle.population_inputs(frame)
-            enum = oracle.enumerate_mtr(frame, "population")
-            agree(bounds.mtr_bounds(convert(rates_p), convert(probs_p), "population")[1],
-                  bounds.mtr_bounds(rates_p, probs_p, "population")[1],
-                  enum)
+    for i in range(n_frames):
+        frame = random_binary_frame(rng, max_units=10, labeled=i % 2 == 0)
+        for name, float_interval, exact_interval, enum in oracle.checks(frame):
+            assert oracle.agrees(float_interval, exact_interval, enum), name
             n_checks += 1
     elapsed = time.monotonic() - started
     assert elapsed < 10.0

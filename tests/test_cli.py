@@ -8,7 +8,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 import pibgen
@@ -23,6 +23,7 @@ from pibgen.data import synthetic_path
 from pibgen.errors import ConfigError, NonFiniteResult, ZeroVariance
 from pibgen.report import check_finite, to_json
 
+from conftest import frame_texts
 from test_acceptance import GOLDEN_ARGS
 
 SMALL_BINARY = """id,in_sample,treatment,outcome
@@ -1274,7 +1275,8 @@ def _past_the_open_ends(table: str, fmt: str) -> str:
 
 
 @settings(max_examples=100, deadline=None)
-@given(text=_csv_texts(), strata=st.sampled_from(["1", "2", "3"]), merge=st.booleans(),
+@given(text=st.one_of(_csv_texts(), frame_texts()), strata=st.sampled_from(["1", "2", "3"]),
+       merge=st.booleans(),
        fmt=st.sampled_from(["json", "csv", "md"]), overflowing_model=st.booleans())
 def test_every_input_ends_in_a_report_or_a_typed_error(tmp_path_factory, text, strata, merge,
                                                        fmt, overflowing_model):
@@ -1294,6 +1296,7 @@ def test_every_input_ends_in_a_report_or_a_typed_error(tmp_path_factory, text, s
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main([command, *options])
+        event(f"{command} exits {code}")
         assert code in (0, 1, 2, 3), (command, err.getvalue())
         assert code != 1 or command == "verify"
         assert "Traceback" not in err.getvalue()
@@ -1304,6 +1307,22 @@ def test_every_input_ends_in_a_report_or_a_typed_error(tmp_path_factory, text, s
             if command == "strata":
                 cells = _past_the_open_ends(cells, fmt)
             assert not re.search(r"\b(inf|nan)\b", cells), (command, fmt)
+
+
+def test_a_quarter_of_generated_frames_reach_a_report(tmp_path_factory):
+    # the exit-0 assertions above run only on frames that load and fit
+    codes = []
+
+    @settings(max_examples=40, derandomize=True, database=None, deadline=None)
+    @given(text=frame_texts())
+    def analyze(text):
+        path = tmp_path_factory.mktemp("batch") / "data.csv"
+        path.write_text(text)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            codes.append(main(["analyze", "--data", str(path), "--reps", "5"]))
+
+    analyze()
+    assert codes.count(0) >= len(codes) / 4, sorted(codes)
 
 
 # sampled treated, sampled control and non-sampled rows, with overlapping
@@ -1348,6 +1367,19 @@ def test_extreme_magnitudes_end_in_a_finite_report_or_a_typed_error(tmp_path_fac
                 assert not re.search(r"\b(inf|nan|Infinity|NaN)\b", out.getvalue()), (command, fmt)
             ends.add((code, err.getvalue()))
         assert len(ends) == 1, (command, ends)
+
+
+def test_outcomes_whose_sum_overflows_give_a_finite_report(capsys, tmp_path):
+    path = tmp_path / "data.csv"
+    path.write_text("id,in_sample,treatment,outcome\n"
+                    "a,1,1,0\nb,1,0,-1\nc,0,,-1e308\nd,0,,-1e308\n")
+    code, out, err = run(capsys, "bounds", "--data", str(path), "--support=-1e308,0",
+                         "--framework", "both", "--format", "json")
+    assert (code, err) == (0, "")
+    full, reduced = json.loads(out)["intervals"]
+    assert full["inputs"]["e_y0_w0z0"] == -1e308
+    assert [(full["lo"], full["hi"]), (reduced["lo"], reduced["hi"])] == [
+        (-5e307, 5e307), (-2.5e307, 5e307)]
 
 
 @pytest.mark.parametrize("cells", [("1e308", "1.7e308"), ("1e200", "1e-200")])

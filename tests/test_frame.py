@@ -695,6 +695,14 @@ class TestEmpiricalRates:
         with pytest.raises(EmptyArm):
             empirical_rates(frame)
 
+    def test_means_whose_sums_overflow_stay_finite(self):
+        # -1e308 + -1e308 is past float range, but their mean is not
+        frame = make_frame([(1, 1, 0.0), (1, 0, -1.0), (0, None, -1e308), (0, None, -1e308)],
+                           support=OutcomeSupport(-1e308, 0.0))
+        rates = empirical_rates(frame)
+        assert (rates.e_y1_w1z1, rates.e_y0_w0z1, rates.e_y0_w0z0) == (0.0, -1.0, -1e308)
+        assert tallies(frame).scale == 2.0 ** 1023
+
 
 class TestSupport:
     def test_inverted_support_rejected(self):

@@ -42,18 +42,6 @@ class TestWorstCaseEnumeration:
             assert full.lo <= reduced.lo
             assert reduced.hi <= full.hi
 
-    def test_matches_closed_form_on_random_frames(self, rng):
-        for _ in range(60):
-            frame = random_binary_frame(rng, labeled=False)
-            rates, probs = oracle.exact_inputs(frame)
-            enum = oracle.enumerate_worst_case(frame, "full")
-            closed = bounds.worst_case_bounds(rates, probs, "full", EXACT_BINARY)
-            assert (enum.lo, enum.hi) == (closed.pre_clamp_lo, closed.pre_clamp_hi)
-            if frame.z0_bearing.any():
-                enum = oracle.enumerate_worst_case(frame, "reduced")
-                closed = bounds.worst_case_bounds(rates, probs, "reduced", EXACT_BINARY)
-                assert (enum.lo, enum.hi) == (closed.pre_clamp_lo, closed.pre_clamp_hi)
-
     def test_rejects_continuous_frames(self):
         from conftest import CONTINUOUS
 
@@ -97,27 +85,6 @@ class TestMtrEnumeration:
         _, closed_max = bounds.mtr_bounds(rates, probs, "population")
         assert enum.hi == closed_max.pre_clamp_hi
         assert enum.lo == 0
-
-    def test_pin_free_to_zero_matches_min_variant(self, rng):
-        for _ in range(40):
-            frame = random_binary_frame(rng, labeled=True)
-            rates, probs = oracle.exact_inputs(frame)
-            enum = oracle.enumerate_mtr(frame, "sample", pin_free_to_zero=True)
-            closed_min, _ = bounds.mtr_bounds(rates, probs, "sample")
-            assert enum.hi == closed_min.pre_clamp_hi
-
-    def test_max_variant_on_random_labeled_frames(self, rng):
-        for _ in range(60):
-            frame = random_binary_frame(rng, labeled=True)
-            rates, probs = oracle.exact_inputs(frame)
-            enum = oracle.enumerate_mtr(frame, "sample")
-            _, closed_max = bounds.mtr_bounds(rates, probs, "sample")
-            assert enum.hi == closed_max.pre_clamp_hi
-            if ((frame.z == 0) & (frame.w == 0)).any():
-                rates, probs = oracle.population_inputs(frame)
-                enum = oracle.enumerate_mtr(frame, "population")
-                _, closed_max = bounds.mtr_bounds(rates, probs, "population")
-                assert enum.hi == closed_max.pre_clamp_hi
 
     def test_population_scope_needs_labels(self):
         frame = binary_frame(1, 1, 1, 0, n_z0_free=1)
@@ -166,6 +133,27 @@ class TestBsvEnumeration:
             closed = bounds.bsv_bounds(rates, probs, "full", Fraction(3, 10), EXACT_BINARY,
                                        intersect_support=True)
             assert closed.pre_clamp_lo <= enum.lo <= enum.hi <= closed.pre_clamp_hi
+
+
+class TestChecks:
+    LAMBDAS = ("0", "1/10", "1/4", "1/2", "1")
+
+    def test_names_on_a_labeled_frame_with_business_as_usual_outcomes(self):
+        # verify and acceptance criterion 1 run this list; a check dropped from it fails here
+        frame = make_frame([(1, 1, 1.0), (1, 0, 0.0), (0, 0, 1.0), (0, 1, None)])
+        names = [name for name, *_ in oracle.checks(frame)]
+        assert names == [
+            "worst_case full", "worst_case reduced",
+            *(f"bsv {framework} lambda={lam}"
+              for lam in self.LAMBDAS for framework in ("full", "reduced")),
+            "mtr sample max-variant", "mtr sample min-variant",
+            "mtr population max-variant", "mtr population min-variant",
+        ]
+
+    def test_names_on_an_unlabeled_frame_without_business_as_usual_outcomes(self):
+        names = [name for name, *_ in oracle.checks(binary_frame(1, 1, 1, 0, n_z0_free=2))]
+        assert names == ["worst_case full", *(f"bsv full lambda={lam}" for lam in self.LAMBDAS),
+                         "mtr sample max-variant", "mtr sample min-variant"]
 
 
 class TestPerStratum:

@@ -1,6 +1,7 @@
 """The maintenance scripts under ``tools/``, and the names the benchmark's
 tracer wraps."""
 
+import ast
 import importlib
 import importlib.util
 import json
@@ -64,3 +65,27 @@ def test_benchmark_tracer_wraps_and_restores_every_target(monkeypatch, capsys):
     assert counts["stratify.slice"] == frame.n_units
     for (module, attr), original in originals.items():
         assert getattr(importlib.import_module(module), attr) is original, (module, attr)
+
+
+def test_every_name_a_module_imports_is_used():
+    # no linter runs here; the package's __init__ re-exports, and a line marked
+    # `noqa: F401` imports a name for perfbench/tracing.py to wrap
+    package = pathlib.Path(__file__).parents[1] / "src" / "pibgen"
+    unused = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        source = path.read_text(encoding="utf-8")
+        tree = ast.parse(source)
+        lines = source.splitlines()
+        imported = {}
+        for node in ast.walk(tree):
+            if (isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"
+                    and "noqa: F401" not in lines[node.lineno - 1]):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line} {name}" for name, line in imported.items()
+                   if name not in used]
+    assert not unused
