@@ -139,18 +139,19 @@ def _split_mass(rates: EmpiricalRates, probs: DesignProbs, framework: str,
     remainder, P(W=1, Z=0).
     """
     check_framework(framework)
-    e1, e0 = rates.e_y1_w1z1, rates.e_y0_w0z1
-    e1_lo = e1 * probs.p_z1 + box1[0] * probs.p_z0
-    e1_hi = e1 * probs.p_z1 + box1[1] * probs.p_z0
+    sampled1 = rates.e_y1_w1z1 * probs.p_z1
+    sampled0 = rates.e_y0_w0z1 * probs.p_z1
+    e1_lo = sampled1 + box1[0] * probs.p_z0
+    e1_hi = sampled1 + box1[1] * probs.p_z0
     if framework == "full":
-        e0_lo = e0 * probs.p_z1 + box0[0] * probs.p_z0
-        e0_hi = e0 * probs.p_z1 + box0[1] * probs.p_z0
+        e0_lo = sampled0 + box0[0] * probs.p_z0
+        e0_hi = sampled0 + box0[1] * probs.p_z0
     else:
         if rates.e_y0_w0z0 is None:
             raise MissingPopulationOutcome()
-        pinned = rates.e_y0_w0z0 * probs.p_w0_z0
-        e0_lo = e0 * probs.p_z1 + pinned + box0[0] * probs.p_w1_z0
-        e0_hi = e0 * probs.p_z1 + pinned + box0[1] * probs.p_w1_z0
+        fixed0 = sampled0 + rates.e_y0_w0z0 * probs.p_w0_z0  # the sampled and pinned parts
+        e0_lo = fixed0 + box0[0] * probs.p_w1_z0
+        e0_hi = fixed0 + box0[1] * probs.p_w1_z0
     return _clamp(e1_lo - e0_hi, e1_hi - e0_lo, support, framework=framework,
                   inputs=_snapshot(rates, probs, support), **tags)
 

@@ -215,7 +215,8 @@ class DesignProbs:
 
     ``p_z1`` and ``p_w1_given_z1`` are exact empirical fractions;
     ``p_w0_given_z0`` is an assumption about how non-sampled units would have
-    been assigned, not an observable.
+    been assigned, not an observable.  The derived masses are computed on
+    first read and kept: the fields are frozen, so they cannot go stale.
     """
 
     p_z1: float
@@ -230,24 +231,24 @@ class DesignProbs:
         if self.p_z1 <= 0:
             raise ConfigError("p_z1 must be positive")
 
-    @property
+    @cached_property
     def p_z0(self):
         return 1 - self.p_z1
 
-    @property
+    @cached_property
     def p_w1_z1(self):
         """Joint P(W=1, Z=1)."""
         return self.p_w1_given_z1 * self.p_z1
 
-    @property
+    @cached_property
     def p_w0_z1(self):
         return (1 - self.p_w1_given_z1) * self.p_z1
 
-    @property
+    @cached_property
     def p_w0_z0(self):
         return self.p_w0_given_z0 * self.p_z0
 
-    @property
+    @cached_property
     def p_w1_z0(self):
         """Residual population mass: P(W=1, Z=0) = 1 - P(Z=1) - P(W=0, Z=0)."""
         return 1 - self.p_z1 - self.p_w0_z0

@@ -11,8 +11,10 @@ the per-unit extreme terms, and the verifiers read those from the frame's
 columns without listing the completions (4^k of them for k free units); the
 work is linear in the frame size, and no frame is too large to check.
 
-All arithmetic is ``fractions.Fraction`` over integer counts, so equality
-against a closed form evaluated on rational inputs is exact.
+All arithmetic is exact over integer counts, so equality against a closed
+form evaluated on rational inputs is exact.  ``enumerate_box`` puts every term
+of the PATE on one common denominator once per call, so each corner is a sum of
+integers; only the extremes become ``fractions.Fraction``s.
 """
 
 from __future__ import annotations
@@ -41,6 +43,8 @@ from .frame import (
 # integer endpoints keep Fraction arithmetic exact (float endpoints would not)
 EXACT_BINARY = OutcomeSupport(0, 1)
 VERIFY_LAMBDAS = (Fraction(0), Fraction(1, 10), Fraction(1, 4), Fraction(1, 2), Fraction(1))
+_BINARY_VALUES = np.array([[0.0], [1.0]])  # (value, unit)
+_EFFECT = np.array([[[0], [1]], [[-1], [0]]])  # y1 - y0 by (y0, y1, unit)
 
 
 def exact_rates(frame: StudyFrame) -> EmpiricalRates:
@@ -80,19 +84,17 @@ def _extreme_sums(y0, y1, monotone: bool = False) -> tuple[int, int, int]:
     chooses its pair independently of the others, so each extreme sum adds up
     the units' own extreme effects.
     """
-    def may_be(y, v):
-        return np.isnan(y) | (y == v)
+    def may_be(y):  # (value, unit): whether the unit's outcome may take the value
+        return np.isnan(y) | (y == _BINARY_VALUES)
 
-    pair = {(a, b): may_be(y0, a) & may_be(y1, b) for a in (0, 1) for b in (0, 1)}
+    allowed = may_be(y0)[:, None] & may_be(y1)[None, :]  # (y0, y1, unit)
     if monotone:
-        pair[1, 0] = np.zeros_like(pair[1, 0])
-    counts = sum(mask.astype(np.int64) for mask in pair.values())
-    values, repeats = np.unique(counts, return_counts=True)
-    n_completions = math.prod(int(v) ** int(r) for v, r in zip(values, repeats))
-
-    minus, zero, plus = pair[1, 0], pair[0, 0] | pair[1, 1], pair[0, 1]
-    lo = np.where(minus, -1, np.where(zero, 0, 1)).sum()
-    hi = np.where(plus, 1, np.where(zero, 0, -1)).sum()
+        allowed[1, 0] = False
+    repeats = np.bincount(allowed.sum(axis=(0, 1)))  # units by their number of allowed pairs
+    n_completions = math.prod(k ** int(r) for k, r in enumerate(repeats))
+    # a unit without an allowed pair adds 1 to the least sum and -1 to the greatest
+    lo = np.where(allowed, _EFFECT, 1).min(axis=(0, 1)).sum()
+    hi = np.where(allowed, _EFFECT, -1).max(axis=(0, 1)).sum()
     return int(lo), int(hi), n_completions
 
 
@@ -183,11 +185,28 @@ def enumerate_box(rates: EmpiricalRates, probs: DesignProbs, box1, box0,
     if framework == "reduced" and rates.e_y0_w0z0 is None:
         raise MissingPopulationOutcome()
     box00 = box0 if framework == "full" else (rates.e_y0_w0z0,)
-    sample_part = (rates.e_y1_w1z1 - rates.e_y0_w0z1) * probs.p_z1
     p1, p0 = probs.p_w1_z0, probs.p_w0_z0
-    values = [sample_part + (y1_w1 - y0_w1) * p1 + (y1_w0 - y0_w0) * p0
-              for y1_w1, y1_w0, y0_w1, y0_w0 in itertools.product(box1, box1, box0, box00)]
-    return Enumeration(lo=min(values), hi=max(values), n_completions=len(values))
+    # each group of terms as (numerator, denominator) pairs: the two sampled
+    # parts, then the ends of each cell's box times the cell's mass
+    groups = [[_product(rates.e_y1_w1z1, probs.p_z1)], [_product(rates.e_y0_w0z1, probs.p_z1)],
+              *([_product(v, mass) for v in box]
+                for box, mass in ((box1, p1), (box1, p0), (box0, p1), (box00, p0)))]
+    denominator = math.lcm(*(d for group in groups for _, d in group))
+    (treated,), (control,), y1_w1, y1_w0, y0_w1, y0_w0 = (
+        [n * (denominator // d) for n, d in group] for group in groups)
+    base = treated - control
+    values = [base + a + b - c - d for a, b, c, d in itertools.product(y1_w1, y1_w0, y0_w1, y0_w0)]
+    return Enumeration(lo=Fraction(min(values), denominator),
+                       hi=Fraction(max(values), denominator), n_completions=len(values))
+
+
+def _product(value, mass) -> tuple[int, int]:
+    """``value * mass`` as an unreduced (numerator, denominator) pair of ints."""
+    try:
+        return value.numerator * mass.numerator, value.denominator * mass.denominator
+    except AttributeError:  # a float has no numerator, and its sums would not be exact
+        raise TypeError("exact oracle inputs are ints or Fractions, "
+                        f"got {value!r} and {mass!r}") from None
 
 
 def enumerate_bsv(rates: EmpiricalRates, probs: DesignProbs, lam,

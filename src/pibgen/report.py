@@ -94,12 +94,19 @@ def to_json(document: dict) -> str:
         raise
 
 
+# magnitudes from here on print in exponent form, so a huge support cannot
+# fill a table cell with hundreds of digits; no golden value reaches it
+_EXPONENT_FROM = 1e6
+
+
 def _f2(x) -> str:
-    return f"{x:.2f}"
+    return f"{x:.2e}" if abs(x) >= _EXPONENT_FROM else f"{x:.2f}"
 
 
 def _f3(x) -> str:
-    return "n/a" if x is None else f"{x:.3f}"
+    if x is None:
+        return "n/a"
+    return f"{x:.3e}" if abs(x) >= _EXPONENT_FROM else f"{x:.3f}"
 
 
 def _interval_cell(entry: dict) -> str:

@@ -88,8 +88,9 @@ COVARIATE_VALUES = ("-1.5", "-0.5", "0", "0.5", "1", "2")
 
 
 @st.composite
-def frame_texts(draw):
-    """CSV text of a frame that loads, then 0-2 perturbations.
+def frame_texts(draw, max_perturbations=2):
+    """CSV text of a frame that loads, then 0 to ``max_perturbations``
+    perturbations.
 
     The frame holds 4-20 pairs of rows, a sampled and a non-sampled unit with
     the same covariates x1 and x2, and up to 20 more rows at those points.  The
@@ -114,7 +115,7 @@ def frame_texts(draw):
                     else ["0", "", draw(z0_outcome), x1, x2])
     rows = [[f"u{i}", *row] for i, row in enumerate(draw(st.permutations(rows)))]
     header = ["id", "in_sample", "treatment", "outcome", "x1", "x2"]
-    for _ in range(draw(st.integers(0, 2))):
+    for _ in range(draw(st.integers(0, max_perturbations))):
         kind = draw(st.sampled_from(["cell", "pad", "drop", "repeat", "column"]))
         i = draw(st.integers(0, len(rows) - 1))
         if kind in ("cell", "pad"):

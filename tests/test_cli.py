@@ -856,11 +856,34 @@ all oracle checks passed
 """
 
 
+SMALL_VERIFY_LOG = """\
+ok worst_case full: [-0.357143, 0.785714]
+ok worst_case reduced: [-0.214286, 0.642857]
+ok bsv full lambda=0: [0.500000, 0.500000]
+ok bsv reduced lambda=0: [0.357143, 0.357143]
+ok bsv full lambda=1/10: [0.385714, 0.557143]
+ok bsv reduced lambda=1/10: [0.271429, 0.414286]
+ok bsv full lambda=1/4: [0.214286, 0.642857]
+ok bsv reduced lambda=1/4: [0.142857, 0.500000]
+ok bsv full lambda=1/2: [-0.071429, 0.785714]
+ok bsv reduced lambda=1/2: [-0.071429, 0.642857]
+ok bsv full lambda=1: [-0.357143, 0.785714]
+ok bsv reduced lambda=1: [-0.214286, 0.642857]
+ok mtr sample max-variant: [0.000000, 0.857143]
+ok mtr sample min-variant: [0.000000, 0.285714]
+ok mtr population max-variant: [0.000000, 0.714286]
+ok mtr population min-variant: [0.000000, 0.428571]
+all oracle checks passed
+"""
+
+
 class TestVerify:
     def test_small_frame_passes(self, capsys, small_csv):
+        # every z=0 unit is labeled, so the log holds each check name, the
+        # population-scope MTR lines included
         code, out, _ = run(capsys, "verify", "--data", small_csv)
         assert code == 0
-        assert "all oracle checks passed" in out
+        assert out == SMALL_VERIFY_LOG
 
     def test_bundled_dataset_passes(self, capsys):
         code, out, _ = run(capsys, "verify", "--data", synthetic_path())
@@ -1369,10 +1392,13 @@ def test_extreme_magnitudes_end_in_a_finite_report_or_a_typed_error(tmp_path_fac
         assert len(ends) == 1, (command, ends)
 
 
+OVERFLOWING_SUMS_CSV = ("id,in_sample,treatment,outcome\n"
+                        "a,1,1,0\nb,1,0,-1\nc,0,,-1e308\nd,0,,-1e308\n")
+
+
 def test_outcomes_whose_sum_overflows_give_a_finite_report(capsys, tmp_path):
     path = tmp_path / "data.csv"
-    path.write_text("id,in_sample,treatment,outcome\n"
-                    "a,1,1,0\nb,1,0,-1\nc,0,,-1e308\nd,0,,-1e308\n")
+    path.write_text(OVERFLOWING_SUMS_CSV)
     code, out, err = run(capsys, "bounds", "--data", str(path), "--support=-1e308,0",
                          "--framework", "both", "--format", "json")
     assert (code, err) == (0, "")
@@ -1380,6 +1406,49 @@ def test_outcomes_whose_sum_overflows_give_a_finite_report(capsys, tmp_path):
     assert full["inputs"]["e_y0_w0z0"] == -1e308
     assert [(full["lo"], full["hi"]), (reduced["lo"], reduced["hi"])] == [
         (-5e307, 5e307), (-2.5e307, 5e307)]
+
+
+def test_markdown_prints_huge_endpoints_in_exponent_form(capsys, tmp_path):
+    path = tmp_path / "data.csv"
+    path.write_text(OVERFLOWING_SUMS_CSV)
+    code, out, err = run(capsys, "bounds", "--data", str(path), "--support=-1e308,0",
+                         "--framework", "both", "--format", "md")
+    assert (code, err) == (0, "")
+    assert "| treatment randomization | reduced |  | [-2.50e+307, 5.00e+307] |  |" in out
+    assert max(len(line) for line in out.splitlines()) < 200
+
+
+_SCALE = 2.0 ** 1023
+_SCALED_ARGS = ["--assumption", "worst", "--assumption", "bsv", "--framework", "both",
+                "--format", "json"]
+
+
+def _scaled_outcomes(text: str) -> str:
+    """``text`` with every outcome cell multiplied by ``_SCALE``."""
+    header, *lines = text.splitlines()
+    rows = [line.split(",") for line in lines]
+    for row in rows:
+        row[3] = repr(float(row[3]) * _SCALE) if row[3] else ""
+    return "\n".join([header, *(",".join(row) for row in rows)]) + "\n"
+
+
+@settings(max_examples=40, deadline=None)
+@given(text=frame_texts(max_perturbations=0))
+def test_intervals_scale_exactly_with_outcomes_support_and_lambda(tmp_path_factory, text):
+    # multiplying by 2**1023 is exact, so every endpoint scales exactly, unless
+    # a sum of outcomes leaves float range on the way (frame._tally's scale)
+    ends = []
+    for factor, data in ((1.0, text), (_SCALE, _scaled_outcomes(text))):
+        path = tmp_path_factory.mktemp("scaled") / "data.csv"
+        path.write_text(data)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["bounds", "--data", str(path), f"--support=0,{factor!r}",
+                         "--lambda", repr(0.25 * factor), *_SCALED_ARGS])
+        intervals = json.loads(out.getvalue())["intervals"] if code == 0 else []
+        ends.append((code, err.getvalue(), [
+            (entry["lo"] / factor, entry["hi"] / factor) for entry in intervals]))
+    assert ends[1] == ends[0]
 
 
 @pytest.mark.parametrize("cells", [("1e308", "1.7e308"), ("1e200", "1e-200")])

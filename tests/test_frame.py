@@ -7,6 +7,7 @@ import itertools
 import pathlib
 import re
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -32,8 +33,10 @@ from pibgen.errors import (
 from pibgen.frame import (
     BINARY,
     ColumnMap,
+    DesignProbs,
     OutcomeSupport,
     StudyFrame,
+    convert,
     design_probs,
     empirical_rates,
     load_frame,
@@ -619,6 +622,27 @@ class TestDesignProbs:
         frame = make_frame([(0, None, None), (0, None, None)])
         with pytest.raises(EmptySample):
             design_probs(frame, 0.5)
+
+    @staticmethod
+    def _assert_masses_follow_the_fields(probs):
+        for _ in range(2):  # the second read returns the stored masses
+            p_z0 = 1 - probs.p_z1
+            assert probs.p_z0 == p_z0
+            assert probs.p_w1_z1 == probs.p_w1_given_z1 * probs.p_z1
+            assert probs.p_w0_z1 == (1 - probs.p_w1_given_z1) * probs.p_z1
+            assert probs.p_w0_z0 == probs.p_w0_given_z0 * p_z0
+            assert probs.p_w1_z0 == 1 - probs.p_z1 - probs.p_w0_given_z0 * p_z0
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.fractions(0, 1, max_denominator=10**6).filter(bool),
+           st.fractions(0, 1, max_denominator=10**6), st.fractions(0, 1, max_denominator=10**6))
+    def test_derived_masses_equal_their_formulas(self, p_z1, p_w1_given_z1, p_w0_given_z0):
+        exact = DesignProbs(p_z1, p_w1_given_z1, p_w0_given_z0)
+        self._assert_masses_follow_the_fields(exact)
+        # a copy made after the masses were read computes its own
+        for probs in (convert(exact), replace(exact, p_w0_given_z0=1 - p_w0_given_z0),
+                      replace(convert(exact), p_z1=1.0), replace(exact, p_w1_given_z1=0)):
+            self._assert_masses_follow_the_fields(probs)
 
 
 class TestEmpiricalRates:

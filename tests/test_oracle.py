@@ -1,5 +1,6 @@
 """Enumeration oracles and their exact agreement with the closed forms."""
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -271,13 +272,55 @@ FRAMEWORKS = st.sampled_from(["full", "reduced"])
 
 
 @st.composite
-def rational_inputs(draw):
+def rational_inputs(draw, unit=UNIT):
     """Exact arm means, BAU mean and design probabilities, P(Z=1) in (0, 1]."""
-    rates = EmpiricalRates(e_y1_w1z1=draw(UNIT), e_y0_w0z1=draw(UNIT), e_y0_w0z0=draw(UNIT),
+    rates = EmpiricalRates(e_y1_w1z1=draw(unit), e_y0_w0z1=draw(unit), e_y0_w0z0=draw(unit),
                            binary=True)
-    probs = DesignProbs(p_z1=draw(UNIT.filter(bool)), p_w1_given_z1=draw(UNIT),
-                        p_w0_given_z0=draw(UNIT))
+    probs = DesignProbs(p_z1=draw(unit.filter(bool)), p_w1_given_z1=draw(unit),
+                        p_w0_given_z0=draw(unit))
     return rates, probs
+
+
+def _fraction_corner_sweep(rates, probs, box1, box0, framework):
+    """(lo, hi, n_completions) of the box-corner sweep with every corner's
+    PATE added up in ``Fraction``s: the reference for ``enumerate_box``'s
+    integer sums on one common denominator."""
+    box00 = box0 if framework == "full" else (rates.e_y0_w0z0,)
+    sample_part = (rates.e_y1_w1z1 - rates.e_y0_w0z1) * probs.p_z1
+    p1, p0 = probs.p_w1_z0, probs.p_w0_z0
+    values = [sample_part + (y1_w1 - y0_w1) * p1 + (y1_w0 - y0_w0) * p0
+              for y1_w1, y1_w0, y0_w1, y0_w0 in itertools.product(box1, box1, box0, box00)]
+    return min(values), max(values), len(values)
+
+
+BOX_ENDS = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(rational_inputs(st.fractions(0, 1, max_denominator=10**6)), BOX_ENDS, BOX_ENDS, LAMBDAS,
+       FRAMEWORKS)
+def test_integer_corner_sums_equal_the_fraction_sweep(inputs, box1, box0, lam, framework):
+    rates, probs = inputs
+    box = oracle.enumerate_box(rates, probs, box1, box0, framework)
+    assert (box.lo, box.hi, box.n_completions) == _fraction_corner_sweep(rates, probs, box1, box0,
+                                                                         framework)
+
+    def band(center):
+        return max(0, center - lam), min(1, center + lam)
+
+    bsv = oracle.enumerate_bsv(rates, probs, lam, framework)
+    assert (bsv.lo, bsv.hi, bsv.n_completions) == _fraction_corner_sweep(
+        rates, probs, band(rates.e_y1_w1z1), band(rates.e_y0_w0z1), framework)
+
+
+def test_float_inputs_to_the_box_sweep_are_a_type_error():
+    rates, probs = oracle.exact_inputs(binary_frame(2, 1, 2, 1, z0_outcomes=(1, 0)))
+    for args in ((convert(rates), convert(probs), (0, 1), (0, 1)),
+                 (rates, probs, (0.0, 1), (0, 1))):
+        with pytest.raises(TypeError, match="ints or Fractions"):
+            oracle.enumerate_box(*args)
+    with pytest.raises(TypeError, match="ints or Fractions"):
+        oracle.enumerate_bsv(rates, probs, 0.25)
 
 
 @settings(max_examples=300, deadline=None)
