@@ -12,10 +12,13 @@ non-sampled units):
 * monotone treatment response (MTR): every unit's treated outcome is at least
   its control outcome, so the lower bound is 0 (binary outcomes only).
 
-Worst case and BSV share one split-mass formula (``_split_mass``):
-randomization fixes the sampled part of each potential-outcome mean, and the
-non-sampled means range over a box, the support for the worst case and the
-``lam`` band around the arm means for BSV.
+Every regime is a list of cells, groups of units each with a mass and the
+``(E Y(1), E Y(0))`` vertices of the set its means may take, and one rule
+(``cell_extremes``) sums each cell's mass times the least and greatest
+y1 - y0 over its vertices.  With randomization (worst case, BSV) the sampled
+cell is the point of the arm means, and the non-sampled cells range over a
+box: the support for the worst case, the ``lam`` band around the arm means
+for BSV.
 
 All arithmetic is plain Python (+, -, *, min, max) so the functions evaluate
 exactly on ``fractions.Fraction`` inputs; the enumeration oracles rely on that.
@@ -28,12 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import (
-    ConfigError,
-    MissingPopulationOutcome,
-    NegativeLambda,
-    NonBinaryOutcome,
-)
+from .errors import ConfigError, MissingPopulationOutcome, NegativeLambda, NonBinaryOutcome
 from .frame import DesignProbs, EmpiricalRates, OutcomeSupport, StudyFrame
 from .frame import design_probs, empirical_rates  # noqa: F401 (perfbench/tracing.py wraps them)
 
@@ -101,19 +99,9 @@ def _snapshot(rates: EmpiricalRates, probs: DesignProbs, support: OutcomeSupport
 
 
 def _clamp(lo, hi, support: OutcomeSupport, **tags) -> PateInterval:
-    floor = support.y_lo - support.y_hi
-    ceil = support.y_hi - support.y_lo
-    lo_c = max(lo, floor)
-    hi_c = min(hi, ceil)
-    return PateInterval(
-        lo=lo_c,
-        hi=hi_c,
-        pre_clamp_lo=lo,
-        pre_clamp_hi=hi,
-        clamped_lo=lo_c != lo,
-        clamped_hi=hi_c != hi,
-        **tags,
-    )
+    lo_c, hi_c = max(lo, support.y_lo - support.y_hi), min(hi, support.y_hi - support.y_lo)
+    return PateInterval(lo=lo_c, hi=hi_c, pre_clamp_lo=lo, pre_clamp_hi=hi,
+                        clamped_lo=lo_c != lo, clamped_hi=hi_c != hi, **tags)
 
 
 def check_framework(framework):
@@ -126,48 +114,49 @@ def check_scope(scope):
         raise ConfigError(f"scope must be one of {MTR_SCOPES}, got {scope!r}")
 
 
-def _split_mass(rates: EmpiricalRates, probs: DesignProbs, framework: str,
-                box1, box0, support: OutcomeSupport, **tags) -> PateInterval:
-    """The interval when each non-sampled potential-outcome mean ranges over a
-    box: ``box1`` for E(Y(1)|Z=0) and ``box0`` for E(Y(0)|Z=0), each a
-    ``(lo, hi)`` pair.
-
-    Randomization identifies the sampled part of each mean by its arm mean, so
-    each mean is that part on the mass P(Z=1) plus the box on the non-sampled
-    mass.  The reduced framework pins the control mean on the mass
-    P(W=0, Z=0) at the observed business-as-usual rate and bounds only the
-    remainder, P(W=1, Z=0).
+def cell_extremes(cells):
+    """The least and greatest PATE over the cells, each a ``(mass, vertices)``
+    pair: its share of the population and the ``(E Y(1), E Y(0))`` vertices of
+    the convex set its means may take.  The PATE sums mass x (y1 - y0), linear
+    on each cell's set, so each extreme adds up the cells' own extreme vertices.
     """
+    lo = hi = None  # the first cell starts each sum: 0 + x would cost a Fraction addition
+    for mass, vertices in cells:
+        effects = [y1 - y0 for y1, y0 in vertices]
+        low = mass * min(effects)
+        high = mass * max(effects) if len(effects) > 1 else low  # a point: one product
+        lo, hi = (low, high) if lo is None else (lo + low, hi + high)
+    return lo, hi
+
+
+def _box_interval(rates: EmpiricalRates, probs: DesignProbs, framework: str,
+                  ends1, ends0, support: OutcomeSupport, **tags) -> PateInterval:
+    """The interval when the non-sampled means E(Y(1)|Z=0) and E(Y(0)|Z=0)
+    range over the ``(lo, hi)`` pairs ``ends1`` and ``ends0``.  Randomization
+    puts the sampled cell, of mass P(Z=1), at the arm means.  The full
+    framework has one non-sampled cell, of mass P(Z=0); the reduced one splits
+    it by arm and pins E Y(0) of the W=0 cell at the business-as-usual rate."""
     check_framework(framework)
-    sampled1 = rates.e_y1_w1z1 * probs.p_z1
-    sampled0 = rates.e_y0_w0z1 * probs.p_z1
-    e1_lo = sampled1 + box1[0] * probs.p_z0
-    e1_hi = sampled1 + box1[1] * probs.p_z0
+    box = [(y1, y0) for y1 in ends1 for y0 in ends0]
+    cells = [(probs.p_z1, [(rates.e_y1_w1z1, rates.e_y0_w0z1)])]
     if framework == "full":
-        e0_lo = sampled0 + box0[0] * probs.p_z0
-        e0_hi = sampled0 + box0[1] * probs.p_z0
+        cells.append((probs.p_z0, box))
     else:
         if rates.e_y0_w0z0 is None:
             raise MissingPopulationOutcome()
-        fixed0 = sampled0 + rates.e_y0_w0z0 * probs.p_w0_z0  # the sampled and pinned parts
-        e0_lo = fixed0 + box0[0] * probs.p_w1_z0
-        e0_hi = fixed0 + box0[1] * probs.p_w1_z0
-    return _clamp(e1_lo - e0_hi, e1_hi - e0_lo, support, framework=framework,
+        cells += [(probs.p_w1_z0, box), (probs.p_w0_z0, [(y1, rates.e_y0_w0z0) for y1 in ends1])]
+    return _clamp(*cell_extremes(cells), support, framework=framework,
                   inputs=_snapshot(rates, probs, support), **tags)
 
 
-def worst_case_bounds(
-    rates: EmpiricalRates,
-    probs: DesignProbs,
-    framework: str,
-    support: OutcomeSupport,
-) -> PateInterval:
+def worst_case_bounds(rates: EmpiricalRates, probs: DesignProbs, framework: str,
+                      support: OutcomeSupport) -> PateInterval:
     """Bounds with no assumption beyond treatment randomization: both
     non-sampled means range over the whole outcome support.  (BSV at
     lam = y_hi - y_lo gives the same box exactly on fractions, but in float
     the clipped ``e - lam`` can miss a support end by an ulp.)"""
     ends = (support.y_lo, support.y_hi)
-    return _split_mass(rates, probs, framework, ends, ends, support, assumption="worst_case")
+    return _box_interval(rates, probs, framework, ends, ends, support, assumption="worst_case")
 
 
 def bsv_improves(rates: EmpiricalRates, lam, support: OutcomeSupport) -> bool:
@@ -179,20 +168,13 @@ def bsv_improves(rates: EmpiricalRates, lam, support: OutcomeSupport) -> bool:
     the bundled data both lam = 0.3 intervals pass and neither is sharp."""
     if lam < 0:
         raise NegativeLambda(lam)
-    d = rates.sate
+    d, shift = rates.sate, 2 * lam
     rng = support.y_hi - support.y_lo
-    return (d + 2 * lam < rng) and (d - 2 * lam > -rng)
+    return (d + shift < rng) and (d - shift > -rng)
 
 
-def bsv_bounds(
-    rates: EmpiricalRates,
-    probs: DesignProbs,
-    framework: str,
-    lam,
-    support: OutcomeSupport,
-    *,
-    intersect_support: bool = False,
-) -> PateInterval:
+def bsv_bounds(rates: EmpiricalRates, probs: DesignProbs, framework: str, lam,
+               support: OutcomeSupport, *, intersect_support: bool = False) -> PateInterval:
     """Bounds under bounded sample variation with tolerance ``lam``.
 
     Each non-sampled potential-outcome mean ranges over the band of width
@@ -205,52 +187,53 @@ def bsv_bounds(
     improves = bsv_improves(rates, lam, support)
 
     def band(e):
-        ends = (e - lam, e + lam)
+        lo, hi = e - lam, e + lam
         if intersect_support:
-            ends = tuple(min(support.y_hi, max(support.y_lo, v)) for v in ends)
-        return ends
+            y_lo, y_hi = support.y_lo, support.y_hi
+            return min(y_hi, max(y_lo, lo)), min(y_hi, max(y_lo, hi))
+        return lo, hi
 
-    return _split_mass(rates, probs, framework, band(rates.e_y1_w1z1), band(rates.e_y0_w0z1),
-                       support, assumption="bsv", lam=lam, improves=improves)
+    return _box_interval(rates, probs, framework, band(rates.e_y1_w1z1), band(rates.e_y0_w0z1),
+                         support, assumption="bsv", lam=lam, improves=improves)
 
 
 def mtr_bounds(rates: EmpiricalRates, probs: DesignProbs,
                scope: str = "sample") -> tuple[PateInterval, PateInterval]:
     """Bounds assuming outcomes never decrease under treatment (binary only).
 
-    The lower bound is 0 by assumption.  The upper bound counts the mass that
-    could still move: sampled control fails and sampled treated passes, plus,
-    in population scope, business-as-usual fails among non-sampled control-arm
-    mass.  On 0/1 outcomes a pass rate is the arm mean and a fail rate is one
-    minus it.  The unobservable non-sampled treated-arm contribution is set to 0
-    in the min variant and to its full mass in the max variant; the result is
-    the ``(min, max)`` pair, each interval tagged by its ``variant``.
+    The paper's form does not use randomization, so each sampled arm is a cell:
+    treated, of mass P(W=1, Z=1), with E Y(1) = e1 and E Y(0) in [0, e1];
+    control, of mass P(W=0, Z=1), with E Y(0) = e0 and E Y(1) in [e0, 1].  So
+    the upper end can exceed the worst case's.  Population scope adds the z=0
+    control-arm cell with E Y(0) pinned at its business-as-usual rate.  The
+    cell nothing is observed of (the z=0 units, or their treated arm in
+    population scope) is the triangle 0 <= E Y(0) <= E Y(1) <= 1 in the max
+    variant and the point (0, 0) in the min variant, which holds it at zero
+    effect.  Returns the ``(min, max)`` pair, each tagged by its ``variant``.
     """
     check_scope(scope)
     if not rates.binary:
         raise NonBinaryOutcome("monotone-response bounds need binary pass/fail rates")
     support = OutcomeSupport(0, 1)  # integer endpoints stay exact under Fraction inputs
-    sample_part = (1 - rates.e_y0_w0z1) * probs.p_w0_z1 + rates.e_y1_w1z1 * probs.p_w1_z1
-    if scope == "sample":
-        min_hi = sample_part
-        max_hi = sample_part + probs.p_z0
-    else:
-        if rates.e_y0_w0z0 is None:
+    e1, e0 = rates.e_y1_w1z1, rates.e_y0_w0z1
+    cells = [(probs.p_w0_z1, [(e0, e0), (1, e0)]), (probs.p_w1_z1, [(e1, 0), (e1, e1)])]
+    free = probs.p_z0
+    if scope == "population":
+        q0 = rates.e_y0_w0z0
+        if q0 is None:
             raise MissingPopulationOutcome("the population-scope monotone bound")
-        min_hi = sample_part + (1 - rates.e_y0_w0z0) * probs.p_w0_z0
-        max_hi = min_hi + probs.p_w1_z0
+        cells.append((probs.p_w0_z0, [(q0, q0), (1, q0)]))
+        free = probs.p_w1_z0
+    lo, hi = cell_extremes(cells)  # the observed cells' part, shared by both variants
     framework = "full" if scope == "sample" else "reduced"
-    zero = 0 * min_hi  # exact zero of whatever numeric type flows through
-    common = dict(
-        assumption="mtr",
-        framework=framework,
-        scope=scope,
-        inputs=_snapshot(rates, probs, support),
-    )
-    return (
-        _clamp(zero, min_hi, support, variant="min", **common),
-        _clamp(zero, max_hi, support, variant="max", **common),
-    )
+    common = dict(assumption="mtr", framework=framework, scope=scope,
+                  inputs=_snapshot(rates, probs, support))
+
+    def variant(name, vertices):
+        free_lo, free_hi = cell_extremes([(free, vertices)])
+        return _clamp(lo + free_lo, hi + free_hi, support, variant=name, **common)
+
+    return variant("min", [(0, 0)]), variant("max", [(0, 0), (1, 0), (1, 1)])
 
 
 # --- bound specifications --------------------------------------------------------

@@ -12,14 +12,18 @@ columns without listing the completions (4^k of them for k free units); the
 work is linear in the frame size, and no frame is too large to check.
 
 All arithmetic is exact over integer counts, so equality against a closed
-form evaluated on rational inputs is exact.  ``enumerate_box`` puts every term
-of the PATE on one common denominator once per call, so each corner is a sum of
-integers; only the extremes become ``fractions.Fraction``s.
+form evaluated on rational inputs is exact.  The mass-level oracle
+``enumerate_box`` builds its cells (a mass and the ``(E Y(1), E Y(0))``
+vertices of each group of units) from its own definition, apart from the
+closed forms' cells, and ``sweep`` lists every choice of one vertex per cell.
+It puts every term on one common denominator, so each choice's PATE is a sum
+of integers; only the extremes become ``fractions.Fraction``s.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import itertools
 import math
 from dataclasses import dataclass, replace
@@ -47,10 +51,13 @@ _BINARY_VALUES = np.array([[0.0], [1.0]])  # (value, unit)
 _EFFECT = np.array([[[0], [1]], [[-1], [0]]])  # y1 - y0 by (y0, y1, unit)
 
 
+@functools.lru_cache(maxsize=1)  # ``checks`` asks for one frame's rates up to 8 times
 def exact_rates(frame: StudyFrame) -> EmpiricalRates:
     """Arm means as exact fractions of integer counts.  It is every oracle's
     one precondition: it raises ``EmptyArm`` for a frame without a sampled
-    unit in each arm, then ``NonBinaryOutcome`` for outcomes other than 0/1."""
+    unit in each arm, then ``NonBinaryOutcome`` for outcomes other than 0/1.
+    The rates come from the frame's cached tallies, so keeping the last
+    frame's rates adds no staleness; a raised error is not kept."""
     return empirical_rates(frame, Fraction)
 
 
@@ -179,34 +186,42 @@ def enumerate_box(rates: EmpiricalRates, probs: DesignProbs, box1, box0,
     """Exact PATE range when the four non-sampled cell means E(Y(a)|W=w, Z=0)
     range over ``(lo, hi)`` boxes, ``box1`` for a=1 and ``box0`` for a=0; the
     reduced framework pins E(Y(0)|W=0, Z=0) at the business-as-usual mean.
-    The PATE is linear in the cell means, so a sweep of the box corners is
-    exhaustive.  It is the oracle side of ``bounds._split_mass``."""
+    It builds the cells from that definition: the sampled one at the arm means,
+    and one per arm W=w of z=0 units holding the corners of its (E Y(1), E Y(0))
+    box, whatever the framework.  It is the oracle side of the closed forms'
+    ``bounds.cell_extremes``, and does not share their cells."""
     bounds.check_framework(framework)
     if framework == "reduced" and rates.e_y0_w0z0 is None:
         raise MissingPopulationOutcome()
     box00 = box0 if framework == "full" else (rates.e_y0_w0z0,)
-    p1, p0 = probs.p_w1_z0, probs.p_w0_z0
-    # each group of terms as (numerator, denominator) pairs: the two sampled
-    # parts, then the ends of each cell's box times the cell's mass
-    groups = [[_product(rates.e_y1_w1z1, probs.p_z1)], [_product(rates.e_y0_w0z1, probs.p_z1)],
-              *([_product(v, mass) for v in box]
-                for box, mass in ((box1, p1), (box1, p0), (box0, p1), (box00, p0)))]
-    denominator = math.lcm(*(d for group in groups for _, d in group))
-    (treated,), (control,), y1_w1, y1_w0, y0_w1, y0_w0 = (
-        [n * (denominator // d) for n, d in group] for group in groups)
-    base = treated - control
-    values = [base + a + b - c - d for a, b, c, d in itertools.product(y1_w1, y1_w0, y0_w1, y0_w0)]
-    return Enumeration(lo=Fraction(min(values), denominator),
-                       hi=Fraction(max(values), denominator), n_completions=len(values))
+    return sweep([(probs.p_z1, [(rates.e_y1_w1z1, rates.e_y0_w0z1)]),
+                  (probs.p_w1_z0, list(itertools.product(box1, box0))),
+                  (probs.p_w0_z0, list(itertools.product(box1, box00)))])
 
 
-def _product(value, mass) -> tuple[int, int]:
-    """``value * mass`` as an unreduced (numerator, denominator) pair of ints."""
+def sweep(cells) -> Enumeration:
+    """Exact PATE range over every choice of one vertex per cell, each cell a
+    ``(mass, vertices)`` pair with ``(E Y(1), E Y(0))`` vertices.  Every term
+    mass x (y1 - y0) goes on one common denominator, the least common multiple
+    of the terms' denominators, so each choice's PATE is a sum of integers."""
+    terms = [[_term(mass, y1, y0) for y1, y0 in vertices] for mass, vertices in cells]
+    denominator = math.lcm(*(d for cell in terms for _, d in cell))
+    sums = [0]
+    for cell in terms:
+        effects = [n * (denominator // d) for n, d in cell]
+        sums = [s + effect for s in sums for effect in effects]
+    return Enumeration(lo=Fraction(min(sums), denominator), hi=Fraction(max(sums), denominator),
+                       n_completions=len(sums))
+
+
+def _term(mass, y1, y0) -> tuple[int, int]:
+    """``mass * (y1 - y0)`` as an unreduced (numerator, denominator) pair of ints."""
     try:
-        return value.numerator * mass.numerator, value.denominator * mass.denominator
+        return (mass.numerator * (y1.numerator * y0.denominator - y0.numerator * y1.denominator),
+                mass.denominator * y1.denominator * y0.denominator)
     except AttributeError:  # a float has no numerator, and its sums would not be exact
         raise TypeError("exact oracle inputs are ints or Fractions, "
-                        f"got {value!r} and {mass!r}") from None
+                        f"got {mass!r}, {y1!r} and {y0!r}") from None
 
 
 def enumerate_bsv(rates: EmpiricalRates, probs: DesignProbs, lam,

@@ -256,10 +256,10 @@ def _exact_mean(values):
     return sum(map(Fraction, values.tolist())) / len(values)
 
 
-class TestSplitMass:
+class TestBoxCells:
     def test_worst_case_is_sharp_bsv_at_the_support_range(self, rng):
-        """Worst case and BSV share one split-mass formula: with lambda the
-        support range, the clipped BSV bands are the whole support."""
+        """Worst case and BSV share one box of non-sampled cell means: with
+        lambda the support range, the clipped BSV bands are the whole support."""
         checked = 0
         for _ in range(200):
             y_lo = round(float(rng.uniform(-5, 5)), 1)

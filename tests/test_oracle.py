@@ -1,6 +1,7 @@
 """Enumeration oracles and their exact agreement with the closed forms."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -281,36 +282,53 @@ def rational_inputs(draw, unit=UNIT):
     return rates, probs
 
 
-def _fraction_corner_sweep(rates, probs, box1, box0, framework):
-    """(lo, hi, n_completions) of the box-corner sweep with every corner's
-    PATE added up in ``Fraction``s: the reference for ``enumerate_box``'s
-    integer sums on one common denominator."""
-    box00 = box0 if framework == "full" else (rates.e_y0_w0z0,)
-    sample_part = (rates.e_y1_w1z1 - rates.e_y0_w0z1) * probs.p_z1
-    p1, p0 = probs.p_w1_z0, probs.p_w0_z0
-    values = [sample_part + (y1_w1 - y0_w1) * p1 + (y1_w0 - y0_w0) * p0
-              for y1_w1, y1_w0, y0_w1, y0_w0 in itertools.product(box1, box1, box0, box00)]
+def _fraction_sweep(cells):
+    """(lo, hi, n_completions) over every choice of one vertex per cell, with
+    each choice's PATE added up in ``Fraction``s: the reference for
+    ``oracle.sweep``'s integer sums on one common denominator."""
+    values = [sum(mass * (y1 - y0) for (mass, _), (y1, y0) in zip(cells, choice))
+              for choice in itertools.product(*(vertices for _, vertices in cells))]
     return min(values), max(values), len(values)
 
 
+def _coordinate_cells(rates, probs, box1, box0, framework):
+    """The box-corner sweep as cells that each move one of the four cell means
+    E(Y(a)|W=w, Z=0): a cell of vertices (v, 0) adds v x its mass, one of
+    vertices (0, v) subtracts it."""
+    box00 = box0 if framework == "full" else (rates.e_y0_w0z0,)
+    p1, p0 = probs.p_w1_z0, probs.p_w0_z0
+    return [(probs.p_z1, [(rates.e_y1_w1z1, rates.e_y0_w0z1)]),
+            (p1, [(v, 0) for v in box1]), (p0, [(v, 0) for v in box1]),
+            (p1, [(0, v) for v in box0]), (p0, [(0, v) for v in box00])]
+
+
 BOX_ENDS = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
+VERTEX = st.fractions(-3, 3, max_denominator=100)
+CELLS = st.lists(st.tuples(st.fractions(0, 1, max_denominator=100),
+                           st.lists(st.tuples(VERTEX, VERTEX), min_size=1, max_size=4)),
+                 min_size=1, max_size=4)
 
 
 @settings(max_examples=300, deadline=None)
 @given(rational_inputs(st.fractions(0, 1, max_denominator=10**6)), BOX_ENDS, BOX_ENDS, LAMBDAS,
-       FRAMEWORKS)
-def test_integer_corner_sums_equal_the_fraction_sweep(inputs, box1, box0, lam, framework):
+       FRAMEWORKS, CELLS)
+def test_integer_corner_sums_equal_the_fraction_sweep(inputs, box1, box0, lam, framework, cells):
+    swept = oracle.sweep(cells)
+    assert (swept.lo, swept.hi, swept.n_completions) == _fraction_sweep(cells)
+    assert swept.n_completions == math.prod(len(vertices) for _, vertices in cells)
+    assert bounds.cell_extremes(cells) == (swept.lo, swept.hi)
+
     rates, probs = inputs
     box = oracle.enumerate_box(rates, probs, box1, box0, framework)
-    assert (box.lo, box.hi, box.n_completions) == _fraction_corner_sweep(rates, probs, box1, box0,
-                                                                         framework)
+    assert (box.lo, box.hi, box.n_completions) == _fraction_sweep(
+        _coordinate_cells(rates, probs, box1, box0, framework))
 
     def band(center):
         return max(0, center - lam), min(1, center + lam)
 
     bsv = oracle.enumerate_bsv(rates, probs, lam, framework)
-    assert (bsv.lo, bsv.hi, bsv.n_completions) == _fraction_corner_sweep(
-        rates, probs, band(rates.e_y1_w1z1), band(rates.e_y0_w0z1), framework)
+    assert (bsv.lo, bsv.hi, bsv.n_completions) == _fraction_sweep(_coordinate_cells(
+        rates, probs, band(rates.e_y1_w1z1), band(rates.e_y0_w0z1), framework))
 
 
 def test_float_inputs_to_the_box_sweep_are_a_type_error():
@@ -325,7 +343,7 @@ def test_float_inputs_to_the_box_sweep_are_a_type_error():
 
 @settings(max_examples=300, deadline=None)
 @given(rational_inputs(), LAMBDAS, FRAMEWORKS)
-def test_box_sweep_equals_the_split_mass_formula(inputs, lam, framework):
+def test_box_sweep_equals_the_cell_formula(inputs, lam, framework):
     rates, probs = inputs
     box = oracle.enumerate_box(rates, probs, (0, 1), (0, 1), framework)
     worst = bounds.worst_case_bounds(rates, probs, framework, EXACT_BINARY)

@@ -31,6 +31,26 @@ def test_synthetic_dataset_tool_reproduces_the_bundled_file(tmp_path, monkeypatc
     assert out.read_bytes() == pathlib.Path(synthetic_path()).read_bytes()
 
 
+def test_golden_tool_reports_each_changed_leaf():
+    spec = importlib.util.spec_from_file_location("make_golden", TOOLS / "make_golden.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    old = {"intervals": [{"lo": -0.75, "hi": 0.5, "clamped": {"lo": False}}], "n": 3,
+           "notes": ["a"], "gone": 1}
+    new = {"intervals": [{"lo": -0.75, "hi": 0.5 + 2 ** -53, "clamped": {"lo": 0}}], "n": 3,
+           "notes": ["a", "b"], "added": True}
+    assert tool.change_report(old, new).splitlines() == [
+        "analyze.json: 5 changed leaves, largest absolute difference 1.1102230246251565e-16",
+        "  intervals[0].hi: 0.5 -> 0.5000000000000001",
+        "  intervals[0].clamped.lo: False -> 0",
+        "  notes: ['a'] -> ['a', 'b']",
+        "  gone: 1 -> '(absent)'",
+        "  added: '(absent)' -> True",
+    ]
+    assert tool.change_report(old, old) == (
+        "analyze.json: 0 changed leaves, largest absolute difference 0")
+
+
 def test_benchmark_options_are_the_golden_options():
     # the benchmark checks every statewide_1k op against the goldens
     spec = importlib.util.spec_from_file_location("workloads", PERFBENCH / "workloads.py")

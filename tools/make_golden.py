@@ -2,9 +2,13 @@
 
 The goldens freeze the oracle-validated engine's output on the bundled
 dataset, so the tool first runs the oracle suite in a subprocess of the same
-interpreter and writes nothing unless it passes.
+interpreter and writes nothing unless it passes.  When it overwrites
+``analyze.json`` it prints what changed: the number of changed leaves, the
+key path and the old and new value of each, and the largest absolute
+difference between an old and a new number.
 """
 
+import json
 import pathlib
 import subprocess
 import sys
@@ -17,6 +21,37 @@ from test_acceptance import GOLDEN, GOLDEN_ARGS
 
 ORACLE_SUITE = ("tests/test_oracle.py",
                 "tests/test_acceptance.py::test_criterion_1_oracle_equivalence")
+ABSENT = "(absent)"
+
+
+def changed_leaves(old, new, path="") -> list[tuple[str, object, object]]:
+    """(key path, old value, new value) of each leaf that differs between two
+    JSON documents, in the old document's key order.  A key on one side only
+    pairs with ``ABSENT``; lists of different lengths differ as one leaf."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        keys = [*old, *(key for key in new if key not in old)]
+        return [change for key in keys for change in changed_leaves(
+            old.get(key, ABSENT), new.get(key, ABSENT), f"{path}.{key}" if path else key)]
+    if isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
+        return [change for i, pair in enumerate(zip(old, new))
+                for change in changed_leaves(*pair, f"{path}[{i}]")]
+    same = type(old) is type(new) and old == new
+    return [] if same else [(path, old, new)]
+
+
+def change_report(old, new) -> str:
+    """The changed leaves of ``new`` against ``old`` and the largest absolute
+    numeric difference, as printed after ``analyze.json`` is overwritten."""
+    changes = changed_leaves(old, new)
+
+    def number(v):
+        return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+    largest = max((abs(b - a) for _, a, b in changes if number(a) and number(b)), default=0)
+    lines = [f"analyze.json: {len(changes)} changed leaves, "
+             f"largest absolute difference {largest!r}"]
+    lines += [f"  {path}: {a!r} -> {b!r}" for path, a, b in changes]
+    return "\n".join(lines)
 
 
 def run():
@@ -26,12 +61,16 @@ def run():
         raise SystemExit(f"oracle suite failed (pytest exited {suite.returncode}); "
                          "goldens not written")
     GOLDEN.mkdir(exist_ok=True)
+    golden_json = GOLDEN / "analyze.json"
+    before = json.loads(golden_json.read_text(encoding="utf-8")) if golden_json.exists() else None
     for fmt in ("json", "md", "csv"):
         target = GOLDEN / f"analyze.{fmt}"
         code = main(["analyze", *GOLDEN_ARGS, "--format", fmt, "--out", str(target)])
         if code != 0:
             raise SystemExit(f"analyze exited {code}")
         print(f"wrote {target}")
+    if before is not None:
+        print(change_report(before, json.loads(golden_json.read_text(encoding="utf-8"))))
 
 
 if __name__ == "__main__":
