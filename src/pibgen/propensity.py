@@ -2,8 +2,9 @@
 
 The model regresses the selection indicator z on covariates by Newton/IRLS
 maximum likelihood.  Covariates are standardized internally for conditioning
-and the coefficients are reported on the original scale.  Fitting is
-deterministic and the fitted model is immutable.
+and the coefficients are reported on the original scale.  Every evaluation of
+the model (each Newton step, ``binomial_loglik``, ``binomial_score``) is one
+``_logistic`` call.  Fitting is deterministic and the fitted model is immutable.
 """
 
 from __future__ import annotations
@@ -49,37 +50,43 @@ class PropensityModel:
         }
 
 
-def _sigmoid(eta):
-    out = np.empty_like(eta)
-    pos = eta >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-eta[pos]))
-    ex = np.exp(eta[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+def _sigmoid(eta, tail=None):
+    """1 / (1 + exp(-eta)), both branches over 1 + exp(-|eta|) (``tail``): no overflow."""
+    if tail is None:
+        tail = np.exp(-np.abs(eta))
+    return np.where(eta >= 0, 1.0, tail) / (1.0 + tail)
+
+
+def _logistic(design, beta, z):
+    """The model at ``beta``: the logits ``eta``, the probabilities ``mu`` and
+    the Bernoulli log-likelihood of ``z``, from one exp(-|eta|).  The
+    log-likelihood takes log(1 + e^eta) as max(eta, 0) + log1p(exp(-|eta|))."""
+    eta = design @ beta
+    tail = np.exp(-np.abs(eta))
+    ll = float(np.sum(z * eta - np.maximum(eta, 0.0) - np.log1p(tail)))
+    return eta, _sigmoid(eta, tail), ll
 
 
 def binomial_loglik(beta, design, z) -> float:
     """Bernoulli log-likelihood of z given the design matrix."""
-    eta = design @ beta
-    return float(np.sum(z * eta - np.logaddexp(0.0, eta)))
+    return _logistic(design, beta, z)[2]
 
 
 def binomial_score(beta, design, z) -> np.ndarray:
     """Gradient of ``binomial_loglik`` with respect to beta."""
-    return design.T @ (z - _sigmoid(design @ beta))
+    return design.T @ (z - _logistic(design, beta, z)[1])
 
 
 def _standardized_design(frame: StudyFrame, covariates):
-    n = frame.n_units
-    cols, means, sds = [], [], []
-    for name in covariates:
+    design = np.ones((frame.n_units, 1 + len(covariates)))
+    means, sds = [], []
+    for j, name in enumerate(covariates, start=1):
         mean, sd = frame.covariate_moments(name)
         if sd == 0:
             raise SingularDesign(f"covariate {name!r} is constant")
-        cols.append((frame.covariate_column(name) - mean) / sd)
+        design[:, j] = (frame.covariate_column(name) - mean) / sd
         means.append(mean)
         sds.append(sd)
-    design = np.column_stack([np.ones(n)] + cols) if cols else np.ones((n, 1))
     if np.linalg.matrix_rank(design) < design.shape[1]:
         raise SingularDesign("collinear covariates")
     return design, np.array(means), np.array(sds)
@@ -88,8 +95,8 @@ def _standardized_design(frame: StudyFrame, covariates):
 def fit_propensity(frame: StudyFrame, covariates) -> PropensityModel:
     """Maximum-likelihood logistic fit of sample membership on covariates.
 
-    Newton steps with step-halving keep the log-likelihood
-    non-decreasing; convergence is declared when the max-norm of the gradient
+    Newton steps with step-halving keep the log-likelihood non-decreasing
+    up to a slack of 1e-12·max(1, |ll|); convergence is declared when the max-norm of the gradient
     on the standardized scale falls to ``_TOLERANCE`` (1e-8), and
     ``NoConvergence`` is raised after ``_MAX_ITER`` (100) steps without it.
     """
@@ -101,15 +108,14 @@ def fit_propensity(frame: StudyFrame, covariates) -> PropensityModel:
         raise SingularDesign("selection indicator takes a single value")
     design, means, sds = _standardized_design(frame, covariates)
     beta = np.zeros(design.shape[1])
-    ll = binomial_loglik(beta, design, z)
+    eta, mu, ll = _logistic(design, beta, z)
     trace = [ll]
     # one gradient test per iterate; the one after _MAX_ITER steps is the last
     for iterations in itertools.count():
-        mu = _sigmoid(design @ beta)
         grad = design.T @ (z - mu)
         grad_norm = float(np.max(np.abs(grad)))
         if grad_norm <= _TOLERANCE:
-            _check_saturation(beta, design, z, covariates)
+            _check_saturation(beta, eta, mu, z, covariates)
             break
         if iterations >= _MAX_ITER:
             raise NoConvergence(_MAX_ITER, grad_norm)
@@ -121,20 +127,15 @@ def fit_propensity(frame: StudyFrame, covariates) -> PropensityModel:
             _raise_separation(beta, covariates)
         # step-halving: never accept a decrease in the objective, up to a
         # slack relative to its size (an absolute one falls below one ulp of a
-        # large-N log-likelihood and stalls the fit)
-        alpha = 1.0
+        # large-N log-likelihood and stalls the fit); when no halving passes,
+        # the last, smallest step is taken untested
         slack = 1e-12 * max(1.0, abs(ll))
-        for _ in range(50):
-            trial = beta + alpha * step
-            trial_ll = binomial_loglik(trial, design, z)
-            if trial_ll >= ll - slack:
+        for halvings in range(51):
+            trial = beta + 0.5 ** halvings * step
+            evaluated = _logistic(design, trial, z)
+            if evaluated[2] >= ll - slack:
                 break
-            alpha *= 0.5
-        else:
-            # no halving passed the test: take the next, smaller step untested
-            trial = beta + alpha * step
-            trial_ll = binomial_loglik(trial, design, z)
-        beta, ll = trial, trial_ll
+        beta, (eta, mu, ll) = trial, evaluated
         trace.append(ll)
         if float(np.max(np.abs(beta))) > 30.0:
             # standardized coefficients this large mean the likelihood is
@@ -143,11 +144,10 @@ def fit_propensity(frame: StudyFrame, covariates) -> PropensityModel:
 
     # back-transform to the original covariate scale
     coef_std = beta[1:]
-    coef_orig = coef_std / sds if len(coef_std) else coef_std
-    intercept = float(beta[0] - np.sum(coef_std * means / sds)) if len(coef_std) else float(beta[0])
+    intercept = float(beta[0] - np.sum(coef_std * means / sds))
     return PropensityModel(
         intercept=intercept,
-        coefficients={name: float(b) for name, b in zip(covariates, coef_orig)},
+        coefficients={name: float(b) for name, b in zip(covariates, coef_std / sds)},
         converged=True,
         iterations=iterations,
         final_gradient_norm=grad_norm,
@@ -155,12 +155,10 @@ def fit_propensity(frame: StudyFrame, covariates) -> PropensityModel:
     )
 
 
-def _check_saturation(beta, design, z, covariates):
+def _check_saturation(beta, eta, mu, z, covariates):
     """Complete separation drives the gradient to zero with the fit saturated at
     the labels; a converged fit that classifies every unit perfectly is one."""
-    eta = design @ beta
     margins = (2 * z - 1) * eta
-    mu = _sigmoid(eta)
     if len(beta) > 1 and float(margins.min()) > 0 and float(np.max(np.abs(z - mu))) < 1e-4:
         _raise_separation(beta, covariates)
 

@@ -138,10 +138,10 @@ class TestFit:
 
         def counted(*args):
             calls.append(args)
-            return loglik(*args)
+            return logistic(*args)
 
-        loglik = propensity.binomial_loglik
-        monkeypatch.setattr(propensity, "binomial_loglik", counted)
+        logistic = propensity._logistic
+        monkeypatch.setattr(propensity, "_logistic", counted)
         x = [(-1.0, -1.0), (0.0, -2.0), (-1.0, -1.0), (-1.0, 1.0), (61.0, 79.0), (-1.0, 0.0),
              (-59.0, -5.0), (0.0, -2.0)]
         frame = frame_with_x([0, 1, 1, 1, 1, 1, 1, 0], x, ["a", "b"])
@@ -152,6 +152,33 @@ class TestFit:
         trace = model.loglik_trace
         assert len(trace) == 1 + model.iterations
         assert all(b >= a for a, b in zip(trace, trace[1:]))
+
+    def test_when_no_halving_passes_the_smallest_step_is_taken_untested(self, monkeypatch):
+        # every trial reads a lower log-likelihood than the step before it, so
+        # each Newton step tries 2^0 ... 2^-50 of itself and takes the last
+        betas, steps = [], []
+
+        def falling(design, beta, z):
+            betas.append(beta)
+            eta, mu, _ = logistic(design, beta, z)
+            return eta, mu, -float(len(betas))
+
+        def recorded(hess, grad):
+            steps.append(solve(hess, grad))
+            return steps[-1]
+
+        logistic, solve = propensity._logistic, np.linalg.solve
+        monkeypatch.setattr(propensity, "_logistic", falling)
+        monkeypatch.setattr(np.linalg, "solve", recorded)
+        monkeypatch.setattr(propensity, "_MAX_ITER", 2)
+        rng = np.random.default_rng(5)
+        frame = frame_with_x([1, 0] * 10, [(float(v),) for v in rng.normal(size=20)], ["a"])
+        with pytest.raises(NoConvergence):
+            fit_propensity(frame, ["a"])
+        assert len(betas) == 1 + 2 * 51 and len(steps) == 2
+        for k, step in enumerate(steps):
+            start, accepted = betas[51 * k], betas[51 * (k + 1)]
+            assert np.array_equal(accepted, start + 2.0**-50 * step)
 
     def test_no_convergence_when_budget_too_small(self, monkeypatch):
         rng = np.random.default_rng(5)
@@ -204,6 +231,35 @@ class TestFit:
                       - binomial_loglik(beta - e, design, z)) / (2 * h)
                 denom = max(abs(fd), 1.0)
                 assert abs(grad[j] - fd) / denom <= 1e-5
+
+    def test_evaluator_matches_its_reference_forms(self, statewide_path):
+        # the sigmoid is the old masked two-branch form bit for bit (a NaN in
+        # gives a NaN out, whose sign no output shows); the log-likelihood is
+        # the logaddexp form within 1e-12 at 10 random betas, each also scaled
+        # to |eta| = 800
+        def masked_sigmoid(eta):
+            out = np.empty_like(eta)
+            pos = eta >= 0
+            out[pos] = 1.0 / (1.0 + np.exp(-eta[pos]))
+            ex = np.exp(eta[~pos])
+            out[~pos] = ex / (1.0 + ex)
+            return out
+
+        frame = load_frame(statewide_path, BINARY)
+        design = propensity._standardized_design(frame, frame.covariate_names)[0]
+        z = frame.z.astype(float)
+        points = np.array([0.0, 1e-300, 36.0, 709.0, 745.0, math.inf])
+        logits = [points, -points]
+        for draw in range(10):
+            beta = np.random.default_rng(draw).normal(0, 0.5, design.shape[1])
+            logits.append(design @ beta)
+            for b in (beta, beta * (800.0 / np.max(np.abs(design @ beta)))):
+                eta = design @ b
+                reference = np.sum(z * eta - np.logaddexp(0.0, eta))
+                assert binomial_loglik(b, design, z) == pytest.approx(reference, rel=1e-12, abs=0)
+        eta = np.concatenate(logits)
+        assert propensity._sigmoid(eta).tobytes() == masked_sigmoid(eta).tobytes()
+        assert np.isnan(propensity._sigmoid(np.array([math.nan]))).all()
 
 
 class TestScores:
