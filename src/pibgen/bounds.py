@@ -22,14 +22,14 @@ for BSV.
 
 All arithmetic is plain Python (+, -, *, min, max) so the functions evaluate
 exactly on ``fractions.Fraction`` inputs; the enumeration oracles rely on that.
-Final intervals are clamped to the logically feasible range
-``[y_lo - y_hi, y_hi - y_lo]`` with flags, and the unclamped values are kept
-for the width identities.
+The closed forms return bare intervals tagged with their ``BoundSpec``, clamped
+to ``[y_lo - y_hi, y_hi - y_lo]`` beside the unclamped values the width
+identities use; the report attaches each input set's ``inputs_json`` once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import ConfigError, MissingPopulationOutcome, NegativeLambda, NonBinaryOutcome
 from .frame import DesignProbs, EmpiricalRates, OutcomeSupport, StudyFrame
@@ -38,24 +38,49 @@ from .frame import design_probs, empirical_rates  # noqa: F401 (perfbench/tracin
 FRAMEWORKS = ("full", "reduced")
 ASSUMPTIONS = ("worst_case", "bsv", "mtr")
 MTR_SCOPES = ("sample", "population")
-SPEC_TAGS = ("assumption", "framework", "lam", "variant", "scope")  # what a pooled interval copies
+
+
+@dataclass(frozen=True)
+class BoundSpec:
+    """One cell of the report grid: an assumption in a framework, with its
+    lambda for BSV.  MTR runs in sample scope in the full framework and in
+    population scope in the reduced one."""
+
+    assumption: str
+    framework: str = "full"
+    lam: float | None = None
+
+    def __post_init__(self):
+        if self.assumption not in ASSUMPTIONS:
+            raise ConfigError(f"assumption must be one of {ASSUMPTIONS}, got {self.assumption!r}")
+        check_framework(self.framework)
+        if self.assumption == "bsv" and self.lam is None:
+            raise ConfigError("bsv bounds need a lambda value")
+
+    @property
+    def scope(self) -> str:
+        return "sample" if self.framework == "full" else "population"
 
 
 @dataclass(frozen=True)
 class PateInterval:
+    """The interval one ``spec`` gives, clamped to the feasible range and before."""
+
     lo: float
     hi: float
     pre_clamp_lo: float
     pre_clamp_hi: float
-    clamped_lo: bool
-    clamped_hi: bool
-    assumption: str
-    framework: str
-    lam: float | None = None
-    variant: str | None = None
-    scope: str | None = None
-    improves: bool | None = None
-    inputs: dict = field(default_factory=dict)
+    spec: BoundSpec
+    variant: str | None = None  # MTR: "min" or "max"
+    improves: bool | None = None  # BSV: the no-clip condition of ``bsv_improves``
+
+    @property
+    def clamped_lo(self) -> bool:
+        return self.lo != self.pre_clamp_lo
+
+    @property
+    def clamped_hi(self) -> bool:
+        return self.hi != self.pre_clamp_hi
 
     @property
     def width(self):
@@ -65,28 +90,27 @@ class PateInterval:
     def pre_clamp_width(self):
         return self.pre_clamp_hi - self.pre_clamp_lo
 
-    def to_json(self) -> dict:
+    def to_json(self, inputs: dict) -> dict:
         doc = {
-            "assumption": self.assumption,
-            "framework": self.framework,
+            "assumption": self.spec.assumption,
+            "framework": self.spec.framework,
             "lo": float(self.lo),
             "hi": float(self.hi),
             "clamped": {"lo": self.clamped_lo, "hi": self.clamped_hi},
             "pre_clamp": {"lo": float(self.pre_clamp_lo), "hi": float(self.pre_clamp_hi)},
-            "inputs": self.inputs,
+            "inputs": inputs,
         }
-        if self.lam is not None:
-            doc["lambda"] = float(self.lam)
-        if self.variant is not None:
-            doc["variant"] = self.variant
-        if self.scope is not None:
-            doc["scope"] = self.scope
+        if self.spec.lam is not None:
+            doc["lambda"] = float(self.spec.lam)
+        if self.variant is not None:  # MTR, in the scope its framework implies
+            doc["variant"], doc["scope"] = self.variant, self.spec.scope
         if self.improves is not None:
             doc["improves"] = self.improves
         return doc
 
 
-def _snapshot(rates: EmpiricalRates, probs: DesignProbs, support: OutcomeSupport) -> dict:
+def inputs_json(rates: EmpiricalRates, probs: DesignProbs, support: OutcomeSupport) -> dict:
+    """The ``inputs`` block of every interval computed from one input set."""
     return {
         "e_y1_w1z1": float(rates.e_y1_w1z1),
         "e_y0_w0z1": float(rates.e_y0_w0z1),
@@ -98,10 +122,9 @@ def _snapshot(rates: EmpiricalRates, probs: DesignProbs, support: OutcomeSupport
     }
 
 
-def _clamp(lo, hi, support: OutcomeSupport, **tags) -> PateInterval:
-    lo_c, hi_c = max(lo, support.y_lo - support.y_hi), min(hi, support.y_hi - support.y_lo)
-    return PateInterval(lo=lo_c, hi=hi_c, pre_clamp_lo=lo, pre_clamp_hi=hi,
-                        clamped_lo=lo_c != lo, clamped_hi=hi_c != hi, **tags)
+def _clamp(lo, hi, support: OutcomeSupport, spec: BoundSpec, **tags) -> PateInterval:
+    return PateInterval(max(lo, support.y_lo - support.y_hi), min(hi, support.y_hi - support.y_lo),
+                        lo, hi, spec, **tags)
 
 
 def check_framework(framework):
@@ -129,24 +152,22 @@ def cell_extremes(cells):
     return lo, hi
 
 
-def _box_interval(rates: EmpiricalRates, probs: DesignProbs, framework: str,
+def _box_interval(rates: EmpiricalRates, probs: DesignProbs, spec: BoundSpec,
                   ends1, ends0, support: OutcomeSupport, **tags) -> PateInterval:
     """The interval when the non-sampled means E(Y(1)|Z=0) and E(Y(0)|Z=0)
     range over the ``(lo, hi)`` pairs ``ends1`` and ``ends0``.  Randomization
     puts the sampled cell, of mass P(Z=1), at the arm means.  The full
     framework has one non-sampled cell, of mass P(Z=0); the reduced one splits
     it by arm and pins E Y(0) of the W=0 cell at the business-as-usual rate."""
-    check_framework(framework)
     box = [(y1, y0) for y1 in ends1 for y0 in ends0]
     cells = [(probs.p_z1, [(rates.e_y1_w1z1, rates.e_y0_w0z1)])]
-    if framework == "full":
+    if spec.framework == "full":
         cells.append((probs.p_z0, box))
     else:
         if rates.e_y0_w0z0 is None:
             raise MissingPopulationOutcome()
         cells += [(probs.p_w1_z0, box), (probs.p_w0_z0, [(y1, rates.e_y0_w0z0) for y1 in ends1])]
-    return _clamp(*cell_extremes(cells), support, framework=framework,
-                  inputs=_snapshot(rates, probs, support), **tags)
+    return _clamp(*cell_extremes(cells), support, spec, **tags)
 
 
 def worst_case_bounds(rates: EmpiricalRates, probs: DesignProbs, framework: str,
@@ -156,7 +177,7 @@ def worst_case_bounds(rates: EmpiricalRates, probs: DesignProbs, framework: str,
     lam = y_hi - y_lo gives the same box exactly on fractions, but in float
     the clipped ``e - lam`` can miss a support end by an ulp.)"""
     ends = (support.y_lo, support.y_hi)
-    return _box_interval(rates, probs, framework, ends, ends, support, assumption="worst_case")
+    return _box_interval(rates, probs, BoundSpec("worst_case", framework), ends, ends, support)
 
 
 def bsv_improves(rates: EmpiricalRates, lam, support: OutcomeSupport) -> bool:
@@ -193,8 +214,8 @@ def bsv_bounds(rates: EmpiricalRates, probs: DesignProbs, framework: str, lam,
             return min(y_hi, max(y_lo, lo)), min(y_hi, max(y_lo, hi))
         return lo, hi
 
-    return _box_interval(rates, probs, framework, band(rates.e_y1_w1z1), band(rates.e_y0_w0z1),
-                         support, assumption="bsv", lam=lam, improves=improves)
+    return _box_interval(rates, probs, BoundSpec("bsv", framework, lam), band(rates.e_y1_w1z1),
+                         band(rates.e_y0_w0z1), support, improves=improves)
 
 
 def mtr_bounds(rates: EmpiricalRates, probs: DesignProbs,
@@ -225,40 +246,16 @@ def mtr_bounds(rates: EmpiricalRates, probs: DesignProbs,
         cells.append((probs.p_w0_z0, [(q0, q0), (1, q0)]))
         free = probs.p_w1_z0
     lo, hi = cell_extremes(cells)  # the observed cells' part, shared by both variants
-    framework = "full" if scope == "sample" else "reduced"
-    common = dict(assumption="mtr", framework=framework, scope=scope,
-                  inputs=_snapshot(rates, probs, support))
+    spec = BoundSpec("mtr", "full" if scope == "sample" else "reduced")
 
     def variant(name, vertices):
         free_lo, free_hi = cell_extremes([(free, vertices)])
-        return _clamp(lo + free_lo, hi + free_hi, support, variant=name, **common)
+        return _clamp(lo + free_lo, hi + free_hi, support, spec, variant=name)
 
     return variant("min", [(0, 0)]), variant("max", [(0, 0), (1, 0), (1, 1)])
 
 
 # --- bound specifications --------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class BoundSpec:
-    """One cell of the report grid: an assumption in a framework, with its
-    lambda for BSV.  MTR runs in sample scope in the full framework and in
-    population scope in the reduced one."""
-
-    assumption: str
-    framework: str = "full"
-    lam: float | None = None
-
-    def __post_init__(self):
-        if self.assumption not in ASSUMPTIONS:
-            raise ConfigError(f"assumption must be one of {ASSUMPTIONS}, got {self.assumption!r}")
-        check_framework(self.framework)
-        if self.assumption == "bsv" and self.lam is None:
-            raise ConfigError("bsv bounds need a lambda value")
-
-    @property
-    def scope(self) -> str:
-        return "sample" if self.framework == "full" else "population"
 
 
 def bound_specs(assumptions, frameworks, lambdas=()) -> list[BoundSpec]:
@@ -296,6 +293,7 @@ class StratumBounds:
     viable: bool
     results: tuple[PateInterval, ...] = ()
     skip_reason: str | None = None
+    inputs: dict | None = None  # the results' inputs block
 
     def to_json(self) -> dict:
         return {
@@ -304,7 +302,7 @@ class StratumBounds:
             "n_sample_treated": self.n_sample_treated,
             "n_sample_control": self.n_sample_control,
             "viable": self.viable,
-            "results": [r.to_json() for r in self.results] if self.viable else None,
+            "results": [r.to_json(self.inputs) for r in self.results] if self.viable else None,
             "skip_reason": self.skip_reason,
         }
 
@@ -338,10 +336,10 @@ def stratified_bounds(
     per_stratum = []
     per_spec = [[] for _ in specs]  # (population share, intervals) per stratum
     for g in range(assignment.k):
-        results = []
+        results, inputs = [], None
         if t.viable(g):
-            s_rates = t.empirical_rates(g)
-            s_probs = t.design_probs(g, p_w0_given_z0)
+            s_rates, s_probs = t.empirical_rates(g), t.design_probs(g, p_w0_given_z0)
+            inputs = inputs_json(s_rates, s_probs, frame.support)
             for i, spec in enumerate(specs):
                 try:
                     intervals = compute_bounds(spec, s_rates, s_probs, frame.support)
@@ -355,7 +353,7 @@ def stratified_bounds(
                       else "no sampled control unit")
         per_stratum.append(StratumBounds(g + 1, t.units[g], t.treated[g], t.control[g],
                                          viable=reason is None, results=tuple(results),
-                                         skip_reason=reason))
+                                         skip_reason=reason, inputs=inputs))
     complete = [pieces for pieces in per_spec if pooled and pieces and len(pieces) == assignment.k]
     pooled_results = [interval for pieces in complete for interval in _pool(pieces, frame.support)]
     return StratifiedBounds(strata=tuple(per_stratum), pooled=tuple(pooled_results))
@@ -367,7 +365,5 @@ def _pool(pieces, support) -> list[PateInterval]:
     for j, first in enumerate(pieces[0][1]):
         lo = sum(share * intervals[j].pre_clamp_lo for share, intervals in pieces)
         hi = sum(share * intervals[j].pre_clamp_hi for share, intervals in pieces)
-        tags = {tag: getattr(first, tag) for tag in SPEC_TAGS}
-        pooled.append(_clamp(lo, hi, support, inputs={"pooled": True, "strata": len(pieces)},
-                             **tags))
+        pooled.append(_clamp(lo, hi, support, first.spec, variant=first.variant))
     return pooled

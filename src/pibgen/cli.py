@@ -150,7 +150,7 @@ def _merge_config(args) -> dict:
 def _parse_support(value) -> OutcomeSupport:
     parts = value if isinstance(value, (list, tuple)) else str(value).split(",")
     try:
-        lo, hi = (float(part) for part in parts)
+        lo, hi = (float(str(part)) for part in parts)  # a JSON true is 'True', not 1
     except (TypeError, ValueError):
         raise ConfigError(f"--support expects 'lo,hi', got {value!r}")
     return OutcomeSupport(lo, hi)
@@ -172,7 +172,7 @@ def _categorical(items) -> tuple:
         raise ConfigError(f"--categorical expects a list of COL=REF items, got {items!r}")
     pairs = []
     for item in items:
-        if isinstance(item, (list, tuple)) and len(item) == 2:
+        if isinstance(item, (list, tuple)) and [type(part) for part in item] == [str, str]:
             pairs.append(tuple(item))
         elif isinstance(item, str) and "=" in item:
             pairs.append(tuple(item.split("=", 1)))
@@ -377,7 +377,7 @@ class _Pipeline:
             "balance": lambda: [asdict(row) for row in self.balance.rows],
             "lambda_report": lambda: lambda_report(self.frame, self.balance),
             "lambda_values": lambda: self.lambdas,
-            "intervals": lambda: [interval.to_json() for interval in self.intervals],
+            "intervals": self._intervals,
             "stratum_intervals": self._stratum_intervals,
             "point_estimates": lambda: self.points[0],
             "notes": lambda: self._notes(keys),
@@ -410,22 +410,25 @@ class _Pipeline:
             "support": [support.y_lo, support.y_hi],
         }
 
+    def _intervals(self):
+        inputs = bounds_mod.inputs_json(self.rates, self.probs, self.frame.support)
+        return [interval.to_json(inputs) for interval in self.intervals]
+
     def _stratum_intervals(self):
         block = {"k": self.assignment.k,
                  "strata": [stratum.to_json() for stratum in self.stratified.strata]}
         if self.stratified.pooled:
+            inputs = {"pooled": True, "strata": self.assignment.k}
             note = ("population-share weighted across strata: the PATE range when "
                     "randomization identifies each stratum's arm means")
-            block["pooled"] = [{**interval.to_json(), "note": note}
+            block["pooled"] = [{**interval.to_json(inputs), "note": note}
                                for interval in self.stratified.pooled]
         return block
 
     def _notes(self, keys):
         notes = {"subclassification_error": self.points[1]}
         if "intervals" in keys:
-            notes["clamped_intervals"] = sum(
-                int(i.clamped_lo) + int(i.clamped_hi) for i in self.intervals
-            )
+            notes["clamped_intervals"] = sum(i.clamped_lo + i.clamped_hi for i in self.intervals)
         if "stratum_intervals" in keys:
             notes["non_viable_strata"] = [
                 s.index for s in self.stratified.strata if not s.viable

@@ -54,13 +54,19 @@ class LambdaSpec:
 
     def label(self) -> str:
         if self.mode == "fixed":
-            return f"fixed:{self.value:g}"
+            return f"fixed:{_text(self.value)}"
         if self.mode == "asmd":
             if self.covariates:
                 return f"asmd:{self.aggregate}:{','.join(self.covariates)}"
             return f"asmd:{self.aggregate}"
-        multiplier = "" if self.multiplier == 2 else f":{self.multiplier:g}"
+        multiplier = "" if self.multiplier == 2 else f":{_text(self.multiplier)}"
         return f"sd:{self.arm_rule}{multiplier}"
+
+
+def _text(number: float) -> str:
+    """``number`` in ``:g`` form when that parses back to it, else its ``repr``."""
+    text = f"{number:g}"
+    return text if float(text) == number else repr(number)
 
 
 def resolve_lambda(spec: LambdaSpec, frame: StudyFrame, balance: BalanceReport | None) -> float:

@@ -8,6 +8,7 @@ from pibgen.bounds import (
     BoundSpec,
     bsv_bounds,
     bsv_improves,
+    inputs_json,
     mtr_bounds,
     stratified_bounds,
     worst_case_bounds,
@@ -304,8 +305,9 @@ class TestBoxCells:
 
 class TestJsonShape:
     def test_bounds_result_fields(self):
-        interval = bsv_bounds(rates_from(0.6, 0.4), STUDY_PROBS, "full", 0.3, BINARY)
-        doc = interval.to_json()
+        rates = rates_from(0.6, 0.4)
+        interval = bsv_bounds(rates, STUDY_PROBS, "full", 0.3, BINARY)
+        doc = interval.to_json(inputs_json(rates, STUDY_PROBS, BINARY))
         assert set(doc) >= {"assumption", "framework", "lambda", "lo", "hi",
                             "clamped", "pre_clamp", "inputs"}
         assert set(doc["clamped"]) == {"lo", "hi"}
@@ -314,8 +316,10 @@ class TestJsonShape:
         assert doc["inputs"]["p_z1"] == pytest.approx(56 / 1029)
 
     def test_mtr_variant_fields(self):
-        result = mtr_bounds(rates_from(0.6, 0.4, q0=0.9), STUDY_PROBS, "population")
-        docs = [interval.to_json() for interval in result]
+        rates = rates_from(0.6, 0.4, q0=0.9)
+        inputs = inputs_json(rates, STUDY_PROBS, BINARY)
+        result = mtr_bounds(rates, STUDY_PROBS, "population")
+        docs = [interval.to_json(inputs) for interval in result]
         assert [d["variant"] for d in docs] == ["min", "max"]
         assert all(d["assumption"] == "mtr" for d in docs)
         assert all(d["scope"] == "population" for d in docs)

@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import re
@@ -21,7 +22,10 @@ import pibgen.stratify
 from pibgen.cli import main
 from pibgen.data import synthetic_path
 from pibgen.errors import ConfigError, NonFiniteResult, ZeroVariance
+from pibgen.frame import BINARY, load_frame
+from pibgen.propensity import fit_propensity, logit_scores
 from pibgen.report import check_finite, to_json
+from pibgen.stratify import merge_nonviable, strata_for_frame
 
 from conftest import frame_texts
 from test_acceptance import GOLDEN_ARGS
@@ -335,6 +339,29 @@ class TestPipeline:
             assert (code, err) == (0, "")
             assert json.loads(out)["stratum_intervals"]["k"] == 3
             assert len(built) == 1  # the loaded frame only
+
+    def test_each_input_set_gives_its_inputs_block(self, capsys):
+        # the goldens run without --pooled and --merge-strata
+        code, out, _ = run(capsys, "analyze", "--data", synthetic_path(), "--framework", "both",
+                           "--assumption", "worst", "--assumption", "bsv", "--assumption", "mtr",
+                           "--lambda", "0.3", "--strata", "5", "--pooled", "--merge-strata",
+                           "--reps", "0", "--format", "json")
+        assert code == 0
+        doc = json.loads(out)
+        whole = {**doc["design"], **doc["rates"], "support": doc["frame"]["support"]}
+        assert [interval["inputs"] for interval in doc["intervals"]] == [whole] * 8
+        frame = load_frame(synthetic_path(), BINARY)
+        logits = logit_scores(fit_propensity(frame, frame.covariate_names), frame)
+        assignment = merge_nonviable(strata_for_frame(frame, logits, 5), frame)
+        t, block = assignment.tallies, doc["stratum_intervals"]
+        assert block["k"] == assignment.k == 4
+        for g, stratum in enumerate(block["strata"]):
+            assert stratum["viable"] and stratum["results"]
+            inputs = pibgen.bounds.inputs_json(t.empirical_rates(g), t.design_probs(g, 0.5),
+                                               frame.support)
+            assert all(result["inputs"] == inputs for result in stratum["results"])
+        assert len(block["pooled"]) == 8
+        assert all(entry["inputs"] == {"pooled": True, "strata": 4} for entry in block["pooled"])
 
     def test_public_names_resolve(self):
         for name in pibgen.__all__:
@@ -927,14 +954,8 @@ class TestVerify:
 
         def off_by_a_bit(rates, probs, framework, support):
             interval = original(rates, probs, framework, support)
-            return pibgen.bounds.PateInterval(
-                lo=interval.lo, hi=interval.hi + 0.01,
-                pre_clamp_lo=interval.pre_clamp_lo,
-                pre_clamp_hi=interval.pre_clamp_hi + 0.01,
-                clamped_lo=interval.clamped_lo, clamped_hi=interval.clamped_hi,
-                assumption=interval.assumption, framework=interval.framework,
-                inputs=interval.inputs,
-            )
+            return dataclasses.replace(interval, hi=interval.hi + 0.01,
+                                       pre_clamp_hi=interval.pre_clamp_hi + 0.01)
 
         monkeypatch.setattr(pibgen.bounds, "worst_case_bounds", off_by_a_bit)
         code, out, _ = run(capsys, "verify", "--data", small_csv)
@@ -1077,9 +1098,14 @@ class TestExitContract:
         ({"model": 0}, "--model expects a file path, got 0"),
         ({"model": 7}, "--model expects a file path, got 7"),
         ({"model": ["a"]}, "--model expects a file path, got ['a']"),
+        ({"categorical": [[1, "a"]]}, "--categorical expects COL=REF, got [1, 'a']"),
+        ({"categorical": [["title1", None]]},
+         "--categorical expects COL=REF, got ['title1', None]"),
+        ({"support": [True, 2]}, "--support expects 'lo,hi', got [True, 2]"),
     ], ids=["support-short", "support-text", "covariates", "exclude", "out-5", "out-1",
             "categorical", "id-col", "outcome-col", "sample", "pooled", "merge-strata", "merge-strata-1",
-            "format", "format-list", "model-0", "model-7", "model-list"])
+            "format", "format-list", "model-0", "model-7", "model-list", "categorical-number",
+            "categorical-null", "support-bool"])
     def test_config_value_of_the_wrong_type_is_a_config_error(
             self, capsys, small_csv, tmp_path, config, message):
         path = tmp_path / "cfg.json"

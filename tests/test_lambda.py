@@ -20,18 +20,17 @@ from pibgen.propensity import compute_balance
 
 from conftest import make_frame
 
-# numbers of at most 6 significant digits, which a label prints exactly
-SIX_DIGITS = st.builds(lambda digits, exponent: float(f"{digits}e{exponent}"),
-                       st.integers(0, 999_999), st.integers(-9, 3))
+# every finite non-negative float: a label prints each one so that it parses back
+NUMBERS = st.floats(min_value=0, allow_nan=False, allow_infinity=False)
 NAMES = st.text("abcdefghijklmnopqrstuvwxyz0123456789_", min_size=1, max_size=8)
 LAMBDA_SPECS = st.one_of(
-    st.builds(LambdaSpec, mode=st.just("fixed"), value=SIX_DIGITS),
+    st.builds(LambdaSpec, mode=st.just("fixed"), value=NUMBERS),
     st.builds(LambdaSpec, mode=st.just("asmd"), aggregate=st.sampled_from(["max", "mean"]),
               covariates=st.lists(NAMES, max_size=3).map(tuple)),
     st.builds(LambdaSpec, mode=st.just("asmd"), aggregate=st.just("single"),
               covariates=st.tuples(NAMES)),
     st.builds(LambdaSpec, mode=st.just("outcome_sd"), arm_rule=st.sampled_from(ARM_RULES),
-              multiplier=SIX_DIGITS),
+              multiplier=NUMBERS),
 )
 
 

@@ -109,3 +109,35 @@ def test_every_name_a_module_imports_is_used():
         unused += [f"{path.name}:{line} {name}" for name, line in imported.items()
                    if name not in used]
     assert not unused
+
+
+def test_every_module_level_name_is_used():
+    # a name counts as used where it appears other than as its own definition:
+    # as a name, an attribute, an import alias, or a string (perfbench/tracing.py's
+    # TARGETS name what it wraps); the check cannot tell same-named things apart
+    root = pathlib.Path(__file__).parents[1]
+    defined = []
+    for path in sorted((root / "src" / "pibgen").glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.append((path.name, node.name))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined += [(path.name, name.id) for target in targets
+                            for name in ast.walk(target) if isinstance(name, ast.Name)]
+    used = set()
+    for folder in ("src", "tests", "tools", "perfbench"):
+        for path in sorted((root / folder).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                    used.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    used.add(node.attr)
+                elif isinstance(node, ast.alias):
+                    used.update((node.name.rsplit(".", 1)[-1], node.asname))
+                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    used.add(node.value)
+    assert len(defined) > 150
+    unused = [f"{module} {name}" for module, name in defined
+              if name not in used and not (name.startswith("__") and name.endswith("__"))]
+    assert not unused
