@@ -24,7 +24,7 @@ All arithmetic is plain Python (+, -, *, min, max) so the functions evaluate
 exactly on ``fractions.Fraction`` inputs; the enumeration oracles rely on that.
 The closed forms return bare intervals tagged with their ``BoundSpec``, clamped
 to ``[y_lo - y_hi, y_hi - y_lo]`` beside the unclamped values the width
-identities use; the report attaches each input set's ``inputs_json`` once.
+identities use.  This module writes no report data: ``cli`` builds each entry.
 """
 
 from __future__ import annotations
@@ -89,37 +89,6 @@ class PateInterval:
     @property
     def pre_clamp_width(self):
         return self.pre_clamp_hi - self.pre_clamp_lo
-
-    def to_json(self, inputs: dict) -> dict:
-        doc = {
-            "assumption": self.spec.assumption,
-            "framework": self.spec.framework,
-            "lo": float(self.lo),
-            "hi": float(self.hi),
-            "clamped": {"lo": self.clamped_lo, "hi": self.clamped_hi},
-            "pre_clamp": {"lo": float(self.pre_clamp_lo), "hi": float(self.pre_clamp_hi)},
-            "inputs": inputs,
-        }
-        if self.spec.lam is not None:
-            doc["lambda"] = float(self.spec.lam)
-        if self.variant is not None:  # MTR, in the scope its framework implies
-            doc["variant"], doc["scope"] = self.variant, self.spec.scope
-        if self.improves is not None:
-            doc["improves"] = self.improves
-        return doc
-
-
-def inputs_json(rates: EmpiricalRates, probs: DesignProbs, support: OutcomeSupport) -> dict:
-    """The ``inputs`` block of every interval computed from one input set."""
-    return {
-        "e_y1_w1z1": float(rates.e_y1_w1z1),
-        "e_y0_w0z1": float(rates.e_y0_w0z1),
-        "e_y0_w0z0": None if rates.e_y0_w0z0 is None else float(rates.e_y0_w0z0),
-        "p_z1": float(probs.p_z1),
-        "p_w1_given_z1": float(probs.p_w1_given_z1),
-        "p_w0_given_z0": float(probs.p_w0_given_z0),
-        "support": [float(support.y_lo), float(support.y_hi)],
-    }
 
 
 def _clamp(lo, hi, support: OutcomeSupport, spec: BoundSpec, **tags) -> PateInterval:
@@ -293,18 +262,8 @@ class StratumBounds:
     viable: bool
     results: tuple[PateInterval, ...] = ()
     skip_reason: str | None = None
-    inputs: dict | None = None  # the results' inputs block
-
-    def to_json(self) -> dict:
-        return {
-            "stratum": self.index,
-            "n_population": self.n_population,
-            "n_sample_treated": self.n_sample_treated,
-            "n_sample_control": self.n_sample_control,
-            "viable": self.viable,
-            "results": [r.to_json(self.inputs) for r in self.results] if self.viable else None,
-            "skip_reason": self.skip_reason,
-        }
+    rates: EmpiricalRates | None = None  # the input set of the results, from the tallies
+    probs: DesignProbs | None = None
 
 
 @dataclass(frozen=True)
@@ -336,10 +295,9 @@ def stratified_bounds(
     per_stratum = []
     per_spec = [[] for _ in specs]  # (population share, intervals) per stratum
     for g in range(assignment.k):
-        results, inputs = [], None
+        results, s_rates, s_probs = [], None, None
         if t.viable(g):
             s_rates, s_probs = t.empirical_rates(g), t.design_probs(g, p_w0_given_z0)
-            inputs = inputs_json(s_rates, s_probs, frame.support)
             for i, spec in enumerate(specs):
                 try:
                     intervals = compute_bounds(spec, s_rates, s_probs, frame.support)
@@ -353,7 +311,7 @@ def stratified_bounds(
                       else "no sampled control unit")
         per_stratum.append(StratumBounds(g + 1, t.units[g], t.treated[g], t.control[g],
                                          viable=reason is None, results=tuple(results),
-                                         skip_reason=reason, inputs=inputs))
+                                         skip_reason=reason, rates=s_rates, probs=s_probs))
     complete = [pieces for pieces in per_spec if pooled and pieces and len(pieces) == assignment.k]
     pooled_results = [interval for pieces in complete for interval in _pool(pieces, frame.support)]
     return StratifiedBounds(strata=tuple(per_stratum), pooled=tuple(pooled_results))

@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Pipeline: ingest -> propensity -> strata -> lambda -> bounds -> point
-estimates, emitted as JSON (full precision), CSV, or Markdown.  Subcommands
-expose the individual stages; ``verify`` runs the enumeration oracles against
+estimates, one document whose every entry this module builds, emitted by
+``report`` as JSON (full precision), CSV, or Markdown.  Subcommands expose
+the individual stages; ``verify`` runs the enumeration oracles against
 the closed-form engine on a binary frame.
 
 Exit codes: 0 success, 1 verification mismatch, 2 data error, 3 config error,
@@ -17,7 +18,7 @@ import json
 import os
 import sys
 import traceback
-from dataclasses import asdict
+from dataclasses import fields
 from functools import cache, cached_property
 
 from . import bounds as bounds_mod
@@ -137,7 +138,7 @@ def _merge_config(args) -> dict:
         try:
             with open(path, encoding="utf-8") as fh:
                 config = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:  # a decode error is a ValueError
             raise ConfigError(f"cannot read config file: {exc}")
         if not isinstance(config, dict):
             raise ConfigError(f"config file {path!r} does not hold a JSON object")
@@ -266,6 +267,36 @@ def _check_request(options):
     options["lambda"] = [parse_lambda_expr(str(expr)) for expr in exprs]
 
 
+# an EmpiricalRates' report fields: ``binary`` describes the outcomes, it is no rate
+RATE_FIELDS = ("e_y1_w1z1", "e_y0_w0z1", "e_y0_w0z0")
+
+
+def _fields(record, names=None) -> dict:
+    """A record's fields, or those ``names``, as a shallow dict: the values are not copied."""
+    return {name: getattr(record, name) for name in names or [f.name for f in fields(record)]}
+
+
+def _interval(interval, inputs: dict) -> dict:
+    """The report entry of one interval, computed from the input set ``inputs``."""
+    spec = interval.spec
+    entry = {
+        "assumption": spec.assumption,
+        "framework": spec.framework,
+        "lo": float(interval.lo),  # mtr_bounds clamps to the int support (0, 1)
+        "hi": float(interval.hi),
+        "clamped": {"lo": interval.clamped_lo, "hi": interval.clamped_hi},
+        "pre_clamp": {"lo": float(interval.pre_clamp_lo), "hi": float(interval.pre_clamp_hi)},
+        "inputs": inputs,
+    }
+    if spec.lam is not None:
+        entry["lambda"] = float(spec.lam)
+    if interval.variant is not None:  # MTR, in the scope its framework implies
+        entry["variant"], entry["scope"] = interval.variant, spec.scope
+    if interval.improves is not None:
+        entry["improves"] = interval.improves
+    return entry
+
+
 # Each subcommand's document is a view: the keys it shows, in build order.
 VIEWS = {
     "analyze": ("meta", "frame", "design", "rates", "propensity", "balance", "lambda_report",
@@ -298,7 +329,7 @@ class _Pipeline:
         try:
             with open(self.options["model"], encoding="utf-8") as fh:
                 model = model_from_json(fh.read())
-        except (OSError, ValueError, KeyError, TypeError, OverflowError) as exc:
+        except (OSError, ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
             raise ConfigError(f"cannot read model file: {exc}")
         for name in model.coefficients:  # each must name a covariate of the frame
             self.frame.covariate_index(name)
@@ -354,11 +385,10 @@ class _Pipeline:
     def points(self):
         """The three estimators, plus the reason subclassification is unavailable."""
         frame, options = self.frame, self.options
-        points = [naive_sate(frame).to_json()]
-        points.append(ipw_estimate(frame, self.model, reps=options["reps"],
-                                   seed=options["seed"]).to_json())
+        points = [naive_sate(frame),
+                  ipw_estimate(frame, self.model, reps=options["reps"], seed=options["seed"])]
         try:
-            points.append(subclass_estimate(frame, self.assignment).to_json())
+            points.append(subclass_estimate(frame, self.assignment))
         except NonViableStratum as exc:
             return points, str(exc)
         return points, None
@@ -367,19 +397,15 @@ class _Pipeline:
         sections = {
             "meta": self._meta,
             "frame": self._frame,
-            "design": lambda: asdict(self.probs),
-            "rates": lambda: {
-                "e_y1_w1z1": self.rates.e_y1_w1z1,
-                "e_y0_w0z1": self.rates.e_y0_w0z1,
-                "e_y0_w0z0": self.rates.e_y0_w0z0,
-            },
+            "design": lambda: _fields(self.probs),
+            "rates": lambda: _fields(self.rates, RATE_FIELDS),
             "propensity": lambda: self.model.to_json(),
-            "balance": lambda: [asdict(row) for row in self.balance.rows],
+            "balance": lambda: [_fields(row) for row in self.balance.rows],
             "lambda_report": lambda: lambda_report(self.frame, self.balance),
             "lambda_values": lambda: self.lambdas,
             "intervals": self._intervals,
             "stratum_intervals": self._stratum_intervals,
-            "point_estimates": lambda: self.points[0],
+            "point_estimates": lambda: [_fields(point) for point in self.points[0]],
             "notes": lambda: self._notes(keys),
         }
         return {key: sections[key]() for key in keys}
@@ -410,18 +436,40 @@ class _Pipeline:
             "support": [support.y_lo, support.y_hi],
         }
 
+    def _inputs(self, rates, probs) -> dict:
+        """The ``inputs`` block of every interval one input set gives: that set's
+        ``rates`` and ``design`` blocks, plus the support."""
+        support = self.frame.support
+        return {**_fields(rates, RATE_FIELDS), **_fields(probs),
+                "support": [support.y_lo, support.y_hi]}
+
     def _intervals(self):
-        inputs = bounds_mod.inputs_json(self.rates, self.probs, self.frame.support)
-        return [interval.to_json(inputs) for interval in self.intervals]
+        inputs = self._inputs(self.rates, self.probs)
+        return [_interval(interval, inputs) for interval in self.intervals]
+
+    def _stratum(self, stratum) -> dict:
+        results = None
+        if stratum.viable:
+            inputs = self._inputs(stratum.rates, stratum.probs)
+            results = [_interval(interval, inputs) for interval in stratum.results]
+        return {
+            "stratum": stratum.index,
+            "n_population": stratum.n_population,
+            "n_sample_treated": stratum.n_sample_treated,
+            "n_sample_control": stratum.n_sample_control,
+            "viable": stratum.viable,
+            "results": results,
+            "skip_reason": stratum.skip_reason,
+        }
 
     def _stratum_intervals(self):
         block = {"k": self.assignment.k,
-                 "strata": [stratum.to_json() for stratum in self.stratified.strata]}
+                 "strata": [self._stratum(stratum) for stratum in self.stratified.strata]}
         if self.stratified.pooled:
             inputs = {"pooled": True, "strata": self.assignment.k}
             note = ("population-share weighted across strata: the PATE range when "
                     "randomization identifies each stratum's arm means")
-            block["pooled"] = [{**interval.to_json(inputs), "note": note}
+            block["pooled"] = [{**_interval(interval, inputs), "note": note}
                                for interval in self.stratified.pooled]
         return block
 

@@ -34,14 +34,6 @@ class PointEstimate:
     se: float | None  # None when the bootstrap has fewer than two replicates
     details: dict = field(default_factory=dict)
 
-    def to_json(self) -> dict:
-        return {
-            "method": self.method,
-            "estimate": self.estimate,
-            "se": self.se,
-            "details": self.details,
-        }
-
 
 def _arm_contrast(t: Tallies, g: int) -> tuple[float, float]:
     """Group ``g``'s difference in sampled arm means and its plug-in

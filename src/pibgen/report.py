@@ -1,4 +1,4 @@
-"""Analysis report assembly and rendering.
+"""Analysis report rendering: ``cli`` assembles the document, this module writes it.
 
 The JSON document is the single source of truth (full precision, deterministic
 key order); the Markdown and CSV emitters are pure views over it and never

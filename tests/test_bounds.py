@@ -8,7 +8,6 @@ from pibgen.bounds import (
     BoundSpec,
     bsv_bounds,
     bsv_improves,
-    inputs_json,
     mtr_bounds,
     stratified_bounds,
     worst_case_bounds,
@@ -301,29 +300,6 @@ class TestBoxCells:
                             assert abs(w - b) <= 1e-12
                     checked += 1
         assert checked >= 400
-
-
-class TestJsonShape:
-    def test_bounds_result_fields(self):
-        rates = rates_from(0.6, 0.4)
-        interval = bsv_bounds(rates, STUDY_PROBS, "full", 0.3, BINARY)
-        doc = interval.to_json(inputs_json(rates, STUDY_PROBS, BINARY))
-        assert set(doc) >= {"assumption", "framework", "lambda", "lo", "hi",
-                            "clamped", "pre_clamp", "inputs"}
-        assert set(doc["clamped"]) == {"lo", "hi"}
-        assert set(doc["pre_clamp"]) == {"lo", "hi"}
-        assert doc["assumption"] == "bsv"
-        assert doc["inputs"]["p_z1"] == pytest.approx(56 / 1029)
-
-    def test_mtr_variant_fields(self):
-        rates = rates_from(0.6, 0.4, q0=0.9)
-        inputs = inputs_json(rates, STUDY_PROBS, BINARY)
-        result = mtr_bounds(rates, STUDY_PROBS, "population")
-        docs = [interval.to_json(inputs) for interval in result]
-        assert [d["variant"] for d in docs] == ["min", "max"]
-        assert all(d["assumption"] == "mtr" for d in docs)
-        assert all(d["scope"] == "population" for d in docs)
-        assert all(d["framework"] == "reduced" for d in docs)
 
 
 def _three_strata_frame():

@@ -199,12 +199,18 @@ class TestAnalyze:
         assert document["meta"]["seed"] == 9  # flag wins
         assert document["meta"]["options"]["assumptions"] == ["worst_case", "mtr"]
 
-    @pytest.mark.parametrize("text", [None, '{"strata": 3,}'], ids=["missing", "not-json"])
+    @pytest.mark.parametrize("content", [
+        None,
+        b'{"strata": 3,}',
+        '{"strata": 3}'.encode("utf-16"),
+        '{"outcome_col": "r\u00e9sultat"}'.encode("latin-1"),
+        b"[" * 100_000 + b"]" * 100_000,
+    ], ids=["missing", "not-json", "utf-16", "latin-1", "deep"])
     def test_config_file_that_cannot_be_read_is_a_config_error(self, capsys, small_csv,
-                                                               tmp_path, text):
+                                                               tmp_path, content):
         config = tmp_path / "config.json"
-        if text is not None:
-            config.write_text(text)
+        if content is not None:
+            config.write_bytes(content)
         code, out, err = run(capsys, "--config", str(config), "analyze", "--data", small_csv)
         assert (code, out) == (3, "")
         assert err.startswith("error: cannot read config file: ")
@@ -357,11 +363,20 @@ class TestPipeline:
         assert block["k"] == assignment.k == 4
         for g, stratum in enumerate(block["strata"]):
             assert stratum["viable"] and stratum["results"]
-            inputs = pibgen.bounds.inputs_json(t.empirical_rates(g), t.design_probs(g, 0.5),
-                                               frame.support)
+            rates, probs = t.empirical_rates(g), t.design_probs(g, 0.5)
+            inputs = {"e_y1_w1z1": rates.e_y1_w1z1, "e_y0_w0z1": rates.e_y0_w0z1,
+                      "e_y0_w0z0": rates.e_y0_w0z0, "p_z1": probs.p_z1,
+                      "p_w1_given_z1": probs.p_w1_given_z1,
+                      "p_w0_given_z0": probs.p_w0_given_z0, "support": [0.0, 1.0]}
             assert all(result["inputs"] == inputs for result in stratum["results"])
         assert len(block["pooled"]) == 8
-        assert all(entry["inputs"] == {"pooled": True, "strata": 4} for entry in block["pooled"])
+        for entry in block["pooled"]:
+            assert entry["inputs"] == {"pooled": True, "strata": 4}
+            assert entry["note"].startswith("population-share weighted across strata")
+            mtr = entry["assumption"] == "mtr"
+            assert ("variant" in entry, "scope" in entry) == (mtr, mtr)
+            # the no-clip condition is defined on one arm-mean difference, not a pooled sum
+            assert "improves" not in entry
 
     def test_public_names_resolve(self):
         for name in pibgen.__all__:
@@ -638,6 +653,28 @@ class TestSubcommands:
         assert doc["notes"]["non_viable_strata"] == []
         assert block["pooled"]
 
+    def test_bounds_result_fields(self, capsys):
+        code, out, _ = run(capsys, "bounds", "--data", synthetic_path(), "--assumption", "bsv",
+                           "--lambda", "0.3", "--format", "json")
+        assert code == 0
+        [doc] = json.loads(out)["intervals"]
+        assert set(doc) >= {"assumption", "framework", "lambda", "lo", "hi",
+                            "clamped", "pre_clamp", "inputs"}
+        assert set(doc["clamped"]) == {"lo", "hi"}
+        assert set(doc["pre_clamp"]) == {"lo", "hi"}
+        assert doc["assumption"] == "bsv"
+        assert doc["inputs"]["p_z1"] == pytest.approx(56 / 1029)
+
+    def test_mtr_variant_fields(self, capsys):
+        code, out, _ = run(capsys, "bounds", "--data", synthetic_path(), "--framework", "reduced",
+                           "--assumption", "mtr", "--format", "json")
+        assert code == 0
+        docs = json.loads(out)["intervals"]
+        assert [d["variant"] for d in docs] == ["min", "max"]
+        assert all(d["assumption"] == "mtr" for d in docs)
+        assert all(d["scope"] == "population" for d in docs)
+        assert all(d["framework"] == "reduced" for d in docs)
+
     def test_bounds_subcommand(self, capsys, small_csv):
         code, out, _ = run(capsys, "bounds", "--data", small_csv, "--framework", "both",
                            "--format", "json")
@@ -776,6 +813,17 @@ class TestSubcommands:
                         "converged": True, "iterations": 4, **document}
         model = tmp_path / "model.json"
         model.write_text(json.dumps(document))
+        code, out, err = run(capsys, command, "--data", synthetic_path(), "--reps", "2",
+                             "--model", str(model))
+        assert (code, out) == (3, "")
+        assert err.startswith("error: cannot read model file: ")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["points", "propensity"])
+    def test_model_file_nested_past_the_recursion_limit_is_a_config_error(self, capsys,
+                                                                          tmp_path, command):
+        model = tmp_path / "model.json"
+        model.write_bytes(b"[" * 100_000 + b"]" * 100_000)
         code, out, err = run(capsys, command, "--data", synthetic_path(), "--reps", "2",
                              "--model", str(model))
         assert (code, out) == (3, "")

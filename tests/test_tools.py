@@ -51,6 +51,20 @@ def test_golden_tool_reports_each_changed_leaf():
         "analyze.json: 0 changed leaves, largest absolute difference 0")
 
 
+def test_golden_tool_counts_changed_lines():
+    spec = importlib.util.spec_from_file_location("make_golden", TOOLS / "make_golden.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    old = "| a | 1 |\n| b | 2 |\n| c | 3 |\n"
+    assert tool.changed_lines(old, old) == 0
+    assert tool.changed_lines(old, "| a | 1 |\n| b | 2.5 |\n| c | 3 |\n") == 1
+    assert tool.changed_lines(old, old + "| d | 4 |\n") == 1
+    assert tool.changed_lines(old, "| a | 1 |\n| c | 3 |\n") == 1
+    # two rows edited and one added: the longer side of the block
+    assert tool.changed_lines(old, "| a | 0 |\n| b | 0 |\n| x | 9 |\n| c | 3 |\n") == 3
+    assert tool.changed_lines("", old) == 3
+
+
 def test_benchmark_options_are_the_golden_options():
     # the benchmark checks every statewide_1k op against the goldens
     spec = importlib.util.spec_from_file_location("workloads", PERFBENCH / "workloads.py")

@@ -5,9 +5,11 @@ dataset, so the tool first runs the oracle suite in a subprocess of the same
 interpreter and writes nothing unless it passes.  When it overwrites
 ``analyze.json`` it prints what changed: the number of changed leaves, the
 key path and the old and new value of each, and the largest absolute
-difference between an old and a new number.
+difference between an old and a new number.  For ``analyze.md`` and
+``analyze.csv`` it prints the number of changed lines.
 """
 
+import difflib
 import json
 import pathlib
 import subprocess
@@ -54,6 +56,14 @@ def change_report(old, new) -> str:
     return "\n".join(lines)
 
 
+def changed_lines(old: str, new: str) -> int:
+    """Changed lines between two texts: each block where a line diff differs
+    counts its longer side, so a line edited in place is one changed line."""
+    matcher = difflib.SequenceMatcher(None, old.splitlines(), new.splitlines(), autojunk=False)
+    return sum(max(i2 - i1, j2 - j1)
+               for tag, i1, i2, j1, j2 in matcher.get_opcodes() if tag != "equal")
+
+
 def run():
     suite = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
                             *ORACLE_SUITE], cwd=ROOT)
@@ -61,16 +71,20 @@ def run():
         raise SystemExit(f"oracle suite failed (pytest exited {suite.returncode}); "
                          "goldens not written")
     GOLDEN.mkdir(exist_ok=True)
-    golden_json = GOLDEN / "analyze.json"
-    before = json.loads(golden_json.read_text(encoding="utf-8")) if golden_json.exists() else None
-    for fmt in ("json", "md", "csv"):
-        target = GOLDEN / f"analyze.{fmt}"
+    targets = {fmt: GOLDEN / f"analyze.{fmt}" for fmt in ("json", "md", "csv")}
+    before = {fmt: target.read_text(encoding="utf-8")
+              for fmt, target in targets.items() if target.exists()}
+    for fmt, target in targets.items():
         code = main(["analyze", *GOLDEN_ARGS, "--format", fmt, "--out", str(target)])
         if code != 0:
             raise SystemExit(f"analyze exited {code}")
         print(f"wrote {target}")
-    if before is not None:
-        print(change_report(before, json.loads(golden_json.read_text(encoding="utf-8"))))
+    for fmt, old in before.items():
+        new = targets[fmt].read_text(encoding="utf-8")
+        if fmt == "json":
+            print(change_report(json.loads(old), json.loads(new)))
+        else:
+            print(f"analyze.{fmt}: {changed_lines(old, new)} changed lines")
 
 
 if __name__ == "__main__":
