@@ -37,14 +37,13 @@ from .frame import design_probs, empirical_rates  # noqa: F401 (perfbench/tracin
 
 FRAMEWORKS = ("full", "reduced")
 ASSUMPTIONS = ("worst_case", "bsv", "mtr")
-MTR_SCOPES = ("sample", "population")
 
 
 @dataclass(frozen=True)
 class BoundSpec:
     """One cell of the report grid: an assumption in a framework, with its
-    lambda for BSV.  MTR runs in sample scope in the full framework and in
-    population scope in the reduced one."""
+    lambda for BSV.  ``scope`` is the label the report and ``verify`` give an
+    MTR interval: "sample" in the full framework, "population" in the reduced."""
 
     assumption: str
     framework: str = "full"
@@ -99,11 +98,6 @@ def _clamp(lo, hi, support: OutcomeSupport, spec: BoundSpec, **tags) -> PateInte
 def check_framework(framework):
     if framework not in FRAMEWORKS:
         raise ConfigError(f"framework must be one of {FRAMEWORKS}, got {framework!r}")
-
-
-def check_scope(scope):
-    if scope not in MTR_SCOPES:
-        raise ConfigError(f"scope must be one of {MTR_SCOPES}, got {scope!r}")
 
 
 def cell_extremes(cells):
@@ -188,34 +182,34 @@ def bsv_bounds(rates: EmpiricalRates, probs: DesignProbs, framework: str, lam,
 
 
 def mtr_bounds(rates: EmpiricalRates, probs: DesignProbs,
-               scope: str = "sample") -> tuple[PateInterval, PateInterval]:
+               framework: str = "full") -> tuple[PateInterval, PateInterval]:
     """Bounds assuming outcomes never decrease under treatment (binary only).
 
     The paper's form does not use randomization, so each sampled arm is a cell:
     treated, of mass P(W=1, Z=1), with E Y(1) = e1 and E Y(0) in [0, e1];
     control, of mass P(W=0, Z=1), with E Y(0) = e0 and E Y(1) in [e0, 1].  So
-    the upper end can exceed the worst case's.  Population scope adds the z=0
-    control-arm cell with E Y(0) pinned at its business-as-usual rate.  The
-    cell nothing is observed of (the z=0 units, or their treated arm in
-    population scope) is the triangle 0 <= E Y(0) <= E Y(1) <= 1 in the max
-    variant and the point (0, 0) in the min variant, which holds it at zero
-    effect.  Returns the ``(min, max)`` pair, each tagged by its ``variant``.
+    the upper end can exceed the worst case's.  The reduced framework adds the
+    cell of z=0 units that carry a business-as-usual outcome, of mass
+    P(W=0, Z=0), with E Y(0) pinned at their mean.  The cell nothing is
+    observed of (the z=0 units, or in the reduced framework those without an
+    outcome) is the triangle 0 <= E Y(0) <= E Y(1) <= 1 in the max variant and
+    the point (0, 0) in the min variant, which holds it at zero effect.
+    Returns the ``(min, max)`` pair, each tagged by its ``variant``.
     """
-    check_scope(scope)
+    spec = BoundSpec("mtr", framework)
     if not rates.binary:
         raise NonBinaryOutcome("monotone-response bounds need binary pass/fail rates")
     support = OutcomeSupport(0, 1)  # integer endpoints stay exact under Fraction inputs
     e1, e0 = rates.e_y1_w1z1, rates.e_y0_w0z1
     cells = [(probs.p_w0_z1, [(e0, e0), (1, e0)]), (probs.p_w1_z1, [(e1, 0), (e1, e1)])]
     free = probs.p_z0
-    if scope == "population":
+    if framework == "reduced":
         q0 = rates.e_y0_w0z0
         if q0 is None:
-            raise MissingPopulationOutcome("the population-scope monotone bound")
+            raise MissingPopulationOutcome()
         cells.append((probs.p_w0_z0, [(q0, q0), (1, q0)]))
         free = probs.p_w1_z0
     lo, hi = cell_extremes(cells)  # the observed cells' part, shared by both variants
-    spec = BoundSpec("mtr", "full" if scope == "sample" else "reduced")
 
     def variant(name, vertices):
         free_lo, free_hi = cell_extremes([(free, vertices)])
@@ -247,7 +241,7 @@ def compute_bounds(spec: BoundSpec, rates: EmpiricalRates, probs: DesignProbs,
         return (worst_case_bounds(rates, probs, spec.framework, support),)
     if spec.assumption == "bsv":
         return (bsv_bounds(rates, probs, spec.framework, spec.lam, support),)
-    return mtr_bounds(rates, probs, spec.scope)
+    return mtr_bounds(rates, probs, spec.framework)
 
 
 # --- per-stratum evaluation ----------------------------------------------------

@@ -174,11 +174,14 @@ def _categorical(items) -> tuple:
     pairs = []
     for item in items:
         if isinstance(item, (list, tuple)) and [type(part) for part in item] == [str, str]:
-            pairs.append(tuple(item))
+            col, ref = item
         elif isinstance(item, str) and "=" in item:
-            pairs.append(tuple(item.split("=", 1)))
+            col, ref = item.split("=", 1)
         else:
             raise ConfigError(f"--categorical expects COL=REF, got {item!r}")
+        if any(col == named for named, _ in pairs):
+            raise ConfigError(f"--categorical names column {col!r} twice")
+        pairs.append((col, ref))
     return tuple(pairs)
 
 
@@ -200,6 +203,8 @@ def _load(options) -> tuple:
     for key in ("data", "sample", "population", "model"):
         if options[key] is not None and not isinstance(options[key], str):
             raise ConfigError(f"--{key} expects a file path, got {options[key]!r}")
+    if options["data"] and (options["sample"] or options["population"]):
+        raise ConfigError("give --data, or --sample and --population, not both")
     keys = ("data",) if options["data"] else ("sample", "population")
     if not all(options[key] for key in keys):
         raise ConfigError("provide --data, or both --sample and --population")

@@ -22,17 +22,16 @@ of integers; only the extremes become ``fractions.Fraction``s.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from . import bounds
-from .errors import DataError, MissingPopulationOutcome, NegativeLambda
+from .errors import MissingPopulationOutcome, NegativeLambda
 from .frame import (
     BINARY,
     DesignProbs,
@@ -51,7 +50,7 @@ _BINARY_VALUES = np.array([[0.0], [1.0]])  # (value, unit)
 _EFFECT = np.array([[[0], [1]], [[-1], [0]]])  # y1 - y0 by (y0, y1, unit)
 
 
-@functools.lru_cache(maxsize=1)  # ``checks`` asks for one frame's rates up to 8 times
+@functools.lru_cache(maxsize=1)  # ``checks`` asks for one frame's rates up to 7 times
 def exact_rates(frame: StudyFrame) -> EmpiricalRates:
     """Arm means as exact fractions of integer counts.  It is every oracle's
     one precondition: it raises ``EmptyArm`` for a frame without a sampled
@@ -68,8 +67,9 @@ def exact_design_probs(frame: StudyFrame, p_w0_given_z0: Fraction) -> DesignProb
 def exact_inputs(frame: StudyFrame) -> tuple[EmpiricalRates, DesignProbs]:
     """Exact inputs of the information set the unit-level oracles describe:
     P(W=0|Z=0) is the share of z=0 units carrying a business-as-usual outcome,
-    the mass ``enumerate_worst_case(frame, "reduced")`` pins; 1/2 without one,
-    where only the full framework applies and the split does not enter."""
+    the mass ``enumerate_worst_case`` and ``enumerate_mtr`` pin in the reduced
+    framework; 1/2 without one, where only the full framework applies and the
+    split does not enter."""
     n_bearing = int(np.count_nonzero(frame.z0_bearing))
     share = Fraction(n_bearing, frame.n_units - frame.n_sample) if n_bearing else Fraction(1, 2)
     return exact_rates(frame), exact_design_probs(frame, share)
@@ -123,57 +123,31 @@ def enumerate_worst_case(frame: StudyFrame, framework: str = "full") -> Enumerat
                        n_completions=n_completions)
 
 
-def _population_arms(frame: StudyFrame):
-    """Masks of the control- and treated-labeled z=0 units; population scope
-    needs every z=0 unit labeled, and each control-labeled one's outcome."""
-    z0 = frame.z == 0
-    unlabeled = np.flatnonzero(z0 & (frame.w == -1))
-    if unlabeled.size:
-        raise DataError("population-scope enumeration needs an arm label for z=0 unit "
-                        f"{frame.ids[unlabeled[0]]!r}")
-    w0 = z0 & (frame.w == 0)
-    missing = np.flatnonzero(w0 & np.isnan(frame.y))
-    if missing.size:
-        raise MissingPopulationOutcome(f"z=0 unit {frame.ids[missing[0]]!r} labeled control")
-    return w0, z0 & (frame.w == 1)
-
-
-def population_inputs(frame: StudyFrame) -> tuple[EmpiricalRates, DesignProbs]:
-    """Exact inputs of the population-scope MTR closed form that
-    ``enumerate_mtr(frame, "population")`` describes: the z=0 control mean and
-    P(W=0|Z=0) run over the control-labeled z=0 units."""
-    w0, _ = _population_arms(frame)
-    n_w0 = int(np.count_nonzero(w0))
-    if not n_w0:
-        raise MissingPopulationOutcome("the population-scope monotone bound")
-    rates = replace(exact_rates(frame), e_y0_w0z0=Fraction(int(frame.y[w0].sum()), n_w0))
-    return rates, exact_design_probs(frame, Fraction(n_w0, frame.n_units - frame.n_sample))
-
-
 def enumerate_mtr(
     frame: StudyFrame,
-    scope: str = "sample",
+    framework: str = "full",
     pin_free_to_zero: bool = False,
 ) -> Enumeration:
     """Exact PATE range over monotone completions (treated outcome never below
     the control outcome for any unit).
 
-    Population scope consumes the hypothetical arm labels on z=0 units: a
-    control-labeled unit must carry its business-as-usual outcome, which pins
-    its control potential outcome; a treated-labeled unit is fully free.  With
-    ``pin_free_to_zero`` the fully free units are held at zero effect, which
-    realizes the reporting convention behind the min variant of the closed
-    form.
+    Sampled units have their observed potential outcome pinned.  Full
+    framework: every z=0 unit is fully free.  Reduced framework: a z=0 unit
+    carrying a business-as-usual outcome has its control potential outcome
+    pinned to it, as in ``enumerate_worst_case``, and the others are fully
+    free.  With ``pin_free_to_zero`` the fully free units are held at zero
+    effect, which realizes the reporting convention behind the min variant of
+    the closed form.
     """
     exact_rates(frame)  # the precondition; the bounds read the frame's columns
-    bounds.check_scope(scope)
+    bounds.check_framework(framework)
     y = frame.y
     y0 = np.where(frame.control, y, np.nan)
     y1 = np.where(frame.treated, y, np.nan)
     free = frame.z == 0
-    if scope == "population":
-        w0, free = _population_arms(frame)  # free: nothing observed about its counterfactuals
-        y0 = np.where(w0, y, y0)
+    if framework == "reduced":
+        y0 = np.where(frame.z0_bearing, y, y0)
+        free = free & ~frame.z0_bearing
     if pin_free_to_zero:
         y0, y1 = np.where(free, 0.0, y0), np.where(free, 0.0, y1)
     lo, hi, n_completions = _extreme_sums(y0, y1, monotone=True)
@@ -249,7 +223,7 @@ def agrees(float_interval, exact_interval, enumeration: Enumeration) -> bool:
 
 def checks(frame: StudyFrame):
     """Yield (name, float interval, exact interval, enumeration) for each
-    closed form ``bounds`` holds at the call, on the exact inputs of each
+    closed form ``bounds`` holds at the call, on the exact inputs of the
     information set the oracles describe and on those inputs rounded once."""
     rates, probs = exact_inputs(frame)
     rounded = convert(rates), convert(probs)
@@ -267,12 +241,9 @@ def checks(frame: StudyFrame):
                    bounds.bsv_bounds(rates, probs, framework, lam, EXACT_BINARY,
                                      intersect_support=True),
                    enumerate_bsv(rates, probs, lam, framework))
-    scopes = [("sample", rounded, (rates, probs))]
-    with contextlib.suppress(DataError):  # a frame the population scope does not fit
-        exact = population_inputs(frame)
-        scopes.append(("population", tuple(map(convert, exact)), exact))
-    for scope, rounded, exact in scopes:
-        floats, exacts = bounds.mtr_bounds(*rounded, scope), bounds.mtr_bounds(*exact, scope)
+    for framework in frameworks:
+        floats = bounds.mtr_bounds(*rounded, framework)
+        exacts = bounds.mtr_bounds(rates, probs, framework)
         for i, variant in ((1, "max"), (0, "min")):  # mtr_bounds gives (min, max)
-            yield (f"mtr {scope} {variant}-variant", floats[i], exacts[i],
-                   enumerate_mtr(frame, scope, pin_free_to_zero=variant == "min"))
+            yield (f"mtr {exacts[i].spec.scope} {variant}-variant", floats[i], exacts[i],
+                   enumerate_mtr(frame, framework, pin_free_to_zero=variant == "min"))

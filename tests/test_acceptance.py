@@ -139,7 +139,7 @@ def test_criterion_4_nesting_suite(rng):
                 and sharp_reduced.pre_clamp_hi <= reduced_wc_c.pre_clamp_hi + TOL):
             violations += 1
 
-        mtr_min, mtr_max = bounds.mtr_bounds(free, probs, "population")
+        mtr_min, mtr_max = bounds.mtr_bounds(free, probs, "reduced")
         if mtr_min.lo != 0 or mtr_max.lo != 0:
             violations += 1
         if not mtr_min.hi <= mtr_max.hi + TOL:
@@ -172,7 +172,7 @@ def test_criterion_5_study_scale_reconstruction():
         bsv = bounds.bsv_bounds(rates, probs, "full", lam, BINARY)
         assert bsv.lo == pytest.approx(target[0], abs=0.02)
         assert bsv.hi == pytest.approx(target[1], abs=0.02)
-        mtr_min, _ = bounds.mtr_bounds(rates, probs, "population")
+        mtr_min, _ = bounds.mtr_bounds(rates, probs, "reduced")
         assert mtr_min.hi == pytest.approx(spec["mtr_min_hi"], abs=0.02)
     elapsed = time.monotonic() - started
     assert elapsed < 1.0

@@ -180,13 +180,13 @@ class TestMtr:
     def test_maximal_monotone_effect(self):
         # census, every treated unit passes and every control unit fails
         probs = DesignProbs(p_z1=1.0, p_w1_given_z1=0.5, p_w0_given_z0=0.5)
-        _, mtr_max = mtr_bounds(rates_from(1.0, 0.0), probs, "sample")
+        _, mtr_max = mtr_bounds(rates_from(1.0, 0.0), probs, "full")
         assert mtr_max.lo == 0
         assert mtr_max.hi == pytest.approx(1.0)
 
     def test_reconstructed_sample_scope(self):
         rates = rates_from(0.6, 0.6 - 0.257)
-        mtr_min, mtr_max = mtr_bounds(rates, STUDY_PROBS, "sample")
+        mtr_min, mtr_max = mtr_bounds(rates, STUDY_PROBS, "full")
         assert mtr_min.hi == pytest.approx(0.034, abs=0.01)
         assert mtr_max.hi == pytest.approx(0.97, abs=0.01)
         assert mtr_min.lo == 0
@@ -194,44 +194,44 @@ class TestMtr:
 
     def test_reconstructed_population_scope(self):
         rates = rates_from(0.6, 0.6 - 0.257, q0=0.91)
-        mtr_min, _ = mtr_bounds(rates, STUDY_PROBS, "population")
-        sample_part = mtr_bounds(rates, STUDY_PROBS, "sample")[0].hi
+        mtr_min, _ = mtr_bounds(rates, STUDY_PROBS, "reduced")
+        sample_part = mtr_bounds(rates, STUDY_PROBS, "full")[0].hi
         assert mtr_min.hi == pytest.approx(sample_part + 0.09 * STUDY_PROBS.p_w0_z0)
         assert mtr_min.hi == pytest.approx(0.07, abs=0.02)
 
     def test_variant_ordering(self):
         rates = rates_from(0.7, 0.5, q0=0.8)
-        for scope in ("sample", "population"):
-            mtr_min, mtr_max = mtr_bounds(rates, STUDY_PROBS, scope)
+        for framework in ("full", "reduced"):
+            mtr_min, mtr_max = mtr_bounds(rates, STUDY_PROBS, framework)
             assert mtr_min.hi <= mtr_max.hi
             assert mtr_max.hi <= 1.0
 
     def test_rates_of_a_binary_frame(self):
         frame = make_frame([(1, 1, 1.0), (1, 0, 0.0), (0, None, None)])
         probs = design_probs(frame, 0.5)
-        _, mtr_max = mtr_bounds(empirical_rates(frame), probs, "sample")
+        _, mtr_max = mtr_bounds(empirical_rates(frame), probs, "full")
         assert mtr_max.hi > 0
 
     def test_rejects_continuous_outcomes(self):
         frame = make_frame([(1, 1, 2.0), (1, 0, 0.5)], support=CONTINUOUS)
         probs = design_probs(frame, 0.5)
         with pytest.raises(NonBinaryOutcome):
-            mtr_bounds(empirical_rates(frame), probs, "sample")
+            mtr_bounds(empirical_rates(frame), probs, "full")
 
     def test_rejects_rates_not_flagged_binary(self):
         rates = EmpiricalRates(e_y1_w1z1=0.6, e_y0_w0z1=0.4, e_y0_w0z0=0.5, binary=False)
         with pytest.raises(NonBinaryOutcome):
-            mtr_bounds(rates, STUDY_PROBS, "sample")
+            mtr_bounds(rates, STUDY_PROBS, "full")
 
     def test_fail_rates_are_one_minus_the_control_means(self):
         rates = rates_from(0.7, 0.3, q0=0.9)
-        mtr_min, _ = mtr_bounds(rates, STUDY_PROBS, "population")
+        mtr_min, _ = mtr_bounds(rates, STUDY_PROBS, "reduced")
         sample_part = (1 - 0.3) * STUDY_PROBS.p_w0_z1 + 0.7 * STUDY_PROBS.p_w1_z1
         assert mtr_min.hi == sample_part + (1 - 0.9) * STUDY_PROBS.p_w0_z0
 
     def test_population_scope_needs_fail_rate(self):
         with pytest.raises(MissingPopulationOutcome):
-            mtr_bounds(rates_from(0.6, 0.4), STUDY_PROBS, "population")
+            mtr_bounds(rates_from(0.6, 0.4), STUDY_PROBS, "reduced")
 
 
 class TestClampRange:

@@ -40,6 +40,8 @@ f,0,0,0
 g,0,1,
 """
 
+_COMMANDS = ("analyze", "bounds", "points", "strata", "lambda", "propensity", "verify")
+
 # x1 varies and c is constant: only a rule that reads the balance table fails
 CONSTANT_COVARIATE_CSV = "id,in_sample,treatment,outcome,x1,c\n" + "".join(
     f"u{i},{int(i < 12)},{i % 2 if i < 12 else ''},{i * 7 % 3 % 2},{i * 0.37 % 1:.2f},1\n"
@@ -737,6 +739,15 @@ class TestSubcommands:
         assert "title1=1" in json.loads(by_pair)["coefficients"]
         assert run(capsys, *argv, "--categorical", "title1=0") == (0, by_pair, "")
 
+    def test_categorical_column_named_twice_is_a_config_error(self, capsys, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"categorical": [["title1", "1"], ["title1", "0"]]}))
+        argv = ["propensity", "--data", synthetic_path()]
+        for options in (["--categorical", "title1=1", "--categorical", "title1=0"],
+                        ["--config", str(config)]):
+            assert run(capsys, *options, *argv) == (
+                3, "", "error: --categorical names column 'title1' twice\n")
+
     def test_covariate_missing_from_the_header_is_a_data_error(self, capsys):
         code, out, err = run(capsys, "propensity", "--data", synthetic_path(),
                              "--covariates", "nope")
@@ -927,6 +938,8 @@ ok bsv full lambda=1: [-0.938012, 0.953145]
 ok bsv reduced lambda=1: [-0.575524, 0.370055]
 ok mtr sample max-variant: [0.000000, 0.980564]
 ok mtr sample min-variant: [0.000000, 0.034985]
+ok mtr population max-variant: [0.000000, 0.397473]
+ok mtr population min-variant: [0.000000, 0.397473]
 all oracle checks passed
 """
 
@@ -954,17 +967,30 @@ all oracle checks passed
 
 class TestVerify:
     def test_small_frame_passes(self, capsys, small_csv):
-        # every z=0 unit is labeled, so the log holds each check name, the
-        # population-scope MTR lines included
+        # z=0 units carry business-as-usual outcomes, so the log holds each
+        # check name, the population-scope MTR lines included
         code, out, _ = run(capsys, "verify", "--data", small_csv)
         assert code == 0
         assert out == SMALL_VERIFY_LOG
+
+    def test_a_z0_arm_label_changes_nothing(self, capsys, small_csv, tmp_path):
+        blanked = tmp_path / "blanked" / "small.csv"  # the report names the file
+        blanked.parent.mkdir()
+        blanked.write_text(re.sub(r"^(\w+,0,)[01]", r"\1", SMALL_BINARY, flags=re.M))
+        assert blanked.read_text().count(",0,,") == 4
+        assert run(capsys, "verify", "--data", str(blanked)) == (0, SMALL_VERIFY_LOG, "")
+        argv = ["analyze", "--strata", "1", "--reps", "20", "--framework", "both",
+                "--assumption", "worst", "--assumption", "mtr", "--format", "json"]
+        code, labelled, _ = run(capsys, *argv, "--data", small_csv)
+        assert code == 0
+        assert run(capsys, *argv, "--data", str(blanked)) == (0, labelled, "")
 
     def test_bundled_dataset_passes(self, capsys):
         code, out, _ = run(capsys, "verify", "--data", synthetic_path())
         assert code == 0
         # the first line is the golden report's unclamped worst-case interval,
-        # checked exhaustively; the reduced lines take P(W=0|Z=0) = 973/973
+        # checked exhaustively; the reduced and population lines take
+        # P(W=0|Z=0) = 973/973, so both MTR variants pin every z=0 unit
         assert out == BUNDLED_VERIFY_LOG
 
     def test_frame_past_ten_thousand_units_passes(self, capsys, tmp_path):
@@ -1196,6 +1222,20 @@ class TestExitContract:
         assert f"error: --merge-strata expects true or false, got {value!r}" in err
         assert out == ""
 
+    @pytest.mark.parametrize("command", _COMMANDS)
+    @pytest.mark.parametrize("where", ["flags", "config-data", "config-pair"])
+    def test_data_beside_the_file_pair_is_a_config_error(self, capsys, small_csv, tmp_path,
+                                                         command, where):
+        config = tmp_path / "cfg.json"
+        given = {"data": small_csv, "sample": small_csv, "population": small_csv}
+        in_config = {"flags": (), "config-data": ("data",),
+                     "config-pair": ("sample", "population")}[where]
+        config.write_text(json.dumps({key: given[key] for key in in_config}))
+        flags = [arg for key in given if key not in in_config for arg in (f"--{key}", given[key])]
+        code, out, err = run(capsys, "--config", str(config), command, *flags)
+        assert (code, out) == (3, "")
+        assert err == "error: give --data, or --sample and --population, not both\n"
+
     @pytest.mark.parametrize("command", ["analyze", "verify"])
     @pytest.mark.parametrize("flag", ["--data", "--sample", "--population"])
     def test_missing_input_file_is_a_config_error(self, capsys, small_csv, tmp_path,
@@ -1321,9 +1361,6 @@ class TestExitContract:
         assert err == (f"error: data file {str(latin1)!r} is not UTF-8 text: "
                        "invalid continuation byte\n")
         assert out == ""
-
-
-_COMMANDS = ("analyze", "bounds", "points", "strata", "lambda", "propensity", "verify")
 
 
 @pytest.mark.parametrize("key", sorted(pibgen.cli._DEFAULTS))

@@ -66,13 +66,13 @@ class TestMtrEnumeration:
     def test_sampled_control_fail_can_move_one(self):
         # the only free motion is the control unit's treated outcome
         frame = binary_frame(1, 1, 1, 0)
-        enum = oracle.enumerate_mtr(frame, "sample")
+        enum = oracle.enumerate_mtr(frame, "full")
         assert enum.lo == 0
         assert enum.hi == Fraction(1, 2) + Fraction(1, 2)  # treated y0 free + control y1 free
 
     def test_sampled_treated_fail_is_pinned(self):
         frame = binary_frame(1, 0, 1, 1)
-        enum = oracle.enumerate_mtr(frame, "sample")
+        enum = oracle.enumerate_mtr(frame, "full")
         # treated y=0 forces y0=0; control y=1 forces y1=1: nothing moves
         assert enum.lo == 0
         assert enum.hi == 0
@@ -81,25 +81,20 @@ class TestMtrEnumeration:
         frame = make_frame(
             [(1, 1, 1.0), (1, 1, 0.0), (1, 0, 0.0), (0, 0, 1.0), (0, 0, 0.0), (0, 1, None)]
         )
-        rates, probs = oracle.population_inputs(frame)
+        rates, probs = oracle.exact_inputs(frame)
         assert probs.p_w0_given_z0 == Fraction(2, 3)
-        enum = oracle.enumerate_mtr(frame, "population")
-        _, closed_max = bounds.mtr_bounds(rates, probs, "population")
+        enum = oracle.enumerate_mtr(frame, "reduced")
+        _, closed_max = bounds.mtr_bounds(rates, probs, "reduced")
         assert enum.hi == closed_max.pre_clamp_hi
         assert enum.lo == 0
 
-    def test_population_scope_needs_labels(self):
-        frame = binary_frame(1, 1, 1, 0, n_z0_free=1)
-        with pytest.raises(DataError):
-            oracle.enumerate_mtr(frame, "population")
-        with pytest.raises(DataError):
-            oracle.population_inputs(frame)
-
     def test_population_inputs_need_a_control_labeled_unit(self):
+        # no z=0 unit carries a business-as-usual outcome: the reduced
+        # enumeration pins nothing, and the closed form has no mean to pin
         frame = make_frame([(1, 1, 1.0), (1, 0, 0.0), (0, 1, None)])
-        assert oracle.enumerate_mtr(frame, "population").hi == 1
+        assert oracle.enumerate_mtr(frame, "reduced").hi == 1
         with pytest.raises(MissingPopulationOutcome):
-            oracle.population_inputs(frame)
+            bounds.mtr_bounds(*oracle.exact_inputs(frame), "reduced")
 
 
 class TestBsvEnumeration:
@@ -174,8 +169,8 @@ class TestPerStratum:
                 worst, mtr_min, mtr_max = stratum.results
                 for interval, enum in (
                     (worst, oracle.enumerate_worst_case(piece.frame, "full")),
-                    (mtr_min, oracle.enumerate_mtr(piece.frame, "sample", pin_free_to_zero=True)),
-                    (mtr_max, oracle.enumerate_mtr(piece.frame, "sample")),
+                    (mtr_min, oracle.enumerate_mtr(piece.frame, "full", pin_free_to_zero=True)),
+                    (mtr_max, oracle.enumerate_mtr(piece.frame, "full")),
                 ):
                     assert abs(interval.pre_clamp_lo - float(enum.lo)) <= 1e-12
                     assert abs(interval.pre_clamp_hi - float(enum.hi)) <= 1e-12
@@ -216,8 +211,10 @@ def _brute_worst_case(frame, framework):
             (fixed + int(sums.max())) / frame.n_units, sums.size)
 
 
-def _brute_mtr(frame, scope, pin_free_to_zero):
-    """Every monotone completion of every unit listed."""
+def _brute_mtr(frame, framework, pin_free_to_zero):
+    """Every monotone completion of every unit listed; the reduced framework
+    pins the control outcome of each z=0 unit carrying one, whatever its arm
+    label."""
     def pairs(y0_options, y1_options):
         return [(y0, y1) for y0 in y0_options for y1 in y1_options if y1 >= y0]
 
@@ -226,7 +223,7 @@ def _brute_mtr(frame, scope, pin_free_to_zero):
     for z, w, y in _units(frame):
         if z == 1:
             options = pairs((0, 1), (y,)) if w == 1 else pairs((y,), (0, 1))
-        elif scope == "population" and w == 0:
+        elif framework == "reduced" and y is not None:
             options = pairs((y,), (0, 1))
         else:
             options = free
@@ -251,20 +248,18 @@ def small_binary_frames(draw):
     if not labeled:
         z0_rows = st.tuples(st.just(0), st.none(), st.none() | outcome)
     rest = draw(st.lists(z0_rows, max_size=12 - len(sampled)))
-    return make_frame(draw(st.permutations(sampled + rest))), labeled
+    return make_frame(draw(st.permutations(sampled + rest)))
 
 
 @settings(max_examples=300, deadline=None)
 @given(small_binary_frames())
-def test_extreme_sums_equal_brute_force_enumeration(drawn):
-    frame, labeled = drawn
+def test_extreme_sums_equal_brute_force_enumeration(frame):
     for framework in ("full", "reduced"):
         enum = oracle.enumerate_worst_case(frame, framework)
         assert (enum.lo, enum.hi, enum.n_completions) == _brute_worst_case(frame, framework)
-    for scope in ("sample", "population") if labeled else ("sample",):
         for pin in (False, True):
-            enum = oracle.enumerate_mtr(frame, scope, pin_free_to_zero=pin)
-            assert (enum.lo, enum.hi, enum.n_completions) == _brute_mtr(frame, scope, pin)
+            enum = oracle.enumerate_mtr(frame, framework, pin_free_to_zero=pin)
+            assert (enum.lo, enum.hi, enum.n_completions) == _brute_mtr(frame, framework, pin)
 
 
 UNIT = st.fractions(0, 1, max_denominator=1000)
@@ -383,9 +378,9 @@ def _every_interval(rates, probs, lam, support) -> dict:
         intervals["paper", framework] = bounds.bsv_bounds(rates, probs, framework, lam, support)
         intervals["sharp", framework] = bounds.bsv_bounds(rates, probs, framework, lam, support,
                                                           intersect_support=True)
-    for scope in ("sample", "population"):
-        intervals["mtr min", scope], intervals["mtr max", scope] = bounds.mtr_bounds(
-            rates, probs, scope)
+    for framework in ("full", "reduced"):
+        intervals["mtr min", framework], intervals["mtr max", framework] = bounds.mtr_bounds(
+            rates, probs, framework)
     return intervals
 
 

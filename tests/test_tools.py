@@ -8,6 +8,8 @@ import json
 import pathlib
 import sys
 
+import pytest
+
 from pibgen import stratify
 from pibgen.cli import main
 from pibgen.data import synthetic_path
@@ -63,6 +65,17 @@ def test_golden_tool_counts_changed_lines():
     # two rows edited and one added: the longer side of the block
     assert tool.changed_lines(old, "| a | 0 |\n| b | 0 |\n| x | 9 |\n| c | 3 |\n") == 3
     assert tool.changed_lines("", old) == 3
+
+
+def test_golden_tool_writes_nothing_unless_the_bundled_frame_verifies(monkeypatch, capsys):
+    spec = importlib.util.spec_from_file_location("make_golden", TOOLS / "make_golden.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    tool.verify_bundled()
+    assert capsys.readouterr().out.endswith("all oracle checks passed\n")
+    monkeypatch.setattr(tool, "main", lambda argv: 1)
+    with pytest.raises(SystemExit, match="verify exited 1"):
+        tool.verify_bundled()
 
 
 def test_benchmark_options_are_the_golden_options():

@@ -2,11 +2,11 @@
 
 The goldens freeze the oracle-validated engine's output on the bundled
 dataset, so the tool first runs the oracle suite in a subprocess of the same
-interpreter and writes nothing unless it passes.  When it overwrites
-``analyze.json`` it prints what changed: the number of changed leaves, the
-key path and the old and new value of each, and the largest absolute
-difference between an old and a new number.  For ``analyze.md`` and
-``analyze.csv`` it prints the number of changed lines.
+interpreter and ``verify`` on the bundled dataset, and writes nothing unless
+both pass.  When it overwrites ``analyze.json`` it prints what changed: the
+number of changed leaves, the key path and the old and new value of each, and
+the largest absolute difference between an old and a new number.  For
+``analyze.md`` and ``analyze.csv`` it prints the number of changed lines.
 """
 
 import difflib
@@ -19,6 +19,7 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "tests"))
 
 from pibgen.cli import main
+from pibgen.data import synthetic_path
 from test_acceptance import GOLDEN, GOLDEN_ARGS
 
 ORACLE_SUITE = ("tests/test_oracle.py",
@@ -64,12 +65,20 @@ def changed_lines(old: str, new: str) -> int:
                for tag, i1, i2, j1, j2 in matcher.get_opcodes() if tag != "equal")
 
 
+def verify_bundled():
+    """Raise ``SystemExit`` unless ``verify`` passes on the bundled dataset."""
+    code = main(["verify", "--data", synthetic_path()])
+    if code != 0:
+        raise SystemExit(f"verify exited {code} on the bundled dataset; goldens not written")
+
+
 def run():
     suite = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
                             *ORACLE_SUITE], cwd=ROOT)
     if suite.returncode != 0:
         raise SystemExit(f"oracle suite failed (pytest exited {suite.returncode}); "
                          "goldens not written")
+    verify_bundled()
     GOLDEN.mkdir(exist_ok=True)
     targets = {fmt: GOLDEN / f"analyze.{fmt}" for fmt in ("json", "md", "csv")}
     before = {fmt: target.read_text(encoding="utf-8")
