@@ -7,6 +7,8 @@ both pass.  When it overwrites ``analyze.json`` it prints what changed: the
 number of changed leaves, the key path and the old and new value of each, and
 the largest absolute difference between an old and a new number.  For
 ``analyze.md`` and ``analyze.csv`` it prints the number of changed lines.
+Last it writes the behaviour corpus (``tests/test_corpus.py``) and prints the
+label of each run whose entry changed.
 """
 
 import difflib
@@ -21,6 +23,7 @@ sys.path.insert(0, str(ROOT / "tests"))
 from pibgen.cli import main
 from pibgen.data import synthetic_path
 from test_acceptance import GOLDEN, GOLDEN_ARGS
+import test_corpus
 
 ORACLE_SUITE = ("tests/test_oracle.py",
                 "tests/test_acceptance.py::test_criterion_1_oracle_equivalence")
@@ -72,6 +75,20 @@ def verify_bundled():
         raise SystemExit(f"verify exited {code} on the bundled dataset; goldens not written")
 
 
+def write_corpus():
+    """Write the corpus's contract and ``verify`` logs, and print the labels
+    whose entry changed."""
+    contract = test_corpus.CONTRACT
+    old = json.loads(contract.read_text(encoding="utf-8")) if contract.exists() else []
+    entries, logs = test_corpus.record()
+    contract.write_text(test_corpus.contract_text(entries), encoding="utf-8")
+    test_corpus.VERIFY_LOGS.write_text(logs, encoding="utf-8")
+    changed = test_corpus.changed_labels(old, entries)
+    print(f"contract.json: {len(entries)} runs, {len(changed)} changed")
+    for label in changed:
+        print(f"  {label}")
+
+
 def run():
     suite = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
                             *ORACLE_SUITE], cwd=ROOT)
@@ -94,6 +111,7 @@ def run():
             print(change_report(json.loads(old), json.loads(new)))
         else:
             print(f"analyze.{fmt}: {changed_lines(old, new)} changed lines")
+    write_corpus()
 
 
 if __name__ == "__main__":
