@@ -249,15 +249,17 @@ def compute_bounds(spec: BoundSpec, rates: EmpiricalRates, probs: DesignProbs,
 
 @dataclass(frozen=True)
 class StratumBounds:
-    index: int
-    n_population: int
-    n_sample_treated: int
-    n_sample_control: int
-    viable: bool
+    """One stratum's intervals and their input set, or why it was skipped.
+    Its counts are in the ``assignment.tallies`` the intervals came from."""
+
     results: tuple[PateInterval, ...] = ()
     skip_reason: str | None = None
-    rates: EmpiricalRates | None = None  # the input set of the results, from the tallies
+    rates: EmpiricalRates | None = None
     probs: DesignProbs | None = None
+
+    @property
+    def viable(self) -> bool:
+        return self.skip_reason is None
 
 
 @dataclass(frozen=True)
@@ -303,9 +305,7 @@ def stratified_bounds(
         else:
             reason = ("no sampled treated unit" if t.treated[g] == 0
                       else "no sampled control unit")
-        per_stratum.append(StratumBounds(g + 1, t.units[g], t.treated[g], t.control[g],
-                                         viable=reason is None, results=tuple(results),
-                                         skip_reason=reason, rates=s_rates, probs=s_probs))
+        per_stratum.append(StratumBounds(tuple(results), reason, s_rates, s_probs))
     complete = [pieces for pieces in per_spec if pooled and pieces and len(pieces) == assignment.k]
     pooled_results = [interval for pieces in complete for interval in _pool(pieces, frame.support)]
     return StratifiedBounds(strata=tuple(per_stratum), pooled=tuple(pooled_results))

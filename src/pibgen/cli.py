@@ -43,7 +43,7 @@ from .propensity import (
     model_to_json,
 )
 from .report import check_finite, render_csv, render_markdown, rows_csv, rows_md, to_json
-from .stratify import merge_nonviable, strata_for_frame, stratum_summary_rows
+from .stratify import merge_nonviable, strata_for_frame, stratum_counts, stratum_summary_rows
 
 FORMATS = ("json", "csv", "md")
 FRAMEWORKS = ("full", "reduced", "both")
@@ -452,24 +452,20 @@ class _Pipeline:
         inputs = self._inputs(self.rates, self.probs)
         return [_interval(interval, inputs) for interval in self.intervals]
 
-    def _stratum(self, stratum) -> dict:
+    def _stratum(self, counts, stratum) -> dict:
+        """A stratum's entry: its ``counts`` row, whose ``viable`` turns false
+        when every spec was dropped from the stratum, and its intervals."""
         results = None
         if stratum.viable:
             inputs = self._inputs(stratum.rates, stratum.probs)
             results = [_interval(interval, inputs) for interval in stratum.results]
-        return {
-            "stratum": stratum.index,
-            "n_population": stratum.n_population,
-            "n_sample_treated": stratum.n_sample_treated,
-            "n_sample_control": stratum.n_sample_control,
-            "viable": stratum.viable,
-            "results": results,
-            "skip_reason": stratum.skip_reason,
-        }
+        return {**counts, "viable": stratum.viable, "results": results,
+                "skip_reason": stratum.skip_reason}
 
     def _stratum_intervals(self):
         block = {"k": self.assignment.k,
-                 "strata": [self._stratum(stratum) for stratum in self.stratified.strata]}
+                 "strata": [self._stratum(*pair) for pair in zip(
+                     stratum_counts(self.assignment), self.stratified.strata)]}
         if self.stratified.pooled:
             inputs = {"pooled": True, "strata": self.assignment.k}
             note = ("population-share weighted across strata: the PATE range when "
@@ -484,7 +480,7 @@ class _Pipeline:
             notes["clamped_intervals"] = sum(i.clamped_lo + i.clamped_hi for i in self.intervals)
         if "stratum_intervals" in keys:
             notes["non_viable_strata"] = [
-                s.index for s in self.stratified.strata if not s.viable
+                g + 1 for g, s in enumerate(self.stratified.strata) if not s.viable
             ]
         return notes
 

@@ -114,12 +114,18 @@ def stratum_frames(frame: StudyFrame, assignment: StratumAssignment) -> list[Str
     return pieces
 
 
+def stratum_counts(assignment: StratumAssignment) -> list[dict]:
+    """Each stratum's number, its population and sampled-arm counts, and
+    whether it has both sampled arms: the report's one writer of these."""
+    t = assignment.tallies
+    return [{"stratum": g + 1, "n_population": t.units[g], "n_sample_treated": t.treated[g],
+             "n_sample_control": t.control[g], "viable": t.viable(g)}
+            for g in range(assignment.k)]
+
+
 def stratum_summary_rows(assignment: StratumAssignment) -> list[dict]:
     """The per-stratum layout, one row per stratum (the data behind a
     logit-distribution plot; plotting itself is out of scope)."""
-    t = assignment.tallies
     ends = (-math.inf, *assignment.breakpoints, math.inf)
-    return [{"stratum": g + 1, "logit_lo": ends[g], "logit_hi": ends[g + 1],
-             "n_population": t.units[g], "n_sample_treated": t.treated[g],
-             "n_sample_control": t.control[g], "viable": t.viable(g)}
-            for g in range(assignment.k)]
+    return [{"stratum": g + 1, "logit_lo": ends[g], "logit_hi": ends[g + 1], **counts}
+            for g, counts in enumerate(stratum_counts(assignment))]

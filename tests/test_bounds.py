@@ -390,7 +390,8 @@ class TestStratified:
         assert off.pooled == ()
         on = stratified_bounds(frame, assignment, specs, p_w0_given_z0=0.5, pooled=True)
         expected_lo = sum(
-            (s.n_population / frame.n_units) * s.results[0].pre_clamp_lo for s in on.strata
+            (n / frame.n_units) * s.results[0].pre_clamp_lo
+            for n, s in zip(assignment.tallies.units, on.strata)
         )
         (pooled,) = on.pooled
         assert pooled.pre_clamp_lo == pytest.approx(expected_lo)
