@@ -569,9 +569,10 @@ def _split_csv(text, file=None):
 
 def _resolve_covariates(header, columns: ColumnMap, file=None):
     """The covariate columns of a file with ``header``, before encoding.  A
-    declared covariate or categorical column missing from the header is an
-    error; a categorical column that is no covariate is ignored."""
-    for name in [*(columns.covariates or ()), *(name for name, _ in columns.categorical)]:
+    declared covariate, excluded or categorical column missing from the header
+    is an error; a categorical column that is no covariate is ignored."""
+    for name in [*(columns.covariates or ()), *columns.exclude,
+                 *(name for name, _ in columns.categorical)]:
         if name not in header:
             raise MissingColumn(name, file)
     if columns.covariates is not None:

@@ -763,6 +763,19 @@ class TestSubcommands:
         assert (code, out) == (2, "")
         assert err == "error: required column 'nope' not found in the sample file header\n"
 
+    def test_excluded_column_missing_from_the_header_is_a_data_error(self, capsys, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"exclude": ["enrol"]}))
+        argv = ["propensity", "--data", synthetic_path()]
+        for options in (["--exclude", "enrol"], ["--config", str(config)]):
+            assert run(capsys, *argv, *options) == (
+                2, "", "error: required column 'enrol' not found in header\n")
+        (tmp_path / "sample.csv").write_text("id,treatment,outcome,x1\ns1,1,1,0.2\n")
+        (tmp_path / "population.csv").write_text("id,outcome,x1,enrol\np1,1,0.3,5\n")
+        assert run(capsys, "propensity", "--sample", str(tmp_path / "sample.csv"),
+                   "--population", str(tmp_path / "population.csv"), "--exclude", "enrol") == (
+            2, "", "error: required column 'enrol' not found in the sample file header\n")
+
     def test_exclude_flag_drops_columns(self, capsys, tmp_path):
         data = tmp_path / "notes.csv"
         data.write_text(
