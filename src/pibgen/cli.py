@@ -270,6 +270,8 @@ def _check_request(options):
     elif not isinstance(exprs, list):
         raise ConfigError(f"--lambda expects an expression or a list of them, got {exprs!r}")
     options["lambda"] = [parse_lambda_expr(str(expr)) for expr in exprs]
+    if "bsv" in options["assumption"] and not options["lambda"]:
+        raise ConfigError("bsv bounds need a lambda value")
 
 
 # an EmpiricalRates' report fields: ``binary`` describes the outcomes, it is no rate

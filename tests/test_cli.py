@@ -1142,6 +1142,7 @@ class TestExitContract:
         ([], None, {"lambda": None}, "--lambda expects an expression or a list of them, got None"),
         (["--lambda", "bogus"], None, None, "bad lambda expression 'bogus'"),
         (["--lambda=-0.3"], None, None, "lambda must be >= 0, got -0.3"),
+        (["--assumption", "bsv"], None, None, "bsv bounds need a lambda value"),
     ])
     def test_option_of_the_wrong_type_is_a_config_error_before_loading(
             self, capsys, small_csv, tmp_path, monkeypatch, argv, env, config, message):
