@@ -25,9 +25,10 @@ from pibgen.frame import (
     design_probs,
     empirical_rates,
 )
+from pibgen.points import subclass_estimate
 from pibgen.stratify import strata_for_frame
 
-from conftest import CONTINUOUS, make_frame
+from conftest import CONTINUOUS, make_frame, random_binary_frame
 
 # reconstructed study-scale inputs: selection 56/1029, treated 34/56, assumed
 # even assignment among non-sampled units
@@ -395,3 +396,21 @@ class TestStratified:
         )
         (pooled,) = on.pooled
         assert pooled.pre_clamp_lo == pytest.approx(expected_lo)
+
+    def test_pooled_full_bsv_at_lambda_zero_is_the_subclassification_estimate(self, rng):
+        # each stratum's lambda = 0 interval is its arm-mean contrast, and both
+        # weigh the strata by population share
+        checked = 0
+        for _ in range(300):
+            frame = random_binary_frame(rng, max_units=20, labeled=False)
+            k = min(int(rng.integers(2, 5)), frame.n_units)
+            assignment = strata_for_frame(frame, rng.normal(size=frame.n_units), k)
+            if not all(assignment.tallies.viable(g) for g in range(k)):
+                continue
+            (pooled,) = stratified_bounds(frame, assignment, [BoundSpec("bsv", "full", 0.0)],
+                                          pooled=True).pooled
+            estimate = subclass_estimate(frame, assignment).estimate
+            assert abs(pooled.lo - estimate) <= 1e-12
+            assert abs(pooled.hi - estimate) <= 1e-12
+            checked += 1
+        assert checked >= 50
