@@ -252,10 +252,10 @@ class StratumBounds:
     """One stratum's intervals and their input set, or why it was skipped.
     Its counts are in the ``assignment.tallies`` the intervals came from."""
 
-    results: tuple[PateInterval, ...] = ()
-    skip_reason: str | None = None
-    rates: EmpiricalRates | None = None
-    probs: DesignProbs | None = None
+    results: tuple[PateInterval, ...]
+    skip_reason: str | None
+    rates: EmpiricalRates | None
+    probs: DesignProbs | None
 
     @property
     def viable(self) -> bool:

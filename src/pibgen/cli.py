@@ -465,9 +465,9 @@ class _Pipeline:
                 "skip_reason": stratum.skip_reason}
 
     def _stratum_intervals(self):
+        rows = zip(stratum_counts(self.assignment), self.stratified.strata)
         block = {"k": self.assignment.k,
-                 "strata": [self._stratum(*pair) for pair in zip(
-                     stratum_counts(self.assignment), self.stratified.strata)]}
+                 "strata": [self._stratum(counts, stratum) for counts, stratum in rows]}
         if self.stratified.pooled:
             inputs = {"pooled": True, "strata": self.assignment.k}
             note = ("population-share weighted across strata: the PATE range when "
