@@ -38,7 +38,7 @@ def _workloads():
 
 
 WORKLOADS = _workloads()
-GOLDEN = WORKLOADS.GOLDEN_OPTIONS  # the golden reports' options, test_tools checks
+GOLDEN = WORKLOADS.GOLDEN_OPTIONS  # GOLDEN_ARGS without its --data pair (test_tools checks)
 FIXED = ["--strata", "3", "--seed", "20240311", "--reps", "300"]
 OPTION_SETS = {
     "golden": GOLDEN,
