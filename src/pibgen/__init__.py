@@ -35,14 +35,11 @@ from .points import (
     subclass_estimate,
 )
 from .propensity import (
-    BalanceReport,
     PropensityModel,
-    asmd,
     compute_balance,
     fit_propensity,
     logit_scores,
     model_from_json,
-    model_to_json,
     propensity_scores,
 )
 from .stratify import StratumAssignment, make_strata, strata_for_frame
@@ -51,7 +48,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BINARY",
-    "BalanceReport",
     "BoundSpec",
     "ColumnMap",
     "DesignProbs",
@@ -64,7 +60,6 @@ __all__ = [
     "StratifiedBounds",
     "StratumAssignment",
     "StudyFrame",
-    "asmd",
     "bound_specs",
     "bsv_bounds",
     "bsv_improves",
@@ -83,7 +78,6 @@ __all__ = [
     "logit_scores",
     "make_strata",
     "model_from_json",
-    "model_to_json",
     "mtr_bounds",
     "naive_sate",
     "parse_lambda_expr",

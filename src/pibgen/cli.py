@@ -35,13 +35,7 @@ from .frame import (
 )
 from .lambda_select import lambda_report, parse_lambda_expr, resolve_lambda
 from .points import ipw_estimate, naive_sate, subclass_estimate
-from .propensity import (
-    compute_balance,
-    fit_propensity,
-    logit_scores,
-    model_from_json,
-    model_to_json,
-)
+from .propensity import MODEL_FIELDS, compute_balance, fit_propensity, logit_scores, model_from_json
 from .report import check_finite, render_csv, render_markdown, rows_csv, rows_md, to_json
 from .stratify import merge_nonviable, strata_for_frame, stratum_counts, stratum_summary_rows
 
@@ -406,8 +400,8 @@ class _Pipeline:
             "frame": self._frame,
             "design": lambda: _fields(self.probs),
             "rates": lambda: _fields(self.rates, RATE_FIELDS),
-            "propensity": lambda: self.model.to_json(),
-            "balance": lambda: [_fields(row) for row in self.balance.rows],
+            "propensity": lambda: _fields(self.model, MODEL_FIELDS),
+            "balance": lambda: [_fields(row) for row in self.balance],
             "lambda_report": lambda: lambda_report(self.frame, self.balance),
             "lambda_values": lambda: self.lambdas,
             "intervals": self._intervals,
@@ -555,7 +549,7 @@ def _run(args) -> int:
         _check_request(options)
     stages = _Pipeline(options)
     if args.command == "propensity":
-        write(model_to_json(stages.model) + "\n")
+        write(to_json(_fields(stages.model, MODEL_FIELDS)))
     elif args.command == "strata":
         table = stratum_summary_rows(stages.assignment)  # open outer ends -inf and inf
         rows = [dict(row) for row in table]

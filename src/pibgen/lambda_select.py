@@ -12,9 +12,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ConfigError, EmptySample, NegativeLambda
+from .errors import ConfigError, EmptySample, NegativeLambda, UnknownCovariate
 from .frame import StudyFrame, tallies
-from .propensity import BalanceReport
+from .propensity import BalanceRow
 
 ASMD_AGGREGATES = ("max", "mean", "single")
 ARM_RULES = ("pooled", "max_arm")
@@ -69,16 +69,21 @@ def _text(number: float) -> str:
     return text if float(text) == number else repr(number)
 
 
-def resolve_lambda(spec: LambdaSpec, frame: StudyFrame, balance: BalanceReport | None) -> float:
+def resolve_lambda(spec: LambdaSpec, frame: StudyFrame,
+                   balance: tuple[BalanceRow, ...] | None) -> float:
     """Turn a lambda rule into a number for the BSV bounds; only an asmd rule
-    reads ``balance``."""
+    reads ``balance``, the rows ``compute_balance`` returns."""
     if spec.mode == "fixed":
         return float(spec.value)
     if spec.mode == "asmd":
-        names = spec.covariates or tuple(r.covariate for r in balance.rows)
+        asmds = {row.covariate: row.asmd for row in balance}
+        names = spec.covariates or tuple(asmds)
         if not names:
             raise ConfigError("asmd lambda rule needs at least one covariate")
-        values = [balance.asmd_of(name) for name in names]
+        for name in names:
+            if name not in asmds:
+                raise UnknownCovariate(name, asmds)
+        values = [asmds[name] for name in names]
         if spec.aggregate == "mean":
             return sum(values) / len(values)
         if spec.aggregate == "single":
@@ -94,13 +99,13 @@ def resolve_lambda(spec: LambdaSpec, frame: StudyFrame, balance: BalanceReport |
     return spec.multiplier * math.sqrt(max(ss / n for ss, n in arms if n))
 
 
-def lambda_report(frame: StudyFrame, balance: BalanceReport) -> list[dict]:
+def lambda_report(frame: StudyFrame, balance: tuple[BalanceRow, ...]) -> list[dict]:
     """All rule outputs side by side, each resolved as ``--lambda`` resolves
     it: one row per covariate ASMD, the mean and max aggregates (when there
     are covariates), and the pooled / max-arm outcome-SD rules."""
-    specs = [LambdaSpec(mode="asmd", aggregate="single", covariates=(r.covariate,))
-             for r in balance.rows]
-    if balance.rows:
+    specs = [LambdaSpec(mode="asmd", aggregate="single", covariates=(row.covariate,))
+             for row in balance]
+    if balance:
         specs += [LambdaSpec(mode="asmd", aggregate=aggregate) for aggregate in ("mean", "max")]
     specs += [LambdaSpec(mode="outcome_sd", arm_rule=arm_rule) for arm_rule in ARM_RULES]
     return [{"rule": spec.label(), "value": resolve_lambda(spec, frame, balance)}

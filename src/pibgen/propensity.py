@@ -21,11 +21,9 @@ from .errors import (
     NoConvergence,
     Separation,
     SingularDesign,
-    UnknownCovariate,
     ZeroVariance,
 )
 from .frame import StudyFrame
-from .report import to_json
 
 
 _TOLERANCE = 1e-8
@@ -40,14 +38,6 @@ class PropensityModel:
     iterations: int
     final_gradient_norm: float
     loglik_trace: tuple[float, ...] = field(default=(), repr=False)
-
-    def to_json(self) -> dict:
-        return {
-            "intercept": self.intercept,
-            "coefficients": self.coefficients,
-            "converged": self.converged,
-            "iterations": self.iterations,
-        }
 
 
 def _sigmoid(eta, tail=None):
@@ -198,17 +188,6 @@ class BalanceRow:
     asmd: float
 
 
-@dataclass(frozen=True)
-class BalanceReport:
-    rows: tuple[BalanceRow, ...]
-
-    def asmd_of(self, name: str) -> float:
-        for row in self.rows:
-            if row.covariate == name:
-                return row.asmd
-        raise UnknownCovariate(name, [r.covariate for r in self.rows])
-
-
 def _balance_row(frame: StudyFrame, covariate: str) -> BalanceRow:
     col = frame.covariate_column(covariate)
     sample = col[frame.z == 1]
@@ -227,33 +206,25 @@ def _balance_row(frame: StudyFrame, covariate: str) -> BalanceRow:
     )
 
 
-def asmd(frame: StudyFrame, covariate: str) -> float:
-    """Absolute standardized mean difference |pop mean - sample mean| / pop sd.
-
-    The population moments run over all N units with the uncorrected
-    (denominator-N) standard deviation; the sample mean runs over z=1 units.
-    """
-    return _balance_row(frame, covariate).asmd
-
-
-def compute_balance(frame: StudyFrame, covariates=None) -> BalanceReport:
+def compute_balance(frame: StudyFrame, covariates=None) -> tuple[BalanceRow, ...]:
+    """One row per covariate (default: the frame's), in order.  Its ``asmd`` is
+    |population mean - sample mean| / population SD: the population moments run
+    over all N units (denominator-N SD), the sample mean over the z=1 units."""
     names = tuple(covariates) if covariates is not None else frame.covariate_names
-    return BalanceReport(rows=tuple(_balance_row(frame, name) for name in names))
+    return tuple(_balance_row(frame, name) for name in names)
 
 
-# --- JSON round trip -----------------------------------------------------------
+# --- model files ---------------------------------------------------------------
 
 
-def model_to_json(model: PropensityModel) -> str:
-    """The model as JSON text without a final newline.  It is as strict as
-    every report: a NaN or infinity raises ``NonFiniteResult``."""
-    return to_json(model.to_json()).removesuffix("\n")
+# a model file's fields: the ``propensity`` command writes them, ``--model`` reads them
+MODEL_FIELDS = ("intercept", "coefficients", "converged", "iterations")
 
 
 def model_from_json(text: str) -> PropensityModel:
-    """The model ``model_to_json`` wrote.  Each field must have its JSON type:
-    a number for the intercept and each coefficient, true or false for
-    ``converged``, and a non-negative integer for ``iterations``."""
+    """The model a model file holds.  Each of its ``MODEL_FIELDS`` must have its
+    JSON type: a number for the intercept and each coefficient, true or false
+    for ``converged``, and a non-negative integer for ``iterations``."""
     doc = json.loads(text)
     if not isinstance(doc, dict) or not isinstance(doc["coefficients"], dict):
         raise TypeError("the model and its 'coefficients' must be JSON objects")

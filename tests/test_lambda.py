@@ -70,7 +70,7 @@ class TestResolve:
     def test_max_vs_mean_aggregate(self):
         frame = lopsided_frame()
         balance = compute_balance(frame)
-        asmds = {r.covariate: r.asmd for r in balance.rows}
+        asmds = {r.covariate: r.asmd for r in balance}
         mx = resolve_lambda(LambdaSpec(mode="asmd", covariates=("a", "b"), aggregate="max"),
                             frame, balance)
         mean = resolve_lambda(LambdaSpec(mode="asmd", covariates=("a", "b"), aggregate="mean"),
@@ -81,12 +81,12 @@ class TestResolve:
 
     def test_known_asmds_pick_max(self):
         # balance with asmds 0.2 and 0.5 -> max rule returns 0.5
-        from pibgen.propensity import BalanceReport, BalanceRow
+        from pibgen.propensity import BalanceRow
 
-        balance = BalanceReport(rows=(
+        balance = (
             BalanceRow("x1", 0.2, 0.0, 1.0, 0.2),
             BalanceRow("x2", 0.5, 0.0, 1.0, 0.5),
-        ))
+        )
         lam = resolve_lambda(LambdaSpec(mode="asmd", covariates=("x1", "x2"), aggregate="max"),
                              balanced_frame(), balance)
         assert lam == 0.5
