@@ -172,8 +172,9 @@ class NonViableStratum(DataError):
 # --- bounds ------------------------------------------------------------------
 
 class MissingPopulationOutcome(DataError):
-    def __init__(self, what="the reduced-interval framework"):
-        super().__init__(f"{what} requires outcomes observed among non-sampled (z=0) units")
+    def __init__(self):
+        super().__init__("the reduced-interval framework requires outcomes observed among "
+                         "non-sampled (z=0) units")
 
 
 class NegativeLambda(ConfigError):
@@ -182,8 +183,7 @@ class NegativeLambda(ConfigError):
 
 
 class NonBinaryOutcome(DataError):
-    def __init__(self, detail="outcome support must be {0, 1}"):
-        super().__init__(detail)
+    """Outcomes other than 0 and 1 where binary ones are needed."""
 
 
 # --- point estimators --------------------------------------------------------
