@@ -138,6 +138,27 @@ def test_every_name_a_module_imports_is_used():
     assert not unused
 
 
+def test_only_cli_imports_report_and_no_class_writes_json():
+    # the estimation modules return values, cli builds every document entry
+    # from them, and report renders the document
+    package = pathlib.Path(__file__).parents[1] / "src" / "pibgen"
+    importers, writers = [], []
+    for path in sorted(package.glob("*.py")):
+        modules = []
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules += [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules += [node.module or "", *(alias.name for alias in node.names)]
+            elif isinstance(node, ast.ClassDef):
+                writers += [f"{path.name} {node.name}" for item in node.body
+                            if isinstance(item, ast.FunctionDef) and item.name == "to_json"]
+        if any(module.rsplit(".", 1)[-1] == "report" for module in modules):
+            importers.append(path.name)
+    assert importers == ["cli.py"]
+    assert not writers
+
+
 def test_every_module_level_name_is_used():
     # a name counts as used where it appears other than as its own definition:
     # as a name, an attribute, an import alias, or a string (perfbench/tracing.py's
