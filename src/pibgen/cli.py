@@ -19,7 +19,7 @@ import os
 import sys
 import traceback
 from dataclasses import fields
-from functools import cache, cached_property
+from functools import cache, cached_property, partial
 
 from . import bounds as bounds_mod
 from . import oracle as oracle_mod
@@ -106,8 +106,11 @@ _DEFAULTS = {key: default for key, (default, _) in OPTIONS.items()}
 
 def build_parser() -> _Parser:
     """A new parser; ``main`` builds one per process (see ``_parser``)."""
-    # a flag left out is absent from the namespace, so the config value shows through
-    p = _Parser(prog="pibgen", description=__doc__, argument_default=argparse.SUPPRESS)
+    # a flag left out is absent from the namespace, so the config value shows through;
+    # usage and help wrap as in an 80-column terminal (argparse keeps a 2-column
+    # margin), whatever the terminal's width
+    p = _Parser(prog="pibgen", description=__doc__, argument_default=argparse.SUPPRESS,
+                formatter_class=partial(argparse.HelpFormatter, width=78))
     p.add_argument("command", choices=COMMANDS,
                    help="; ".join(f"{name}: {text}" for name, text in COMMANDS.items()))
     p.add_argument("--config", help="JSON config file; flags override its values")

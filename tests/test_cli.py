@@ -273,6 +273,15 @@ class TestAnalyze:
         assert (code, out) == (3, "")
         assert err == f"{pibgen.cli.build_parser().format_usage()}error: {message}\n"
 
+    @pytest.mark.parametrize("argv", [["analyze", "--format", "xml"], ["--help"]],
+                             ids=["error", "help"])
+    def test_usage_text_is_the_same_at_every_terminal_width(self, capsys, monkeypatch, argv):
+        printed = []
+        for columns in ("40", "200"):
+            monkeypatch.setenv("COLUMNS", columns)
+            printed.append(run(capsys, *argv))
+        assert printed[0] == printed[1]
+
     def test_parser_declares_each_option_once(self):
         actions = pibgen.cli.build_parser()._actions
         flags = [flag for action in actions for flag in action.option_strings]

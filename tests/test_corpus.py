@@ -106,6 +106,11 @@ def runs() -> list[tuple[str, list[str]]]:
         ("points bsv-no-lambda", ["points", *data, "--assumption", "bsv", "--reps", "10"]),
         ("strata bsv-no-lambda", ["strata", *data, "--assumption", "bsv"]),
         ("lambda bsv-no-lambda", ["lambda", *data, "--assumption", "bsv"]),
+        # argparse: usage and help at a fixed width; a bad argv exits 3
+        ("no-command", []),
+        ("unknown-command", ["frobnicate"]),
+        ("analyze format-xml", ["analyze", *data, "--format", "xml"]),
+        ("help", ["--help"]),
     ]
     out += [(f"verify oracle_small {k:03d}", ["verify", "--data", f"{INPUTS}/oracle_{k:03d}.csv"])
             for k in range(WORKLOADS.ORACLE_FRAMES)]
@@ -149,7 +154,7 @@ def record() -> tuple[list[dict], str]:
                 entries.append({"label": label, "argv": argv, "exit": code,
                                 "stdout": _sha256(out.getvalue()),
                                 "stderr": _sha256(err.getvalue())})
-                if argv[0] == "verify":
+                if argv[:1] == ["verify"]:
                     logs.append(f"== {label}: exit {code}\n{out.getvalue()}")
     finally:
         os.chdir(cwd)
