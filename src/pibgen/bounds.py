@@ -266,6 +266,8 @@ class StratumBounds:
 class StratifiedBounds:
     strata: tuple[StratumBounds, ...]
     pooled: tuple[PateInterval, ...] = ()
+    # each spec with no pooled intervals, the first stratum (from 1) without its own, and why
+    unpooled: tuple[tuple[BoundSpec, int, str], ...] = ()
 
 
 def stratified_bounds(
@@ -285,11 +287,14 @@ def stratified_bounds(
     from that stratum; a stratum where every spec is dropped is skipped.  The
     optional pooled intervals are the population-share weighted sums of the
     per-stratum endpoints, one set per spec that every stratum evaluated: the
-    PATE range when randomization identifies each stratum's arm means.
+    PATE range when randomization identifies each stratum's arm means.  Each
+    other spec is ``unpooled``, with the first stratum that lacks it and why.
     """
     t = assignment.tallies
     per_stratum = []
     per_spec = [[] for _ in specs]  # (population share, intervals) per stratum
+    lacking = {}  # spec index -> (stratum, reason) of the first stratum without it
+    no_bau = "no business-as-usual outcomes among its z=0 units"
     for g in range(assignment.k):
         results, s_rates, s_probs = [], None, None
         if t.viable(g):
@@ -298,17 +303,23 @@ def stratified_bounds(
                 try:
                     intervals = compute_bounds(spec, s_rates, s_probs, frame.support)
                 except MissingPopulationOutcome:
+                    lacking.setdefault(i, (g + 1, no_bau))
                     continue
                 per_spec[i].append((t.units[g] / frame.n_units, intervals))
                 results.extend(intervals)
-            reason = None if results else "no business-as-usual outcomes among its z=0 units"
+            reason = None if results else no_bau
         else:
             reason = ("no sampled treated unit" if t.treated[g] == 0
                       else "no sampled control unit")
+            for i in range(len(specs)):
+                lacking.setdefault(i, (g + 1, reason))
         per_stratum.append(StratumBounds(tuple(results), reason, s_rates, s_probs))
-    complete = [pieces for pieces in per_spec if pooled and pieces and len(pieces) == assignment.k]
-    pooled_results = [interval for pieces in complete for interval in _pool(pieces, frame.support)]
-    return StratifiedBounds(strata=tuple(per_stratum), pooled=tuple(pooled_results))
+    if not pooled:
+        return StratifiedBounds(strata=tuple(per_stratum))
+    pooled_results = [interval for i, pieces in enumerate(per_spec) if i not in lacking
+                      for interval in _pool(pieces, frame.support)]
+    unpooled = [(specs[i], *lacking[i]) for i in sorted(lacking)]
+    return StratifiedBounds(tuple(per_stratum), tuple(pooled_results), tuple(unpooled))
 
 
 def _pool(pieces, support) -> list[PateInterval]:

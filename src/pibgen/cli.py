@@ -107,8 +107,7 @@ _DEFAULTS = {key: default for key, (default, _) in OPTIONS.items()}
 def build_parser() -> _Parser:
     """A new parser; ``main`` builds one per process (see ``_parser``)."""
     # a flag left out is absent from the namespace, so the config value shows through;
-    # usage and help wrap as in an 80-column terminal (argparse keeps a 2-column
-    # margin), whatever the terminal's width
+    # usage and help wrap as argparse wraps them in an 80-column terminal, in any terminal
     p = _Parser(prog="pibgen", description=__doc__, argument_default=argparse.SUPPRESS,
                 formatter_class=partial(argparse.HelpFormatter, width=78))
     p.add_argument("command", choices=COMMANDS,
@@ -481,6 +480,12 @@ class _Pipeline:
             notes["non_viable_strata"] = [
                 g + 1 for g, s in enumerate(self.stratified.strata) if not s.viable
             ]
+            for spec, stratum, reason in self.stratified.unpooled:
+                entry = {"assumption": spec.assumption, "framework": spec.framework}
+                if spec.lam is not None:
+                    entry["lambda"] = float(spec.lam)
+                notes.setdefault("pooled_omitted", []).append(
+                    {**entry, "stratum": stratum, "reason": reason})
         return notes
 
 

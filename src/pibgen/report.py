@@ -216,6 +216,10 @@ def render_markdown(document: dict) -> str:
     items = []
     if notes.get("non_viable_strata"):
         items.append(f"non-viable strata skipped: {notes['non_viable_strata']}")
+    for item in notes.get("pooled_omitted", []):
+        assumption, framework, extra = _describe(item)
+        items.append(f"no pooled {assumption} ({', '.join(filter(None, [framework, extra]))}) "
+                     f"interval: stratum {item['stratum']} has {item['reason']}")
     if notes.get("subclassification_error"):
         items.append(f"subclassification unavailable: {notes['subclassification_error']}")
     if notes.get("clamped_intervals"):

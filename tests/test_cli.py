@@ -432,6 +432,46 @@ class TestPipeline:
             ("worst_case", "full"), ("mtr", "full"), ("mtr", "full"),
         ]
 
+    def test_pooled_note_names_each_spec_left_out_and_the_first_stratum_without_it(
+        self, capsys, tmp_path
+    ):
+        data = tmp_path / "mixed.csv"  # stratum 2 has both arms and no z=0 outcome
+        data.write_text(
+            "id,in_sample,treatment,outcome,x1\n"
+            "a,1,1,1,0.0\nb,1,0,0,0.1\nc,0,,1,0.2\n"
+            "d,1,1,1,1.0\ne,1,0,0,1.1\nf,0,,,1.2\n"
+        )
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps({"intercept": 0.0, "coefficients": {"x1": 1.0},
+                                     "converged": True, "iterations": 0}))
+        argv = ["analyze", "--data", str(data), "--model", str(model), "--strata", "2",
+                "--framework", "both", "--reps", "0"]
+        code, out, _ = run(capsys, *argv, "--pooled", "--format", "json")
+        assert code == 0
+        document = json.loads(out)
+        assert [e["framework"] for e in document["stratum_intervals"]["pooled"]] == ["full"]
+        assert document["notes"]["pooled_omitted"] == [
+            {"assumption": "worst_case", "framework": "reduced", "stratum": 2,
+             "reason": "no business-as-usual outcomes among its z=0 units"}]
+        code, out, _ = run(capsys, *argv, "--pooled", "--format", "md")
+        assert ("- no pooled treatment randomization (reduced) interval: stratum 2 has "
+                "no business-as-usual outcomes among its z=0 units") in out.splitlines()
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        assert "pooled_omitted" not in json.loads(out)["notes"]
+
+    def test_pooled_note_gives_a_skipped_stratum_its_skip_reason(self, capsys):
+        argv = ["analyze", *GOLDEN_ARGS, "--pooled", "--format", "json"]
+        code, out, _ = run(capsys, *argv, "--strata", "6")
+        assert code == 0
+        document = json.loads(out)
+        omitted = document["notes"]["pooled_omitted"]
+        assert "pooled" not in document["stratum_intervals"]
+        assert len(omitted) == 8  # every spec of the golden options
+        assert {(e["stratum"], e["reason"]) for e in omitted} == {(1, "no sampled treated unit")}
+        code, out, _ = run(capsys, *argv)  # at 3 strata every spec is pooled
+        assert code == 0
+        assert "pooled_omitted" not in json.loads(out)["notes"]
+
 
 NON_FINITE_CSV = "id,in_sample,treatment,outcome,x1\na,1,1,1,0.2\nb,1,0,0,0.9\nc,0,,,{x}\nd,0,,,0.1\n"
 

@@ -111,6 +111,9 @@ def runs() -> list[tuple[str, list[str]]]:
         ("unknown-command", ["frobnicate"]),
         ("analyze format-xml", ["analyze", *data, "--format", "xml"]),
         ("help", ["--help"]),
+        # every pooled spec left out: stratum 1 has no sampled treated unit
+        ("analyze strata6-pooled md", ["analyze", *data, *OPTION_SETS["strata6"], "--pooled",
+                                       "--format", "md"]),
     ]
     out += [(f"verify oracle_small {k:03d}", ["verify", "--data", f"{INPUTS}/oracle_{k:03d}.csv"])
             for k in range(WORKLOADS.ORACLE_FRAMES)]
