@@ -265,9 +265,9 @@ class StratumBounds:
 @dataclass(frozen=True)
 class StratifiedBounds:
     strata: tuple[StratumBounds, ...]
-    pooled: tuple[PateInterval, ...] = ()
+    pooled: tuple[PateInterval, ...]
     # each spec with no pooled intervals, the first stratum (from 1) without its own, and why
-    unpooled: tuple[tuple[BoundSpec, int, str], ...] = ()
+    unpooled: tuple[tuple[BoundSpec, int, str], ...]
 
 
 def stratified_bounds(
@@ -276,7 +276,6 @@ def stratified_bounds(
     specs,
     *,
     p_w0_given_z0: float = 0.5,
-    pooled: bool = False,
 ) -> StratifiedBounds:
     """Evaluate every bound spec inside each propensity stratum.
 
@@ -285,7 +284,7 @@ def stratified_bounds(
     Strata without a sampled treated or control unit are skipped and flagged.
     A spec that needs business-as-usual outcomes the stratum lacks is dropped
     from that stratum; a stratum where every spec is dropped is skipped.  The
-    optional pooled intervals are the population-share weighted sums of the
+    pooled intervals are the population-share weighted sums of the
     per-stratum endpoints, one set per spec that every stratum evaluated: the
     PATE range when randomization identifies each stratum's arm means.  Each
     other spec is ``unpooled``, with the first stratum that lacks it and why.
@@ -314,8 +313,6 @@ def stratified_bounds(
             for i in range(len(specs)):
                 lacking.setdefault(i, (g + 1, reason))
         per_stratum.append(StratumBounds(tuple(results), reason, s_rates, s_probs))
-    if not pooled:
-        return StratifiedBounds(strata=tuple(per_stratum))
     pooled_results = [interval for i, pieces in enumerate(per_spec) if i not in lacking
                       for interval in _pool(pieces, frame.support)]
     unpooled = [(specs[i], *lacking[i]) for i in sorted(lacking)]

@@ -311,7 +311,8 @@ VIEWS = {
 
 class _Pipeline:
     """The analysis stages over one loaded frame.  Each stage runs at most
-    once, when the first document key that needs it is built."""
+    once, when the first document key that needs it is built.  No stage reads
+    a view option (``format``, ``out``, ``pooled``): they choose what is printed."""
 
     def __init__(self, options):
         self.options = options
@@ -379,10 +380,8 @@ class _Pipeline:
 
     @cached_property
     def stratified(self):
-        return bounds_mod.stratified_bounds(
-            self.frame, self.assignment, self.specs,
-            p_w0_given_z0=self.options["pw0z0"], pooled=self.options["pooled"],
-        )
+        return bounds_mod.stratified_bounds(self.frame, self.assignment, self.specs,
+                                            p_w0_given_z0=self.options["pw0z0"])
 
     @cached_property
     def points(self):
@@ -464,7 +463,7 @@ class _Pipeline:
         rows = zip(stratum_counts(self.assignment), self.stratified.strata)
         block = {"k": self.assignment.k,
                  "strata": [self._stratum(counts, stratum) for counts, stratum in rows]}
-        if self.stratified.pooled:
+        if self.options["pooled"] and self.stratified.pooled:
             inputs = {"pooled": True, "strata": self.assignment.k}
             note = ("population-share weighted across strata: the PATE range when "
                     "randomization identifies each stratum's arm means")
@@ -480,7 +479,7 @@ class _Pipeline:
             notes["non_viable_strata"] = [
                 g + 1 for g, s in enumerate(self.stratified.strata) if not s.viable
             ]
-            for spec, stratum, reason in self.stratified.unpooled:
+            for spec, stratum, reason in self.stratified.unpooled if self.options["pooled"] else ():
                 entry = {"assumption": spec.assumption, "framework": spec.framework}
                 if spec.lam is not None:
                     entry["lambda"] = float(spec.lam)

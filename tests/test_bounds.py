@@ -382,14 +382,13 @@ class TestStratified:
         assert not result.strata[1].viable
         assert "business-as-usual" in result.strata[1].skip_reason
 
-    def test_pooled_off_by_default_and_weighted_when_on(self):
+    def test_pooled_always_returned_and_weighted_by_population_share(self):
         frame = _three_strata_frame()
         logits = frame.covariate_column("x1")
         assignment = strata_for_frame(frame, logits, 3)
         specs = [BoundSpec("worst_case", "full")]
-        off = stratified_bounds(frame, assignment, specs, p_w0_given_z0=0.5)
-        assert off.pooled == ()
-        on = stratified_bounds(frame, assignment, specs, p_w0_given_z0=0.5, pooled=True)
+        on = stratified_bounds(frame, assignment, specs, p_w0_given_z0=0.5)
+        assert on.unpooled == ()
         expected_lo = sum(
             (n / frame.n_units) * s.results[0].pre_clamp_lo
             for n, s in zip(assignment.tallies.units, on.strata)
@@ -407,8 +406,7 @@ class TestStratified:
             assignment = strata_for_frame(frame, rng.normal(size=frame.n_units), k)
             if not all(assignment.tallies.viable(g) for g in range(k)):
                 continue
-            (pooled,) = stratified_bounds(frame, assignment, [BoundSpec("bsv", "full", 0.0)],
-                                          pooled=True).pooled
+            (pooled,) = stratified_bounds(frame, assignment, [BoundSpec("bsv", "full", 0.0)]).pooled
             estimate = subclass_estimate(frame, assignment).estimate
             assert abs(pooled.lo - estimate) <= 1e-12
             assert abs(pooled.hi - estimate) <= 1e-12

@@ -389,6 +389,20 @@ class TestPipeline:
             # the no-clip condition is defined on one arm-mean difference, not a pooled sum
             assert "improves" not in entry
 
+    def test_stages_do_not_read_the_view_options(self):
+        # --pooled and --format choose what is printed, not what is estimated
+        stages = []
+        for view in (["--format", "json"], ["--pooled", "--format", "md"]):
+            options = pibgen.cli._merge_config(pibgen.cli._parser().parse_args(
+                ["analyze", *GOLDEN_ARGS, *view]))
+            pibgen.cli._check_request(options)
+            stages.append(pibgen.cli._Pipeline(options))
+        plain, pooled = stages
+        assert plain.stratified == pooled.stratified
+        assert plain.stratified.pooled and not plain.stratified.unpooled
+        assert plain.intervals == pooled.intervals
+        assert plain.points == pooled.points
+
     def test_public_names_resolve(self):
         for name in pibgen.__all__:
             assert hasattr(pibgen, name), name
