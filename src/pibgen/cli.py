@@ -18,7 +18,7 @@ import json
 import os
 import sys
 import traceback
-from dataclasses import fields
+from dataclasses import fields, replace
 from functools import cache, cached_property, partial
 
 from . import bounds as bounds_mod
@@ -335,9 +335,10 @@ class _Pipeline:
                 model = model_from_json(fh.read())
         except (OSError, ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
             raise ConfigError(f"cannot read model file: {exc}")
-        for name in model.coefficients:  # each must name a covariate of the frame
-            self.frame.covariate_index(name)
-        return model
+        # each must name a covariate of the frame; a fit adds its terms in the
+        # frame's order, and a file holds them sorted, so restore that order
+        order = sorted(model.coefficients, key=self.frame.covariate_index)
+        return replace(model, coefficients={name: model.coefficients[name] for name in order})
 
     @cached_property
     def balance(self):

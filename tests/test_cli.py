@@ -28,7 +28,7 @@ from pibgen.report import check_finite, to_json
 from pibgen.stratify import merge_nonviable, strata_for_frame
 
 from conftest import frame_texts
-from test_acceptance import GOLDEN_ARGS
+from test_acceptance import GOLDEN, GOLDEN_ARGS
 
 SMALL_BINARY = """id,in_sample,treatment,outcome
 a,1,1,1
@@ -768,6 +768,17 @@ class TestSubcommands:
                            "--reps", "20", "--model", str(model_path), "--format", "json")
         assert code == 0
         assert [p["method"] for p in json.loads(out)["point_estimates"]][1] == "ipw"
+
+    @pytest.mark.parametrize("fmt", ["json", "md", "csv"])
+    def test_a_model_file_reproduces_the_run_that_wrote_it(self, capsys, tmp_path, fmt):
+        # the file holds its coefficients sorted by name, not in the frame's order
+        model_path = tmp_path / "model.json"
+        assert run(capsys, "propensity", "--data", synthetic_path(),
+                   "--out", str(model_path))[0] == 0
+        code, out, _ = run(capsys, "analyze", *GOLDEN_ARGS, "--model", str(model_path),
+                           "--format", fmt)
+        assert code == 0
+        assert out == (GOLDEN / f"analyze.{fmt}").read_text(encoding="utf-8")
 
     def test_pooled_intervals_in_report(self, capsys, small_csv):
         code, out, _ = run(capsys, "analyze", "--data", small_csv, "--strata", "1",
