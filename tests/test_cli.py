@@ -293,6 +293,13 @@ class TestAnalyze:
         monkeypatch.setitem(pibgen.cli.OPTIONS, "strata", (7, pibgen.cli.OPTIONS["strata"][1]))
         assert "stratum count k (default 7)" in pibgen.cli.build_parser().format_help()
 
+    def test_help_is_not_the_module_docstring(self, monkeypatch):
+        # the docstring is for developers: editing it must not move --help
+        help_text = pibgen.cli.build_parser().format_help()
+        assert "Exit codes:" in help_text and "``" not in help_text
+        monkeypatch.setattr(pibgen.cli, "__doc__", "replaced")
+        assert pibgen.cli.build_parser().format_help() == help_text
+
     def test_main_builds_one_parser_and_no_option_outlives_its_call(self, capsys, monkeypatch,
                                                                     tmp_path):
         built = []
