@@ -20,7 +20,7 @@ import os
 import pathlib
 import tempfile
 
-from pibgen.cli import FORMATS, main
+from pibgen.cli import FORMATS, OPTIONS, build_parser, main
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 CONTRACT = ROOT / "tests" / "golden" / "contract.json"
@@ -61,6 +61,10 @@ NO_BAU = ("id,in_sample,treatment,outcome,x1\n"
           "b06,0,,1,0.6\nb07,1,1,1,1.1\nb08,0,,,1.2\nb09,0,,,1.3\nb10,1,0,1,1.4\n"
           "b11,0,,,1.5\nb12,0,,,1.6\n")
 
+# the bundled frame's role columns under other names, and the flag that names each
+RENAMED_ROLES = {"id": ("--id-col", "school"), "in_sample": ("--sample-col", "sampled"),
+                 "treatment": ("--treatment-col", "arm"), "outcome": ("--outcome-col", "passed")}
+
 
 def runs() -> list[tuple[str, list[str]]]:
     """Every run of the corpus as (label, argv)."""
@@ -69,6 +73,8 @@ def runs() -> list[tuple[str, list[str]]]:
     nonbinary = ["--data", f"{INPUTS}/nonbinary.csv"]
     no_bau = ["--data", f"{INPUTS}/no_bau.csv", "--strata", "2"]
     absent = ["--data", "tests/golden/absent.csv"]
+    renamed = ["--data", f"{INPUTS}/renamed.csv",
+               *(arg for flag, name in RENAMED_ROLES.values() for arg in (flag, name))]
     out = [(f"{command} {name} {fmt}", [command, *data, *options, "--format", fmt])
            for name, options in OPTION_SETS.items()
            for command in ("analyze", "bounds", "points") for fmt in FORMATS]
@@ -77,7 +83,17 @@ def runs() -> list[tuple[str, list[str]]]:
     out += [("propensity bundled", ["propensity", *data]), ("verify bundled", ["verify", *data])]
     out += [(f"analyze split {fmt}", ["analyze", *split, *GOLDEN, "--format", fmt])
             for fmt in FORMATS]
+    # a model file that `propensity` wrote, and a config file of the golden options
+    out += [(f"analyze golden-model {fmt}", ["analyze", *data, *GOLDEN, "--model",
+                                             f"{INPUTS}/model.json", "--format", fmt])
+            for fmt in FORMATS]
+    out += [(f"analyze golden-config {fmt}", ["analyze", *data, "--config",
+                                              f"{INPUTS}/golden.json", "--format", fmt])
+            for fmt in FORMATS]
     out += [
+        ("analyze renamed-roles json", ["analyze", *renamed, *GOLDEN, "--format", "json"]),
+        ("analyze categorical json", ["analyze", *data, *GOLDEN, "--categorical", "title1=0",
+                                      "--format", "json"]),
         ("bounds nonbinary json", ["bounds", *nonbinary, "--support", "0,3", "--framework",
                                    "both", "--assumption", "bsv", "--lambda", "0.5",
                                    "--format", "json"]),
@@ -106,6 +122,8 @@ def runs() -> list[tuple[str, list[str]]]:
         ("points bsv-no-lambda", ["points", *data, "--assumption", "bsv", "--reps", "10"]),
         ("strata bsv-no-lambda", ["strata", *data, "--assumption", "bsv"]),
         ("lambda bsv-no-lambda", ["lambda", *data, "--assumption", "bsv"]),
+        ("bounds asmd-no-covariates", ["bounds", *data, "--covariates", "", "--assumption",
+                                       "bsv", "--lambda", "asmd:max"]),
         # argparse: usage and help at a fixed width; a bad argv exits 3
         ("no-command", []),
         ("unknown-command", ["frobnicate"]),
@@ -122,10 +140,18 @@ def runs() -> list[tuple[str, list[str]]]:
 
 def write_inputs(directory: pathlib.Path):
     """The corpus's own input files: the bundled frame split into a sample and
-    a population file, the two small frames above, and the benchmark's
-    ``oracle_small`` frames at seed 1."""
+    a population file and with its role columns renamed, the model file
+    ``propensity`` writes for it, a config file of the golden options, the two
+    small frames above, and the benchmark's ``oracle_small`` frames at seed 1."""
     with open(ROOT / BUNDLED, newline="", encoding="utf-8") as fh:
         header, *rows = csv.reader(fh)
+    with open(directory / "renamed.csv", "w", newline="", encoding="utf-8") as fh:
+        renamed = [RENAMED_ROLES[name][1] if name in RENAMED_ROLES else name for name in header]
+        csv.writer(fh, lineterminator="\n").writerows([renamed, *rows])
+    main(["propensity", "--data", str(ROOT / BUNDLED), "--out", str(directory / "model.json")])
+    config = vars(build_parser().parse_args(["analyze", *GOLDEN]))  # the flags given, typed
+    del config["command"]
+    (directory / "golden.json").write_text(json.dumps(config), encoding="utf-8")
     z = header.index("in_sample")
     for name, sampled in (("sample.csv", "1"), ("population.csv", "0")):
         with open(directory / name, "w", newline="", encoding="utf-8") as fh:
@@ -186,6 +212,24 @@ def test_every_corpus_entry_replays():
     changed = changed_labels(old, entries)
     assert not changed, f"corpus entries that changed: {changed}"
     assert logs == VERIFY_LOGS.read_text(encoding="utf-8")
+
+
+def test_every_option_has_a_run():
+    # --out is left out: its bytes go to a file, and test_cli checks it
+    flags = {arg.split("=")[0] for _, argv in runs() for arg in argv if arg.startswith("--")}
+    options = {f"--{key.replace('_', '-')}" for key in OPTIONS if key != "out"}
+    assert sorted((options | {"--config"}) - flags) == []
+
+
+def test_a_model_file_and_a_config_file_reproduce_the_golden_runs():
+    entries = {entry["label"]: entry for entry in json.loads(CONTRACT.read_text("utf-8"))}
+
+    def result(label):
+        return {key: entries[label][key] for key in ("exit", "stdout", "stderr")}
+
+    for fmt in FORMATS:
+        assert result(f"analyze golden-model {fmt}") == result(f"analyze golden {fmt}")
+        assert result(f"analyze golden-config {fmt}") == result(f"analyze golden {fmt}")
 
 
 def test_changed_labels_names_each_moved_added_and_dropped_run():
