@@ -8,11 +8,13 @@ from pibgen.bounds import (
     BoundSpec,
     bsv_bounds,
     bsv_improves,
+    check_framework,
     mtr_bounds,
     stratified_bounds,
     worst_case_bounds,
 )
 from pibgen.errors import (
+    ConfigError,
     MissingPopulationOutcome,
     NegativeLambda,
     NonBinaryOutcome,
@@ -412,3 +414,15 @@ class TestStratified:
             assert abs(pooled.hi - estimate) <= 1e-12
             checked += 1
         assert checked >= 50
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: BoundSpec("sharp"),
+     "assumption must be one of ('worst_case', 'bsv', 'mtr'), got 'sharp'"),
+    (lambda: BoundSpec("bsv", "full"), "bsv bounds need a lambda value"),
+    (lambda: check_framework("both"), "framework must be one of ('full', 'reduced'), got 'both'"),
+], ids=["unknown-assumption", "bsv-without-lambda", "both-frameworks"])
+def test_a_spec_the_formulas_lack_is_a_config_error(make, message):
+    with pytest.raises(ConfigError) as exc:
+        make()
+    assert type(exc.value) is ConfigError and str(exc.value) == message

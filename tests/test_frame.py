@@ -936,3 +936,15 @@ class TestColumns:
             assert mean == sum(values) / len(values)
         values = frame.y[frame.z == 0].tolist()
         assert rates.e_y0_w0z0 == sum(values) / len(values)
+
+
+@pytest.mark.parametrize("make, error, message", [
+    (lambda: StudyFrame(["a", "b"], [1, 1], [1], [1.0, 0.0], (), BINARY), DataError,
+     "frame columns differ in length"),
+    (lambda: DesignProbs(1.5, 0.5, 0.5), ConfigError, "p_z1 must be in [0, 1], got 1.5"),
+    (lambda: DesignProbs(0.0, 0.5, 0.5), ConfigError, "p_z1 must be positive"),
+], ids=["column-lengths", "probability-past-one", "no-sample"])
+def test_a_frame_or_design_that_cannot_be_built_is_a_typed_error(make, error, message):
+    with pytest.raises(error) as exc:
+        make()
+    assert type(exc.value) is error and str(exc.value) == message

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pibgen.bounds import bsv_bounds
-from pibgen.errors import ConfigError, NegativeLambda, UnknownCovariate
+from pibgen.errors import ConfigError, EmptySample, NegativeLambda, UnknownCovariate
 from pibgen.frame import BINARY, design_probs, empirical_rates, load_frame
 from pibgen.lambda_select import (
     ARM_RULES,
@@ -206,3 +206,22 @@ class TestParse:
     @given(LAMBDA_SPECS)
     def test_label_parses_back_to_its_spec(self, spec):
         assert parse_lambda_expr(spec.label()) == spec
+
+
+@pytest.mark.parametrize("make, error, message", [
+    (lambda: LambdaSpec("fixed"), ConfigError, "fixed lambda needs a value"),
+    (lambda: LambdaSpec("asmd", aggregate="single"), ConfigError,
+     "aggregate 'single' needs exactly one covariate"),
+    (lambda: LambdaSpec("outcome_sd", multiplier=-1.0), NegativeLambda,
+     "lambda must be >= 0, got -1.0"),
+    (lambda: LambdaSpec("quantile"), ConfigError, "unknown lambda mode 'quantile'"),
+    (lambda: resolve_lambda(LambdaSpec("asmd"), make_frame([(1, 1, 1.0), (1, 0, 0.0)]), ()),
+     ConfigError, "asmd lambda rule needs at least one covariate"),
+    (lambda: resolve_lambda(LambdaSpec("outcome_sd"), make_frame([(0, None, 1.0)]), None),
+     EmptySample, "frame contains no sampled (z=1) units"),
+], ids=["fixed-without-value", "single-without-one-covariate", "negative-multiplier",
+        "unknown-mode", "asmd-without-covariates", "sd-without-sample"])
+def test_a_rule_that_gives_no_lambda_is_a_typed_error(make, error, message):
+    with pytest.raises(error) as exc:
+        make()
+    assert type(exc.value) is error and str(exc.value) == message

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pibgen import bounds, oracle
-from pibgen.errors import DataError, EmptyArm, MissingPopulationOutcome
+from pibgen.errors import DataError, EmptyArm, MissingPopulationOutcome, NegativeLambda
 from pibgen.frame import BINARY, DesignProbs, EmpiricalRates, convert, empirical_rates
 from pibgen.oracle import EXACT_BINARY
 from pibgen.stratify import strata_for_frame, stratum_frames
@@ -408,3 +408,18 @@ def test_framework_nesting_clamping_and_float_agreement_are_exact(inputs, lam):
     for key, interval in exact.items():
         for end in ("lo", "hi", "pre_clamp_lo", "pre_clamp_hi"):
             assert abs(getattr(rounded[key], end) - getattr(interval, end)) <= 1e-12, (key, end)
+
+
+@pytest.mark.parametrize("enumerate_, error, message", [
+    (lambda rates, probs: oracle.enumerate_box(rates, probs, (0, 1), (0, 1), "reduced"),
+     MissingPopulationOutcome, "the reduced-interval framework requires outcomes observed "
+     "among non-sampled (z=0) units"),
+    (lambda rates, probs: oracle.enumerate_bsv(rates, probs, Fraction(-1, 2)),
+     NegativeLambda, "lambda must be >= 0, got -1/2"),
+], ids=["reduced-without-bau-mean", "negative-lambda"])
+def test_an_enumeration_without_its_inputs_is_a_typed_error(enumerate_, error, message):
+    rates = EmpiricalRates(Fraction(1, 2), Fraction(1, 4))  # no business-as-usual mean
+    probs = DesignProbs(Fraction(1, 2), Fraction(1, 2), Fraction(1, 2))
+    with pytest.raises(error) as exc:
+        enumerate_(rates, probs)
+    assert type(exc.value) is error and str(exc.value) == message

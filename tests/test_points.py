@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from pibgen import points
-from pibgen.errors import NonViableStratum, UnfittedModel, ZeroPropensity
+from pibgen.errors import EmptyArm, NonViableStratum, UnfittedModel, ZeroPropensity
 from pibgen.frame import BINARY, OutcomeSupport, StudyFrame, load_frame
 from pibgen.points import (
     _bootstrap_contrasts,
@@ -288,3 +288,12 @@ class TestSanity:
         boot = ipw_estimate(frame, constant_model(), reps=2000, seed=11)
         assert boot.estimate == pytest.approx(plug.estimate)
         assert boot.se == pytest.approx(plug.se, rel=0.15)
+
+
+@pytest.mark.parametrize("arm", [1, 0], ids=["no-treated", "no-control"])
+def test_ipw_without_a_sampled_arm_is_a_data_error(arm):
+    frame = make_frame([(1, 1 - arm, 1.0), (1, 1 - arm, 0.0), (0, None, None)])
+    with pytest.raises(EmptyArm) as exc:
+        ipw_estimate(frame, constant_model(), reps=0)
+    name = "treated" if arm else "control"
+    assert str(exc.value) == f"no sampled units in the {name} arm"

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from pibgen.errors import TooManyStrata, UndefinedLogit
+from pibgen.errors import ConfigError, TooManyStrata, UndefinedLogit
 from pibgen.frame import BINARY, load_frame
 from pibgen.propensity import fit_propensity, logit_scores
 from pibgen.report import rows_csv
@@ -134,3 +134,16 @@ class TestSummaryExport:
         assert header == ("stratum,logit_lo,logit_hi,n_population,"
                           "n_sample_treated,n_sample_control,viable")
         assert len(text.splitlines()) == 3
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda frame: make_strata(logit_array([0.1, 0.2]), 0),
+     "stratum count must be an integer >= 1, got 0"),
+    (lambda frame: strata_for_frame(frame, logit_array([0.1]), 1),
+     "expected one value per row of the frame (2), got 1"),
+], ids=["zero-strata", "logits-of-another-length"])
+def test_a_layout_that_cannot_be_drawn_is_a_config_error(make, message):
+    frame = make_frame([(1, 1, 1.0), (1, 0, 0.0)])
+    with pytest.raises(ConfigError) as exc:
+        make(frame)
+    assert type(exc.value) is ConfigError and str(exc.value) == message
