@@ -6,9 +6,10 @@ consumes is computed from.
 A frame holds every unit in the inference population.  Sampled units (z=1)
 carry a treatment indicator and a realized outcome; non-sampled units (z=0)
 may carry a business-as-usual outcome, and a treatment value on one is
-accepted and unused.  The frame is a set of numpy columns, parsed and checked
-once; frames are immutable after construction and all operations here are
-pure reads.
+accepted and unused.  The frame is a set of numpy columns, immutable after
+construction; all operations here are pure reads.  A loaded frame's rows are
+checked twice: by the loader, whose errors name the row number and the file,
+and again by ``StudyFrame``, which checks every frame however it was built.
 
 A CSV file's columns are parsed in one pass of numpy's C text reader, which
 reads a numeric covariate straight to float64 with the value ``float()`` gives
